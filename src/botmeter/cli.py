@@ -91,15 +91,21 @@ def build_model_specs(seed: int, overrides: dict | None) -> list[classifiers.Mod
 
 # --- pipeline stages ----------------------------------------------------------
 
-def extract_and_label(manifest, meter: MeterConfig, out_path: Path):
-    """pcaps + rules -> labeled flow CSV; returns the label report."""
-    manifest.validate()
+def _meter_captures(captures, meter: MeterConfig) -> list:
+    """Meter each capture in turn; returns their flows in capture order."""
     flows = []
-    for capture in manifest.captures:
+    for capture in captures:
         metered, stats = ingest_capture_detailed(str(capture), meter)
         logger.info("%s: %d records -> %d flows (%d skipped)",
                     capture, stats.records, stats.flows, stats.skipped)
         flows.extend(metered)
+    return flows
+
+
+def extract_and_label(manifest, meter: MeterConfig, out_path: Path):
+    """pcaps + rules -> labeled flow CSV; returns the label report."""
+    manifest.validate()
+    flows = _meter_captures(manifest.captures, meter)
     rules = parse_rules(str(manifest.rules))
     labeled, report = label_flows(flows, rules, manifest.default_label)
     write_flow_csv(out_path, labeled)
@@ -370,12 +376,7 @@ def _dispatch(args) -> int:
         meter = MeterConfig(
             flow_timeout_us=int(args.timeout_s * 1e6),
             activity_timeout_us=int(args.activity_timeout_s * 1e6))
-        flows = []
-        for capture in args.captures:
-            metered, stats = ingest_capture_detailed(capture, meter)
-            logger.info("%s: %d records -> %d flows (%d skipped)",
-                        capture, stats.records, stats.flows, stats.skipped)
-            flows.extend(metered)
+        flows = _meter_captures(args.captures, meter)
         write_flow_csv(args.out, flows)
         print(f"wrote {len(flows)} flows to {args.out}")
         return 0

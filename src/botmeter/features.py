@@ -194,14 +194,14 @@ def compute_features(flow: FlowAccumulator, config: MeterConfig | None = None) -
     f["Packet Length Mean"] = flow.all_len.mean
     f["Packet Length Std"] = pkt_len_std
     f["Packet Length Variance"] = pkt_len_std * pkt_len_std
-    f["FIN Flag Count"] = flow.flag_counts["F"]
-    f["SYN Flag Count"] = flow.flag_counts["S"]
-    f["RST Flag Count"] = flow.flag_counts["R"]
-    f["PSH Flag Count"] = flow.flag_counts["P"]
-    f["ACK Flag Count"] = flow.flag_counts["A"]
-    f["URG Flag Count"] = flow.flag_counts["U"]
-    f["CWR Flag Count"] = flow.flag_counts["C"]
-    f["ECE Flag Count"] = flow.flag_counts["E"]
+    f["FIN Flag Count"] = flow.flag_counts[0]
+    f["SYN Flag Count"] = flow.flag_counts[1]
+    f["RST Flag Count"] = flow.flag_counts[2]
+    f["PSH Flag Count"] = flow.flag_counts[3]
+    f["ACK Flag Count"] = flow.flag_counts[4]
+    f["URG Flag Count"] = flow.flag_counts[5]
+    f["CWR Flag Count"] = flow.flag_counts[6]
+    f["ECE Flag Count"] = flow.flag_counts[7]
     f["Down/Up Ratio"] = bwd_pkts / fwd_pkts if fwd_pkts > 0 else 0.0
     f["Average Packet Size"] = total_bytes / total_pkts
     f["Avg Fwd Segment Size"] = flow.fwd_len.mean

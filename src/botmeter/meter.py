@@ -5,16 +5,20 @@ bounded by idle timeout or TCP termination.  The forward direction is the
 direction of the flow's first observed packet.  Timeout checks are lazy:
 a live flow is only aged out when another packet of the same key arrives
 (or at end of capture, when every residual flow is flushed).
+
+Packets (``PacketRecord``) and keys (``FlowKey``) are NamedTuples; the
+table keys its live flows by the plain canonical tuple, which equals and
+hashes like the ``FlowKey`` of any packet of the flow.
 """
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
-from .pcap import (ACK, FIN, RST, CaptureStats, PacketRecord,
-                   read_capture)
+from .pcap import (ACK, CWR, ECE, FIN, PSH, RST, SYN, URG, CaptureStats,
+                   PacketRecord, read_capture)
 from .stats import RunningStats
 
 DEFAULT_FLOW_TIMEOUT_US = 120_000_000
@@ -47,12 +51,8 @@ class MeterConfig:
                 "flow_timeout_us must exceed activity_timeout_us, both > 0 "
                 f"(got {self.flow_timeout_us}, {self.activity_timeout_us})")
 
-    def home_networks(self):
-        return [ipaddress.ip_network(p) for p in self.home_prefixes]
 
-
-@dataclass(frozen=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     """Canonical bidirectional 5-tuple: endpoint (a) sorts before (b)."""
 
     ip_a: bytes
@@ -70,8 +70,20 @@ class FlowKey:
         return cls(a[0], a[1], b[0], b[1], pkt.protocol)
 
 
+# Flag-count slots, in FIN SYN RST PSH ACK URG CWR ECE order, and for each
+# TCP flag byte the slots it counts toward.
+_FLAG_BITS = (FIN, SYN, RST, PSH, ACK, URG, CWR, ECE)
+_FLAG_SLOTS = tuple(tuple(slot for slot, bit in enumerate(_FLAG_BITS) if flags & bit)
+                    for flags in range(256))
+
+
 class FlowAccumulator:
-    """In-progress state for one flow; updated packet by packet."""
+    """In-progress state for one flow; updated packet by packet.
+
+    ``key`` is the flow's canonical 5-tuple (equal to ``FlowKey.of(first)``).
+    ``flag_counts`` holds the TCP flag counts in FIN SYN RST PSH ACK URG CWR
+    ECE order.
+    """
 
     __slots__ = (
         "key", "fwd_ip", "fwd_port", "dst_ip", "dst_port", "protocol",
@@ -84,8 +96,8 @@ class FlowAccumulator:
         "fwd_fin", "bwd_fin", "rst_seen",
     )
 
-    def __init__(self, first: PacketRecord):
-        self.key = FlowKey.of(first)
+    def __init__(self, first: PacketRecord, key: tuple):
+        self.key = key
         self.fwd_ip = first.src_ip
         self.fwd_port = first.src_port
         self.dst_ip = first.dst_ip
@@ -103,7 +115,7 @@ class FlowAccumulator:
         self.bwd_last_ts: int | None = None
         self.fwd_header_bytes = 0
         self.bwd_header_bytes = 0
-        self.flag_counts = {f: 0 for f in "FSRPAUCE"}  # FIN SYN RST PSH ACK URG CWR ECE
+        self.flag_counts = [0] * 8
         self.fwd_psh = 0
         self.bwd_psh = 0
         self.fwd_urg = 0
@@ -117,63 +129,55 @@ class FlowAccumulator:
         self.fwd_fin = 0
         self.bwd_fin = 0
         self.rst_seen = False
-        self._ingest(first, forward=True, first_packet=True)
-
-    def is_forward(self, pkt: PacketRecord) -> bool:
-        return (pkt.src_ip, pkt.src_port) == (self.fwd_ip, self.fwd_port)
+        self._ingest(first, True)
 
     @property
     def total_packets(self) -> int:
         return self.all_len.count
 
-    def both_fins_seen(self) -> bool:
-        return self.fwd_fin > 0 and self.bwd_fin > 0
-
     def add(self, pkt: PacketRecord, activity_timeout_us: int) -> None:
         """Attribute one more packet to this flow."""
-        gap = pkt.timestamp_us - self.activity_last_ts
+        ts = pkt.timestamp_us
+        gap = ts - self.activity_last_ts
         if gap > activity_timeout_us:
             self.active.add(self.activity_last_ts - self.activity_start_ts)
             self.idle.add(gap)
-            self.activity_start_ts = pkt.timestamp_us
-            self.activity_last_ts = pkt.timestamp_us
-        else:
-            self.activity_last_ts = pkt.timestamp_us
-        self.flow_iat.add(pkt.timestamp_us - self.last_ts_us)
-        self.last_ts_us = pkt.timestamp_us
-        self._ingest(pkt, forward=self.is_forward(pkt), first_packet=False)
+            self.activity_start_ts = ts
+        self.activity_last_ts = ts
+        self.flow_iat.add(ts - self.last_ts_us)
+        self.last_ts_us = ts
+        self._ingest(pkt, pkt.src_port == self.fwd_port and pkt.src_ip == self.fwd_ip)
 
-    def _ingest(self, pkt: PacketRecord, forward: bool, first_packet: bool) -> None:
-        self.all_len.add(pkt.payload_len)
+    def _ingest(self, pkt: PacketRecord, forward: bool) -> None:
+        ts, _, _, _, _, _, length, header_len, flags, window = pkt
+        self.all_len.add(length)
         if forward:
-            self.fwd_len.add(pkt.payload_len)
-            self.fwd_header_bytes += pkt.header_len
+            self.fwd_len.add(length)
+            self.fwd_header_bytes += header_len
             if self.fwd_last_ts is not None:
-                self.fwd_iat.add(pkt.timestamp_us - self.fwd_last_ts)
-            self.fwd_last_ts = pkt.timestamp_us
-            if pkt.tcp_window is not None and self.init_fwd_win < 0:
-                self.init_fwd_win = pkt.tcp_window
+                self.fwd_iat.add(ts - self.fwd_last_ts)
+            self.fwd_last_ts = ts
+            if window is not None and self.init_fwd_win < 0:
+                self.init_fwd_win = window
         else:
-            self.bwd_len.add(pkt.payload_len)
-            self.bwd_header_bytes += pkt.header_len
+            self.bwd_len.add(length)
+            self.bwd_header_bytes += header_len
             if self.bwd_last_ts is not None:
-                self.bwd_iat.add(pkt.timestamp_us - self.bwd_last_ts)
-            self.bwd_last_ts = pkt.timestamp_us
-            if pkt.tcp_window is not None and self.init_bwd_win < 0:
-                self.init_bwd_win = pkt.tcp_window
+                self.bwd_iat.add(ts - self.bwd_last_ts)
+            self.bwd_last_ts = ts
+            if window is not None and self.init_bwd_win < 0:
+                self.init_bwd_win = window
 
-        flags = pkt.tcp_flags
         if flags:
-            for bit, name in ((FIN, "F"), (0x02, "S"), (RST, "R"), (0x08, "P"),
-                              (ACK, "A"), (0x20, "U"), (0x80, "C"), (0x40, "E")):
-                if flags & bit:
-                    self.flag_counts[name] += 1
-            if flags & 0x08:
+            counts = self.flag_counts
+            for slot in _FLAG_SLOTS[flags]:
+                counts[slot] += 1
+            if flags & PSH:
                 if forward:
                     self.fwd_psh += 1
                 else:
                     self.bwd_psh += 1
-            if flags & 0x20:
+            if flags & URG:
                 if forward:
                     self.fwd_urg += 1
                 else:
@@ -196,7 +200,7 @@ class FlowTable:
 
     def __init__(self, config: MeterConfig | None = None):
         self.config = config or MeterConfig()
-        self._live: dict[FlowKey, FlowAccumulator] = {}
+        self._live: dict[tuple, FlowAccumulator] = {}
 
     def offer_packet(self, pkt: PacketRecord) -> list[FlowAccumulator]:
         """Feed one packet; return any flows this packet finalized.
@@ -206,20 +210,24 @@ class FlowTable:
         forward direction is set by the packet.  A TCP flow ends on any RST,
         or on the first ACK after FINs were seen in both directions.
         """
-        key = FlowKey.of(pkt)
+        ts, src_ip, dst_ip, src_port, dst_port, protocol, _, _, flags, _ = pkt
+        if src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port):
+            key = (src_ip, src_port, dst_ip, dst_port, protocol)
+        else:
+            key = (dst_ip, dst_port, src_ip, src_port, protocol)
         finalized: list[FlowAccumulator] = []
         flow = self._live.get(key)
-        if flow is not None and pkt.timestamp_us - flow.last_ts_us >= self.config.flow_timeout_us:
+        if flow is not None and ts - flow.last_ts_us >= self.config.flow_timeout_us:
             finalized.append(self._finalize(key))
             flow = None
         if flow is None:
-            self._live[key] = FlowAccumulator(pkt)
-            if pkt.tcp_flags & RST:
+            self._live[key] = FlowAccumulator(pkt, key)
+            if flags & RST:
                 finalized.append(self._finalize(key))
             return finalized
-        ends_by_ack = flow.both_fins_seen() and bool(pkt.tcp_flags & ACK)
+        ends_by_ack = flow.fwd_fin > 0 and flow.bwd_fin > 0 and flags & ACK
         flow.add(pkt, self.config.activity_timeout_us)
-        if pkt.tcp_flags & RST or ends_by_ack:
+        if flags & RST or ends_by_ack:
             finalized.append(self._finalize(key))
         return finalized
 
@@ -227,7 +235,7 @@ class FlowTable:
         """Finalize all residual flows in flow-start order."""
         return [self._finalize(key) for key in list(self._live)]
 
-    def _finalize(self, key: FlowKey) -> FlowAccumulator:
+    def _finalize(self, key: tuple) -> FlowAccumulator:
         flow = self._live.pop(key)
         flow.close_activity()
         return flow

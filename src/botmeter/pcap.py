@@ -5,6 +5,12 @@ nanosecond timestamp variants); pcapng is rejected.  Link layers: Ethernet
 (with 802.1Q tags), raw IP and the BSD loopback pseudo-header.  Anything the
 decoder cannot attribute to a TCP/UDP/ICMP-over-IP packet is skipped and
 counted, never fatal.
+
+The reader holds one bounded block of the file at a time (``BLOCK_SIZE``, or
+one record if a record is larger), carries a partial record over to the
+next block and unpacks headers in place with precompiled structs, so its
+memory does not grow with the size of the capture.  Decoded packets are
+``PacketRecord`` NamedTuples.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import socket
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, NamedTuple
 
 from .errors import PcapFormatError
 
@@ -43,8 +49,21 @@ _MAGICS = {
 }
 
 
-@dataclass(frozen=True)
-class PacketRecord:
+BLOCK_SIZE = 64 * 1024
+
+# Header fields the decoder reads, at fixed offsets from the header start.
+_ETHERTYPE = struct.Struct("!H")
+_IPV4 = struct.Struct("!BxHxxHxB2x4s4s")   # ver/ihl, total len, frag, proto, src, dst
+_IPV6 = struct.Struct("!B3xHBx16s16s")     # version, payload len, next header, src, dst
+_TCP = struct.Struct("!HH8xBBH")           # ports, data offset, flags, window
+_UDP = struct.Struct("!HHH")               # ports, length
+
+# Builds a PacketRecord from a field tuple without the Python-level __new__
+# that NamedTuple generates; the decoder makes one per packet.
+_tuple_new = tuple.__new__
+
+
+class PacketRecord(NamedTuple):
     """One decoded IP packet, the raw input unit of flow metering.
 
     IP addresses are kept in packed network byte order; ``payload_len`` is
@@ -114,159 +133,183 @@ def read_capture(path: str, stats: CaptureStats | None = None) -> Iterator[Packe
         yield from _read_stream(fh, stats)
 
 
+def _fill(fh: BinaryIO, tail: bytes, need: int) -> bytes:
+    """Extend ``tail`` by block reads until it holds ``need`` bytes or the file ends."""
+    parts = [tail]
+    have = len(tail)
+    while have < need:
+        block = fh.read(BLOCK_SIZE)
+        if not block:
+            break
+        parts.append(block)
+        have += len(block)
+    return b"".join(parts)
+
+
 def _read_stream(fh: BinaryIO, stats: CaptureStats) -> Iterator[PacketRecord]:
-    head = fh.read(24)
-    if len(head) < 24:
+    buf = _fill(fh, b"", 24)
+    if len(buf) < 24:
         raise PcapFormatError("file too short for a pcap global header")
     try:
-        endian, ts_divisor = _MAGICS[head[:4]]
+        endian, ts_divisor = _MAGICS[buf[:4]]
     except KeyError:
         raise PcapFormatError(
-            f"not a classic pcap file (magic {head[:4].hex()})") from None
-    linktype = struct.unpack(endian + "I", head[20:24])[0]
-    rec_hdr = struct.Struct(endian + "IIII")
+            f"not a classic pcap file (magic {buf[:4].hex()})") from None
+    linktype = struct.unpack_from(endian + "I", buf, 20)[0]
+    decode = _LINK_DECODERS.get(linktype, _decode_unknown_link)
+    unpack_record = struct.Struct(endian + "IIII").unpack_from
 
+    pos, end = 24, len(buf)
     while True:
-        hdr = fh.read(16)
-        if not hdr:
-            return
-        if len(hdr) < 16:
-            stats.records += 1
-            stats.truncated += 1
-            return
-        ts_sec, ts_frac, incl_len, _orig_len = rec_hdr.unpack(hdr)
-        data = fh.read(incl_len)
+        if end - pos < 16:
+            buf = _fill(fh, buf[pos:], 16)
+            pos, end = 0, len(buf)
+            if end < 16:
+                if end:
+                    stats.records += 1
+                    stats.truncated += 1
+                return
+        ts_sec, ts_frac, incl_len, _orig_len = unpack_record(buf, pos)
         stats.records += 1
-        if len(data) < incl_len:
-            stats.truncated += 1
-            return
-        ts_us = ts_sec * 1_000_000 + ts_frac // ts_divisor
-        pkt = _decode_frame(linktype, data, ts_us, stats)
+        pos += 16
+        if end - pos < incl_len:
+            buf = _fill(fh, buf[pos:], incl_len)
+            pos, end = 0, len(buf)
+            if end < incl_len:
+                stats.truncated += 1
+                return
+        stop = pos + incl_len
+        pkt = decode(buf, pos, stop, ts_sec * 1_000_000 + ts_frac // ts_divisor, stats)
+        pos = stop
         if pkt is not None:
             stats.decoded += 1
             yield pkt
 
 
-def _decode_frame(linktype: int, data: bytes, ts_us: int,
-                  stats: CaptureStats) -> PacketRecord | None:
-    if linktype == LINKTYPE_ETHERNET:
-        if len(data) < 14:
-            stats.truncated += 1
-            return None
-        ethertype = struct.unpack("!H", data[12:14])[0]
-        offset = 14
-        # Peel 802.1Q / 802.1ad tags.
-        while ethertype in (0x8100, 0x88A8):
-            if len(data) < offset + 4:
-                stats.truncated += 1
-                return None
-            ethertype = struct.unpack("!H", data[offset + 2:offset + 4])[0]
-            offset += 4
-        if ethertype == 0x0800:
-            return _decode_ipv4(data[offset:], ts_us, stats)
-        if ethertype == 0x86DD:
-            return _decode_ipv6(data[offset:], ts_us, stats)
-        stats.skipped_link += 1
+# Each decoder reads the frame buf[off:stop]; bytes past ``stop`` belong to
+# the next record, so every length check is against ``stop``.
+
+def _decode_ethernet(buf: bytes, off: int, stop: int, ts_us: int,
+                     stats: CaptureStats) -> PacketRecord | None:
+    if stop - off < 14:
+        stats.truncated += 1
         return None
-    if linktype == LINKTYPE_RAW:
-        return _decode_ip_auto(data, ts_us, stats)
-    if linktype == LINKTYPE_NULL:
-        if len(data) < 4:
+    ethertype = _ETHERTYPE.unpack_from(buf, off + 12)[0]
+    off += 14
+    # Peel 802.1Q / 802.1ad tags.
+    while ethertype == 0x8100 or ethertype == 0x88A8:
+        if stop - off < 4:
             stats.truncated += 1
             return None
-        return _decode_ip_auto(data[4:], ts_us, stats)
+        ethertype = _ETHERTYPE.unpack_from(buf, off + 2)[0]
+        off += 4
+    if ethertype == 0x0800:
+        return _decode_ipv4(buf, off, stop, ts_us, stats)
+    if ethertype == 0x86DD:
+        return _decode_ipv6(buf, off, stop, ts_us, stats)
     stats.skipped_link += 1
     return None
 
 
-def _decode_ip_auto(data: bytes, ts_us: int, stats: CaptureStats) -> PacketRecord | None:
-    if not data:
+def _decode_null(buf: bytes, off: int, stop: int, ts_us: int,
+                 stats: CaptureStats) -> PacketRecord | None:
+    if stop - off < 4:
         stats.truncated += 1
         return None
-    version = data[0] >> 4
+    return _decode_ip_auto(buf, off + 4, stop, ts_us, stats)
+
+
+def _decode_ip_auto(buf: bytes, off: int, stop: int, ts_us: int,
+                    stats: CaptureStats) -> PacketRecord | None:
+    if off >= stop:
+        stats.truncated += 1
+        return None
+    version = buf[off] >> 4
     if version == 4:
-        return _decode_ipv4(data, ts_us, stats)
+        return _decode_ipv4(buf, off, stop, ts_us, stats)
     if version == 6:
-        return _decode_ipv6(data, ts_us, stats)
+        return _decode_ipv6(buf, off, stop, ts_us, stats)
     stats.skipped_link += 1
     return None
 
 
-def _decode_ipv4(data: bytes, ts_us: int, stats: CaptureStats) -> PacketRecord | None:
-    if len(data) < 20 or data[0] >> 4 != 4:
+def _decode_unknown_link(buf: bytes, off: int, stop: int, ts_us: int,
+                         stats: CaptureStats) -> None:
+    stats.skipped_link += 1
+    return None
+
+
+_LINK_DECODERS = {
+    LINKTYPE_ETHERNET: _decode_ethernet,
+    LINKTYPE_RAW: _decode_ip_auto,
+    LINKTYPE_NULL: _decode_null,
+}
+
+
+def _decode_ipv4(buf: bytes, off: int, stop: int, ts_us: int,
+                 stats: CaptureStats) -> PacketRecord | None:
+    if stop - off < 20:
         stats.truncated += 1
         return None
-    ihl = (data[0] & 0x0F) * 4
-    if ihl < 20 or len(data) < ihl:
+    ver_ihl, total_len, frag, protocol, src, dst = _IPV4.unpack_from(buf, off)
+    ihl = (ver_ihl & 0x0F) * 4
+    if ver_ihl >> 4 != 4 or ihl < 20 or stop - off < ihl:
         stats.truncated += 1
         return None
-    total_len = struct.unpack("!H", data[2:4])[0]
-    frag = struct.unpack("!H", data[6:8])[0]
-    if frag & 0x1FFF or frag & 0x2000:  # offset != 0 or more-fragments set
+    if frag & 0x3FFF:  # offset != 0 or more-fragments set
         stats.skipped_fragment += 1
         return None
-    protocol = data[9]
-    src, dst = data[12:16], data[16:20]
-    return _decode_transport(data[ihl:], ts_us, src, dst, protocol,
-                             ip_header_len=ihl,
-                             ip_payload_len=max(total_len - ihl, 0),
-                             stats=stats)
+    return _decode_transport(buf, off + ihl, stop, ts_us, src, dst, protocol,
+                             ihl, max(total_len - ihl, 0), stats)
 
 
-def _decode_ipv6(data: bytes, ts_us: int, stats: CaptureStats) -> PacketRecord | None:
-    if len(data) < 40 or data[0] >> 4 != 6:
+def _decode_ipv6(buf: bytes, off: int, stop: int, ts_us: int,
+                 stats: CaptureStats) -> PacketRecord | None:
+    if stop - off < 40:
         stats.truncated += 1
         return None
-    payload_len = struct.unpack("!H", data[4:6])[0]
-    next_header = data[6]
-    src, dst = data[8:24], data[24:40]
+    version, payload_len, next_header, src, dst = _IPV6.unpack_from(buf, off)
+    if version >> 4 != 6:
+        stats.truncated += 1
+        return None
     if next_header not in (PROTO_TCP, PROTO_UDP, PROTO_ICMPV6):
         # Extension headers and other protocols are out of scope.
         stats.skipped_protocol += 1
         return None
-    return _decode_transport(data[40:], ts_us, src, dst, next_header,
-                             ip_header_len=40, ip_payload_len=payload_len,
-                             stats=stats)
+    return _decode_transport(buf, off + 40, stop, ts_us, src, dst, next_header,
+                             40, payload_len, stats)
 
 
-def _decode_transport(data: bytes, ts_us: int, src: bytes, dst: bytes,
-                      protocol: int, ip_header_len: int, ip_payload_len: int,
-                      stats: CaptureStats) -> PacketRecord | None:
+def _decode_transport(buf: bytes, off: int, stop: int, ts_us: int,
+                      src: bytes, dst: bytes, protocol: int, ip_header_len: int,
+                      ip_payload_len: int, stats: CaptureStats) -> PacketRecord | None:
     if protocol == PROTO_TCP:
-        if len(data) < 20:
+        if stop - off < 20:
             stats.truncated += 1
             return None
-        sport, dport = struct.unpack("!HH", data[:4])
-        data_offset = (data[12] >> 4) * 4
-        if data_offset < 20 or len(data) < data_offset:
+        sport, dport, data_offset, flags, window = _TCP.unpack_from(buf, off)
+        data_offset = (data_offset >> 4) * 4
+        if data_offset < 20 or stop - off < data_offset:
             stats.truncated += 1
             return None
-        flags = data[13]
-        window = struct.unpack("!H", data[14:16])[0]
-        return PacketRecord(
-            timestamp_us=ts_us, src_ip=src, dst_ip=dst,
-            src_port=sport, dst_port=dport, protocol=protocol,
-            payload_len=max(ip_payload_len - data_offset, 0),
-            header_len=ip_header_len + data_offset,
-            tcp_flags=flags, tcp_window=window)
+        return _tuple_new(PacketRecord, (
+            ts_us, src, dst, sport, dport, protocol,
+            max(ip_payload_len - data_offset, 0), ip_header_len + data_offset,
+            flags, window))
     if protocol == PROTO_UDP:
-        if len(data) < 8:
+        if stop - off < 8:
             stats.truncated += 1
             return None
-        sport, dport, udp_len = struct.unpack("!HHH", data[:6])
-        return PacketRecord(
-            timestamp_us=ts_us, src_ip=src, dst_ip=dst,
-            src_port=sport, dst_port=dport, protocol=protocol,
-            payload_len=max(udp_len - 8, 0),
-            header_len=ip_header_len + 8)
-    if protocol in (PROTO_ICMP, PROTO_ICMPV6):
-        if len(data) < 8:
+        sport, dport, udp_len = _UDP.unpack_from(buf, off)
+        return _tuple_new(PacketRecord, (
+            ts_us, src, dst, sport, dport, protocol,
+            max(udp_len - 8, 0), ip_header_len + 8, 0, None))
+    if protocol == PROTO_ICMP or protocol == PROTO_ICMPV6:
+        if stop - off < 8:
             stats.truncated += 1
             return None
-        return PacketRecord(
-            timestamp_us=ts_us, src_ip=src, dst_ip=dst,
-            src_port=0, dst_port=0, protocol=protocol,
-            payload_len=max(ip_payload_len - 8, 0),
-            header_len=ip_header_len + 8)
+        return _tuple_new(PacketRecord, (
+            ts_us, src, dst, 0, 0, protocol,
+            max(ip_payload_len - 8, 0), ip_header_len + 8, 0, None))
     stats.skipped_protocol += 1
     return None

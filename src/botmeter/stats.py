@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 
-@dataclass
 class RunningStats:
     """Single-pass mean/std/min/max accumulator (Welford update).
 
@@ -15,12 +13,15 @@ class RunningStats:
     are 0.
     """
 
-    count: int = 0
-    total: float = 0.0
-    minimum: float = field(default=math.inf)
-    maximum: float = field(default=-math.inf)
-    _mean: float = 0.0
-    _m2: float = 0.0
+    __slots__ = ("count", "total", "minimum", "maximum", "_mean", "_m2")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
+        self.minimum = math.inf
+        self.maximum = -math.inf
+        self._mean = 0.0
+        self._m2 = 0.0
 
     def add(self, value: float) -> None:
         self.count += 1
@@ -35,7 +36,14 @@ class RunningStats:
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        if not self.count:
+            return 0.0
+        # The rounded quotient can fall just outside [min, max] when the
+        # values are equal or nearly so (three copies of 357913941.8457235
+        # give 357913941.84572345).  For integer values it is correctly
+        # rounded from an exact sum and never does.
+        return min(max(self.total / self.count, float(self.minimum)),
+                   float(self.maximum))
 
     @property
     def std(self) -> float:

@@ -1,7 +1,11 @@
+import io
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from botmeter import pcap
 from botmeter.errors import PcapFormatError, ValidationError
 from botmeter.pcap import CaptureStats, read_capture
 from botmeter.synth import FlowBlueprint, PacketBlueprint, generate_synthetic_capture
@@ -131,3 +135,138 @@ class TestReader:
         pkts, stats = parse_bytes(tmp_path, hdr + rec, "vlan.pcap")
         assert len(pkts) == 1 and stats.skipped == 0
         assert pkts[0].src_ip_str == "10.0.0.1"
+
+
+def varied_flow(n_packets):
+    """A TCP flow whose packets differ in direction, payload, gap and flags."""
+    packets = tuple(PacketBlueprint("fwd" if i % 3 else "bwd", (i * 397) % 1461,
+                                    1 + i % 17, flags="PA" if i % 2 else "A",
+                                    window=1000 + i)
+                    for i in range(n_packets))
+    return FlowBlueprint("10.0.0.1", "192.168.1.9", 40000, 443, 6, packets)
+
+
+def expected_fields(bp):
+    """(timestamp, ports, payload, flags, window) per packet, from the blueprint alone."""
+    out, ts = [], bp.start_us
+    for p in bp.packets:
+        ts += p.gap_us
+        ports = ((bp.src_port, bp.dst_port) if p.direction == "fwd"
+                 else (bp.dst_port, bp.src_port))
+        out.append((ts, ports, p.payload_len, p.flag_bits(), p.window))
+    return out
+
+
+def decoded_fields(pkts):
+    return [(p.timestamp_us, (p.src_port, p.dst_port), p.payload_len,
+             p.tcp_flags, p.tcp_window) for p in pkts]
+
+
+def record_spans(data):
+    """(start, end) byte offsets of each record, header included."""
+    spans, offset = [], 24
+    while offset < len(data):
+        incl = struct.unpack_from("<I", data, offset + 8)[0]
+        spans.append((offset, offset + 16 + incl))
+        offset += 16 + incl
+    return spans
+
+
+class ShortReads:
+    """A binary file whose read() returns at most ``limit`` bytes."""
+
+    def __init__(self, data, limit):
+        self._fh = io.BytesIO(data)
+        self._limit = limit
+
+    def read(self, n):
+        return self._fh.read(min(n, self._limit))
+
+
+def parse_stream(fh):
+    stats = CaptureStats()
+    return list(pcap._read_stream(fh, stats)), stats
+
+
+def mixed_capture():
+    """Small capture with TCP, UDP, ICMP and IPv6 packets, an ARP frame and a cut-off tail."""
+    data = generate_synthetic_capture([
+        varied_flow(6), blueprint(2, protocol=17),
+        blueprint(1, protocol=1, src_port=0, dst_port=0),
+        blueprint(2, src_ip="2001:db8::1", dst_ip="2001:db8::2"),
+    ], 9)
+    arp = b"\xff" * 12 + struct.pack("!H", 0x0806) + b"\x00" * 28
+    arp_record = struct.pack("<IIII", 0, 0, len(arp), len(arp)) + arp
+    cut_record = struct.pack("<IIII", 0, 0, 60, 60) + b"\x00" * 20
+    return data + arp_record + cut_record
+
+
+class TestBlockReader:
+    @pytest.mark.parametrize("block_size", [pcap.BLOCK_SIZE, 61, 5])
+    def test_records_straddling_block_boundaries(self, tmp_path, monkeypatch, block_size):
+        monkeypatch.setattr(pcap, "BLOCK_SIZE", block_size)
+        bp = varied_flow(400)
+        data = generate_synthetic_capture([bp], 2)
+        # A plain file is read in whole blocks, so blocks end at multiples
+        # of the block size.
+        assert any(start // block_size != (end - 1) // block_size
+                   for start, end in record_spans(data))
+        pkts, stats = parse_bytes(tmp_path, data)
+        assert decoded_fields(pkts) == expected_fields(bp)
+        assert stats == CaptureStats(records=400, decoded=400)
+
+    def test_record_larger_than_the_block(self, tmp_path):
+        bp = FlowBlueprint("10.0.0.1", "8.8.8.8", 1000, 80, 6, (
+            PacketBlueprint("fwd", 100, 1, flags="S"),
+            PacketBlueprint("bwd", 65495, 2, flags="A"),  # IPv4 total length 65535
+            PacketBlueprint("fwd", 7, 3, flags="FA"),
+        ))
+        data = generate_synthetic_capture([bp], 4)
+        sizes = [end - start for start, end in record_spans(data)]
+        assert sizes[1] > pcap.BLOCK_SIZE
+        pkts, stats = parse_bytes(tmp_path, data)
+        assert decoded_fields(pkts) == expected_fields(bp)
+        assert stats == CaptureStats(records=3, decoded=3)
+
+    @pytest.mark.parametrize("kind, keep", [
+        ("tcp", 10), ("tcp", 30), ("tcp", 50), ("tcp", None),
+        ("udp", 38), ("icmp", 38), ("ipv6", 44)])
+    def test_frame_cut_short_stops_at_its_own_end(self, tmp_path, kind, keep):
+        bp = {"tcp": blueprint(1), "udp": blueprint(1, protocol=17),
+              "icmp": blueprint(1, protocol=1, src_port=0, dst_port=0),
+              "ipv6": blueprint(1, src_ip="2001:db8::1", dst_ip="2001:db8::2")}[kind]
+        data = generate_synthetic_capture([bp], 1)
+        hdr, frame = data[:24], data[40:]
+        if keep is None:
+            # 20 TCP header bytes present, but the data offset claims 60.
+            frame = bytearray(frame[:54 + 24])
+            frame[46] = 15 << 4
+            frame = bytes(frame)
+        else:
+            frame = frame[:keep]   # inside the Ethernet, IP or TCP header
+        cut = struct.pack("<IIII", 0, 0, len(frame), len(frame)) + frame
+        pkts, stats = parse_bytes(tmp_path, hdr + cut + data[24:])
+        full, _ = parse_bytes(tmp_path, data, "full.pcap")
+        assert pkts == full
+        assert stats == CaptureStats(records=2, decoded=1, truncated=1)
+
+    @pytest.mark.parametrize("limit", [1, 7, 16, 4096])
+    def test_short_reads_match_a_plain_file(self, tmp_path, limit):
+        data = mixed_capture()
+        pkts, stats = parse_bytes(tmp_path, data)
+        assert stats.decoded == 11 and stats.skipped_link == 1 and stats.truncated == 1
+        assert parse_stream(ShortReads(data, limit)) == (pkts, stats)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_cut_capture_yields_a_prefix(self, data):
+        capture = mixed_capture()
+        full, _ = parse_stream(io.BytesIO(capture))
+        cut = data.draw(st.integers(0, len(capture)))
+        if cut < 24:
+            with pytest.raises(PcapFormatError):
+                parse_stream(io.BytesIO(capture[:cut]))
+            return
+        pkts, stats = parse_stream(io.BytesIO(capture[:cut]))
+        assert pkts == full[:len(pkts)]
+        assert stats.truncated <= 1
