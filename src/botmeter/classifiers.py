@@ -19,7 +19,7 @@ from .errors import ValidationError
 
 KINDS = ("NB", "KNN", "RF", "LR")
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,8 @@ class ModelSpec:
             raise ValidationError("k must be >= 1")
         if self.n_trees < 1:
             raise ValidationError("n_trees must be >= 1")
+        if self.max_features is not None and self.max_features < 1:
+            raise ValidationError("max_features must be >= 1")
         if self.l2_lambda < 0:
             raise ValidationError("l2_lambda must be >= 0")
         if self.var_smoothing < 0:
@@ -234,44 +236,71 @@ def _fit_lr(spec: ModelSpec, X, y) -> LRModel:
 
 # --- Random forest ----------------------------------------------------------
 
+_RF_PAIRS_PER_STEP = 1 << 20  # (tree, row) pairs routed together in predict
+
+
 @dataclass
 class RFModel:
+    """A forest stored as one node table.
+
+    Node ``i`` is a leaf when ``feature[i] == -1``; otherwise a row goes to
+    ``left[i]`` when ``row[feature[i]] <= threshold[i]`` and to ``right[i]``
+    when not.  ``counts[i]`` holds the class-0 and class-1 training samples
+    that reached node ``i``.  Trees follow one another in the table; each
+    starts at ``roots[t]`` and numbers its nodes in preorder (node, left
+    subtree, right subtree).  Leaves carry threshold 0.0 and children -1.
+    """
+
     spec: ModelSpec
     n_features: int
-    trees: list  # nested dicts; leaves carry class counts
+    feature: np.ndarray    # (n_nodes,) int64
+    threshold: np.ndarray  # (n_nodes,) float64
+    left: np.ndarray       # (n_nodes,) int64
+    right: np.ndarray      # (n_nodes,) int64
+    counts: np.ndarray     # (n_nodes, 2) int64
+    roots: np.ndarray      # (n_trees,) int64
 
     def predict(self, X) -> np.ndarray:
         X = _validate_predict_input(X, self.n_features)
-        votes = np.zeros(len(X), dtype=np.int64)
-        for tree in self.trees:
-            votes += _tree_predict(tree, X)
-        return (votes * 2 > len(self.trees)).astype(np.int64)  # tie -> 0
+        n_trees = len(self.roots)
+        leaf_class = self.counts[:, 1] > self.counts[:, 0]  # tie -> 0
+        votes = np.empty(len(X), dtype=np.int64)
+        step = max(1, _RF_PAIRS_PER_STEP // n_trees)  # bounds the index arrays
+        for start in range(0, len(X), step):
+            leaves = self._leaves(X[start:start + step])
+            votes[start:start + step] = leaf_class[leaves].sum(axis=0)
+        return (votes * 2 > n_trees).astype(np.int64)  # tie -> 0
+
+    def _leaves(self, X) -> np.ndarray:
+        """(n_trees, len(X)) index of the leaf each row reaches in each tree."""
+        n = len(X)
+        # Every (tree, row) pair moves down one level per step.
+        node = np.repeat(self.roots, n)
+        row = np.tile(np.arange(n), len(self.roots))
+        live = np.flatnonzero(self.feature[node] >= 0)
+        while len(live):
+            cur = node[live]
+            go_left = X[row[live], self.feature[cur]] <= self.threshold[cur]
+            cur = np.where(go_left, self.left[cur], self.right[cur])
+            node[live] = cur
+            live = live[self.feature[cur] >= 0]
+        return node.reshape(len(self.roots), n)
 
 
-def _tree_predict(tree, X) -> np.ndarray:
-    out = np.empty(len(X), dtype=np.int64)
-    for i, row in enumerate(X):
-        node = tree
-        while "feature" in node:
-            node = node["left"] if row[node["feature"]] <= node["threshold"] \
-                else node["right"]
-        counts = node["counts"]
-        out[i] = int(counts[1] > counts[0])  # tie -> 0
-    return out
+def _best_split(XbT, labels, pos, columns, ones_total):
+    """Lowest weighted Gini over ``columns`` at a node whose sample
+    positions are ``pos`` (one row per feature, sorted by that feature).
 
-
-def _gini_best_split(values, ones_total, labels):
-    """Best (impurity, threshold) along one feature column, or None if the
-    column is constant.  Ties keep the first candidate (ascending order)."""
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    sy = labels[order]
-    boundaries = np.flatnonzero(sv[1:] != sv[:-1]) + 1
-    if len(boundaries) == 0:
-        return None
-    n = len(sv)
-    ones_left = np.cumsum(sy)[boundaries - 1]
-    n_left = boundaries.astype(np.float64)
+    Returns (feature, cut, ones left of the cut, threshold): the ``cut``
+    lowest samples of the feature go left.  Ties keep the first boundary
+    within a column and then the first column in ``columns`` order.  None
+    when every column is constant.
+    """
+    rows = pos[columns]
+    sv = XbT[columns[:, None], rows]
+    n = rows.shape[1]
+    ones_left = labels[rows].cumsum(axis=1)[:, :-1]
+    n_left = np.arange(1, n, dtype=np.float64)
     n_right = n - n_left
     ones_right = ones_total - ones_left
     p1l = ones_left / n_left
@@ -279,56 +308,96 @@ def _gini_best_split(values, ones_total, labels):
     gini_l = 1.0 - p1l ** 2 - (1.0 - p1l) ** 2
     gini_r = 1.0 - p1r ** 2 - (1.0 - p1r) ** 2
     weighted = (n_left * gini_l + n_right * gini_r) / n
-    best = int(np.argmin(weighted))
-    cut = boundaries[best]
-    threshold = float((sv[cut - 1] + sv[cut]) / 2.0)
-    return float(weighted[best]), threshold
+    weighted[sv[:, 1:] == sv[:, :-1]] = np.inf  # no boundary between equals
+    best = int(weighted.argmin())
+    if weighted.flat[best] == np.inf:
+        return None
+    j, k = divmod(best, n - 1)
+    below, above = sv[j, k], sv[j, k + 1]
+    threshold = float((below + above) / 2.0)
+    if not below <= threshold < above:
+        # The midpoint rounded onto ``above`` (adjacent floats) or overflowed:
+        # cut at ``below`` so that both children are non-empty.
+        threshold = float(below)
+    return int(columns[j]), k + 1, int(ones_left[j, k]), threshold
 
 
-def _grow_tree(X, y, indices, max_features, min_samples_split, rng):
-    sub_y = y[indices]
-    ones = int(sub_y.sum())
-    counts = [len(indices) - ones, ones]
-    if ones in (0, len(indices)) or len(indices) < min_samples_split:
-        return {"counts": counts}
-    # Examine a random feature subset; keep scanning past it only while no
-    # examined feature admitted a split.
-    permuted = rng.permutation(X.shape[1])
-    best = None
-    examined = 0
-    for f in permuted:
-        examined += 1
-        result = _gini_best_split(X[indices, f], ones, sub_y)
-        if result is not None:
-            impurity, threshold = result
-            if best is None or impurity < best[0]:
-                best = (impurity, int(f), threshold)
-        if examined >= max_features and best is not None:
-            break
-    if best is None:
-        return {"counts": counts}
-    _, feature, threshold = best
-    mask = X[indices, feature] <= threshold
-    left = _grow_tree(X, y, indices[mask], max_features, min_samples_split, rng)
-    right = _grow_tree(X, y, indices[~mask], max_features, min_samples_split, rng)
-    return {"feature": feature, "threshold": threshold,
-            "left": left, "right": right}
+def _grow(Xb, yb, max_features, min_samples_split, rng, nodes) -> int:
+    """Grow one tree on the sample (Xb, yb) into ``nodes``; returns its root.
+
+    Nodes pop from an explicit stack left subtree first, so they are
+    numbered in preorder and each node's ``rng.permutation`` draw comes in
+    preorder too.  A node carries a (d, n_node) matrix of sample positions,
+    each row sorted by its feature; children take theirs by partitioning
+    that matrix, so each feature is sorted once per tree.
+    """
+    feature, threshold, left, right, counts = nodes
+    n, d = Xb.shape
+    XbT = np.ascontiguousarray(Xb.T)
+    # Float labels keep the split arithmetic in one dtype; counts stay exact.
+    yf = yb.astype(np.float64)
+    goes_left = np.zeros(n, dtype=bool)
+    root = len(feature)
+    ones = int(yb.sum())
+    order = np.ascontiguousarray(np.argsort(Xb, axis=0, kind="stable").T)
+    # (positions, zeros, ones, parent if a right child else -1)
+    stack = [(order, n - ones, ones, -1)]
+    while stack:
+        pos, zeros, ones, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        counts.append((zeros, ones))
+        size = zeros + ones
+        if zeros == 0 or ones == 0 or size < min_samples_split:
+            continue
+        # Examine a random feature subset; keep scanning past it, one
+        # feature at a time, only while no examined feature admits a split.
+        permuted = rng.permutation(d)
+        split = _best_split(XbT, yf, pos, permuted[:max_features], ones)
+        examined = max_features
+        while split is None and examined < d:
+            split = _best_split(XbT, yf, pos, permuted[examined:examined + 1], ones)
+            examined += 1
+        if split is None:
+            continue
+        f, cut, ones_left, threshold[node] = split
+        feature[node] = f
+        left[node] = node + 1  # the left child pops next
+        goes_left[pos[f, :cut]] = True
+        mask = goes_left[pos]
+        goes_left[pos[f, :cut]] = False
+        ones_right = ones - ones_left
+        stack.append((pos[~mask].reshape(d, size - cut),
+                      size - cut - ones_right, ones_right, node))
+        stack.append((pos[mask].reshape(d, cut),
+                      cut - ones_left, ones_left, -1))
+    return root
 
 
 def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
     d = X.shape[1]
     max_features = spec.max_features or math.ceil(math.sqrt(d))
     max_features = min(max_features, d)
-    trees = []
+    nodes = ([], [], [], [], [])
+    roots = []
     for t in range(spec.n_trees):
         rng = np.random.default_rng([spec.seed, t])
         if spec.bootstrap:
             indices = rng.integers(0, len(X), len(X))
         else:
             indices = np.arange(len(X))
-        trees.append(_grow_tree(X, y, indices, max_features,
-                                spec.min_samples_split, rng))
-    return RFModel(spec, d, trees)
+        roots.append(_grow(X[indices], y[indices], max_features,
+                           spec.min_samples_split, rng, nodes))
+    feature, threshold, left, right, counts = nodes
+    ints = lambda v: np.array(v, dtype=np.int64)
+    return RFModel(spec, d, ints(feature), np.array(threshold, dtype=np.float64),
+                   ints(left), ints(right), ints(counts).reshape(-1, 2),
+                   ints(roots))
 
 
 # --- Uniform interface ------------------------------------------------------
@@ -366,7 +435,12 @@ def save_model(model: Model, path) -> None:
                  "weights": model.weights.tolist(), "bias": model.bias,
                  "n_iters": model.n_iters}
     elif isinstance(model, RFModel):
-        state = {"n_features": model.n_features, "trees": model.trees}
+        state = {"n_features": model.n_features,
+                 "feature": model.feature.tolist(),
+                 "threshold": model.threshold.tolist(),
+                 "left": model.left.tolist(), "right": model.right.tolist(),
+                 "counts": model.counts.tolist(),
+                 "roots": model.roots.tolist()}
     else:
         raise ValidationError(f"cannot serialize {type(model).__name__}")
     doc = {"format_version": MODEL_FORMAT_VERSION,
@@ -374,7 +448,23 @@ def save_model(model: Model, path) -> None:
            "spec": asdict(model.spec),
            "state": state}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        _write_json(fh, doc)
+
+
+def _write_json(fh, obj) -> None:
+    """Write the bytes of ``json.dumps(obj)``, encoding one dict value at a
+    time.  The C encoder is several times faster than ``json.dump``, but it
+    can hold every token of a call as its own string (Python 3.11 does), a
+    few MB for a whole forest; one node-table column at a time holds less.
+    """
+    if not isinstance(obj, dict):
+        fh.write(json.dumps(obj))
+        return
+    fh.write("{")
+    for i, (key, value) in enumerate(obj.items()):
+        fh.write((", " if i else "") + json.dumps(key) + ": ")
+        _write_json(fh, value)
+    fh.write("}")
 
 
 def load_model(path) -> Model:
@@ -396,4 +486,8 @@ def load_model(path) -> Model:
     if spec.kind == "LR":
         return LRModel(spec, arr(state["mu"]), arr(state["sigma"]),
                        arr(state["weights"]), state["bias"], state["n_iters"])
-    return RFModel(spec, state["n_features"], state["trees"])
+    ints = lambda v: np.asarray(v, dtype=np.int64)
+    return RFModel(spec, state["n_features"], ints(state["feature"]),
+                   arr(state["threshold"]), ints(state["left"]),
+                   ints(state["right"]), ints(state["counts"]).reshape(-1, 2),
+                   ints(state["roots"]))

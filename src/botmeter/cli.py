@@ -66,9 +66,12 @@ def load_pipeline_config(path, args=None) -> PipelineConfig:
         flow_timeout_us=int(float(pick("timeout_s", "flow_timeout_s", 120.0)) * 1e6),
         activity_timeout_us=int(float(pick("activity_timeout_s",
                                            "activity_timeout_s", 5.0)) * 1e6))
-    out_dir = Path(pick("out", "out_dir", "pipeline_out"))
-    if not out_dir.is_absolute():
-        out_dir = base / out_dir
+    # A relative --out is taken from the working directory, a relative
+    # out_dir in the config from the config's directory.
+    if getattr(args, "out", None) is not None:
+        out_dir = Path(args.out)
+    else:
+        out_dir = base / doc.get("out_dir", "pipeline_out")
     return PipelineConfig(
         manifests=manifests,
         meter=meter,
@@ -234,10 +237,14 @@ def run_pipeline(config: PipelineConfig) -> int:
         (out / "report.txt").write_text(report_text, encoding="utf-8")
         print(report_text, end="")
         return 0
-    except (BotmeterError, OSError) as exc:
-        marker.write_text(f"stage: {stage}\n{exc}\n", encoding="utf-8")
-        logger.error("pipeline failed at stage %r: %s", stage, exc)
-        print(f"pipeline failed at stage {stage!r}: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # Any failure, expected or not, ends in the marker and exit code 1;
+        # the traceback is logged at debug level (-v).
+        what = f"{type(exc).__name__}: {exc}"
+        marker.write_text(f"stage: {stage}\n{what}\n", encoding="utf-8")
+        logger.error("pipeline failed at stage %r: %s", stage, what)
+        logger.debug("traceback of the failure", exc_info=True)
+        print(f"pipeline failed at stage {stage!r}: {what}", file=sys.stderr)
         return 1
 
 

@@ -238,6 +238,9 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
     return FeatureTable(columns, rows, table_labels)
 
 
+_INT_IDENTITY_COLUMNS = ("Source Port", "Destination Port", "Protocol", "Timestamp")
+
+
 def read_flow_csv(path) -> tuple[list, list[str] | None]:
     """Load a flow CSV back into FeatureVectors (plus labels when present).
 
@@ -274,14 +277,22 @@ def read_flow_csv(path) -> tuple[list, list[str] | None]:
             except ValueError:
                 raise CsvFormatError(
                     f"{path}: non-numeric feature cell at line {line_no}") from None
+            ints = {}
+            for name in _INT_IDENTITY_COLUMNS:
+                try:
+                    ints[name] = int(row[positions[name]])
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}: non-integer {name!r} cell at line {line_no}"
+                    ) from None
             flows.append(FeatureVector(
                 flow_id=row[positions["Flow ID"]],
                 src_ip=row[positions["Source IP"]],
-                src_port=int(row[positions["Source Port"]]),
+                src_port=ints["Source Port"],
                 dst_ip=row[positions["Destination IP"]],
-                dst_port=int(row[positions["Destination Port"]]),
-                protocol=int(row[positions["Protocol"]]),
-                start_ts_us=int(row[positions["Timestamp"]]),
+                dst_port=ints["Destination Port"],
+                protocol=ints["Protocol"],
+                start_ts_us=ints["Timestamp"],
                 features=features))
             if has_label:
                 labels.append(row[positions[LABEL_COLUMN]])

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rf_oracle
 from botmeter.classifiers import (KINDS, LRModel, ModelSpec, default_specs, fit,
                                   load_model, lr_loss_and_grad, predict,
                                   save_model)
@@ -29,6 +32,8 @@ class TestSpecValidation:
             ModelSpec(kind="KNN", k=0)
         with pytest.raises(ValidationError):
             ModelSpec(kind="RF", n_trees=0)
+        with pytest.raises(ValidationError):
+            ModelSpec(kind="RF", max_features=0)
         with pytest.raises(ValidationError):
             ModelSpec(kind="LR", l2_lambda=-1)
 
@@ -165,15 +170,73 @@ class TestKNN:
         np.testing.assert_array_equal(base, shuffled)
 
 
+def forest_table(model):
+    """The node table of an RF model, as lists."""
+    return {name: getattr(model, name).tolist() for name in
+            ("feature", "threshold", "left", "right", "counts", "roots")}
+
+
+def oracle_table(trees):
+    """The oracle's nested trees as a node table in preorder."""
+    table = {name: [] for name in
+             ("feature", "threshold", "left", "right", "counts", "roots")}
+
+    def add(node):
+        i = len(table["feature"])
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            table[name].append(None)
+        if "counts" in node:
+            table["feature"][i], table["threshold"][i] = -1, 0.0
+            table["left"][i] = table["right"][i] = -1
+            table["counts"][i] = list(node["counts"])
+            return i
+        table["feature"][i] = node["feature"]
+        table["threshold"][i] = node["threshold"]
+        left, right = add(node["left"]), add(node["right"])
+        table["left"][i], table["right"][i] = left, right
+        table["counts"][i] = [a + b for a, b in
+                              zip(table["counts"][left], table["counts"][right])]
+        return i
+
+    table["roots"] = [add(tree) for tree in trees]
+    return table
+
+
+GRID = (-1.0, 0.0, 0.5, 2.0, 3.0)
+
+
+@st.composite
+def rf_problems(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 5))
+    cells = st.sampled_from(GRID)  # few distinct values: many duplicates
+    X = np.array(draw(st.lists(st.lists(cells, min_size=d, max_size=d),
+                               min_size=n, max_size=n)))
+    for col in draw(st.sets(st.integers(0, d - 1), max_size=d)):
+        X[:, col] = GRID[col % len(GRID)]  # constant columns
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[0], y[1] = 0, 1
+    spec = ModelSpec(kind="RF", seed=draw(st.integers(0, 2**16)),
+                     n_trees=draw(st.integers(1, 4)),
+                     max_features=draw(st.sampled_from([None, 1, d])),
+                     min_samples_split=draw(st.integers(2, 6)),
+                     bootstrap=draw(st.booleans()))
+    queries = np.array(draw(st.lists(
+        st.lists(st.sampled_from(GRID + (-2.0, 0.25, 1.0, 2.5, 4.0)),
+                 min_size=d, max_size=d), min_size=1, max_size=20)))
+    return spec, X, y, queries
+
+
 class TestRF:
     def test_single_stump_on_one_informative_feature(self):
         X = np.array([[-2.0, 7.0], [-1.0, 7.0], [1.0, 7.0], [2.0, 7.0]])
         y = np.array([0, 0, 1, 1])
         model = fit(ModelSpec(kind="RF", n_trees=1, bootstrap=False), X, y)
-        tree = model.trees[0]
-        assert tree["feature"] == 0
-        assert -1.0 <= tree["threshold"] <= 1.0
-        assert "counts" in tree["left"] and "counts" in tree["right"]
+        root = model.roots[0]
+        assert model.feature[root] == 0
+        assert -1.0 <= model.threshold[root] <= 1.0
+        assert model.feature[model.left[root]] == -1
+        assert model.feature[model.right[root]] == -1
         assert (predict(model, X) == y).all()
 
     def test_leaf_counts_sum_to_samples(self):
@@ -182,18 +245,23 @@ class TestRF:
         model = fit(ModelSpec(kind="RF", n_trees=5), X, y)
 
         def leaf_total(node):
-            if "counts" in node:
-                return sum(node["counts"])
-            return leaf_total(node["left"]) + leaf_total(node["right"])
+            if model.feature[node] == -1:
+                return int(model.counts[node].sum())
+            return leaf_total(model.left[node]) + leaf_total(model.right[node])
 
-        for tree in model.trees:
-            assert leaf_total(tree) == len(X)
+        for root in model.roots:
+            assert leaf_total(root) == len(X)
 
     def test_majority_vote(self):
-        stump = lambda cls: {"counts": [1 - cls, cls]}
         from botmeter.classifiers import RFModel
+        # Three single-leaf trees voting 1, 1, 0.
         model = RFModel(ModelSpec(kind="RF", n_trees=3), 1,
-                        [stump(1), stump(1), stump(0)])
+                        feature=np.array([-1, -1, -1]),
+                        threshold=np.zeros(3),
+                        left=np.array([-1, -1, -1]),
+                        right=np.array([-1, -1, -1]),
+                        counts=np.array([[0, 1], [0, 1], [1, 0]]),
+                        roots=np.array([0, 1, 2]))
         assert predict(model, [[0.0]])[0] == 1
 
     def test_same_seed_identical_forest(self):
@@ -201,9 +269,61 @@ class TestRF:
         X, y = blobs(rng, n=120, gap=1.5)
         a = fit(ModelSpec(kind="RF", n_trees=12, seed=5), X, y)
         b = fit(ModelSpec(kind="RF", n_trees=12, seed=5), X, y)
-        assert a.trees == b.trees
+        assert forest_table(a) == forest_table(b)
         c = fit(ModelSpec(kind="RF", n_trees=12, seed=6), X, y)
-        assert c.trees != a.trees
+        assert forest_table(c) != forest_table(a)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rf_problems())
+    def test_matches_recursive_oracle(self, problem):
+        spec, X, y, queries = problem
+        model = fit(spec, X, y)
+        trees = rf_oracle.fit_forest(spec, X, y)
+        assert forest_table(model) == oracle_table(trees)
+        for rows in (X, queries):
+            np.testing.assert_array_equal(predict(model, rows),
+                                          rf_oracle.forest_predict(trees, rows))
+
+    def test_predict_in_steps_matches_one_step(self, monkeypatch):
+        from botmeter import classifiers
+        rng = np.random.default_rng(3)
+        X, y = blobs(rng, n=60, gap=1.0)
+        model = fit(ModelSpec(kind="RF", n_trees=7, seed=2), X, y)
+        queries = rng.normal(size=(23, X.shape[1])) + 2.0
+        whole = predict(model, queries)
+        # 7 trees and 15 pairs per step: two rows per step, the last alone.
+        monkeypatch.setattr(classifiers, "_RF_PAIRS_PER_STEP", 15)
+        np.testing.assert_array_equal(predict(model, queries), whole)
+        np.testing.assert_array_equal(
+            predict(model, queries), rf_oracle.forest_predict(
+                rf_oracle.fit_forest(model.spec, X, y), queries))
+
+    def test_alternating_labels_grow_deep_without_recursion(self, tmp_path):
+        # One feature, alternating labels: a 4,000-level chain of splits,
+        # beyond the interpreter's recursion limit.
+        X = np.arange(4000.0)[:, None]
+        y = np.arange(4000) % 2
+        model = fit(ModelSpec(kind="RF", n_trees=1, bootstrap=False), X, y)
+        assert len(model.feature) == 2 * len(X) - 1
+        path = tmp_path / "deep.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert forest_table(loaded) == forest_table(model)
+        np.testing.assert_array_equal(predict(loaded, X), y)
+
+    def test_midpoint_rounding_onto_upper_value_still_splits(self):
+        # The midpoint of two adjacent floats can round onto the upper one;
+        # the cut then falls on the lower value so both children are
+        # non-empty.
+        below = 1.0 + 2.0 ** -52
+        above = np.nextafter(below, 2.0)
+        assert (below + above) / 2.0 == above
+        X = np.array([[below], [above]])
+        model = fit(ModelSpec(kind="RF", n_trees=1, bootstrap=False),
+                    X, [0, 1])
+        assert model.threshold[0] == below
+        assert model.counts.tolist() == [[1, 1], [1, 0], [0, 1]]
+        np.testing.assert_array_equal(predict(model, X), [0, 1])
 
     def test_rf_beats_nb_on_correlated_features(self):
         # XOR-style classes with duplicated informative columns: the

@@ -115,6 +115,29 @@ class TestPipeline:
         marker = (base / "out/FAILED").read_text()
         assert "extract" in marker
 
+    @pytest.mark.parametrize("target, exc_type, stage", [
+        ("rank_dataset", ValueError, "rank"),
+        # What an RF too deep for the recursive grower used to raise.
+        ("train_models", RecursionError, "train"),
+    ])
+    def test_unexpected_exception_writes_marker(self, corpus, tmp_path, capsys,
+                                                monkeypatch, target, exc_type,
+                                                stage):
+        def fail(*args, **kwargs):
+            raise exc_type("boom")
+
+        monkeypatch.setattr(cli, target, fail)
+        config = cli.load_pipeline_config(corpus)
+        run_config = cli.PipelineConfig(
+            manifests=config.manifests, meter=config.meter,
+            out_dir=tmp_path / "out", seed=1)
+        assert cli.run_pipeline(run_config) == 1
+        marker = (tmp_path / "out/FAILED").read_text()
+        assert marker == f"stage: {stage}\n{exc_type.__name__}: boom\n"
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"pipeline failed at stage {stage!r}: "
+                       f"{exc_type.__name__}: boom"]
+
     def test_rerun_is_byte_identical(self, corpus, tmp_path):
         config = cli.load_pipeline_config(corpus)
         outputs = []
@@ -169,3 +192,37 @@ class TestEngineeredUniversalSix:
         table = read_feature_csv(labeled_paths[0]).select(universal.features)
         model = fit(ModelSpec(kind="LR"), table.rows, table.labels)
         assert len(model.weights) == 6
+
+
+class TestPipelineConfig:
+    @pytest.fixture
+    def config_path(self, tmp_path):
+        base = tmp_path / "cfg"
+        base.mkdir()
+        (base / "ds.manifest").write_text(
+            "name = ds\ncaptures = gone.pcap\nrules = rules.csv\n")
+        path = base / "config.json"
+        path.write_text(json.dumps({"datasets": ["ds.manifest"],
+                                    "out_dir": "from_config"}))
+        return path
+
+    def test_relative_out_flag_resolves_against_working_directory(
+            self, config_path, tmp_path, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        # The capture is missing, so the run fails fast in extract and
+        # leaves its marker wherever the output directory went.
+        assert run_cli("pipeline", "--config", config_path, "--out", "rel") == 1
+        assert (work / "rel/FAILED").exists()
+        assert not (config_path.parent / "rel").exists()
+
+    def test_relative_out_dir_in_config_resolves_against_config(
+            self, config_path, tmp_path, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        args = cli.build_parser().parse_args(
+            ["pipeline", "--config", str(config_path)])
+        config = cli.load_pipeline_config(config_path, args)
+        assert config.out_dir == config_path.parent / "from_config"

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botmeter.dataset import (FeatureTable, format_number, normalize_feature_name,
-                              parse_manifest, read_feature_csv, train_test_split,
-                              write_feature_csv, write_flow_csv)
+                              parse_manifest, read_feature_csv, read_flow_csv,
+                              train_test_split, write_feature_csv, write_flow_csv)
 from botmeter.errors import CsvFormatError, ValidationError
 from botmeter.features import FEATURE_NAMES, IDENTITY_COLUMNS
 
@@ -100,6 +100,29 @@ class TestFeatureCsv:
         assert table.labels.tolist() == [1]
         assert table.rows[0][FEATURE_NAMES.index("Packet Length Mean")] == \
             pytest.approx(123.456789, abs=1e-6)
+
+    @pytest.mark.parametrize("column", ["Source Port", "Destination Port",
+                                        "Protocol", "Timestamp"])
+    def test_flow_csv_non_integer_identity_cell_names_file_line_column(
+            self, column, tmp_path):
+        from botmeter.labeling import LabeledRow
+        from test_labeling import flow
+
+        rows = []
+        for sport in (1000, 1001):
+            fv = flow(sport=sport)
+            fv.features.update({n: 0.0 for n in FEATURE_NAMES})
+            rows.append(LabeledRow(fv, "Botnet"))
+        path = tmp_path / "flows.csv"
+        write_flow_csv(path, rows)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index(column)] = "8x"
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvFormatError,
+                           match=f"flows.csv: non-integer '{column}' cell at line 3"):
+            read_flow_csv(path)
 
     def test_binary_label_column_read_back(self, tmp_path):
         table = FeatureTable(["a"], [[1.0], [2.0]], labels=[0, 1])
