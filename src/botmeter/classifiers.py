@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -140,6 +141,8 @@ def _fit_nb(spec: ModelSpec, X, y) -> NBModel:
 
 # --- K nearest neighbours ---------------------------------------------------
 
+_KNN_BLOCK_BYTES = 1 << 20  # query × training Gram block in predict
+
 @dataclass
 class KNNModel:
     spec: ModelSpec
@@ -149,17 +152,49 @@ class KNNModel:
     train_y: np.ndarray
 
     def predict(self, X) -> np.ndarray:
+        """Majority vote of the k training rows nearest by squared distance
+        ``((q - x) ** 2).sum()``; equal distances go to the lower training
+        index and a tied vote to class 0.
+
+        Candidates come from the Gram form ``|q|^2 - 2 q.x + |x|^2``, one
+        block of queries at a time.  Its rounding error against the exact
+        distance is below ``tol = 16 (d + 2) eps (|q|^2 + max |x|^2)``, so
+        every row that can be among the k nearest lies within ``2 tol`` of
+        the k-th smallest Gram value; the exact distances of those rows
+        then decide.
+        """
         X = _validate_predict_input(X, self.train_x.shape[1])
         Xs = (X - self.mu) / self.sigma
-        k = min(self.spec.k, len(self.train_x))
+        train = self.train_x
+        n, d = train.shape
+        k = min(self.spec.k, n)
+        sq_train = (train ** 2).sum(axis=1)
+        slack = 16 * (d + 2) * np.finfo(np.float64).eps
+        sq_max = sq_train.max()
         out = np.empty(len(Xs), dtype=np.int64)
-        for start in range(0, len(Xs), 256):
-            chunk = Xs[start:start + 256]
-            d2 = ((chunk[:, None, :] - self.train_x[None, :, :]) ** 2).sum(axis=2)
-            # Stable sort: equal distances resolve to the lower train index.
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            votes = self.train_y[nearest].sum(axis=1)
-            out[start:start + 256] = (votes * 2 > k).astype(np.int64)  # tie -> 0
+        step = max(1, _KNN_BLOCK_BYTES // (8 * n))
+        for start in range(0, len(Xs), step):
+            chunk = Xs[start:start + step]
+            sq = (chunk ** 2).sum(axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = chunk @ train.T
+                gram *= -2.0
+                gram += sq[:, None]
+                gram += sq_train
+                kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
+                limit = kth + 2 * slack * (sq + sq_max)
+            candidate = gram <= limit[:, None]
+            # An overflowing or non-finite query: every row is a candidate.
+            candidate[~np.isfinite(limit)] = True
+            rows, cols = np.nonzero(candidate)
+            exact = ((chunk[rows] - train[cols]) ** 2).sum(axis=1)
+            # Stable: equal distances keep the lower training index first.
+            order = np.lexsort((exact, rows))
+            rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+            nearest = order[rank < k]
+            votes = np.bincount(rows[nearest], weights=self.train_y[cols[nearest]],
+                                minlength=len(chunk))
+            out[start:start + step] = votes * 2 > k  # tie -> 0
         return out
 
 
@@ -237,6 +272,7 @@ def _fit_lr(spec: ModelSpec, X, y) -> LRModel:
 # --- Random forest ----------------------------------------------------------
 
 _RF_PAIRS_PER_STEP = 1 << 20  # (tree, row) pairs routed together in predict
+_RF_SEARCH_ELEMENTS = 1 << 13  # (sample, column) pairs per batched split search
 
 
 @dataclass
@@ -287,117 +323,205 @@ class RFModel:
         return node.reshape(len(self.roots), n)
 
 
-def _best_split(XbT, labels, pos, columns, ones_total):
-    """Lowest weighted Gini over ``columns`` at a node whose sample
-    positions are ``pos`` (one row per feature, sorted by that feature).
+def _best_splits(keys, levels, rows, sizes, columns, ones):
+    """Lowest weighted Gini split of every node of a batch.
 
-    Returns (feature, cut, ones left of the cut, threshold): the ``cut``
-    lowest samples of the feature go left.  Ties keep the first boundary
-    within a column and then the first column in ``columns`` order.  None
-    when every column is constant.
+    Node ``i`` owns the next ``sizes[i]`` entries of ``rows`` (training rows,
+    repeats allowed), holds ``ones[i]`` class-1 samples and examines the
+    columns ``columns[i]`` in order.  ``keys[r, c]`` is twice the position
+    of ``X[r, c]`` in ``levels`` (the sorted distinct values of every
+    column, one column after another) plus the label of row ``r``.
+
+    Returns per node (feature, threshold, cut, ones left of the cut): the
+    ``cut`` samples with value <= threshold go left.  Ties keep the first
+    boundary within a column and then the first column in ``columns``
+    order.  A node whose examined columns are all constant gets feature -1,
+    threshold -inf and cut 0.
     """
-    rows = pos[columns]
-    sv = XbT[columns[:, None], rows]
-    n = rows.shape[1]
-    ones_left = labels[rows].cumsum(axis=1)[:, :-1]
-    n_left = np.arange(1, n, dtype=np.float64)
+    n_nodes, m = columns.shape
+    n_levels = len(levels)
+    # One segment per (node, column), node-major.  Tagging each key with
+    # its segment lets one sort order every segment by value.  Keys stay
+    # below 2 * len(rows) * m * n_levels: within int64 up to about 10^7
+    # training rows of 100 features.
+    seg_len = np.repeat(sizes, m)
+    seg_end = np.cumsum(seg_len)
+    seg_start = seg_end - seg_len
+    node_start = np.repeat(np.cumsum(sizes) - sizes, m)
+    at_row = np.arange(seg_end[-1]) + np.repeat(node_start - seg_start, seg_len)
+    key = keys[rows[at_row], np.repeat(columns.ravel(), seg_len)]
+    key += np.repeat(np.arange(len(seg_len)) * (2 * n_levels), seg_len)
+    key.sort()
+    label = key & 1
+    value = key >> 1  # segment * n_levels + position in levels
+    ones_upto = np.cumsum(label)
+    # Candidate cuts fall after a sample whose successor in the same
+    # segment has a greater value.
+    is_cut = value[1:] != value[:-1]
+    is_cut[seg_end[:-1] - 1] = False
+    last = np.flatnonzero(is_cut)
+    seg = value[last] // n_levels
+    start = seg_start[seg]
+    # The Gini arithmetic of the recursive grower, elementwise.
+    n = seg_len[seg]
+    n_left = last - start + 1
     n_right = n - n_left
-    ones_right = ones_total - ones_left
+    ones_left = ones_upto[last] - (ones_upto[start] - label[start])
+    ones_right = np.repeat(ones, m)[seg] - ones_left
     p1l = ones_left / n_left
     p1r = ones_right / n_right
     gini_l = 1.0 - p1l ** 2 - (1.0 - p1l) ** 2
     gini_r = 1.0 - p1r ** 2 - (1.0 - p1r) ** 2
     weighted = (n_left * gini_l + n_right * gini_r) / n
-    weighted[sv[:, 1:] == sv[:, :-1]] = np.inf  # no boundary between equals
-    best = int(weighted.argmin())
-    if weighted.flat[best] == np.inf:
+    # First occurrence of each node's minimum; candidates come in node order.
+    node = seg // m
+    first = np.searchsorted(node, np.arange(n_nodes))
+    count = np.searchsorted(node, np.arange(n_nodes), side="right") - first
+    found = count > 0
+    first = first[found]
+    best = np.minimum.reduceat(weighted, first)
+    hits = np.flatnonzero(weighted == np.repeat(best, count[found]))
+    at = hits[np.searchsorted(hits, first)]
+    feature = np.full(n_nodes, -1)
+    feature[found] = columns[found, seg[at] % m]
+    below = levels[value[last[at]] % n_levels]
+    above = levels[value[last[at] + 1] % n_levels]
+    with np.errstate(over="ignore"):
+        midpoint = (below + above) / 2.0
+    # A midpoint that rounded onto ``above`` (adjacent floats) or overflowed
+    # cuts at ``below`` instead, so that both children are non-empty.
+    threshold = np.full(n_nodes, -np.inf)
+    threshold[found] = np.where((below <= midpoint) & (midpoint < above),
+                                midpoint, below)
+    cut = np.zeros(n_nodes, dtype=np.int64)
+    cut[found] = n_left[at]
+    left_ones = np.zeros(n_nodes, dtype=np.int64)
+    left_ones[found] = ones_left[at]
+    return feature, threshold, cut, left_ones
+
+
+class _TreeGrowth:
+    """One tree of a forest being grown: its index, its rng, its stack of
+    pending nodes (rows, zeros, ones, offset of the parent's record if a
+    right child else -1) and its node count so far."""
+
+    __slots__ = ("t", "rng", "stack", "size")
+
+    def __init__(self, t, rng, rows, y):
+        self.t, self.rng, self.size = t, rng, 0
+        ones = int(y[rows].sum())
+        self.stack = [(rows, len(rows) - ones, ones, -1)]
+
+    def pop_splittable(self, records, min_samples_split):
+        """Record popped nodes until one is worth a split search; return
+        (tree, record offset, node, rows, ones) for it, or None once the
+        stack is empty."""
+        stack = self.stack
+        while stack:
+            rows, zeros, ones, parent = stack.pop()
+            if parent >= 0:
+                records[parent + 4] = self.size
+            at = len(records)
+            records.extend((self.t, -1, 0.0, -1, -1, zeros, ones))
+            self.size += 1
+            if zeros and ones and zeros + ones >= min_samples_split:
+                return self, at, self.size - 1, rows, ones
         return None
-    j, k = divmod(best, n - 1)
-    below, above = sv[j, k], sv[j, k + 1]
-    threshold = float((below + above) / 2.0)
-    if not below <= threshold < above:
-        # The midpoint rounded onto ``above`` (adjacent floats) or overflowed:
-        # cut at ``below`` so that both children are non-empty.
-        threshold = float(below)
-    return int(columns[j]), k + 1, int(ones_left[j, k]), threshold
-
-
-def _grow(Xb, yb, max_features, min_samples_split, rng, nodes) -> int:
-    """Grow one tree on the sample (Xb, yb) into ``nodes``; returns its root.
-
-    Nodes pop from an explicit stack left subtree first, so they are
-    numbered in preorder and each node's ``rng.permutation`` draw comes in
-    preorder too.  A node carries a (d, n_node) matrix of sample positions,
-    each row sorted by its feature; children take theirs by partitioning
-    that matrix, so each feature is sorted once per tree.
-    """
-    feature, threshold, left, right, counts = nodes
-    n, d = Xb.shape
-    XbT = np.ascontiguousarray(Xb.T)
-    # Float labels keep the split arithmetic in one dtype; counts stay exact.
-    yf = yb.astype(np.float64)
-    goes_left = np.zeros(n, dtype=bool)
-    root = len(feature)
-    ones = int(yb.sum())
-    order = np.ascontiguousarray(np.argsort(Xb, axis=0, kind="stable").T)
-    # (positions, zeros, ones, parent if a right child else -1)
-    stack = [(order, n - ones, ones, -1)]
-    while stack:
-        pos, zeros, ones, parent = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            right[parent] = node
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        counts.append((zeros, ones))
-        size = zeros + ones
-        if zeros == 0 or ones == 0 or size < min_samples_split:
-            continue
-        # Examine a random feature subset; keep scanning past it, one
-        # feature at a time, only while no examined feature admits a split.
-        permuted = rng.permutation(d)
-        split = _best_split(XbT, yf, pos, permuted[:max_features], ones)
-        examined = max_features
-        while split is None and examined < d:
-            split = _best_split(XbT, yf, pos, permuted[examined:examined + 1], ones)
-            examined += 1
-        if split is None:
-            continue
-        f, cut, ones_left, threshold[node] = split
-        feature[node] = f
-        left[node] = node + 1  # the left child pops next
-        goes_left[pos[f, :cut]] = True
-        mask = goes_left[pos]
-        goes_left[pos[f, :cut]] = False
-        ones_right = ones - ones_left
-        stack.append((pos[~mask].reshape(d, size - cut),
-                      size - cut - ones_right, ones_right, node))
-        stack.append((pos[mask].reshape(d, cut),
-                      cut - ones_left, ones_left, -1))
-    return root
 
 
 def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
-    d = X.shape[1]
+    """Grow every tree at once.  Each step pops the next splittable node of
+    every unfinished tree, in that tree's preorder, and draws its
+    ``rng.permutation`` as a tree grown alone would; the nodes' split
+    searches then run in batches of at most ``_RF_SEARCH_ELEMENTS``
+    (sample, column) pairs, a lone node above that in a batch of its own.
+    """
+    n, d = X.shape
     max_features = spec.max_features or math.ceil(math.sqrt(d))
     max_features = min(max_features, d)
-    nodes = ([], [], [], [], [])
-    roots = []
+    levels, keys = [], np.empty((n, d), dtype=np.int64)
+    for c in range(d):
+        distinct, rank = np.unique(X[:, c], return_inverse=True)
+        keys[:, c] = (rank + sum(map(len, levels))) * 2 + y
+        levels.append(distinct)
+    levels = np.concatenate(levels)
+    # One record per node, in the order nodes pop: tree, feature,
+    # threshold, left, right (node numbers local to the tree), zeros, ones.
+    # Every value is exact in float64.
+    records = array("d")
+    growing = []
     for t in range(spec.n_trees):
         rng = np.random.default_rng([spec.seed, t])
-        if spec.bootstrap:
-            indices = rng.integers(0, len(X), len(X))
-        else:
-            indices = np.arange(len(X))
-        roots.append(_grow(X[indices], y[indices], max_features,
-                           spec.min_samples_split, rng, nodes))
-    feature, threshold, left, right, counts = nodes
-    ints = lambda v: np.array(v, dtype=np.int64)
-    return RFModel(spec, d, ints(feature), np.array(threshold, dtype=np.float64),
-                   ints(left), ints(right), ints(counts).reshape(-1, 2),
-                   ints(roots))
+        rows = rng.integers(0, n, n) if spec.bootstrap else np.arange(n)
+        growing.append(_TreeGrowth(t, rng, rows, y))
+    while growing:
+        popped = [tree.pop_splittable(records, spec.min_samples_split)
+                  for tree in growing]
+        popped = [item for item in popped if item is not None]
+        growing = [item[0] for item in popped]
+        batch, elements = [], 0
+        for item in popped:
+            size = len(item[3]) * max_features
+            if batch and elements + size > _RF_SEARCH_ELEMENTS:
+                _split_batch(batch, X, keys, levels, records, max_features)
+                batch, elements = [], 0
+            batch.append(item + (item[0].rng.permutation(d),))
+            elements += size
+        if batch:
+            _split_batch(batch, X, keys, levels, records, max_features)
+    # Each tree's records popped in its preorder: a stable sort by tree
+    # gives the per-tree tables one after another.
+    table = np.frombuffer(records).reshape(-1, 7)
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    del records
+    tree, feature, left, right, counts = (
+        table[:, cols].astype(np.int64) for cols in (0, 1, 3, 4, slice(5, 7)))
+    roots = np.searchsorted(tree, np.arange(spec.n_trees))
+    offset = roots[tree]
+    left = np.where(left >= 0, left + offset, -1)
+    right = np.where(right >= 0, right + offset, -1)
+    return RFModel(spec, d, feature, table[:, 2].copy(), left, right, counts,
+                   roots)
+
+
+def _split_batch(batch, X, keys, levels, records, max_features) -> None:
+    """Search and apply the splits of ``batch``, a list of (tree, record
+    offset, node, rows, ones, permuted columns) from distinct trees."""
+    rows = np.concatenate([item[3] for item in batch])
+    sizes = np.array([len(item[3]) for item in batch])
+    ones = np.array([item[4] for item in batch])
+    permuted = np.array([item[5] for item in batch])
+    feature, threshold, cut, ones_left = _best_splits(
+        keys, levels, rows, sizes, permuted[:, :max_features], ones)
+    # Scan past the examined subset, one column at a time, only while no
+    # examined column admits a split.
+    for i in np.flatnonzero(feature < 0):
+        for j in range(max_features, permuted.shape[1]):
+            split = _best_splits(keys, levels, batch[i][3], sizes[i:i + 1],
+                                 permuted[i:i + 1, j:j + 1], ones[i:i + 1])
+            if split[0][0] >= 0:
+                feature[i], threshold[i], cut[i], ones_left[i] = (
+                    part[0] for part in split)
+                break
+    # An unsplit node's threshold is -inf: all of its rows go right.
+    go_left = X[rows, np.repeat(feature, sizes)] <= np.repeat(threshold, sizes)
+    left_rows, right_rows = rows[go_left], rows[~go_left]
+    lo = ro = 0
+    for (tree, at, node, _, node_ones, _), f, th, size, n_left, ones_l in zip(
+            batch, feature.tolist(), threshold.tolist(), sizes.tolist(),
+            cut.tolist(), ones_left.tolist()):
+        n_right, ones_r = size - n_left, node_ones - ones_l
+        if f >= 0:
+            records[at + 1], records[at + 2], records[at + 3] = f, th, node + 1
+            # The left child pops next.  The right child waits for the
+            # whole left subtree: copy its rows so that they do not keep
+            # this batch's arrays alive.
+            tree.stack.append((right_rows[ro:ro + n_right].copy(),
+                               n_right - ones_r, ones_r, at))
+            tree.stack.append((left_rows[lo:lo + n_left],
+                               n_left - ones_l, ones_l, -1))
+        lo += n_left
+        ro += n_right
 
 
 # --- Uniform interface ------------------------------------------------------

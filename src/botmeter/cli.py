@@ -376,6 +376,12 @@ def main(argv=None) -> int:
     except BotmeterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # An unexpected failure also ends in one line and exit code 1; the
+        # traceback is logged at debug level (-v).
+        logger.debug("traceback of the failure", exc_info=True)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def _dispatch(args) -> int:

@@ -1,12 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knn_oracle
 import rf_oracle
-from botmeter.classifiers import (KINDS, LRModel, ModelSpec, default_specs, fit,
-                                  load_model, lr_loss_and_grad, predict,
-                                  save_model)
+from botmeter import classifiers
+from botmeter.classifiers import (KINDS, KNNModel, LRModel, ModelSpec,
+                                  default_specs, fit, load_model,
+                                  lr_loss_and_grad, predict, save_model)
 from botmeter.errors import ValidationError
 
 
@@ -131,7 +135,80 @@ class TestNB:
         assert predict(model, [[0.0]])[0] == 0  # symmetric -> equal scores
 
 
+# Values one ulp apart: their distances tie exactly or differ far below the
+# rounding error of the Gram form.
+NEAR = (0.0, 1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, 2.0, -1.0,
+        -1.0 - 2.0 ** -52)
+
+
+@st.composite
+def knn_problems(draw):
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 4))
+
+    def rows(count):
+        return np.array(draw(st.lists(
+            st.lists(st.sampled_from(NEAR), min_size=d, max_size=d),
+            min_size=count, max_size=count)))
+
+    scale = draw(st.sampled_from([2.0 ** -30, 1.0, 2.0 ** 40]))
+    train = rows(n) * scale
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[0], y[1] = 0, 1
+    spec = ModelSpec(kind="KNN", k=draw(st.integers(1, 9)))
+    if draw(st.booleans()):
+        model = fit(spec, train, y)
+    else:  # unstandardized, so the grid reaches the distances unrounded
+        model = KNNModel(spec, np.zeros(d), np.ones(d), train, y)
+    return model, rows(draw(st.integers(1, 20))) * scale
+
+
 class TestKNN:
+    @settings(max_examples=150, deadline=None)
+    @given(knn_problems())
+    def test_matches_brute_force_oracle(self, problem):
+        model, queries = problem
+        np.testing.assert_array_equal(predict(model, queries),
+                                      knn_oracle.predict(model, queries))
+
+    def test_tied_grid_matches_oracle_in_several_block_sizes(self, monkeypatch):
+        # Features on a coarse grid: many exact distance ties at the k-th
+        # neighbour, across 1,500 training rows.
+        rng = np.random.default_rng(31)
+        X = np.round(rng.normal(size=(1500, 6)), 1)
+        y = (X[:, 0] + rng.normal(size=1500) > 0).astype(int)
+        queries = np.round(rng.normal(size=(300, 6)), 1)
+        model = fit(ModelSpec(kind="KNN", k=5), X, y)
+        expected = knn_oracle.predict(model, queries)
+        np.testing.assert_array_equal(predict(model, queries), expected)
+        for block in (1, 8 * 1500 * 7):  # one query per block; seven
+            monkeypatch.setattr(classifiers, "_KNN_BLOCK_BYTES", block)
+            np.testing.assert_array_equal(predict(model, queries), expected)
+
+    def test_large_offsets_match_oracle(self):
+        # Rows near 2**28: the Gram form loses the small differences to
+        # cancellation, so only the exact recomputation separates them.
+        rng = np.random.default_rng(37)
+        train = 2.0 ** 28 + rng.integers(-3, 4, size=(300, 3))
+        queries = 2.0 ** 28 + rng.integers(-3, 4, size=(500, 3))
+        y = rng.integers(0, 2, 300)
+        for k in (1, 4, 7):
+            model = KNNModel(ModelSpec(kind="KNN", k=k), np.zeros(3),
+                             np.ones(3), train, y)
+            np.testing.assert_array_equal(predict(model, queries),
+                                          knn_oracle.predict(model, queries))
+
+    def test_non_finite_and_overflowing_queries_match_oracle(self):
+        rng = np.random.default_rng(29)
+        X, y = blobs(rng, n=50, d=3)
+        model = fit(ModelSpec(kind="KNN", k=3), X, y)
+        queries = np.array([[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0],
+                            [-np.inf, np.inf, 0.0], [1e200, 0.0, 0.0],
+                            [1e155, -1e155, 0.0], [0.5, 0.5, 0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.testing.assert_array_equal(predict(model, queries),
+                                          knn_oracle.predict(model, queries))
+
     def test_nearest_neighbor(self):
         model = fit(ModelSpec(kind="KNN", k=1),
                     [[0.0, 0.0], [10.0, 10.0]], [0, 1])
@@ -206,7 +283,7 @@ GRID = (-1.0, 0.0, 0.5, 2.0, 3.0)
 
 
 @st.composite
-def rf_problems(draw):
+def rf_problems(draw, max_trees=4):
     n = draw(st.integers(2, 40))
     d = draw(st.integers(1, 5))
     cells = st.sampled_from(GRID)  # few distinct values: many duplicates
@@ -217,7 +294,7 @@ def rf_problems(draw):
     y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     y[0], y[1] = 0, 1
     spec = ModelSpec(kind="RF", seed=draw(st.integers(0, 2**16)),
-                     n_trees=draw(st.integers(1, 4)),
+                     n_trees=draw(st.integers(1, max_trees)),
                      max_features=draw(st.sampled_from([None, 1, d])),
                      min_samples_split=draw(st.integers(2, 6)),
                      bootstrap=draw(st.booleans()))
@@ -284,8 +361,52 @@ class TestRF:
             np.testing.assert_array_equal(predict(model, rows),
                                           rf_oracle.forest_predict(trees, rows))
 
+    @settings(max_examples=60, deadline=None)
+    @given(rf_problems(max_trees=12), st.sampled_from([1, 8, 24]))
+    def test_matches_recursive_oracle_in_small_search_batches(self, problem, cap):
+        # A cap this small splits every step into several batched searches
+        # and leaves many nodes above it, each searched alone.
+        spec, X, y, queries = problem
+        search = classifiers._best_splits
+
+        def capped(keys, levels, rows, sizes, columns, ones):
+            assert len(sizes) == 1 or sizes.sum() * columns.shape[1] <= cap
+            return search(keys, levels, rows, sizes, columns, ones)
+
+        with mock.patch.object(classifiers, "_RF_SEARCH_ELEMENTS", cap), \
+                mock.patch.object(classifiers, "_best_splits", capped):
+            model = fit(spec, X, y)
+        trees = rf_oracle.fit_forest(spec, X, y)
+        assert forest_table(model) == oracle_table(trees)
+        np.testing.assert_array_equal(predict(model, queries),
+                                      rf_oracle.forest_predict(trees, queries))
+
+    def test_search_batches_follow_the_element_cap(self):
+        rng = np.random.default_rng(23)
+        X, y = blobs(rng, n=60, gap=1.0)  # 4 columns, 2 examined per node
+        spec = ModelSpec(kind="RF", n_trees=12, seed=4)
+        whole = fit(spec, X, y)
+        batches = []
+        split_batch = classifiers._split_batch
+
+        def spy(batch, *args):
+            batches.append([(item[0].t, len(item[3]) * 2) for item in batch])
+            return split_batch(batch, *args)
+
+        with mock.patch.object(classifiers, "_RF_SEARCH_ELEMENTS", 64), \
+                mock.patch.object(classifiers, "_split_batch", spy):
+            capped = fit(spec, X, y)
+        assert forest_table(capped) == forest_table(whole)
+        # Each root (60 samples x 2 columns) is over the cap: the first step
+        # runs as one batch per tree, in tree order.
+        assert batches[:12] == [[(t, 120)] for t in range(12)]
+        assert all(len(batch) == 1 or sum(e for _, e in batch) <= 64
+                   for batch in batches)
+        assert any(len(batch) > 1 for batch in batches)
+        for batch in batches:
+            assert len({t for t, _ in batch}) == len(batch)
+
     def test_predict_in_steps_matches_one_step(self, monkeypatch):
-        from botmeter import classifiers
         rng = np.random.default_rng(3)
         X, y = blobs(rng, n=60, gap=1.0)
         model = fit(ModelSpec(kind="RF", n_trees=7, seed=2), X, y)

@@ -64,6 +64,23 @@ class TestStageCommands:
         assert lines[0] == "dataset,classifier,accuracy,precision,recall,f1"
         assert len(lines) == 5
 
+    def test_unexpected_exception_is_one_error_line(self, tmp_path, capsys,
+                                                    caplog, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "train_models", fail)
+        universal = tmp_path / "universal.csv"
+        universal.write_text("name,count\nFlow IAT Mean,2\n", encoding="utf-8")
+        with caplog.at_level("DEBUG", logger="botmeter.cli"):
+            code = run_cli("train", tmp_path / "labeled.csv", "--universal",
+                           universal, "--out", tmp_path / "models")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: ValueError: boom"]
+        [record] = [r for r in caplog.records if r.exc_info]
+        assert record.levelname == "DEBUG"
+        assert record.exc_info[0] is ValueError
+
     def test_synth_blueprint_roundtrip(self, tmp_path):
         blueprint = {
             "seed": 9,
