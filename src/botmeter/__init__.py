@@ -1,7 +1,7 @@
 """Flow metering, ground-truth labeling, universal feature selection and
 botnet-detection classifiers for packet captures."""
 
-from .classifiers import ModelSpec, default_specs, fit, load_model, predict, save_model
+from .classifiers import ModelSpec, fit, load_model, predict, save_model
 from .dataset import (FeatureTable, normalize_feature_name, read_feature_csv,
                       read_flow_csv, train_test_split, write_feature_csv,
                       write_flow_csv)
@@ -10,9 +10,9 @@ from .evaluation import (ConfusionMatrix, MetricsReport, compute_metrics,
                          confusion, render_report)
 from .features import FEATURE_NAMES, FeatureVector, compute_features
 from .labeling import LabelRule, label_flows, parse_rules
-from .meter import FlowKey, FlowTable, MeterConfig, ingest_capture, ingest_capture_detailed
+from .meter import FlowKey, FlowTable, MeterConfig, ingest_capture_detailed
 from .selection import (RankedFeatureList, UniversalFeatureSet,
-                        derive_universal_set, rank_features_lr, standardize)
+                        derive_universal_set, rank_features_lr)
 from .synth import FlowBlueprint, PacketBlueprint, generate_synthetic_capture
 
 __version__ = "0.1.0"
@@ -23,9 +23,9 @@ __all__ = [
     "LabelRule", "MeterConfig", "MetricsReport", "ModelSpec", "PacketBlueprint",
     "PcapFormatError", "RankedFeatureList", "UniversalFeatureSet",
     "ValidationError", "compute_features", "compute_metrics", "confusion",
-    "default_specs", "derive_universal_set", "fit", "generate_synthetic_capture",
-    "ingest_capture", "ingest_capture_detailed", "label_flows", "load_model",
+    "derive_universal_set", "fit", "generate_synthetic_capture",
+    "ingest_capture_detailed", "label_flows", "load_model",
     "normalize_feature_name", "parse_rules", "predict", "rank_features_lr",
     "read_feature_csv", "read_flow_csv", "render_report", "save_model",
-    "standardize", "train_test_split", "write_feature_csv", "write_flow_csv",
+    "train_test_split", "write_feature_csv", "write_flow_csv",
 ]

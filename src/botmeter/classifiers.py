@@ -59,11 +59,6 @@ class ModelSpec:
             raise ValidationError("var_smoothing must be >= 0")
 
 
-def default_specs(seed: int = 0) -> list[ModelSpec]:
-    """The four classifiers in report order."""
-    return [ModelSpec(kind=k, seed=seed) for k in KINDS]
-
-
 def _validate_training_input(X, y):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)

@@ -3,7 +3,9 @@
 Subcommands mirror the pipeline stages (extract, label, rank, universal,
 train, evaluate) plus the all-in-one ``pipeline`` driver and ``synth`` for
 generating synthetic captures.  Every stage reads the files the previous
-stage wrote, so runs can enter anywhere.
+stage wrote, so runs can enter anywhere.  The rank, train and evaluate
+stages work on in-memory tables: their subcommands read and split a labeled
+CSV, while the pipeline reads each dataset's CSV once and shares the table.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import classifiers, demo, selection
-from .dataset import (parse_manifest, read_feature_csv, read_flow_csv,
-                      train_test_split, write_flow_csv)
+from . import classifiers, demo
+from .dataset import (FeatureTable, parse_manifest, read_feature_csv,
+                      read_flow_csv, train_test_split, write_flow_csv)
 from .errors import BotmeterError
 from .evaluation import evaluate_predictions, render_report
 from .labeling import label_flows, parse_rules
@@ -115,12 +117,11 @@ def extract_and_label(manifest, meter: MeterConfig, out_path: Path):
     return report
 
 
-def rank_dataset(labeled_csv: Path, top_k: int, seed: int,
+def rank_dataset(table: FeatureTable, top_k: int, seed: int,
                  dataset: str) -> RankedFeatureList:
-    table = read_feature_csv(labeled_csv)
-    std_table, _ = selection.standardize(table)
+    """Rank a labeled table's raw features; LR standardizes them itself."""
     spec = classifiers.ModelSpec(kind="LR", seed=seed)
-    return rank_features_lr(std_table, k=top_k, spec=spec, dataset=dataset)
+    return rank_features_lr(table, k=top_k, spec=spec, dataset=dataset)
 
 
 def write_ranked_csv(ranked: RankedFeatureList, path: Path) -> None:
@@ -158,11 +159,9 @@ def read_universal_features(path) -> list[str]:
         return [row[0] for row in reader if row]
 
 
-def train_models(labeled_csv: Path, feature_names: list[str], seed: int,
-                 ratio: float, out_dir: Path, dataset: str,
+def train_models(train: FeatureTable, seed: int, out_dir: Path, dataset: str,
                  overrides: dict | None = None) -> list[Path]:
-    table = read_feature_csv(labeled_csv).select(feature_names)
-    train, _ = train_test_split(table, ratio, seed)
+    """Fit the four classifiers on a train half; returns the model files."""
     paths = []
     for spec in build_model_specs(seed, overrides):
         model = classifiers.fit(spec, train.rows, train.labels)
@@ -172,10 +171,8 @@ def train_models(labeled_csv: Path, feature_names: list[str], seed: int,
     return paths
 
 
-def evaluate_models(labeled_csv: Path, feature_names: list[str], seed: int,
-                    ratio: float, models_dir: Path, dataset: str):
-    table = read_feature_csv(labeled_csv).select(feature_names)
-    _, test = train_test_split(table, ratio, seed)
+def evaluate_models(test: FeatureTable, models_dir: Path, dataset: str):
+    """Score the saved models of a dataset on its test half."""
     reports = []
     for kind in MODEL_KINDS:
         model = classifiers.load_model(models_dir / f"model_{dataset}_{kind}.json")
@@ -197,19 +194,21 @@ def run_pipeline(config: PipelineConfig) -> int:
         marker.unlink()
     stage = "setup"
     try:
-        labeled_paths = {}
         stage = "extract"
         for manifest in config.manifests:
-            path = out / f"labeled_{manifest.name}.csv"
-            report = extract_and_label(manifest, config.meter, path)
-            labeled_paths[manifest.name] = path
+            report = extract_and_label(manifest, config.meter,
+                                       out / f"labeled_{manifest.name}.csv")
             logger.info("dataset %s: %s flows labeled %s", manifest.name,
                         report.total, dict(report.counts))
 
         stage = "rank"
+        tables = {}
         ranked_lists = []
-        for name, path in labeled_paths.items():
-            ranked = rank_dataset(path, config.top_k, config.seed, name)
+        for manifest in config.manifests:
+            name = manifest.name
+            tables[name] = read_feature_csv(
+                out / f"labeled_{name}.csv", negative_label=manifest.default_label)
+            ranked = rank_dataset(tables[name], config.top_k, config.seed, name)
             write_ranked_csv(ranked, out / f"ranked_{name}.csv")
             ranked_lists.append(ranked)
 
@@ -221,16 +220,17 @@ def run_pipeline(config: PipelineConfig) -> int:
         write_universal_csv(universal, out / "universal.csv")
 
         stage = "train"
-        for name, path in labeled_paths.items():
-            train_models(path, list(universal.features), config.seed,
-                         config.ratio, out, name, config.model_overrides)
+        splits = {name: train_test_split(table.select(universal.features),
+                                         config.ratio, config.seed)
+                  for name, table in tables.items()}
+        del tables  # only the universal columns are needed from here on
+        for name, (train, _) in splits.items():
+            train_models(train, config.seed, out, name, config.model_overrides)
 
         stage = "evaluate"
         all_reports = []
-        for name, path in labeled_paths.items():
-            all_reports.extend(evaluate_models(
-                path, list(universal.features), config.seed, config.ratio,
-                out, name))
+        for name, (_, test) in splits.items():
+            all_reports.extend(evaluate_models(test, out, name))
         (out / "metrics.csv").write_text(render_report(all_reports, "csv"),
                                          encoding="utf-8")
         report_text = _run_report(ranked_lists, universal, all_reports)
@@ -384,6 +384,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def _split_labeled(args) -> tuple[FeatureTable, FeatureTable]:
+    """The train and test halves of a stage command's labeled CSV, on the
+    universal-set columns."""
+    table = read_feature_csv(args.labeled).select(
+        read_universal_features(args.universal))
+    return train_test_split(table, args.ratio, args.seed)
+
+
 def _dispatch(args) -> int:
     if args.command == "extract":
         meter = MeterConfig(
@@ -406,7 +414,8 @@ def _dispatch(args) -> int:
 
     if args.command == "rank":
         name = args.name or Path(args.labeled).stem
-        ranked = rank_dataset(Path(args.labeled), args.top_k, args.seed, name)
+        ranked = rank_dataset(read_feature_csv(args.labeled), args.top_k,
+                              args.seed, name)
         write_ranked_csv(ranked, Path(args.out))
         for feat, score in ranked.ranked:
             print(f"{score:12.6f}  {feat}")
@@ -422,19 +431,17 @@ def _dispatch(args) -> int:
 
     if args.command == "train":
         name = args.name or Path(args.labeled).stem
-        features = read_universal_features(args.universal)
+        train, _ = _split_labeled(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        paths = train_models(Path(args.labeled), features, args.seed,
-                             args.ratio, out_dir, name)
+        paths = train_models(train, args.seed, out_dir, name)
         print("\n".join(str(p) for p in paths))
         return 0
 
     if args.command == "evaluate":
         name = args.name or Path(args.labeled).stem
-        features = read_universal_features(args.universal)
-        reports = evaluate_models(Path(args.labeled), features, args.seed,
-                                  args.ratio, Path(args.models), name)
+        _, test = _split_labeled(args)
+        reports = evaluate_models(test, Path(args.models), name)
         print(render_report(reports, "text"), end="")
         if args.out:
             Path(args.out).write_text(render_report(reports, "csv"),

@@ -8,16 +8,18 @@ frequency counting compares like with like.
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
 import re
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CsvFormatError, ValidationError
-from .features import FEATURE_NAMES, IDENTITY_COLUMNS
+from .features import FEATURE_NAMES, IDENTITY_COLUMNS, FeatureVector
 from .labeling import LabeledRow, labels_to_binary
 
 logger = logging.getLogger(__name__)
@@ -84,16 +86,15 @@ NAME_ALIASES = {
 _CANONICAL = frozenset(FEATURE_NAMES) | frozenset(IDENTITY_COLUMNS) | {LABEL_COLUMN}
 
 
-def normalize_feature_name(name: str, aliases: dict[str, str] = NAME_ALIASES
-                           ) -> tuple[str, bool]:
+def normalize_feature_name(name: str) -> tuple[str, bool]:
     """Map a header to its canonical spelling.
 
     Returns (canonical, known).  Unknown names pass through unchanged
     (whitespace-tidied) with known=False.
     """
     tidy = re.sub(r"\s+", " ", name.strip())
-    if tidy in aliases:
-        return aliases[tidy], True
+    if tidy in NAME_ALIASES:
+        return NAME_ALIASES[tidy], True
     if tidy in _CANONICAL:
         return tidy, True
     logger.debug("unknown feature name %r kept as-is", tidy)
@@ -139,6 +140,26 @@ class FeatureTable:
         return FeatureTable(self.columns, self.rows[indices], labels)
 
 
+def _csv_rows(path):
+    """Yield a CSV file's normalized header, then ``(line number, cells)`` for
+    each non-empty row.  A missing header or a ragged row is a format error."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        raw_header = next(reader, None)
+        if raw_header is None:
+            raise CsvFormatError(f"{path}: missing header row")
+        header = [normalize_feature_name(h)[0] for h in raw_header]
+        yield header
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise CsvFormatError(
+                    f"{path}: ragged row at line {line_no} "
+                    f"({len(row)} cells, expected {len(header)})")
+            yield line_no, row
+
+
 def format_number(x: float) -> str:
     """Up to six fractional digits; integral values render as integers."""
     if isinstance(x, (int, np.integer)):
@@ -148,19 +169,16 @@ def format_number(x: float) -> str:
     return f"{x:.6f}"
 
 
-def write_flow_csv(path, rows, include_label: bool | None = None) -> None:
+def write_flow_csv(path, rows) -> None:
     """Write flows (FeatureVector or LabeledRow) to the canonical flow CSV:
     identity columns, the 65 features, then Label when rows carry one."""
-    import csv as _csv
-
     rows = list(rows)
-    if include_label is None:
-        include_label = bool(rows) and isinstance(rows[0], LabeledRow)
+    include_label = bool(rows) and isinstance(rows[0], LabeledRow)
     header = list(IDENTITY_COLUMNS) + list(FEATURE_NAMES)
     if include_label:
         header.append(LABEL_COLUMN)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             flow = row.flow if isinstance(row, LabeledRow) else row
@@ -173,10 +191,8 @@ def write_flow_csv(path, rows, include_label: bool | None = None) -> None:
 
 
 def write_feature_csv(table: FeatureTable, path) -> None:
-    import csv as _csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         header = list(table.columns)
         if table.labels is not None:
             header.append(LABEL_COLUMN)
@@ -195,28 +211,15 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
     Label column (string or binary) becomes binary labels.  Ragged rows and
     non-numeric cells are format errors naming the line/column.
     """
-    import csv as _csv
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        try:
-            raw_header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: missing header row") from None
-        header = [normalize_feature_name(h)[0] for h in raw_header]
+    with closing(_csv_rows(path)) as records:
+        header = next(records)
         feature_idx = [i for i, name in enumerate(header)
                        if name not in IDENTITY_COLUMNS and name != LABEL_COLUMN]
         label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
         columns = [header[i] for i in feature_idx]
         data: list[list[float]] = []
         labels: list[str] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}: ragged row at line {line_no} "
-                    f"({len(row)} cells, expected {len(header)})")
+        for line_no, row in records:
             values = []
             for i in feature_idx:
                 try:
@@ -246,18 +249,8 @@ def read_flow_csv(path) -> tuple[list, list[str] | None]:
 
     The inverse of write_flow_csv; needs the identity columns and all 65
     canonical features (aliases accepted)."""
-    import csv as _csv
-
-    from .features import FeatureVector
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        try:
-            raw_header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: missing header row") from None
-        header = [normalize_feature_name(h)[0] for h in raw_header]
-        positions = {name: i for i, name in enumerate(header)}
+    with closing(_csv_rows(path)) as records:
+        positions = {name: i for i, name in enumerate(next(records))}
         missing = [c for c in (*IDENTITY_COLUMNS, *FEATURE_NAMES)
                    if c not in positions]
         if missing:
@@ -266,11 +259,7 @@ def read_flow_csv(path) -> tuple[list, list[str] | None]:
                 + (" ..." if len(missing) > 4 else ""))
         has_label = LABEL_COLUMN in positions
         flows, labels = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(f"{path}: ragged row at line {line_no}")
+        for line_no, row in records:
             try:
                 features = {name: float(row[positions[name]])
                             for name in FEATURE_NAMES}
@@ -299,13 +288,9 @@ def read_flow_csv(path) -> tuple[list, list[str] | None]:
     return flows, (labels if has_label else None)
 
 
-def train_test_split(table: FeatureTable, ratio: float, seed: int,
-                     stratified: bool = False) -> tuple[FeatureTable, FeatureTable]:
-    """Seeded random partition; train gets round(ratio * n) rows.
-
-    ``stratified`` applies the same ratio per class instead (off by
-    default: plain uniform sampling).
-    """
+def train_test_split(table: FeatureTable, ratio: float,
+                     seed: int) -> tuple[FeatureTable, FeatureTable]:
+    """Seeded uniform random partition; train gets round(ratio * n) rows."""
     if not 0 < ratio < 1:
         raise ValidationError(f"split ratio must be in (0, 1), got {ratio}")
     if table.labels is None:
@@ -313,18 +298,7 @@ def train_test_split(table: FeatureTable, ratio: float, seed: int,
     n = table.n_rows
     if n < 2:
         raise ValidationError("need at least 2 rows to split")
-    rng = np.random.default_rng(seed)
-    if stratified:
-        train_idx: list[int] = []
-        test_idx: list[int] = []
-        for cls in np.unique(table.labels):
-            members = np.flatnonzero(table.labels == cls)
-            perm = members[rng.permutation(len(members))]
-            cut = _round_half_up(ratio * len(members))
-            train_idx.extend(perm[:cut])
-            test_idx.extend(perm[cut:])
-        return table.take(np.sort(train_idx)), table.take(np.sort(test_idx))
-    perm = rng.permutation(n)
+    perm = np.random.default_rng(seed).permutation(n)
     cut = _round_half_up(ratio * n)
     return table.take(perm[:cut]), table.take(perm[cut:])
 

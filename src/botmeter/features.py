@@ -129,10 +129,6 @@ class FeatureVector:
     start_ts_us: int
     features: dict[str, float]
 
-    def identity_values(self) -> tuple:
-        return (self.flow_id, self.src_ip, self.src_port, self.dst_ip,
-                self.dst_port, self.protocol, self.start_ts_us)
-
 
 @lru_cache(maxsize=8)
 def _home_networks(prefixes: tuple[str, ...]):

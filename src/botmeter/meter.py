@@ -241,14 +241,9 @@ class FlowTable:
         return flow
 
 
-def ingest_capture(path: str, config: MeterConfig | None = None):
-    """Meter a capture file into finalized flow feature vectors."""
-    flows, _ = ingest_capture_detailed(path, config)
-    return flows
-
-
 def ingest_capture_detailed(path: str, config: MeterConfig | None = None):
-    """Like ingest_capture but also returns the CaptureStats counters."""
+    """Meter a capture file into finalized flow feature vectors; returns
+    them with the capture's CaptureStats counters."""
     from .features import compute_features
 
     config = config or MeterConfig()

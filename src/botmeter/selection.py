@@ -1,9 +1,9 @@
 """Per-dataset feature ranking and the cross-dataset universal feature set.
 
 Significance is the absolute weight of the shared logistic-regression
-trainer fitted on standardized features; the universal set keeps every
-canonical feature name selected by at least ``threshold`` of the per-dataset
-top-k lists.
+trainer, which standardizes the features internally; the universal set
+keeps every canonical feature name selected by at least ``threshold`` of
+the per-dataset top-k lists.
 """
 
 from __future__ import annotations
@@ -14,15 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import ModelSpec, fit
-from .dataset import NAME_ALIASES, FeatureTable, normalize_feature_name
+from .dataset import FeatureTable, normalize_feature_name
 from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class StandardizationParams:
-    mean: np.ndarray
-    std: np.ndarray              # sample std; 0 marks a constant column
-    constant: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -41,40 +34,23 @@ class UniversalFeatureSet:
     threshold: int
 
 
-def standardize(table: FeatureTable) -> tuple[FeatureTable, StandardizationParams]:
-    """Center and scale every column to sample std 1.
-
-    Constant columns become all-zeros and are flagged so ranking can skip
-    them.
-    """
-    if table.n_rows == 0 or not table.columns:
-        raise ValidationError("cannot standardize an empty table")
-    mean = table.rows.mean(axis=0)
-    std = table.rows.std(axis=0, ddof=1) if table.n_rows > 1 \
-        else np.zeros(len(table.columns))
-    constant = std == 0.0
-    safe = np.where(constant, 1.0, std)
-    rows = (table.rows - mean) / safe
-    rows[:, constant] = 0.0
-    params = StandardizationParams(mean, std, tuple(bool(c) for c in constant))
-    return FeatureTable(list(table.columns), rows, table.labels), params
-
-
 def rank_features_lr(table: FeatureTable, k: int = 10,
                      spec: ModelSpec | None = None,
                      dataset: str = "") -> RankedFeatureList:
-    """Top-k features of a standardized, labeled table by |LR weight|.
+    """Top-k features of a labeled table by |LR weight|.
 
-    Constant columns never rank; |w| ties break by name.  Uses the same LR
-    trainer (and seed) as the classifiers, so rankings are deterministic.
+    The LR trainer standardizes the raw features itself, so the weights
+    are per standard deviation.  Constant columns (sample std 0) never
+    rank; |w| ties break by name.  Uses the same LR trainer (and seed) as
+    the classifiers, so rankings are deterministic.
     """
     if table.labels is None:
         raise ValidationError("ranking needs a labeled table")
     spec = spec or ModelSpec(kind="LR")
     if spec.kind != "LR":
         raise ValidationError("feature ranking uses the LR trainer")
-    variable = [i for i, name in enumerate(table.columns)
-                if table.rows[:, i].std(ddof=1) > 0.0] if table.n_rows > 1 else []
+    variable = np.flatnonzero(table.rows.std(axis=0, ddof=1) > 0.0) \
+        if table.n_rows > 1 else []
     if k < 1 or k > len(variable):
         raise ValidationError(
             f"k={k} must be within the {len(variable)} non-constant features")
@@ -85,8 +61,7 @@ def rank_features_lr(table: FeatureTable, k: int = 10,
     return RankedFeatureList(dataset, tuple(scored[:k]))
 
 
-def derive_universal_set(lists, aliases: dict[str, str] = NAME_ALIASES,
-                         threshold: int = 2) -> UniversalFeatureSet:
+def derive_universal_set(lists, threshold: int = 2) -> UniversalFeatureSet:
     """Frequency-count canonical names across ranked lists; keep those
     selected by at least ``threshold`` lists, ordered (count desc, name asc)."""
     if threshold < 1:
@@ -97,7 +72,7 @@ def derive_universal_set(lists, aliases: dict[str, str] = NAME_ALIASES,
     counts: Counter[str] = Counter()
     for ranked in lists:
         names = ranked.names() if isinstance(ranked, RankedFeatureList) else ranked
-        canonical = {normalize_feature_name(name, aliases)[0] for name in names}
+        canonical = {normalize_feature_name(name)[0] for name in names}
         counts.update(canonical)
     selected = sorted(((name, n) for name, n in counts.items() if n >= threshold),
                       key=lambda pair: (-pair[1], pair[0]))

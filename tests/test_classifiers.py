@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import knn_oracle
 import rf_oracle
 from botmeter import classifiers
-from botmeter.classifiers import (KINDS, KNNModel, LRModel, ModelSpec,
-                                  default_specs, fit, load_model,
-                                  lr_loss_and_grad, predict, save_model)
+from botmeter.classifiers import (KINDS, KNNModel, LRModel, ModelSpec, fit,
+                                  load_model, lr_loss_and_grad, predict,
+                                  save_model)
 from botmeter.errors import ValidationError
 
 
@@ -485,7 +485,3 @@ class TestSerialization:
         path.write_text('{"format_version": 99, "kind": "NB", "spec": {}, "state": {}}')
         with pytest.raises(ValidationError):
             load_model(path)
-
-
-def test_default_specs_order():
-    assert [s.kind for s in default_specs()] == ["NB", "KNN", "RF", "LR"]

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from botmeter import cli
 from botmeter.dataset import FeatureTable, read_feature_csv, write_feature_csv
 from botmeter.demo import make_demo_corpus
-from botmeter.selection import derive_universal_set, rank_features_lr, standardize
+from botmeter.selection import derive_universal_set, rank_features_lr
 
 
 def run_cli(*argv):
@@ -72,6 +73,8 @@ class TestStageCommands:
         monkeypatch.setattr(cli, "train_models", fail)
         universal = tmp_path / "universal.csv"
         universal.write_text("name,count\nFlow IAT Mean,2\n", encoding="utf-8")
+        (tmp_path / "labeled.csv").write_text(
+            "Flow IAT Mean,Label\n1,Normal\n2,Botnet\n", encoding="utf-8")
         with caplog.at_level("DEBUG", logger="botmeter.cli"):
             code = run_cli("train", tmp_path / "labeled.csv", "--universal",
                            universal, "--out", tmp_path / "models")
@@ -96,12 +99,55 @@ class TestStageCommands:
         bp_path.write_text(json.dumps(blueprint))
         out = tmp_path / "cap.pcap"
         assert run_cli("synth", "--blueprint", bp_path, "--out", out) == 0
-        from botmeter.meter import ingest_capture
-        flows = ingest_capture(str(out))
+        from botmeter.meter import ingest_capture_detailed
+        flows, _ = ingest_capture_detailed(str(out))
         assert len(flows) == 1
         assert flows[0].features["Total Backward Packets"] == 1
         rules = out.with_suffix(".rules.csv")
         assert rules.exists() and "Botnet" in rules.read_text()
+
+    def test_stage_commands_match_the_pipeline(self, corpus, tmp_path):
+        config = cli.load_pipeline_config(corpus)
+        pipe = tmp_path / "pipe"
+        assert cli.run_pipeline(cli.PipelineConfig(
+            manifests=config.manifests, meter=config.meter, out_dir=pipe,
+            seed=4, ratio=0.75, top_k=8, threshold=2)) == 0
+
+        stages = tmp_path / "stages"
+        stages.mkdir()
+        names = [m.name for m in config.manifests]
+        for name in names:
+            assert run_cli("rank", pipe / f"labeled_{name}.csv", "--top-k", 8,
+                           "--seed", 4, "--name", name,
+                           "--out", stages / f"ranked_{name}.csv") == 0
+        assert run_cli("universal", *(stages / f"ranked_{n}.csv" for n in names),
+                       "--threshold", 2, "--out", stages / "universal.csv") == 0
+        metrics = ["dataset,classifier,accuracy,precision,recall,f1"]
+        for name in names:
+            labeled = pipe / f"labeled_{name}.csv"
+            assert run_cli("train", labeled, "--universal", stages / "universal.csv",
+                           "--seed", 4, "--ratio", 0.75, "--name", name,
+                           "--out", stages) == 0
+            out = stages / f"metrics_{name}.csv"
+            assert run_cli("evaluate", labeled, "--universal",
+                           stages / "universal.csv", "--models", stages,
+                           "--seed", 4, "--ratio", 0.75, "--name", name,
+                           "--out", out) == 0
+            metrics += out.read_text(encoding="utf-8").splitlines()[1:]
+
+        shared = ["universal.csv"] + [f"ranked_{n}.csv" for n in names] + [
+            f"model_{n}_{k}.json" for n in names for k in cli.MODEL_KINDS]
+        for file_name in shared:
+            assert (stages / file_name).read_bytes() == \
+                (pipe / file_name).read_bytes(), file_name
+        assert metrics == (pipe / "metrics.csv").read_text(
+            encoding="utf-8").splitlines()
+
+
+def test_build_model_specs_default_order():
+    specs = cli.build_model_specs(7, None)
+    assert [s.kind for s in specs] == ["NB", "KNN", "RF", "LR"]
+    assert all(s.seed == 7 for s in specs)
 
 
 class TestPipeline:
@@ -155,6 +201,47 @@ class TestPipeline:
         assert err == [f"pipeline failed at stage {stage!r}: "
                        f"{exc_type.__name__}: boom"]
 
+    def test_reads_and_splits_each_dataset_once(self, corpus, tmp_path,
+                                                 monkeypatch):
+        calls = {"read_feature_csv": [], "train_test_split": []}
+        for name in calls:
+            def spy(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls[_name].append(args[0])
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, spy)
+        config = cli.load_pipeline_config(corpus)
+        assert len(config.manifests) == 3
+        assert cli.run_pipeline(cli.PipelineConfig(
+            manifests=config.manifests, meter=config.meter,
+            out_dir=tmp_path / "out", seed=2)) == 0
+        assert calls["read_feature_csv"] == [
+            tmp_path / "out" / f"labeled_{m.name}.csv" for m in config.manifests]
+        assert len(calls["train_test_split"]) == 3
+
+    def test_manifest_default_label_is_the_negative_class(self, corpus, tmp_path):
+        # The same corpus with its unmatched flows labeled Benign, not
+        # Normal, gives the same rankings, models and metrics.
+        benign = tmp_path / "benign"
+        shutil.copytree(corpus.parent, benign)
+        for manifest in benign.glob("*/*.manifest"):
+            text = manifest.read_text(encoding="utf-8")
+            assert "default_label = Normal" in text
+            manifest.write_text(text.replace("default_label = Normal",
+                                             "default_label = Benign"),
+                                encoding="utf-8")
+        outputs = []
+        for root in (corpus.parent, benign):
+            config = cli.load_pipeline_config(root / corpus.name)
+            out_dir = tmp_path / f"out_{root.name}"
+            assert cli.run_pipeline(cli.PipelineConfig(
+                manifests=config.manifests, meter=config.meter,
+                out_dir=out_dir, seed=5)) == 0
+            outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()
+                            if not p.name.startswith("labeled_")})
+        assert "Benign" in (tmp_path / "out_benign/labeled_synth-ddos.csv"
+                            ).read_text(encoding="utf-8")
+        assert outputs[0] == outputs[1]
+
     def test_rerun_is_byte_identical(self, corpus, tmp_path):
         config = cli.load_pipeline_config(corpus)
         outputs = []
@@ -196,8 +283,7 @@ class TestEngineeredUniversalSix:
         ranked_lists = []
         for d, path in enumerate(labeled_paths):
             table = read_feature_csv(path)
-            std_table, _ = standardize(table)
-            ranked = rank_features_lr(std_table, k=10, dataset=f"ds{d}")
+            ranked = rank_features_lr(table, k=10, dataset=f"ds{d}")
             assert set(ranked.names()) == set(shared + per_dataset[d])
             ranked_lists.append(ranked)
 

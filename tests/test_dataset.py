@@ -76,6 +76,25 @@ class TestFeatureCsv:
         with pytest.raises(CsvFormatError, match="line 3"):
             read_feature_csv(path)
 
+    @pytest.mark.parametrize("reader", [read_feature_csv, read_flow_csv])
+    def test_readers_reject_missing_header_and_ragged_row(self, reader, tmp_path):
+        from botmeter.labeling import LabeledRow
+        from test_labeling import flow
+
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        with pytest.raises(CsvFormatError, match="empty.csv: missing header row"):
+            reader(empty)
+        fv = flow()
+        fv.features.update({n: 0.0 for n in FEATURE_NAMES})
+        path = tmp_path / "flows.csv"
+        write_flow_csv(path, [LabeledRow(fv, "Botnet")])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("1,2\n")
+        with pytest.raises(CsvFormatError,
+                           match=r"ragged row at line 3 \(2 cells, expected 73\)"):
+            reader(path)
+
     def test_non_numeric_cell_names_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,oops\n")
@@ -180,13 +199,6 @@ class TestSplit:
         assert merged.shape == table.rows.shape
         key = lambda m: sorted(map(tuple, m))
         assert key(merged) == key(table.rows)
-
-    def test_stratified_option(self):
-        table = FeatureTable(["a"], [[i] for i in range(10)],
-                             labels=[0] * 5 + [1] * 5)
-        train, test = train_test_split(table, 0.8, seed=1, stratified=True)
-        assert sorted(train.labels.tolist()).count(0) == 4
-        assert sorted(train.labels.tolist()).count(1) == 4
 
 
 class TestManifest:

@@ -2,37 +2,52 @@ import numpy as np
 import pytest
 
 
+from botmeter.classifiers import ModelSpec, fit
 from botmeter.dataset import FeatureTable
 from botmeter.errors import ValidationError
 from botmeter.selection import (RankedFeatureList, derive_universal_set,
-                                rank_features_lr, standardize)
+                                rank_features_lr)
 
 from name_corpus import REFERENCE_TOP10, UNIVERSAL_SIX
 
 
 class TestStandardize:
+    """KNN and LR standardize internally; ranking passes raw features and
+    relies on LR's standardization."""
+
+    def fitted(self, kind, rows, labels):
+        return fit(ModelSpec(kind=kind), np.asarray(rows, dtype=float), labels)
+
     def test_three_value_column(self):
-        table, params = standardize(FeatureTable(["x"], [[1.0], [2.0], [3.0]]))
-        np.testing.assert_allclose(table.rows[:, 0], [-1.0, 0.0, 1.0])
-        assert params.mean[0] == 2.0 and params.std[0] == 1.0
-        assert params.constant == (False,)
+        knn = self.fitted("KNN", [[1.0], [2.0], [3.0]], [0, 1, 1])
+        np.testing.assert_allclose(knn.train_x[:, 0], [-1.0, 0.0, 1.0])
+        assert knn.mu[0] == 2.0 and knn.sigma[0] == 1.0
+        lr = self.fitted("LR", [[1.0], [2.0], [3.0]], [0, 1, 1])
+        assert lr.mu[0] == 2.0 and lr.sigma[0] == 1.0
 
     def test_constant_column_zeroed_and_flagged(self):
-        table, params = standardize(FeatureTable(["x"], [[5.0], [5.0], [5.0]]))
-        np.testing.assert_array_equal(table.rows[:, 0], [0.0, 0.0, 0.0])
-        assert params.constant == (True,)
+        knn = self.fitted("KNN", [[5.0], [5.0], [5.0]], [0, 1, 0])
+        np.testing.assert_array_equal(knn.train_x[:, 0], [0.0, 0.0, 0.0])
+        assert knn.sigma[0] == 1.0
+        table = FeatureTable(["x"], [[5.0], [5.0], [5.0]], labels=[0, 1, 0])
+        with pytest.raises(ValidationError, match="0 non-constant"):
+            rank_features_lr(table, k=1)
 
     def test_idempotent_on_standardized_input(self):
         rng = np.random.default_rng(0)
-        table, _ = standardize(FeatureTable(["a", "b"], rng.normal(size=(40, 2))))
-        again, _ = standardize(table)
-        np.testing.assert_allclose(again.rows, table.rows, atol=1e-9)
-        assert abs(again.rows.mean(axis=0)).max() < 1e-9
-        np.testing.assert_allclose(again.rows.std(axis=0, ddof=1), 1.0, atol=1e-9)
+        labels = [0, 1] * 20
+        once = self.fitted("KNN", rng.normal(size=(40, 2)), labels).train_x
+        again = self.fitted("KNN", once, labels).train_x
+        np.testing.assert_allclose(again, once, atol=1e-9)
+        assert abs(again.mean(axis=0)).max() < 1e-9
+        np.testing.assert_allclose(again.std(axis=0, ddof=1), 1.0, atol=1e-9)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValidationError):
-            standardize(FeatureTable(["x"], np.empty((0, 1))))
+            rank_features_lr(FeatureTable(["x"], np.empty((0, 1)),
+                                          labels=np.empty(0)), k=1)
+        with pytest.raises(ValidationError):
+            fit(ModelSpec(kind="LR"), np.empty((0, 1)), np.empty(0))
 
 
 def labeled_table(rng, informative, noise, n=300):
@@ -49,8 +64,7 @@ class TestRankFeatures:
     def test_informative_feature_dominates(self):
         rng = np.random.default_rng(1)
         table = labeled_table(rng, ["A"], ["B", "C"])
-        std_table, _ = standardize(table)
-        ranked = rank_features_lr(std_table, k=1)
+        ranked = rank_features_lr(table, k=1)
         assert ranked.names() == ["A"]
         model_weights = dict(ranked.ranked)
         assert model_weights["A"] > 0
@@ -58,8 +72,7 @@ class TestRankFeatures:
     def test_k_equal_to_feature_count_returns_permutation(self):
         rng = np.random.default_rng(2)
         table = labeled_table(rng, ["A"], ["B", "C", "D"])
-        std_table, _ = standardize(table)
-        ranked = rank_features_lr(std_table, k=4)
+        ranked = rank_features_lr(table, k=4)
         assert sorted(ranked.names()) == ["A", "B", "C", "D"]
         scores = [s for _, s in ranked.ranked]
         assert scores == sorted(scores, reverse=True)
@@ -71,8 +84,7 @@ class TestRankFeatures:
         table = FeatureTable(["A", "A2", "N"],
                              np.column_stack([x, x, rng.normal(size=400)]),
                              labels=y)
-        std_table, _ = standardize(table)
-        ranked = rank_features_lr(std_table, k=2)
+        ranked = rank_features_lr(table, k=2)
         assert set(ranked.names()) == {"A", "A2"}
         scores = dict(ranked.ranked)
         assert abs(scores["A"] - scores["A2"]) < 1e-3
@@ -83,28 +95,25 @@ class TestRankFeatures:
         with_const = FeatureTable(table.columns + ["CONST"],
                                   np.hstack([table.rows, np.ones((table.n_rows, 1))]),
                                   labels=table.labels)
-        std_table, _ = standardize(with_const)
-        ranked = rank_features_lr(std_table, k=2)
+        ranked = rank_features_lr(with_const, k=2)
         assert "CONST" not in ranked.names()
         with pytest.raises(ValidationError):
-            rank_features_lr(std_table, k=3)  # only 2 non-constant features
+            rank_features_lr(with_const, k=3)  # only 2 non-constant features
 
     def test_single_class_rejected(self):
         table = FeatureTable(["A"], [[1.0], [2.0]], labels=[1, 1])
-        std_table, _ = standardize(table)
         with pytest.raises(ValidationError):
-            rank_features_lr(std_table, k=1)
+            rank_features_lr(table, k=1)
 
     def test_row_permutation_invariance(self):
         # Full-batch training makes rank order independent of row order up
         # to float summation jitter; separated ranks must not move.
         rng = np.random.default_rng(5)
         table = labeled_table(rng, ["A", "B"], ["C", "D"])
-        std_table, _ = standardize(table)
         perm = rng.permutation(table.n_rows)
-        shuffled = FeatureTable(std_table.columns, std_table.rows[perm],
-                                std_table.labels[perm])
-        base = rank_features_lr(std_table, k=4)
+        shuffled = FeatureTable(table.columns, table.rows[perm],
+                                table.labels[perm])
+        base = rank_features_lr(table, k=4)
         moved = rank_features_lr(shuffled, k=4)
         assert base.names()[:2] == moved.names()[:2]
         assert set(base.names()) == set(moved.names())
@@ -117,8 +126,8 @@ class TestRankFeatures:
         rescaled_rows = table.rows.copy()
         rescaled_rows[:, 0] = rescaled_rows[:, 0] * 37.5 - 12.0
         rescaled = FeatureTable(table.columns, rescaled_rows, table.labels)
-        base_names = rank_features_lr(standardize(table)[0], k=4).names()
-        new_names = rank_features_lr(standardize(rescaled)[0], k=4).names()
+        base_names = rank_features_lr(table, k=4).names()
+        new_names = rank_features_lr(rescaled, k=4).names()
         assert base_names == new_names
 
 
