@@ -10,6 +10,7 @@ conventions all resolve to class 0.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from array import array
 from dataclasses import asdict, dataclass
@@ -18,9 +19,11 @@ import numpy as np
 
 from .errors import ValidationError
 
+logger = logging.getLogger(__name__)
+
 KINDS = ("NB", "KNN", "RF", "LR")
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -40,9 +43,7 @@ class ModelSpec:
     bootstrap: bool = True
     # LR
     l2_lambda: float = 1.0
-    learning_rate: float = 0.1
-    max_iters: int = 1000
-    tol: float = 1e-6
+    max_iters: int = 1000  # safety cap on Newton steps
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -53,8 +54,12 @@ class ModelSpec:
             raise ValidationError("n_trees must be >= 1")
         if self.max_features is not None and self.max_features < 1:
             raise ValidationError("max_features must be >= 1")
-        if self.l2_lambda < 0:
-            raise ValidationError("l2_lambda must be >= 0")
+        # lambda > 0 makes the LR objective strictly convex, so every fit
+        # has one finite optimum, even on separable data.
+        if not self.l2_lambda > 0:
+            raise ValidationError("l2_lambda must be > 0")
+        if self.max_iters < 1:
+            raise ValidationError("max_iters must be >= 1")
         if self.var_smoothing < 0:
             raise ValidationError("var_smoothing must be >= 0")
 
@@ -82,6 +87,9 @@ def _validate_predict_input(X, width):
     if X.ndim != 2 or X.shape[1] != width:
         raise ValidationError(
             f"query width {X.shape} does not match training width {width}")
+    if not np.isfinite(X).all():
+        r, c = np.argwhere(~np.isfinite(X))[0]
+        raise ValidationError(f"non-finite query value at row {r}, column {c}")
     return X
 
 
@@ -179,7 +187,7 @@ class KNNModel:
                 kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
                 limit = kth + 2 * slack * (sq + sq_max)
             candidate = gram <= limit[:, None]
-            # An overflowing or non-finite query: every row is a candidate.
+            # An overflowing query: every row is a candidate.
             candidate[~np.isfinite(limit)] = True
             rows, cols = np.nonzero(candidate)
             exact = ((chunk[rows] - train[cols]) ** 2).sum(axis=1)
@@ -235,7 +243,8 @@ class LRModel:
     sigma: np.ndarray
     weights: np.ndarray
     bias: float
-    n_iters: int = 0
+    n_iters: int = 0            # Newton steps taken
+    grad_norm: float = math.nan  # norm of the final gradient (w and b)
 
     def decision_function(self, X) -> np.ndarray:
         X = _validate_predict_input(X, len(self.weights))
@@ -248,20 +257,79 @@ class LRModel:
         return (self.predict_proba(X) >= 0.5).astype(np.int64)
 
 
+# Newton stops once the norm of the full gradient (w and b) is at most this.
+LR_GRAD_TOL = 1e-12
+_ARMIJO_C = 1e-4
+_MAX_HALVINGS = 50
+# Loss changes this small relative to the loss are rounding, not progress.
+_LOSS_ROUNDING = 64 * np.finfo(np.float64).eps
+
+
 def _fit_lr(spec: ModelSpec, X, y) -> LRModel:
+    """Minimize ``lr_loss_and_grad``'s objective by Newton's method (IRLS)
+    with a backtracking line search.
+
+    Each step solves ``H s = -g`` for the Hessian ``H = [Xs 1]' D [Xs 1] / n
+    + diag(lambda/n, ..., lambda/n, 0)``, ``D = diag(p (1 - p))``, which is
+    positive definite for lambda > 0, then halves ``t`` from 1 until the
+    loss falls by the Armijo fraction of ``t g's``.  Where the change in
+    loss is within rounding of the loss itself, a step that shrinks the
+    gradient norm is taken instead.  The fit starts from zero and stops at
+    a gradient norm of at most ``LR_GRAD_TOL``, after ``spec.max_iters``
+    steps, or when no step size makes progress.
+    """
     mu, sigma = _standardize_fit(X)
     Xs = (X - mu) / sigma
-    w = np.zeros(X.shape[1])
-    b = 0.0
+    n, d = Xs.shape
+    design = np.hstack([Xs, np.ones((n, 1))])
+    ridge = np.full(d + 1, spec.l2_lambda / n)
+    ridge[d] = 0.0  # bias unpenalized
+
+    def evaluate(theta):
+        loss, grad_w, grad_b = lr_loss_and_grad(theta[:d], theta[d], Xs, y,
+                                                spec.l2_lambda)
+        grad = np.append(grad_w, grad_b)
+        return loss, grad, float(np.linalg.norm(grad))
+
+    theta = np.zeros(d + 1)
+    loss, grad, grad_norm = evaluate(theta)
     iters = 0
-    for iters in range(1, spec.max_iters + 1):
-        _, grad_w, grad_b = lr_loss_and_grad(w, b, Xs, y, spec.l2_lambda)
-        step_w = spec.learning_rate * grad_w
-        w -= step_w
-        b -= spec.learning_rate * grad_b
-        if np.max(np.abs(step_w)) < spec.tol:
-            break
-    return LRModel(spec, mu, sigma, w, b, iters)
+    while grad_norm > LR_GRAD_TOL and iters < spec.max_iters:
+        # p (1 - p) from exp(-|z|), without cancellation at large |z|.
+        e = np.exp(-np.abs(design @ theta))
+        hessian = (design.T * (e / (1.0 + e) ** 2)) @ design / n
+        hessian[np.diag_indices(d + 1)] += ridge
+        step = np.linalg.solve(hessian, -grad)
+        slope = float(grad @ step)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = theta + t * step
+            trial_loss, trial_grad, trial_norm = evaluate(trial)
+            if trial_loss <= loss + _ARMIJO_C * t * slope:
+                break
+            if (abs(trial_loss - loss) <= _LOSS_ROUNDING * loss
+                    and trial_norm < grad_norm):
+                break
+            t /= 2.0
+        else:
+            break  # no step size makes progress: rounding limits the fit
+        theta, loss, grad, grad_norm = trial, trial_loss, trial_grad, trial_norm
+        iters += 1
+    return LRModel(spec, mu, sigma, theta[:d].copy(), float(theta[d]), iters,
+                   grad_norm)
+
+
+def log_lr_fit(model: LRModel, what: str) -> None:
+    """Log an LR fit's Newton steps and final gradient norm, as a warning
+    when the fit stopped short of ``LR_GRAD_TOL``."""
+    if model.grad_norm <= LR_GRAD_TOL:
+        logger.info("%s: LR converged in %d iterations (gradient norm %.3g)",
+                    what, model.n_iters, model.grad_norm)
+    else:
+        logger.warning("%s: LR stopped after %d iterations (max_iters %d) "
+                       "with gradient norm %.3g above %g", what,
+                       model.n_iters, model.spec.max_iters, model.grad_norm,
+                       LR_GRAD_TOL)
 
 
 # --- Random forest ----------------------------------------------------------
@@ -552,7 +620,7 @@ def save_model(model: Model, path) -> None:
     elif isinstance(model, LRModel):
         state = {"mu": model.mu.tolist(), "sigma": model.sigma.tolist(),
                  "weights": model.weights.tolist(), "bias": model.bias,
-                 "n_iters": model.n_iters}
+                 "n_iters": model.n_iters, "grad_norm": model.grad_norm}
     elif isinstance(model, RFModel):
         state = {"n_features": model.n_features,
                  "feature": model.feature.tolist(),
@@ -562,9 +630,13 @@ def save_model(model: Model, path) -> None:
                  "roots": model.roots.tolist()}
     else:
         raise ValidationError(f"cannot serialize {type(model).__name__}")
+    spec = asdict(model.spec)
+    # A fitting cap, not a property of the model: a converged fit is the
+    # same under any cap it stays below.
+    del spec["max_iters"]
     doc = {"format_version": MODEL_FORMAT_VERSION,
            "kind": model.spec.kind,
-           "spec": asdict(model.spec),
+           "spec": spec,
            "state": state}
     with open(path, "w", encoding="utf-8") as fh:
         _write_json(fh, doc)
@@ -604,7 +676,8 @@ def load_model(path) -> Model:
                         np.asarray(state["train_y"], dtype=np.int64))
     if spec.kind == "LR":
         return LRModel(spec, arr(state["mu"]), arr(state["sigma"]),
-                       arr(state["weights"]), state["bias"], state["n_iters"])
+                       arr(state["weights"]), state["bias"], state["n_iters"],
+                       state["grad_norm"])
     ints = lambda v: np.asarray(v, dtype=np.int64)
     return RFModel(spec, state["n_features"], ints(state["feature"]),
                    arr(state["threshold"]), ints(state["left"]),

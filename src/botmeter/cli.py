@@ -15,13 +15,13 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import classifiers, demo
 from .dataset import (FeatureTable, parse_manifest, read_feature_csv,
                       read_flow_csv, train_test_split, write_flow_csv)
-from .errors import BotmeterError
+from .errors import BotmeterError, ValidationError
 from .evaluation import evaluate_predictions, render_report
 from .labeling import label_flows, parse_rules
 from .meter import MeterConfig, ingest_capture_detailed
@@ -49,6 +49,7 @@ class PipelineConfig:
             raise BotmeterError("pipeline config needs at least one dataset")
         if not 0 < self.ratio < 1:
             raise BotmeterError(f"ratio must be in (0, 1), got {self.ratio}")
+        build_model_specs(self.seed, self.model_overrides)  # reject bad overrides now
 
 
 def load_pipeline_config(path, args=None) -> PipelineConfig:
@@ -86,12 +87,24 @@ def load_pipeline_config(path, args=None) -> PipelineConfig:
     )
 
 
+# Hyperparameters a config's ``models.<KIND>`` may set.
+_MODEL_PARAMS = frozenset(f.name for f in fields(classifiers.ModelSpec)) - {"kind", "seed"}
+
+
 def build_model_specs(seed: int, overrides: dict | None) -> list[classifiers.ModelSpec]:
-    specs = []
-    for kind in MODEL_KINDS:
-        params = dict(overrides.get(kind, {})) if overrides else {}
-        specs.append(classifiers.ModelSpec(kind=kind, seed=seed, **params))
-    return specs
+    overrides = {} if overrides is None else overrides
+    if not (isinstance(overrides, dict)
+            and all(isinstance(params, dict) for params in overrides.values())):
+        raise ValidationError("models: expected an object of settings per kind")
+    for kind, params in overrides.items():
+        if kind not in MODEL_KINDS:
+            raise ValidationError(f"models: unknown classifier kind {kind!r}")
+        unknown = sorted(set(params) - _MODEL_PARAMS)
+        if unknown:
+            raise ValidationError(
+                f"models.{kind}: unknown key(s) {', '.join(map(repr, unknown))}")
+    return [classifiers.ModelSpec(kind=kind, seed=seed, **overrides.get(kind, {}))
+            for kind in MODEL_KINDS]
 
 
 # --- pipeline stages ----------------------------------------------------------
@@ -165,6 +178,8 @@ def train_models(train: FeatureTable, seed: int, out_dir: Path, dataset: str,
     paths = []
     for spec in build_model_specs(seed, overrides):
         model = classifiers.fit(spec, train.rows, train.labels)
+        if spec.kind == "LR":
+            classifiers.log_lr_fit(model, f"training {dataset}")
         path = out_dir / f"model_{dataset}_{spec.kind}.json"
         classifiers.save_model(model, path)
         paths.append(path)
@@ -319,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="rank features by LR weight")
     p.add_argument("labeled", help="labeled CSV")
     p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: the LR fit uses no randomness")
     p.add_argument("--name", default=None, help="dataset name for the list")
     p.add_argument("--out", required=True, help="ranked CSV")
 

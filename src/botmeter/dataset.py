@@ -9,6 +9,7 @@ frequency counting compares like with like.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 import re
@@ -208,8 +209,9 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
     """Load a feature CSV into a table.
 
     Headers are normalized; identity columns are dropped from the matrix; a
-    Label column (string or binary) becomes binary labels.  Ragged rows and
-    non-numeric cells are format errors naming the line/column.
+    Label column (string or binary) becomes binary labels.  Ragged rows,
+    non-numeric cells and non-finite cells (``inf``, ``Infinity``, ``NaN``)
+    are format errors naming the line and column.
     """
     with closing(_csv_rows(path)) as records:
         header = next(records)
@@ -238,7 +240,22 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
         else:
             table_labels = labels_to_binary(labels, negative_label)
     rows = np.asarray(data, dtype=np.float64) if data else np.empty((0, len(columns)))
+    if not np.isfinite(rows).all():
+        r, c = np.argwhere(~np.isfinite(rows))[0]
+        line_no, text = _cell(path, r, feature_idx[c])
+        raise CsvFormatError(
+            f"{path}: non-finite value {text!r} in column "
+            f"{header[feature_idx[c]]!r} at line {line_no}")
     return FeatureTable(columns, rows, table_labels)
+
+
+def _cell(path, index, column) -> tuple[int, str]:
+    """The line number and text of one cell of data row ``index``, read
+    again from the file (only on the error path, so reads stay one pass)."""
+    with closing(_csv_rows(path)) as records:
+        next(records)
+        line_no, row = next(itertools.islice(records, index, None))
+    return line_no, row[column]
 
 
 _INT_IDENTITY_COLUMNS = ("Source Port", "Destination Port", "Protocol", "Timestamp")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import ModelSpec, fit
+from .classifiers import ModelSpec, fit, log_lr_fit
 from .dataset import FeatureTable, normalize_feature_name
 from .errors import ValidationError
 
@@ -41,8 +41,9 @@ def rank_features_lr(table: FeatureTable, k: int = 10,
 
     The LR trainer standardizes the raw features itself, so the weights
     are per standard deviation.  Constant columns (sample std 0) never
-    rank; |w| ties break by name.  Uses the same LR trainer (and seed) as
-    the classifiers, so rankings are deterministic.
+    rank; |w| ties break by name.  Uses the same LR trainer as the
+    classifiers; its fit is the objective's unique optimum, so rankings
+    depend only on the table and ``spec.l2_lambda``.
     """
     if table.labels is None:
         raise ValidationError("ranking needs a labeled table")
@@ -55,6 +56,7 @@ def rank_features_lr(table: FeatureTable, k: int = 10,
         raise ValidationError(
             f"k={k} must be within the {len(variable)} non-constant features")
     model = fit(spec, table.rows, table.labels)
+    log_lr_fit(model, f"ranking {dataset or 'table'}")
     scored = sorted(
         ((table.columns[i], float(abs(model.weights[i]))) for i in variable),
         key=lambda pair: (-pair[1], pair[0]))

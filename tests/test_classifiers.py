@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 import knn_oracle
 import rf_oracle
-from botmeter import classifiers
-from botmeter.classifiers import (KINDS, KNNModel, LRModel, ModelSpec, fit,
-                                  load_model, lr_loss_and_grad, predict,
-                                  save_model)
+from botmeter import classifiers, cli
+from botmeter.classifiers import (KINDS, KNNModel, LR_GRAD_TOL, LRModel,
+                                  ModelSpec, fit, load_model, lr_loss_and_grad,
+                                  predict, save_model)
+from botmeter.dataset import read_feature_csv
+from botmeter.demo import make_demo_corpus
 from botmeter.errors import ValidationError
 
 
@@ -40,6 +43,11 @@ class TestSpecValidation:
             ModelSpec(kind="RF", max_features=0)
         with pytest.raises(ValidationError):
             ModelSpec(kind="LR", l2_lambda=-1)
+        for bad in (0.0, np.nan):
+            with pytest.raises(ValidationError, match="l2_lambda must be > 0"):
+                ModelSpec(kind="LR", l2_lambda=bad)
+        with pytest.raises(ValidationError, match="max_iters must be >= 1"):
+            ModelSpec(kind="LR", max_iters=0)
 
     def test_single_class_rejected(self):
         X = np.zeros((4, 2))
@@ -57,6 +65,52 @@ class TestSpecValidation:
         model = fit(ModelSpec(kind="NB"), X, y)
         with pytest.raises(ValidationError):
             predict(model, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_named(self, kind, bad):
+        rng = np.random.default_rng(29)
+        X, y = blobs(rng, n=50, d=3)
+        model = fit(ModelSpec(kind=kind, n_trees=3), X, y)
+        queries = np.zeros((4, 3))
+        queries[2, 1] = bad
+        with pytest.raises(ValidationError, match="row 2, column 1"):
+            predict(model, queries)
+
+
+@pytest.fixture(scope="module")
+def demo_tables(tmp_path_factory):
+    """The labeled tables of the demo corpus, whose captures come from
+    ``botmeter.synth``."""
+    root = tmp_path_factory.mktemp("demo")
+    config = cli.load_pipeline_config(make_demo_corpus(root, seed=0))
+    tables = []
+    for manifest in config.manifests:
+        path = root / f"labeled_{manifest.name}.csv"
+        cli.extract_and_label(manifest, config.meter, path)
+        tables.append(read_feature_csv(path))
+    return tables
+
+
+def lr_gradient_norm(model, X, y):
+    """Norm of the objective's full gradient (w and b) at a model's weights."""
+    Xs = (np.asarray(X, dtype=float) - model.mu) / model.sigma
+    _, grad_w, grad_b = lr_loss_and_grad(model.weights, model.bias, Xs,
+                                         np.asarray(y), model.spec.l2_lambda)
+    return float(np.linalg.norm(np.append(grad_w, grad_b)))
+
+
+@st.composite
+def lr_problems(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 6))
+    cells = st.one_of(st.sampled_from(GRID),  # duplicates and ties
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    X = np.array(draw(st.lists(st.lists(cells, min_size=d, max_size=d),
+                               min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[0], y[1] = 0, 1
+    return X, y, draw(st.floats(1e-2, 10.0))
 
 
 class TestLR:
@@ -109,6 +163,91 @@ class TestLR:
         b = fit(ModelSpec(kind="LR"), X, y)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.bias == b.bias
+
+    def test_converges_on_demo_tables(self, demo_tables):
+        for table in demo_tables:
+            for X in (table.rows, table.rows[:, ::7]):
+                model = fit(ModelSpec(kind="LR"), X, table.labels)
+                assert 0 < model.n_iters <= 20
+                assert model.grad_norm <= LR_GRAD_TOL
+                assert model.grad_norm == lr_gradient_norm(model, X, table.labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lr_problems())
+    def test_converges_on_random_problems(self, problem):
+        X, y, lam = problem
+        model = fit(ModelSpec(kind="LR", l2_lambda=lam), X, y)
+        assert model.n_iters < model.spec.max_iters
+        assert model.grad_norm <= LR_GRAD_TOL
+        assert model.grad_norm == lr_gradient_norm(model, X, y)
+
+    @pytest.mark.parametrize("lam", [0.05, 1.0, 20.0])
+    def test_matches_scipy_minimizer(self, demo_tables, lam):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(8)
+        X, y = blobs(rng, n=300, d=5, gap=1.0)
+        X = np.column_stack([X, X[:, 0]])  # a duplicated column
+        problems = [(X, y), (demo_tables[0].rows, demo_tables[0].labels)]
+        for X, y in problems:
+            model = fit(ModelSpec(kind="LR", l2_lambda=lam), X, y)
+            Xs = (X - model.mu) / model.sigma
+            d = X.shape[1]
+
+            def objective(theta):
+                loss, grad_w, grad_b = lr_loss_and_grad(theta[:d], theta[d],
+                                                        Xs, y, lam)
+                return loss, np.append(grad_w, grad_b)
+
+            result = optimize.minimize(
+                objective, np.zeros(d + 1), jac=True, method="L-BFGS-B",
+                options={"maxiter": 100_000, "maxcor": 50, "ftol": 0.0,
+                         "gtol": 1e-13})
+            np.testing.assert_allclose(model.weights, result.x[:d], rtol=0,
+                                       atol=1e-6)
+            assert model.bias == pytest.approx(result.x[d], rel=0, abs=1e-6)
+
+    def test_doubling_max_iters_keeps_the_model_file(self, demo_tables, tmp_path):
+        rng = np.random.default_rng(9)
+        problems = [blobs(rng, gap=1.0)] + [(t.rows, t.labels) for t in demo_tables]
+        for i, (X, y) in enumerate(problems):
+            files = []
+            for cap in (1000, 2000):
+                path = tmp_path / f"lr{i}_{cap}.json"
+                save_model(fit(ModelSpec(kind="LR", max_iters=cap), X, y), path)
+                files.append(path.read_bytes())
+            assert files[0] == files[1]
+
+    def test_backtracking_reaches_the_optimum_a_full_step_misses(self,
+                                                                monkeypatch):
+        # Separable rows and a tiny penalty: one full Newton step raises
+        # the loss, so only a shorter step makes progress.
+        X = np.array([[5.0, -9.0], [-7.0, 6.0], [-8.0, 1.0], [-9.0, 8.0],
+                      [-4.0, -6.0]])
+        y = np.array([0, 0, 1, 1, 0])
+        spec = ModelSpec(kind="LR", l2_lambda=1e-6)
+        model = fit(spec, X, y)
+        assert model.grad_norm <= LR_GRAD_TOL
+        assert model.n_iters < 30
+        # Allowed only t = 1, the fit stalls short of the tolerance.
+        monkeypatch.setattr(classifiers, "_MAX_HALVINGS", 1)
+        stalled = fit(spec, X, y)
+        assert stalled.n_iters < model.n_iters
+        assert stalled.grad_norm > 1e-6
+
+    def test_cap_stops_the_fit_and_is_recorded(self, caplog):
+        rng = np.random.default_rng(10)
+        X, y = blobs(rng, gap=1.0)
+        model = fit(ModelSpec(kind="LR", max_iters=1), X, y)
+        assert model.n_iters == 1
+        assert model.grad_norm > LR_GRAD_TOL
+        with caplog.at_level("INFO", logger="botmeter.classifiers"):
+            classifiers.log_lr_fit(model, "capped")
+            classifiers.log_lr_fit(fit(ModelSpec(kind="LR"), X, y), "full")
+        [capped, full] = caplog.records
+        assert capped.levelname == "WARNING"
+        assert "capped: LR stopped after 1 iterations (max_iters 1)" in capped.message
+        assert full.levelname == "INFO"
+        assert "full: LR converged in" in full.message
 
 
 class TestNB:
@@ -198,12 +337,12 @@ class TestKNN:
             np.testing.assert_array_equal(predict(model, queries),
                                           knn_oracle.predict(model, queries))
 
-    def test_non_finite_and_overflowing_queries_match_oracle(self):
+    def test_overflowing_queries_match_oracle(self):
+        # Finite queries whose squared distances overflow to inf.
         rng = np.random.default_rng(29)
         X, y = blobs(rng, n=50, d=3)
         model = fit(ModelSpec(kind="KNN", k=3), X, y)
-        queries = np.array([[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0],
-                            [-np.inf, np.inf, 0.0], [1e200, 0.0, 0.0],
+        queries = np.array([[1e200, 0.0, 0.0], [-1e300, 1e300, 0.0],
                             [1e155, -1e155, 0.0], [0.5, 0.5, 0.5]])
         with np.errstate(over="ignore", invalid="ignore"):
             np.testing.assert_array_equal(predict(model, queries),
@@ -479,6 +618,25 @@ class TestSerialization:
         np.testing.assert_array_equal(predict(model, queries),
                                       predict(loaded, queries))
         assert loaded.spec == spec
+
+    def test_lr_fit_record_round_trips(self, tmp_path):
+        rng = np.random.default_rng(18)
+        X, y = blobs(rng, gap=1.0)
+        model = fit(ModelSpec(kind="LR"), X, y)
+        path = tmp_path / "lr.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == 3
+        assert "max_iters" not in doc["spec"]
+        loaded = load_model(path)
+        assert (loaded.n_iters, loaded.grad_norm) == (model.n_iters, model.grad_norm)
+        assert 0 < loaded.n_iters and loaded.grad_norm <= LR_GRAD_TOL
+        # The previous format, without the gradient norm, is refused.
+        doc["format_version"] = 2
+        del doc["state"]["grad_norm"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="version 2"):
+            load_model(path)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,12 +1,15 @@
 import json
 import shutil
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from botmeter import cli
+from botmeter import classifiers, cli
 from botmeter.dataset import FeatureTable, read_feature_csv, write_feature_csv
 from botmeter.demo import make_demo_corpus
+from botmeter.errors import ValidationError
 from botmeter.selection import derive_universal_set, rank_features_lr
 
 
@@ -84,6 +87,21 @@ class TestStageCommands:
         assert record.levelname == "DEBUG"
         assert record.exc_info[0] is ValueError
 
+    def test_rank_rejects_non_finite_cell_with_line_and_column(self, tmp_path,
+                                                              capsys):
+        labeled = tmp_path / "labeled.csv"
+        labeled.write_text("Flow Duration,Flow Bytes/s,Label\n1,2,Normal\n"
+                           "3,Infinity,Botnet\n5,6,Normal\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("rank", labeled, "--top-k", 1,
+                           "--out", tmp_path / "ranked.csv")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {labeled}: non-finite value 'Infinity' in column "
+            "'Flow Bytes/s' at line 3"]
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     def test_synth_blueprint_roundtrip(self, tmp_path):
         blueprint = {
             "seed": 9,
@@ -148,6 +166,32 @@ def test_build_model_specs_default_order():
     specs = cli.build_model_specs(7, None)
     assert [s.kind for s in specs] == ["NB", "KNN", "RF", "LR"]
     assert all(s.seed == 7 for s in specs)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"LR": {"learning_rate": 0.5}}, "models.LR: unknown key(s) 'learning_rate'"),
+    ({"LR": {"tol": 1e-3, "max_iters": 50}}, "models.LR: unknown key(s) 'tol'"),
+    ({"RF": {"n_tree": 5, "seed": 1}}, "models.RF: unknown key(s) 'n_tree', 'seed'"),
+    ({"SVM": {}}, "models: unknown classifier kind 'SVM'"),
+    ({"KNN": 5}, "models: expected an object of settings per kind"),
+    ([{"k": 5}], "models: expected an object of settings per kind"),
+    ({"LR": {"max_iters": 0}}, "max_iters must be >= 1"),
+])
+def test_build_model_specs_rejects_bad_overrides(overrides, message):
+    with pytest.raises(ValidationError) as info:
+        cli.build_model_specs(0, overrides)
+    assert str(info.value) == message
+
+
+def test_bad_model_override_fails_at_config_load(tmp_path, capsys):
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"datasets": ["gone.manifest"], "models": {"LR": {"tol": 1e-3}}}))
+    (tmp_path / "gone.manifest").write_text(
+        "name = ds\ncaptures = gone.pcap\nrules = rules.csv\n")
+    assert run_cli("pipeline", "--config", tmp_path / "config.json") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: models.LR: unknown key(s) 'tol'"]
+    assert not (tmp_path / "pipeline_out").exists()
 
 
 class TestPipeline:
@@ -241,6 +285,37 @@ class TestPipeline:
         assert "Benign" in (tmp_path / "out_benign/labeled_synth-ddos.csv"
                             ).read_text(encoding="utf-8")
         assert outputs[0] == outputs[1]
+
+    def test_lr_settings_do_not_change_results(self, corpus, tmp_path,
+                                                monkeypatch, caplog):
+        config = cli.load_pipeline_config(corpus)
+        fit_lr = classifiers._FITTERS["LR"]
+
+        def run(name):
+            out_dir = tmp_path / name
+            assert cli.run_pipeline(cli.PipelineConfig(
+                manifests=config.manifests, meter=config.meter,
+                out_dir=out_dir, seed=5)) == 0
+            return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+        with caplog.at_level("INFO", logger="botmeter.classifiers"):
+            base = run("base")
+        fits = [r for r in caplog.records if r.name == "botmeter.classifiers"]
+        assert len(fits) == 6  # three rankings, three trainings
+        assert all("LR converged" in r.message for r in fits)
+
+        monkeypatch.setitem(classifiers._FITTERS, "LR", lambda spec, X, y: fit_lr(
+            replace(spec, max_iters=2 * spec.max_iters), X, y))
+        assert run("doubled_cap") == base
+        monkeypatch.setitem(classifiers._FITTERS, "LR", fit_lr)
+
+        monkeypatch.setattr(classifiers, "LR_GRAD_TOL",
+                            classifiers.LR_GRAD_TOL / 100)
+        tight = run("tight_tol")
+        selection = [n for n in base if n.startswith("ranked_")] + ["universal.csv"]
+        assert len(selection) == 4
+        for name in selection:
+            assert tight[name] == base[name], name
 
     def test_rerun_is_byte_identical(self, corpus, tmp_path):
         config = cli.load_pipeline_config(corpus)

@@ -101,6 +101,15 @@ class TestFeatureCsv:
         with pytest.raises(CsvFormatError, match="'b'"):
             read_feature_csv(path)
 
+    @pytest.mark.parametrize("cell", ["Infinity", "inf", "-inf", "NaN", "nan"])
+    def test_non_finite_cell_names_value_column_and_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b,Label\n1,2,Normal\n3,4,Botnet\n5,{cell},Normal\n")
+        with pytest.raises(CsvFormatError) as info:
+            read_feature_csv(path)
+        assert str(info.value) == (
+            f"{path}: non-finite value {cell!r} in column 'b' at line 4")
+
     def test_flow_csv_headers_and_labels(self, tmp_path):
         from botmeter.labeling import LabeledRow
         from test_labeling import flow
