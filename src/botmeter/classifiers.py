@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from array import array
 from dataclasses import asdict, dataclass
 
@@ -48,6 +49,21 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown classifier kind {self.kind!r}")
+        # Types first, so that a config value such as "5" is named here
+        # instead of failing in a comparison below or deep inside a fit.
+        for name in ("k", "n_trees", "min_samples_split", "max_iters", "max_features"):
+            value = getattr(self, name)
+            if name == "max_features" and value is None:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name in ("var_smoothing", "l2_lambda"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(self.bootstrap, bool):
+            raise ValidationError(
+                f"bootstrap must be true or false, got {self.bootstrap!r}")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
         if self.n_trees < 1:

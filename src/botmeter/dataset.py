@@ -15,6 +15,7 @@ import math
 import re
 from contextlib import closing
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,17 @@ def format_number(x: float) -> str:
     return f"{x:.6f}"
 
 
+def _format_float(x: float) -> str:
+    """``format_number`` for an exact ``float``: ``is_integer`` is False for
+    nan and inf, so no separate finiteness test is needed."""
+    if x.is_integer() and -1e15 < x < 1e15:
+        return str(int(x))
+    return f"{x:.6f}"
+
+
+_feature_values = itemgetter(*FEATURE_NAMES)
+
+
 def write_flow_csv(path, rows) -> None:
     """Write flows (FeatureVector or LabeledRow) to the canonical flow CSV:
     identity columns, the 65 features, then Label when rows carry one."""
@@ -185,7 +197,11 @@ def write_flow_csv(path, rows) -> None:
             flow = row.flow if isinstance(row, LabeledRow) else row
             cells = [flow.flow_id, flow.src_ip, flow.src_port, flow.dst_ip,
                      flow.dst_port, flow.protocol, flow.start_ts_us]
-            cells += [format_number(flow.features[n]) for n in FEATURE_NAMES]
+            # Features hold ints and floats; any other type (bool, numpy
+            # scalars) takes the general path.
+            cells += [_format_float(v) if type(v) is float
+                      else str(v) if type(v) is int else format_number(v)
+                      for v in _feature_values(flow.features)]
             if include_label:
                 cells.append(row.label if isinstance(row, LabeledRow) else "")
             writer.writerow(cells)
@@ -265,7 +281,9 @@ def read_flow_csv(path) -> tuple[list, list[str] | None]:
     """Load a flow CSV back into FeatureVectors (plus labels when present).
 
     The inverse of write_flow_csv; needs the identity columns and all 65
-    canonical features (aliases accepted)."""
+    canonical features (aliases accepted).  Non-numeric and non-finite
+    feature cells are format errors naming the line (and, when non-finite,
+    the cell's text and column)."""
     with closing(_csv_rows(path)) as records:
         positions = {name: i for i, name in enumerate(next(records))}
         missing = [c for c in (*IDENTITY_COLUMNS, *FEATURE_NAMES)
@@ -278,11 +296,16 @@ def read_flow_csv(path) -> tuple[list, list[str] | None]:
         flows, labels = [], []
         for line_no, row in records:
             try:
-                features = {name: float(row[positions[name]])
-                            for name in FEATURE_NAMES}
+                values = [float(row[positions[name]]) for name in FEATURE_NAMES]
             except ValueError:
                 raise CsvFormatError(
                     f"{path}: non-numeric feature cell at line {line_no}") from None
+            if not all(map(math.isfinite, values)):
+                name = next(n for n, v in zip(FEATURE_NAMES, values)
+                            if not math.isfinite(v))
+                raise CsvFormatError(
+                    f"{path}: non-finite value {row[positions[name]]!r} in "
+                    f"column {name!r} at line {line_no}")
             ints = {}
             for name in _INT_IDENTITY_COLUMNS:
                 try:
@@ -299,7 +322,7 @@ def read_flow_csv(path) -> tuple[list, list[str] | None]:
                 dst_port=ints["Destination Port"],
                 protocol=ints["Protocol"],
                 start_ts_us=ints["Timestamp"],
-                features=features))
+                features=dict(zip(FEATURE_NAMES, values))))
             if has_label:
                 labels.append(row[positions[LABEL_COLUMN]])
     return flows, (labels if has_label else None)

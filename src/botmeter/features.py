@@ -131,8 +131,15 @@ class FeatureVector:
 
 
 @lru_cache(maxsize=8)
-def _home_networks(prefixes: tuple[str, ...]):
-    return tuple(ipaddress.ip_network(p) for p in prefixes)
+def _home_networks(prefixes: tuple[str, ...]) -> dict[int, tuple]:
+    """Packed address length (4 or 16) -> the (network, netmask) integers
+    of the prefixes of that family, in order."""
+    nets: dict[int, list] = {4: [], 16: []}
+    for p in prefixes:
+        net = ipaddress.ip_network(p)
+        nets[4 if net.version == 4 else 16].append(
+            (int(net.network_address), int(net.netmask)))
+    return {size: tuple(v) for size, v in nets.items()}
 
 
 def _rate_per_s(count: float, duration_us: int) -> float:
@@ -208,9 +215,10 @@ def compute_features(flow: FlowAccumulator, config: MeterConfig | None = None) -
      f["Active Max"], f["Active Min"]) = _stat_block(flow.active)
     (f["Idle Mean"], f["Idle Std"],
      f["Idle Max"], f["Idle Min"]) = _stat_block(flow.idle)
-    dst = ipaddress.ip_address(ip_to_str(flow.dst_ip))
-    f["Inbound"] = int(any(dst in net for net in _home_networks(config.home_prefixes)
-                           if net.version == dst.version))
+    # ``addr in network`` in ipaddress is this same masked comparison.
+    dst = int.from_bytes(flow.dst_ip, "big")
+    f["Inbound"] = int(any(dst & mask == net for net, mask
+                           in _home_networks(config.home_prefixes)[len(flow.dst_ip)]))
 
     src_ip = ip_to_str(flow.fwd_ip)
     dst_ip = ip_to_str(flow.dst_ip)

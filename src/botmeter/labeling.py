@@ -5,6 +5,9 @@ back to the default label with a loud summary warning.  Match precedence:
 exact-orientation 5-tuple, then reversed orientation, then rules containing
 wildcards (either orientation); within a tier the first rule in file order
 wins.  A rule with a time window only applies to flows starting inside it.
+
+Rules are found by tuple-space search (Srinivasan, Suri & Varghese,
+SIGCOMM 1999): see ``RuleIndex``.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ import ipaddress
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import CsvFormatError, ValidationError
 from .features import FeatureVector
+from .pcap import ip_to_str
 
 logger = logging.getLogger(__name__)
 
@@ -34,6 +39,7 @@ class LabelRule:
     label: str
     start_us: int | None = None
     end_us: int | None = None
+    line: int | None = field(default=None, compare=False)  # rule-file line
 
     def __post_init__(self):
         if not self.label:
@@ -49,31 +55,72 @@ class LabelRule:
                 or self.src_port is None or self.dst_port is None
                 or self.protocol is None)
 
-    def _ends_match(self, flow: FeatureVector, a_ip, a_port, b_ip, b_port) -> bool:
-        if self.protocol is not None and flow.protocol != self.protocol:
-            return False
-        if self.src_ip != WILDCARD and self.src_ip != a_ip:
-            return False
-        if self.src_port is not None and self.src_port != a_port:
-            return False
-        if self.dst_ip != WILDCARD and self.dst_ip != b_ip:
-            return False
-        if self.dst_port is not None and self.dst_port != b_port:
-            return False
-        return True
-
     def in_window(self, flow: FeatureVector) -> bool:
         if self.start_us is None:
             return True
         return self.start_us <= flow.start_ts_us <= self.end_us
 
-    def matches_forward(self, flow: FeatureVector) -> bool:
-        return self.in_window(flow) and self._ends_match(
-            flow, flow.src_ip, flow.src_port, flow.dst_ip, flow.dst_port)
 
-    def matches_reversed(self, flow: FeatureVector) -> bool:
-        return self.in_window(flow) and self._ends_match(
-            flow, flow.dst_ip, flow.dst_port, flow.src_ip, flow.src_port)
+def _no_fields(_key) -> tuple:
+    return ()
+
+
+class RuleIndex:
+    """Tuple-space search over a rule list.
+
+    Rules without wildcards sit in one table keyed on the 5-tuple (source
+    IP, source port, destination IP, destination port, protocol).  Wildcard
+    rules get one table per pattern of concrete fields, keyed on just those
+    fields.  Each bucket lists rule positions in file order, and a time
+    window is checked only on a bucket's candidates.  A flow probes the
+    exact table with its forward key, then its reversed key, then every
+    pattern table in both orientations, keeping the lowest position.
+    """
+
+    def __init__(self, rules: list[LabelRule]):
+        self.rules = rules
+        self._exact: dict[tuple, list[int]] = {}
+        # Concrete field positions -> (key getter, table).  itemgetter gives
+        # a bare value for one field; rule and flow keys both come from the
+        # same getter, so they agree.
+        patterns: dict[tuple, tuple] = {}
+        for i, rule in enumerate(rules):
+            key = (rule.src_ip, rule.src_port, rule.dst_ip, rule.dst_port,
+                   rule.protocol)
+            if not rule.has_wildcard:
+                self._exact.setdefault(key, []).append(i)
+                continue
+            concrete = tuple(p for p, v in enumerate(key)
+                             if v is not None and v != WILDCARD)
+            if concrete not in patterns:
+                getter = itemgetter(*concrete) if concrete else _no_fields
+                patterns[concrete] = (getter, {})
+            getter, table = patterns[concrete]
+            table.setdefault(getter(key), []).append(i)
+        self._patterns = list(patterns.values())
+
+    def match(self, flow: FeatureVector) -> int | None:
+        """Position of the rule that labels ``flow``, or None."""
+        rules = self.rules
+        forward = (flow.src_ip, flow.src_port, flow.dst_ip, flow.dst_port,
+                   flow.protocol)
+        reverse = (flow.dst_ip, flow.dst_port, flow.src_ip, flow.src_port,
+                   flow.protocol)
+        exact = self._exact
+        for key in (forward, reverse):
+            for i in exact.get(key, ()):
+                if rules[i].in_window(flow):
+                    return i
+        best = None
+        for getter, table in self._patterns:
+            for key in (forward, reverse):
+                for i in table.get(getter(key), ()):
+                    if best is not None and i >= best:
+                        break
+                    if rules[i].in_window(flow):
+                        best = i
+                        break
+        return best
 
 
 @dataclass(frozen=True)
@@ -86,6 +133,7 @@ class LabeledRow:
 class LabelReport:
     counts: Counter = field(default_factory=Counter)
     unmatched: int = 0
+    rule_matches: list[int] = field(default_factory=list)  # flows per rule
 
     @property
     def total(self) -> int:
@@ -97,7 +145,8 @@ def _parse_ip_cell(cell: str, line_no: int, column: str) -> str:
     if cell == WILDCARD:
         return WILDCARD
     try:
-        return str(ipaddress.ip_address(cell))
+        # Validated by ipaddress, rendered like a flow's own address text.
+        return ip_to_str(ipaddress.ip_address(cell).packed)
     except ValueError:
         raise CsvFormatError(
             f"line {line_no}: column {column!r} has unparseable IP {cell!r}") from None
@@ -125,7 +174,8 @@ def parse_rules(path: str) -> list[LabelRule]:
             raise CsvFormatError(f"rule file missing mandatory column(s): "
                                  f"{', '.join(missing)}")
         rules = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num
             label = (row["label"] or "").strip()
             if not label:
                 raise CsvFormatError(f"line {line_no}: empty label")
@@ -138,44 +188,39 @@ def parse_rules(path: str) -> list[LabelRule]:
                 label=label,
                 start_us=_parse_int_cell(row.get("start") or "", line_no, "start"),
                 end_us=_parse_int_cell(row.get("end") or "", line_no, "end"),
+                line=line_no,
             ))
     return rules
-
-
-def match_rule(flow: FeatureVector, rules: list[LabelRule]) -> LabelRule | None:
-    """First match by precedence tier, then by rule order within the tier."""
-    for rule in rules:
-        if not rule.has_wildcard and rule.matches_forward(flow):
-            return rule
-    for rule in rules:
-        if not rule.has_wildcard and rule.matches_reversed(flow):
-            return rule
-    for rule in rules:
-        if rule.has_wildcard and (rule.matches_forward(flow)
-                                  or rule.matches_reversed(flow)):
-            return rule
-    return None
 
 
 def label_flows(flows, rules: list[LabelRule],
                 default_label: str = "Normal") -> tuple[list[LabeledRow], LabelReport]:
     if not rules:
         raise ValidationError("need at least one label rule")
-    report = LabelReport()
+    index = RuleIndex(rules)
+    report = LabelReport(rule_matches=[0] * len(rules))
+    hits = report.rule_matches
     out = []
     for flow in flows:
-        rule = match_rule(flow, rules)
-        if rule is None:
+        i = index.match(flow)
+        if i is None:
             label = default_label
             report.unmatched += 1
         else:
-            label = rule.label
+            label = rules[i].label
+            hits[i] += 1
         report.counts[label] += 1
         out.append(LabeledRow(flow, label))
     if report.unmatched:
         logger.warning(
             "%d of %d flows matched no rule and were labeled %r",
             report.unmatched, report.total, default_label)
+    # By rule-file line; rules built in code have none, so by position.
+    idle = [f"line {rule.line}" if rule.line is not None else f"rule {i + 1}"
+            for i, rule in enumerate(rules) if not hits[i]]
+    if idle:
+        logger.warning("%d of %d rules matched no flow: %s",
+                       len(idle), len(rules), ", ".join(idle))
     return out, report
 
 

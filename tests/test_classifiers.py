@@ -48,6 +48,21 @@ class TestSpecValidation:
                 ModelSpec(kind="LR", l2_lambda=bad)
         with pytest.raises(ValidationError, match="max_iters must be >= 1"):
             ModelSpec(kind="LR", max_iters=0)
+        for name in ("k", "n_trees", "min_samples_split", "max_iters", "max_features"):
+            for bad in ("5", 5.0, True, np.int64(5), None):
+                if name == "max_features" and bad is None:
+                    continue
+                with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+                    ModelSpec(kind="RF", **{name: bad})
+        for name in ("var_smoothing", "l2_lambda"):
+            for bad in ("1", None, True, [1.0]):
+                with pytest.raises(ValidationError, match=f"{name} must be a real number"):
+                    ModelSpec(kind="NB", **{name: bad})
+        for bad in (1, "true", None, np.bool_(True)):
+            with pytest.raises(ValidationError, match="bootstrap must be true or false"):
+                ModelSpec(kind="RF", bootstrap=bad)
+        # Accepted as they are: ints, None for max_features, any real number.
+        ModelSpec(kind="RF", max_features=None, l2_lambda=2, var_smoothing=np.float64(0.5))
 
     def test_single_class_rejected(self):
         X = np.zeros((4, 2))

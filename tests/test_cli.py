@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from botmeter import classifiers, cli
-from botmeter.dataset import FeatureTable, read_feature_csv, write_feature_csv
+from botmeter.dataset import (FeatureTable, read_feature_csv, write_feature_csv,
+                              write_flow_csv)
 from botmeter.demo import make_demo_corpus
 from botmeter.errors import ValidationError
+from botmeter.features import FEATURE_NAMES
 from botmeter.selection import derive_universal_set, rank_features_lr
 
 
@@ -102,6 +104,33 @@ class TestStageCommands:
             "'Flow Bytes/s' at line 3"]
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    @pytest.mark.parametrize("cell", ["Infinity", "inf", "-inf", "NaN", "nan"])
+    def test_label_rejects_non_finite_feature_cell(self, tmp_path, capsys, cell):
+        from test_labeling import flow
+
+        rows = []
+        for sport in (1000, 1001):
+            fv = flow(sport=sport)
+            fv.features.update({n: 0.0 for n in FEATURE_NAMES})
+            rows.append(fv)
+        features = tmp_path / "features.csv"
+        write_flow_csv(features, rows)
+        lines = features.read_text(encoding="utf-8").splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index("Flow Bytes/s")] = cell
+        lines[2] = ",".join(cells)
+        features.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rules = tmp_path / "rules.csv"
+        rules.write_text("src_ip,src_port,dst_ip,dst_port,protocol,label\n"
+                         "10.0.0.5,*,*,*,*,Botnet\n", encoding="utf-8")
+        labeled = tmp_path / "labeled.csv"
+        code = run_cli("label", features, "--rules", rules, "--out", labeled)
+        assert code != 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {features}: non-finite value {cell!r} in column "
+            "'Flow Bytes/s' at line 3"]
+        assert not labeled.exists()
+
     def test_synth_blueprint_roundtrip(self, tmp_path):
         blueprint = {
             "seed": 9,
@@ -176,6 +205,15 @@ def test_build_model_specs_default_order():
     ({"KNN": 5}, "models: expected an object of settings per kind"),
     ([{"k": 5}], "models: expected an object of settings per kind"),
     ({"LR": {"max_iters": 0}}, "max_iters must be >= 1"),
+    ({"KNN": {"k": "5"}}, "k must be an integer, got '5'"),
+    ({"KNN": {"k": 5.0}}, "k must be an integer, got 5.0"),
+    ({"RF": {"n_trees": True}}, "n_trees must be an integer, got True"),
+    ({"RF": {"max_features": 2.5}}, "max_features must be an integer, got 2.5"),
+    ({"RF": {"min_samples_split": "2"}}, "min_samples_split must be an integer, got '2'"),
+    ({"RF": {"bootstrap": 1}}, "bootstrap must be true or false, got 1"),
+    ({"LR": {"max_iters": 50.0}}, "max_iters must be an integer, got 50.0"),
+    ({"LR": {"l2_lambda": "1"}}, "l2_lambda must be a real number, got '1'"),
+    ({"NB": {"var_smoothing": None}}, "var_smoothing must be a real number, got None"),
 ])
 def test_build_model_specs_rejects_bad_overrides(overrides, message):
     with pytest.raises(ValidationError) as info:

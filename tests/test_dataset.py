@@ -1,3 +1,6 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +172,33 @@ class TestFormatNumber:
     def test_fractions_capped_at_six_digits(self):
         assert format_number(1 / 3) == "0.333333"
         assert format_number(76.37626158259734) == "76.376262"
+
+    # The flow CSV writer formats ints and floats without calling
+    # format_number; its cells must still read exactly as format_number's.
+    CELL_VALUES = st.one_of(
+        st.integers(-10**18, 10**18),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-10**16, 10**16).map(float),
+        st.sampled_from([1e15, -1e15, 1e15 - 1, -(1e15 - 1), 1e15 + 2, -(1e15 + 2),
+                         -0.0, 1e-7, -1e-7, math.nan, math.inf, -math.inf]),
+        st.booleans(),
+        st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(CELL_VALUES, min_size=len(FEATURE_NAMES),
+                           max_size=len(FEATURE_NAMES)))
+    def test_flow_csv_cells_equal_format_number(self, tmp_path_factory, values):
+        from test_labeling import flow
+
+        fv = flow()
+        fv.features.update(zip(FEATURE_NAMES, values))
+        path = tmp_path_factory.mktemp("cells") / "flows.csv"
+        write_flow_csv(path, [fv])
+        with open(path, newline="", encoding="utf-8") as fh:
+            _, row = csv.reader(fh)
+        start = len(IDENTITY_COLUMNS)
+        assert row[start:start + len(values)] == [format_number(v) for v in values]
 
 
 class TestSplit:

@@ -1,11 +1,16 @@
+import dataclasses
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botmeter.errors import CsvFormatError, ValidationError
 from botmeter.features import FeatureVector
-from botmeter.labeling import (LabelRule, label_flows, labels_to_binary,
-                               match_rule, parse_rules)
+from botmeter.labeling import (LabelRule, RuleIndex, label_flows,
+                               labels_to_binary, parse_rules)
+from botmeter.pcap import ip_from_str, ip_to_str
+from label_oracle import match_rule
 
 
 def flow(src="10.0.0.5", sport=1000, dst="8.8.8.8", dport=80, proto=6, ts=0):
@@ -19,6 +24,12 @@ def rules_csv(tmp_path, text, name="rules.csv"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def first_match(f, rules):
+    """The rule the index picks for flow ``f``, or None."""
+    i = RuleIndex(rules).match(f)
+    return None if i is None else rules[i]
 
 
 HEADER = "src_ip,src_port,dst_ip,dst_port,protocol,label\n"
@@ -100,14 +111,14 @@ class TestLabelFlows:
         wildcard = LabelRule("10.0.0.5", None, "*", None, None, "wild")
         reverse = LabelRule("8.8.8.8", 80, "10.0.0.5", 1000, 6, "rev")
         exact = self.exact(label="exact")
-        assert match_rule(f, [wildcard, reverse, exact]).label == "exact"
-        assert match_rule(f, [wildcard, reverse]).label == "rev"
-        assert match_rule(f, [wildcard]).label == "wild"
+        assert first_match(f, [wildcard, reverse, exact]).label == "exact"
+        assert first_match(f, [wildcard, reverse]).label == "rev"
+        assert first_match(f, [wildcard]).label == "wild"
 
     def test_first_rule_wins_within_tier(self):
         a = self.exact(label="first")
         b = self.exact(label="second")
-        assert match_rule(flow(), [a, b]).label == "first"
+        assert first_match(flow(), [a, b]).label == "first"
 
     def test_windowed_rule_skipped_outside_window(self):
         windowed = self.exact(start_us=0, end_us=10)
@@ -127,6 +138,75 @@ class TestLabelFlows:
     def test_empty_rules_rejected(self):
         with pytest.raises(ValidationError):
             label_flows([flow()], [])
+
+    @pytest.mark.parametrize("text", ["::ffff:1.2.3.4", "::1.2.3.4",
+                                      "2001:DB8:0:0::1", "10.0.0.5"])
+    def test_rule_address_text_is_the_flow_address_text(self, tmp_path, text):
+        # Flows render addresses with inet_ntop, which keeps the dotted
+        # tail of IPv4-mapped and IPv4-compatible IPv6 addresses.
+        flow_text = ip_to_str(ip_from_str(text))
+        rules = parse_rules(rules_csv(
+            tmp_path, HEADER + f"{text},1000,8.8.8.8,80,6,Botnet\n"))
+        assert rules[0].src_ip == flow_text
+        rows, _ = label_flows([flow(src=flow_text)], rules)
+        assert rows[0].label == "Botnet"
+
+    def test_rules_that_matched_no_flow_are_counted_and_logged(self, tmp_path, caplog):
+        path = rules_csv(tmp_path, HEADER + "10.0.0.5,1000,8.8.8.8,80,6,Botnet\n\n"
+                                            "1.1.1.1,*,*,*,*,Scan\n"
+                                            "*,*,8.8.8.8,*,*,Dns\n")
+        rules = parse_rules(path)
+        assert [r.line for r in rules] == [2, 4, 5]
+        with caplog.at_level(logging.WARNING):
+            _, report = label_flows([flow(), flow(sport=7)], rules)
+            label_flows([flow()], rules[:1] + [self.exact(src_ip="1.1.1.1")])
+        assert report.rule_matches == [1, 0, 1]
+        messages = [r.message for r in caplog.records]
+        assert messages == ["1 of 3 rules matched no flow: line 4",
+                            "1 of 2 rules matched no flow: rule 2"]
+
+
+# Small pools so that random rules and flows often share fields.
+IPS = ("10.0.0.1", "10.0.0.2", "2001:db8::1", "::ffff:1.2.3.4")
+PORTS = (80, 1000, 5353)
+PROTOCOLS = (6, 17)
+TIMES = (0, 5, 10)
+
+
+@st.composite
+def flows_and_rules(draw):
+    f = flow(src=draw(st.sampled_from(IPS)), sport=draw(st.sampled_from(PORTS)),
+             dst=draw(st.sampled_from(IPS)), dport=draw(st.sampled_from(PORTS)),
+             proto=draw(st.sampled_from(PROTOCOLS)), ts=draw(st.sampled_from(TIMES)))
+    rules = []
+    for n in range(draw(st.integers(1, 10))):
+        if draw(st.booleans()):  # the flow's own ends, either way round
+            ends = [f.src_ip, f.src_port, f.dst_ip, f.dst_port]
+            if draw(st.booleans()):
+                ends = ends[2:] + ends[:2]
+            fields = [*ends, f.protocol]
+        else:
+            fields = [draw(st.sampled_from(IPS)), draw(st.sampled_from(PORTS)),
+                      draw(st.sampled_from(IPS)), draw(st.sampled_from(PORTS)),
+                      draw(st.sampled_from(PROTOCOLS))]
+        for pos in draw(st.sets(st.integers(0, 4), max_size=5)):
+            fields[pos] = "*" if pos in (0, 2) else None
+        window = draw(st.none() | st.lists(st.sampled_from(TIMES), min_size=2,
+                                           max_size=2).map(sorted))
+        start, end = window or (None, None)
+        rule = LabelRule(*fields, label=f"r{n}", start_us=start, end_us=end)
+        rules.append(rule)
+        if draw(st.integers(0, 3)) == 0:  # same fields, another label, anywhere
+            rules.insert(draw(st.integers(0, len(rules))),
+                         dataclasses.replace(rule, label=f"r{n}dup"))
+    return f, rules
+
+
+@settings(max_examples=200, deadline=None)
+@given(flows_and_rules())
+def test_index_picks_the_oracle_rule(case):
+    f, rules = case
+    assert first_match(f, rules) is match_rule(f, rules)
 
 
 def test_binary_collapse():
