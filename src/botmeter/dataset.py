@@ -23,6 +23,7 @@ import numpy as np
 from .errors import CsvFormatError, ValidationError
 from .features import FEATURE_NAMES, IDENTITY_COLUMNS, FeatureVector
 from .labeling import LabeledRow, labels_to_binary
+from .pcap import ip_from_str, ip_to_str
 
 logger = logging.getLogger(__name__)
 
@@ -238,15 +239,7 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
         data: list[list[float]] = []
         labels: list[str] = []
         for line_no, row in records:
-            values = []
-            for i in feature_idx:
-                try:
-                    values.append(float(row[i]))
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: non-numeric value {row[i]!r} in column "
-                        f"{header[i]!r} at line {line_no}") from None
-            data.append(values)
+            data.append(_float_cells(path, row, feature_idx, columns, line_no))
             if label_idx is not None:
                 labels.append(row[label_idx])
     table_labels = None
@@ -265,6 +258,20 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
     return FeatureTable(columns, rows, table_labels)
 
 
+def _float_cells(path, row, indices, names, line_no) -> list[float]:
+    """The cells of ``row`` at ``indices`` as floats.  A non-numeric cell is
+    a format error naming its text, its column (from ``names``) and its line."""
+    values = []
+    for i, name in zip(indices, names):
+        try:
+            values.append(float(row[i]))
+        except ValueError:
+            raise CsvFormatError(
+                f"{path}: non-numeric value {row[i]!r} in column {name!r} "
+                f"at line {line_no}") from None
+    return values
+
+
 def _cell(path, index, column) -> tuple[int, str]:
     """The line number and text of one cell of data row ``index``, read
     again from the file (only on the error path, so reads stay one pass)."""
@@ -281,9 +288,11 @@ def read_flow_csv(path) -> tuple[list, list[str] | None]:
     """Load a flow CSV back into FeatureVectors (plus labels when present).
 
     The inverse of write_flow_csv; needs the identity columns and all 65
-    canonical features (aliases accepted).  Non-numeric and non-finite
-    feature cells are format errors naming the line (and, when non-finite,
-    the cell's text and column)."""
+    canonical features (aliases accepted).  Addresses are rewritten in the
+    flows' own text form (``pcap.ip_to_str``), so ``2001:db8:0:0:0:0:0:1``
+    reads as ``2001:db8::1``.  Non-numeric and non-finite feature cells and
+    unparsable addresses are format errors naming the cell's text, its
+    column and its line."""
     with closing(_csv_rows(path)) as records:
         positions = {name: i for i, name in enumerate(next(records))}
         missing = [c for c in (*IDENTITY_COLUMNS, *FEATURE_NAMES)
@@ -293,13 +302,10 @@ def read_flow_csv(path) -> tuple[list, list[str] | None]:
                 f"{path}: flow CSV missing column(s): {', '.join(missing[:4])}"
                 + (" ..." if len(missing) > 4 else ""))
         has_label = LABEL_COLUMN in positions
+        feature_idx = [positions[name] for name in FEATURE_NAMES]
         flows, labels = [], []
         for line_no, row in records:
-            try:
-                values = [float(row[positions[name]]) for name in FEATURE_NAMES]
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: non-numeric feature cell at line {line_no}") from None
+            values = _float_cells(path, row, feature_idx, FEATURE_NAMES, line_no)
             if not all(map(math.isfinite, values)):
                 name = next(n for n, v in zip(FEATURE_NAMES, values)
                             if not math.isfinite(v))
@@ -316,9 +322,9 @@ def read_flow_csv(path) -> tuple[list, list[str] | None]:
                     ) from None
             flows.append(FeatureVector(
                 flow_id=row[positions["Flow ID"]],
-                src_ip=row[positions["Source IP"]],
+                src_ip=_address(path, row, positions, "Source IP", line_no),
                 src_port=ints["Source Port"],
-                dst_ip=row[positions["Destination IP"]],
+                dst_ip=_address(path, row, positions, "Destination IP", line_no),
                 dst_port=ints["Destination Port"],
                 protocol=ints["Protocol"],
                 start_ts_us=ints["Timestamp"],
@@ -326,6 +332,16 @@ def read_flow_csv(path) -> tuple[list, list[str] | None]:
             if has_label:
                 labels.append(row[positions[LABEL_COLUMN]])
     return flows, (labels if has_label else None)
+
+
+def _address(path, row, positions, column, line_no) -> str:
+    text = row[positions[column]]
+    try:
+        return ip_to_str(ip_from_str(text))
+    except (OSError, ValueError):
+        raise CsvFormatError(
+            f"{path}: unparsable address {text!r} in column {column!r} "
+            f"at line {line_no}") from None
 
 
 def train_test_split(table: FeatureTable, ratio: float,

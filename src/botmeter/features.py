@@ -9,12 +9,12 @@ finite and numeric.
 from __future__ import annotations
 
 import ipaddress
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .meter import FlowAccumulator, MeterConfig
 from .pcap import ip_to_str
-from .stats import RunningStats
 
 IDENTITY_COLUMNS = (
     "Flow ID",
@@ -146,44 +146,69 @@ def _rate_per_s(count: float, duration_us: int) -> float:
     return count * 1_000_000 / duration_us if duration_us > 0 else 0.0
 
 
-def _stat_block(stats: RunningStats) -> tuple[float, float, float, float]:
-    return stats.mean, stats.std, stats.max, stats.min
+def _variance(n: int, s: int, q: int) -> float:
+    """Sample variance of n integers with sum s and sum of squares q: the
+    exact (n·q − s²) / (n(n−1)), correctly rounded by one int division; 0
+    when n ≤ 1."""
+    return (n * q - s * s) / (n * (n - 1)) if n > 1 else 0.0
+
+
+def _moments(n: int, s: int, q: int, lo: int, hi: int) -> tuple:
+    """(mean, std, max, min) of n integer samples with sum s, sum of squares
+    q, least lo and greatest hi; all 0 when n ≤ 0.  The mean is the
+    correctly rounded s / n, so it lies between the rounded lo and hi."""
+    if n <= 0:
+        return 0.0, 0.0, 0, 0
+    return s / n, math.sqrt(_variance(n, s, q)), hi, lo
+
+
+def _moments_of(values: list[int]) -> tuple:
+    return _moments(len(values), sum(values), sum(v * v for v in values),
+                    min(values, default=0), max(values, default=0))
 
 
 def compute_features(flow: FlowAccumulator, config: MeterConfig | None = None) -> FeatureVector:
     """Turn a finalized flow accumulator into its feature vector."""
     config = config or MeterConfig()
     duration = flow.last_ts_us - flow.first_ts_us
-    fwd_pkts = flow.fwd_len.count
-    bwd_pkts = flow.bwd_len.count
-    total_pkts = flow.all_len.count
-    total_bytes = flow.all_len.total
-    pkt_len_std = flow.all_len.std
+    fwd_pkts = flow.fwd_n
+    bwd_pkts = flow.bwd_n
+    total_pkts = fwd_pkts + bwd_pkts
+    total_bytes = flow.fwd_sum + flow.bwd_sum
+    fwd_mean, fwd_std, fwd_max, fwd_min = _moments(
+        fwd_pkts, flow.fwd_sum, flow.fwd_sq, flow.fwd_lo, flow.fwd_hi)
+    bwd_mean, bwd_std, bwd_max, bwd_min = _moments(
+        bwd_pkts, flow.bwd_sum, flow.bwd_sq, flow.bwd_lo, flow.bwd_hi)
+    pkt_len_var = _variance(total_pkts, total_bytes, flow.fwd_sq + flow.bwd_sq)
+    fwd_iat_total = flow.fwd_last_ts - flow.first_ts_us
+    bwd_iat_total = flow.bwd_last_ts - flow.bwd_first_ts
+    active = [a for a, _ in flow.periods]
+    active.append(flow.last_ts_us - flow.activity_start_ts)
 
     f: dict[str, float] = {}
     f["Flow Duration"] = duration
     f["Total Fwd Packets"] = fwd_pkts
     f["Total Backward Packets"] = bwd_pkts
-    f["Total Length of Fwd Packets"] = flow.fwd_len.total
-    f["Total Length of Bwd Packets"] = flow.bwd_len.total
-    f["Fwd Packet Length Max"] = flow.fwd_len.max
-    f["Fwd Packet Length Min"] = flow.fwd_len.min
-    f["Fwd Packet Length Mean"] = flow.fwd_len.mean
-    f["Fwd Packet Length Std"] = flow.fwd_len.std
-    f["Bwd Packet Length Max"] = flow.bwd_len.max
-    f["Bwd Packet Length Min"] = flow.bwd_len.min
-    f["Bwd Packet Length Mean"] = flow.bwd_len.mean
-    f["Bwd Packet Length Std"] = flow.bwd_len.std
+    f["Total Length of Fwd Packets"] = flow.fwd_sum
+    f["Total Length of Bwd Packets"] = flow.bwd_sum
+    f["Fwd Packet Length Max"] = fwd_max
+    f["Fwd Packet Length Min"] = fwd_min
+    f["Fwd Packet Length Mean"] = fwd_mean
+    f["Fwd Packet Length Std"] = fwd_std
+    f["Bwd Packet Length Max"] = bwd_max
+    f["Bwd Packet Length Min"] = bwd_min
+    f["Bwd Packet Length Mean"] = bwd_mean
+    f["Bwd Packet Length Std"] = bwd_std
     f["Flow Bytes/s"] = _rate_per_s(total_bytes, duration)
     f["Flow Packets/s"] = _rate_per_s(total_pkts, duration)
-    (f["Flow IAT Mean"], f["Flow IAT Std"],
-     f["Flow IAT Max"], f["Flow IAT Min"]) = _stat_block(flow.flow_iat)
-    f["Fwd IAT Total"] = flow.fwd_iat.total
-    (f["Fwd IAT Mean"], f["Fwd IAT Std"],
-     f["Fwd IAT Max"], f["Fwd IAT Min"]) = _stat_block(flow.fwd_iat)
-    f["Bwd IAT Total"] = flow.bwd_iat.total
-    (f["Bwd IAT Mean"], f["Bwd IAT Std"],
-     f["Bwd IAT Max"], f["Bwd IAT Min"]) = _stat_block(flow.bwd_iat)
+    (f["Flow IAT Mean"], f["Flow IAT Std"], f["Flow IAT Max"], f["Flow IAT Min"]) = _moments(
+        total_pkts - 1, duration, flow.iat_sq, flow.iat_lo, flow.iat_hi)
+    f["Fwd IAT Total"] = fwd_iat_total
+    (f["Fwd IAT Mean"], f["Fwd IAT Std"], f["Fwd IAT Max"], f["Fwd IAT Min"]) = _moments(
+        fwd_pkts - 1, fwd_iat_total, flow.fwd_iat_sq, flow.fwd_iat_lo, flow.fwd_iat_hi)
+    f["Bwd IAT Total"] = bwd_iat_total
+    (f["Bwd IAT Mean"], f["Bwd IAT Std"], f["Bwd IAT Max"], f["Bwd IAT Min"]) = _moments(
+        bwd_pkts - 1, bwd_iat_total, flow.bwd_iat_sq, flow.bwd_iat_lo, flow.bwd_iat_hi)
     f["Fwd PSH Flags"] = flow.fwd_psh
     f["Bwd PSH Flags"] = flow.bwd_psh
     f["Fwd URG Flags"] = flow.fwd_urg
@@ -192,11 +217,11 @@ def compute_features(flow: FlowAccumulator, config: MeterConfig | None = None) -
     f["Bwd Header Length"] = flow.bwd_header_bytes
     f["Fwd Packets/s"] = _rate_per_s(fwd_pkts, duration)
     f["Bwd Packets/s"] = _rate_per_s(bwd_pkts, duration)
-    f["Min Packet Length"] = flow.all_len.min
-    f["Max Packet Length"] = flow.all_len.max
-    f["Packet Length Mean"] = flow.all_len.mean
-    f["Packet Length Std"] = pkt_len_std
-    f["Packet Length Variance"] = pkt_len_std * pkt_len_std
+    f["Min Packet Length"] = min(flow.fwd_lo, flow.bwd_lo)
+    f["Max Packet Length"] = max(flow.fwd_hi, flow.bwd_hi)
+    f["Packet Length Mean"] = total_bytes / total_pkts
+    f["Packet Length Std"] = math.sqrt(pkt_len_var)
+    f["Packet Length Variance"] = pkt_len_var
     f["FIN Flag Count"] = flow.flag_counts[0]
     f["SYN Flag Count"] = flow.flag_counts[1]
     f["RST Flag Count"] = flow.flag_counts[2]
@@ -207,14 +232,14 @@ def compute_features(flow: FlowAccumulator, config: MeterConfig | None = None) -
     f["ECE Flag Count"] = flow.flag_counts[7]
     f["Down/Up Ratio"] = bwd_pkts / fwd_pkts if fwd_pkts > 0 else 0.0
     f["Average Packet Size"] = total_bytes / total_pkts
-    f["Avg Fwd Segment Size"] = flow.fwd_len.mean
-    f["Avg Bwd Segment Size"] = flow.bwd_len.mean
+    f["Avg Fwd Segment Size"] = fwd_mean
+    f["Avg Bwd Segment Size"] = bwd_mean
     f["Init Fwd Win Bytes"] = flow.init_fwd_win
     f["Init Bwd Win Bytes"] = flow.init_bwd_win
     (f["Active Mean"], f["Active Std"],
-     f["Active Max"], f["Active Min"]) = _stat_block(flow.active)
+     f["Active Max"], f["Active Min"]) = _moments_of(active)
     (f["Idle Mean"], f["Idle Std"],
-     f["Idle Max"], f["Idle Min"]) = _stat_block(flow.idle)
+     f["Idle Max"], f["Idle Min"]) = _moments_of([g for _, g in flow.periods])
     # ``addr in network`` in ipaddress is this same masked comparison.
     dst = int.from_bytes(flow.dst_ip, "big")
     f["Inbound"] = int(any(dst & mask == net for net, mask

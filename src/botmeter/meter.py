@@ -19,7 +19,6 @@ from typing import NamedTuple
 from .errors import ValidationError
 from .pcap import (ACK, CWR, ECE, FIN, PSH, RST, SYN, URG, CaptureStats,
                    PacketRecord, read_capture)
-from .stats import RunningStats
 
 DEFAULT_FLOW_TIMEOUT_US = 120_000_000
 DEFAULT_ACTIVITY_TIMEOUT_US = 5_000_000
@@ -70,11 +69,15 @@ class FlowKey(NamedTuple):
         return cls(a[0], a[1], b[0], b[1], pkt.protocol)
 
 
-# Flag-count slots, in FIN SYN RST PSH ACK URG CWR ECE order, and for each
-# TCP flag byte the slots it counts toward.
+# Flag-count slots, in FIN SYN RST PSH ACK URG CWR ECE order; for each TCP
+# flag byte, the slots it counts toward and its 0/1 count per slot.
 _FLAG_BITS = (FIN, SYN, RST, PSH, ACK, URG, CWR, ECE)
 _FLAG_SLOTS = tuple(tuple(slot for slot, bit in enumerate(_FLAG_BITS) if flags & bit)
                     for flags in range(256))
+_FLAG_ROWS = tuple(tuple(1 if flags & bit else 0 for bit in _FLAG_BITS)
+                   for flags in range(256))
+
+_INF = float("inf")
 
 
 class FlowAccumulator:
@@ -82,117 +85,129 @@ class FlowAccumulator:
 
     ``key`` is the flow's canonical 5-tuple (equal to ``FlowKey.of(first)``).
     ``flag_counts`` holds the TCP flag counts in FIN SYN RST PSH ACK URG CWR
-    ECE order.
+    ECE order.  Every sample is an integer, so statistics are exact integer
+    moments: per direction the packet count and the sum, sum of squares and
+    extremes of the lengths; for the flow and per direction the sum of
+    squares and extremes (±inf while empty) of the inter-arrival times,
+    whose counts and sums ``compute_features`` derives from the packet
+    counts and timestamps.  ``periods`` holds one (active, idle) pair per
+    gap above the activity timeout; the last active period runs from
+    ``activity_start_ts`` to ``last_ts_us``.
     """
 
     __slots__ = (
         "key", "fwd_ip", "fwd_port", "dst_ip", "dst_port", "protocol",
-        "first_ts_us", "last_ts_us", "fwd_len", "bwd_len", "all_len",
-        "flow_iat", "fwd_iat", "bwd_iat", "fwd_last_ts", "bwd_last_ts",
+        "first_ts_us", "last_ts_us", "iat_sq", "iat_lo", "iat_hi",
+        "fwd_n", "fwd_sum", "fwd_sq", "fwd_lo", "fwd_hi",
+        "fwd_iat_sq", "fwd_iat_lo", "fwd_iat_hi", "fwd_last_ts",
+        "bwd_n", "bwd_sum", "bwd_sq", "bwd_lo", "bwd_hi",
+        "bwd_iat_sq", "bwd_iat_lo", "bwd_iat_hi", "bwd_first_ts", "bwd_last_ts",
         "fwd_header_bytes", "bwd_header_bytes", "flag_counts",
-        "fwd_psh", "bwd_psh", "fwd_urg", "bwd_urg",
-        "init_fwd_win", "init_bwd_win", "active", "idle",
-        "activity_start_ts", "activity_last_ts",
-        "fwd_fin", "bwd_fin", "rst_seen",
+        "fwd_psh", "bwd_psh", "fwd_urg", "bwd_urg", "fwd_fin", "bwd_fin",
+        "init_fwd_win", "init_bwd_win", "activity_start_ts", "periods",
     )
 
     def __init__(self, first: PacketRecord, key: tuple):
+        ts, src_ip, dst_ip, src_port, dst_port, protocol, length, header_len, flags, window = first
         self.key = key
-        self.fwd_ip = first.src_ip
-        self.fwd_port = first.src_port
-        self.dst_ip = first.dst_ip
-        self.dst_port = first.dst_port
-        self.protocol = first.protocol
-        self.first_ts_us = first.timestamp_us
-        self.last_ts_us = first.timestamp_us
-        self.fwd_len = RunningStats()
-        self.bwd_len = RunningStats()
-        self.all_len = RunningStats()
-        self.flow_iat = RunningStats()
-        self.fwd_iat = RunningStats()
-        self.bwd_iat = RunningStats()
-        self.fwd_last_ts: int | None = None
-        self.bwd_last_ts: int | None = None
-        self.fwd_header_bytes = 0
-        self.bwd_header_bytes = 0
-        self.flag_counts = [0] * 8
-        self.fwd_psh = 0
-        self.bwd_psh = 0
-        self.fwd_urg = 0
-        self.bwd_urg = 0
-        self.init_fwd_win = -1
+        self.fwd_ip = src_ip
+        self.fwd_port = src_port
+        self.dst_ip = dst_ip
+        self.dst_port = dst_port
+        self.protocol = protocol
+        self.first_ts_us = self.last_ts_us = self.fwd_last_ts = self.activity_start_ts = ts
+        self.periods: list[tuple[int, int]] = []
+        self.fwd_n = 1
+        self.fwd_sum = self.fwd_lo = self.fwd_hi = length
+        self.fwd_sq = length * length
+        self.fwd_header_bytes = header_len
+        self.bwd_n = self.bwd_sum = self.bwd_sq = self.bwd_header_bytes = 0
+        self.bwd_first_ts = self.bwd_last_ts = 0
+        self.iat_sq = self.fwd_iat_sq = self.bwd_iat_sq = 0
+        self.bwd_lo = self.iat_lo = self.fwd_iat_lo = self.bwd_iat_lo = _INF
+        self.bwd_hi = self.iat_hi = self.fwd_iat_hi = self.bwd_iat_hi = -_INF
+        self.init_fwd_win = -1 if window is None else window
         self.init_bwd_win = -1
-        self.active = RunningStats()
-        self.idle = RunningStats()
-        self.activity_start_ts = first.timestamp_us
-        self.activity_last_ts = first.timestamp_us
-        self.fwd_fin = 0
-        self.bwd_fin = 0
-        self.rst_seen = False
-        self._ingest(first, True)
+        self.flag_counts = list(_FLAG_ROWS[flags])
+        self.fwd_psh = 1 if flags & PSH else 0
+        self.fwd_urg = 1 if flags & URG else 0
+        self.fwd_fin = 1 if flags & FIN else 0
+        self.bwd_psh = self.bwd_urg = self.bwd_fin = 0
 
     @property
     def total_packets(self) -> int:
-        return self.all_len.count
+        return self.fwd_n + self.bwd_n
 
     def add(self, pkt: PacketRecord, activity_timeout_us: int) -> None:
         """Attribute one more packet to this flow."""
-        ts = pkt.timestamp_us
-        gap = ts - self.activity_last_ts
-        if gap > activity_timeout_us:
-            self.active.add(self.activity_last_ts - self.activity_start_ts)
-            self.idle.add(gap)
+        ts, src_ip, _, src_port, _, _, length, header_len, flags, window = pkt
+        iat = ts - self.last_ts_us
+        if iat > activity_timeout_us:
+            self.periods.append((self.last_ts_us - self.activity_start_ts, iat))
             self.activity_start_ts = ts
-        self.activity_last_ts = ts
-        self.flow_iat.add(ts - self.last_ts_us)
         self.last_ts_us = ts
-        self._ingest(pkt, pkt.src_port == self.fwd_port and pkt.src_ip == self.fwd_ip)
-
-    def _ingest(self, pkt: PacketRecord, forward: bool) -> None:
-        ts, _, _, _, _, _, length, header_len, flags, window = pkt
-        self.all_len.add(length)
-        if forward:
-            self.fwd_len.add(length)
-            self.fwd_header_bytes += header_len
-            if self.fwd_last_ts is not None:
-                self.fwd_iat.add(ts - self.fwd_last_ts)
+        self.iat_sq += iat * iat
+        if iat < self.iat_lo:
+            self.iat_lo = iat
+        if iat > self.iat_hi:
+            self.iat_hi = iat
+        if src_port == self.fwd_port and src_ip == self.fwd_ip:
+            iat = ts - self.fwd_last_ts
             self.fwd_last_ts = ts
+            self.fwd_iat_sq += iat * iat
+            if iat < self.fwd_iat_lo:
+                self.fwd_iat_lo = iat
+            if iat > self.fwd_iat_hi:
+                self.fwd_iat_hi = iat
+            self.fwd_n += 1
+            self.fwd_sum += length
+            self.fwd_sq += length * length
+            if length < self.fwd_lo:
+                self.fwd_lo = length
+            if length > self.fwd_hi:
+                self.fwd_hi = length
+            self.fwd_header_bytes += header_len
             if window is not None and self.init_fwd_win < 0:
                 self.init_fwd_win = window
+            if flags:
+                if flags & PSH:
+                    self.fwd_psh += 1
+                if flags & URG:
+                    self.fwd_urg += 1
+                if flags & FIN:
+                    self.fwd_fin += 1
         else:
-            self.bwd_len.add(length)
-            self.bwd_header_bytes += header_len
-            if self.bwd_last_ts is not None:
-                self.bwd_iat.add(ts - self.bwd_last_ts)
+            if self.bwd_n:
+                iat = ts - self.bwd_last_ts
+                self.bwd_iat_sq += iat * iat
+                if iat < self.bwd_iat_lo:
+                    self.bwd_iat_lo = iat
+                if iat > self.bwd_iat_hi:
+                    self.bwd_iat_hi = iat
+            else:
+                self.bwd_first_ts = ts
             self.bwd_last_ts = ts
+            self.bwd_n += 1
+            self.bwd_sum += length
+            self.bwd_sq += length * length
+            if length < self.bwd_lo:
+                self.bwd_lo = length
+            if length > self.bwd_hi:
+                self.bwd_hi = length
+            self.bwd_header_bytes += header_len
             if window is not None and self.init_bwd_win < 0:
                 self.init_bwd_win = window
-
+            if flags:
+                if flags & PSH:
+                    self.bwd_psh += 1
+                if flags & URG:
+                    self.bwd_urg += 1
+                if flags & FIN:
+                    self.bwd_fin += 1
         if flags:
             counts = self.flag_counts
             for slot in _FLAG_SLOTS[flags]:
                 counts[slot] += 1
-            if flags & PSH:
-                if forward:
-                    self.fwd_psh += 1
-                else:
-                    self.bwd_psh += 1
-            if flags & URG:
-                if forward:
-                    self.fwd_urg += 1
-                else:
-                    self.bwd_urg += 1
-            if flags & FIN:
-                if forward:
-                    self.fwd_fin += 1
-                else:
-                    self.bwd_fin += 1
-            if flags & RST:
-                self.rst_seen = True
-
-    def close_activity(self) -> None:
-        """Record the trailing active period; call exactly once, at finalize."""
-        self.active.add(self.activity_last_ts - self.activity_start_ts)
 
 
 class FlowTable:
@@ -218,27 +233,26 @@ class FlowTable:
         finalized: list[FlowAccumulator] = []
         flow = self._live.get(key)
         if flow is not None and ts - flow.last_ts_us >= self.config.flow_timeout_us:
-            finalized.append(self._finalize(key))
+            finalized.append(self._live.pop(key))
             flow = None
         if flow is None:
-            self._live[key] = FlowAccumulator(pkt, key)
+            flow = FlowAccumulator(pkt, key)
             if flags & RST:
-                finalized.append(self._finalize(key))
+                finalized.append(flow)
+            else:
+                self._live[key] = flow
             return finalized
         ends_by_ack = flow.fwd_fin > 0 and flow.bwd_fin > 0 and flags & ACK
         flow.add(pkt, self.config.activity_timeout_us)
         if flags & RST or ends_by_ack:
-            finalized.append(self._finalize(key))
+            finalized.append(self._live.pop(key))
         return finalized
 
     def flush(self) -> list[FlowAccumulator]:
         """Finalize all residual flows in flow-start order."""
-        return [self._finalize(key) for key in list(self._live)]
-
-    def _finalize(self, key: tuple) -> FlowAccumulator:
-        flow = self._live.pop(key)
-        flow.close_activity()
-        return flow
+        flows = list(self._live.values())
+        self._live.clear()
+        return flows
 
 
 def ingest_capture_detailed(path: str, config: MeterConfig | None = None):

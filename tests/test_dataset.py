@@ -99,10 +99,30 @@ class TestFeatureCsv:
             reader(path)
 
     def test_non_numeric_cell_names_column(self, tmp_path):
+        from test_labeling import flow
+
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,oops\n")
-        with pytest.raises(CsvFormatError, match="'b'"):
+        with pytest.raises(CsvFormatError) as info:
             read_feature_csv(path)
+        assert str(info.value) == f"{path}: non-numeric value 'oops' in column 'b' at line 2"
+
+        rows = []
+        for sport in (1000, 1001):
+            fv = flow(sport=sport)
+            fv.features.update({n: 0.0 for n in FEATURE_NAMES})
+            rows.append(fv)
+        path = tmp_path / "flows.csv"
+        write_flow_csv(path, rows)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index("Flow IAT Std")] = "12x"
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvFormatError) as info:
+            read_flow_csv(path)
+        assert str(info.value) == (
+            f"{path}: non-numeric value '12x' in column 'Flow IAT Std' at line 3")
 
     @pytest.mark.parametrize("cell", ["Infinity", "inf", "-inf", "NaN", "nan"])
     def test_non_finite_cell_names_value_column_and_line(self, tmp_path, cell):
@@ -154,6 +174,47 @@ class TestFeatureCsv:
         with pytest.raises(CsvFormatError,
                            match=f"flows.csv: non-integer '{column}' cell at line 3"):
             read_flow_csv(path)
+
+    def test_flow_csv_addresses_read_in_flow_text_form(self, tmp_path):
+        from botmeter.labeling import label_flows, parse_rules
+        from test_labeling import flow
+
+        fv = flow(src="2001:db8:0:0:0:0:0:1", dst="2001:DB8::0:2")
+        fv.features.update({n: 0.0 for n in FEATURE_NAMES})
+        path = tmp_path / "flows.csv"
+        write_flow_csv(path, [fv])
+        (back,), labels = read_flow_csv(path)
+        assert labels is None
+        assert (back.src_ip, back.dst_ip) == ("2001:db8::1", "2001:db8::2")
+        rules = tmp_path / "rules.csv"
+        rules.write_text("src_ip,src_port,dst_ip,dst_port,protocol,label\n"
+                         "2001:db8:0:0:0:0:0:1,*,*,*,*,Botnet\n")
+        labeled, report = label_flows([back], parse_rules(str(rules)))
+        assert [row.label for row in labeled] == ["Botnet"]
+        assert report.unmatched == 0
+
+    @pytest.mark.parametrize("column", ["Source IP", "Destination IP"])
+    @pytest.mark.parametrize("text", ["10.0.0.256", "2001:db8::1::2", "host", ""])
+    def test_flow_csv_unparsable_address_names_file_line_column(
+            self, column, text, tmp_path):
+        from test_labeling import flow
+
+        rows = []
+        for sport in (1000, 1001):
+            fv = flow(sport=sport)
+            fv.features.update({n: 0.0 for n in FEATURE_NAMES})
+            rows.append(fv)
+        path = tmp_path / "flows.csv"
+        write_flow_csv(path, rows)
+        with open(path, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        table[2][table[0].index(column)] = text
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(table)
+        with pytest.raises(CsvFormatError) as info:
+            read_flow_csv(path)
+        assert str(info.value) == (
+            f"{path}: unparsable address {text!r} in column {column!r} at line 3")
 
     def test_binary_label_column_read_back(self, tmp_path):
         table = FeatureTable(["a"], [[1.0], [2.0]], labels=[0, 1])

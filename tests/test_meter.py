@@ -186,6 +186,18 @@ class TestComputeFeatures:
         assert f["Packet Length Std"] == pytest.approx(2.0)
         assert f["Packet Length Variance"] == f["Packet Length Std"] ** 2
 
+    def test_integral_std_is_exact(self, tmp_path):
+        # Lengths with std exactly 250 and gaps with std exactly 245; a
+        # one-pass float update gave 249.99999999999997 and 244.99999999999997.
+        lengths = [802, 1248, 1309, 866, 810]
+        gaps = [0, 943, 1051, 959, 1465]
+        f = self.metered(tmp_path, [("fwd", n, g) for n, g in zip(lengths, gaps)],
+                         protocol=UDP)
+        assert f["Fwd Packet Length Std"] == f["Packet Length Std"] == 250.0
+        assert f["Packet Length Variance"] == 62500.0
+        assert f["Fwd IAT Std"] == f["Flow IAT Std"] == 245.0
+        assert f["Fwd IAT Total"] == sum(gaps)
+
     def test_init_win_minus_one_for_udp(self, tmp_path):
         f = self.metered(tmp_path, [("fwd", 10, 0)], protocol=UDP)
         assert f["Init Fwd Win Bytes"] == -1

@@ -1,4 +1,6 @@
 import io
+import math
+import random
 import struct
 
 import pytest
@@ -7,8 +9,12 @@ from hypothesis import strategies as st
 
 from botmeter import pcap
 from botmeter.errors import PcapFormatError, ValidationError
+from botmeter.features import compute_features
+from botmeter.meter import FlowTable
 from botmeter.pcap import CaptureStats, read_capture
 from botmeter.synth import FlowBlueprint, PacketBlueprint, generate_synthetic_capture
+
+import capgen
 
 
 def blueprint(n_packets=2, protocol=6, **kw):
@@ -270,3 +276,40 @@ class TestBlockReader:
         pkts, stats = parse_stream(io.BytesIO(capture[:cut]))
         assert pkts == full[:len(pkts)]
         assert stats.truncated <= 1
+
+
+class TestMutatedCapture:
+    # Each edit overwrites one byte among the first 96 of the global header
+    # or of a record: the pcap record header and the link, IP and transport
+    # headers of its frame, where a wrong byte changes how the rest is read.
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 95),
+                                    st.integers(0, 255)),
+                          min_size=1, max_size=8))
+    def test_mutated_capture_ends_in_format_error_or_counted_skips(
+            self, tmp_path_factory, seed, edits):
+        blueprints = capgen.random_blueprints(random.Random(seed), max_flows=4,
+                                              max_packets_per_flow=12)
+        data = bytearray(generate_synthetic_capture(blueprints, seed))
+        heads = [0] + [start for start, _ in record_spans(data)]
+        for record, offset, value in edits:
+            data[(heads[record % len(heads)] + offset) % len(data)] = value
+        path = tmp_path_factory.mktemp("mutated") / "cap.pcap"
+        path.write_bytes(data)
+        stats = CaptureStats()
+        table = FlowTable()
+        flows = []
+        try:
+            for pkt in read_capture(str(path), stats):
+                flows += table.offer_packet(pkt)
+        except PcapFormatError:
+            # Only the magic number can make a whole capture unreadable.
+            assert bytes(data[:4]) not in pcap._MAGICS
+            assert stats == CaptureStats()
+            return
+        flows += table.flush()
+        assert stats.records == stats.decoded + stats.skipped
+        assert sum(flow.total_packets for flow in flows) == stats.decoded
+        for flow in flows:
+            assert all(map(math.isfinite, compute_features(flow).features.values()))

@@ -1,49 +1,58 @@
 import math
 import statistics
+from fractions import Fraction
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from botmeter.features import _moments, _moments_of
 from botmeter.pcap import PacketRecord
 from botmeter.meter import FlowKey, FlowTable
-from botmeter.stats import RunningStats
 
-finite_floats = st.floats(min_value=-1e9, max_value=1e9,
-                          allow_nan=False, allow_infinity=False)
+# Every sample the meter sees is an integer: a length, or a difference of
+# microsecond timestamps, which can be negative in an out-of-order capture.
+samples = st.integers(min_value=-2**62, max_value=2**62)
 
 
 class TestRunningStats:
+    """The meter's running statistics: exact integer moments kept by the
+    flow accumulator, finalized by ``features._moments``."""
+
     def test_empty_is_all_zero(self):
-        rs = RunningStats()
-        assert (rs.count, rs.mean, rs.std, rs.min, rs.max) == (0, 0.0, 0.0, 0.0, 0.0)
+        assert _moments_of([]) == (0.0, 0.0, 0, 0)
+        assert _moments(0, 0, 0, math.inf, -math.inf) == (0.0, 0.0, 0, 0)
 
     def test_singleton_std_is_zero(self):
-        rs = RunningStats()
-        rs.add(42.0)
-        assert rs.std == 0.0
-        assert rs.mean == rs.min == rs.max == 42.0
+        mean, std, hi, lo = _moments_of([42])
+        assert std == 0.0
+        assert mean == lo == hi == 42
 
-    @given(st.lists(finite_floats, min_size=1, max_size=60))
+    @given(st.lists(samples, min_size=1, max_size=60))
     def test_matches_two_pass_statistics(self, values):
-        rs = RunningStats()
-        for v in values:
-            rs.add(v)
-        assert rs.count == len(values)
-        assert math.isclose(rs.mean, sum(values) / len(values),
-                            rel_tol=1e-9, abs_tol=1e-9)
-        assert rs.min == min(values)
-        assert rs.max == max(values)
+        mean, std, hi, lo = _moments_of(values)
+        assert math.isclose(mean, statistics.fmean(values), rel_tol=1e-9, abs_tol=1e-9)
+        assert lo == min(values)
+        assert hi == max(values)
         expected_std = statistics.stdev(values) if len(values) > 1 else 0.0
-        assert math.isclose(rs.std, expected_std, rel_tol=1e-7, abs_tol=1e-7)
+        assert math.isclose(std, expected_std, rel_tol=1e-7, abs_tol=1e-7)
 
-    @given(st.lists(finite_floats, min_size=1, max_size=60))
-    @example([357913941.8457235] * 3)  # the sum's quotient rounds below min
+    @given(st.lists(samples, min_size=1, max_size=60))
+    @example([2**62 - 1] * 3)      # the extremes themselves round up to 2**62
+    @example([357913941] * 3)
     def test_min_mean_max_ordering(self, values):
-        rs = RunningStats()
-        for v in values:
-            rs.add(v)
-        assert rs.min <= rs.mean + 1e-9
-        assert rs.mean <= rs.max + 1e-9
+        mean, _, hi, lo = _moments_of(values)
+        # Rounding is monotonic, so the rounded mean of an exact sum lies
+        # between the rounded extremes.
+        assert float(lo) <= mean <= float(hi)
+
+    @given(st.lists(samples, min_size=1, max_size=60))
+    @example([943, 1051, 959, 1465])  # Welford's one-pass std was 1 ulp off 245
+    def test_mean_and_std_equal_fraction_evaluation_to_the_bit(self, values):
+        n, s, q = len(values), sum(values), sum(v * v for v in values)
+        mean, std, _, _ = _moments(n, s, q, min(values), max(values))
+        assert mean == float(Fraction(s, n))
+        expected_std = math.sqrt(float(Fraction(n * q - s * s, n * (n - 1)))) if n > 1 else 0.0
+        assert std == expected_std
 
 
 def _packet(src, sport, dst, dport, proto=6, flags=0):
