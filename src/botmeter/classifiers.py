@@ -14,7 +14,7 @@ import logging
 import math
 import numbers
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -607,6 +607,8 @@ def _split_batch(batch, X, keys, levels, records, max_features) -> None:
 
 Model = NBModel | KNNModel | LRModel | RFModel
 
+_MODEL_CLASSES = {"NB": NBModel, "KNN": KNNModel, "LR": LRModel, "RF": RFModel}
+
 _FITTERS = {"NB": _fit_nb, "KNN": _fit_knn, "LR": _fit_lr, "RF": _fit_rf}
 
 
@@ -623,29 +625,15 @@ def predict(model: Model, X) -> np.ndarray:
 # --- Serialization ----------------------------------------------------------
 
 def save_model(model: Model, path) -> None:
-    """Versioned JSON dump; floats round-trip exactly via repr."""
-    state: dict = {}
-    if isinstance(model, NBModel):
-        state = {"log_priors": model.log_priors.tolist(),
-                 "means": model.means.tolist(),
-                 "variances": model.variances.tolist()}
-    elif isinstance(model, KNNModel):
-        state = {"mu": model.mu.tolist(), "sigma": model.sigma.tolist(),
-                 "train_x": model.train_x.tolist(),
-                 "train_y": model.train_y.tolist()}
-    elif isinstance(model, LRModel):
-        state = {"mu": model.mu.tolist(), "sigma": model.sigma.tolist(),
-                 "weights": model.weights.tolist(), "bias": model.bias,
-                 "n_iters": model.n_iters, "grad_norm": model.grad_norm}
-    elif isinstance(model, RFModel):
-        state = {"n_features": model.n_features,
-                 "feature": model.feature.tolist(),
-                 "threshold": model.threshold.tolist(),
-                 "left": model.left.tolist(), "right": model.right.tolist(),
-                 "counts": model.counts.tolist(),
-                 "roots": model.roots.tolist()}
-    else:
+    """Versioned JSON dump; floats round-trip exactly via repr.  The state
+    holds every model field after ``spec``, in field order, with arrays as
+    (nested) lists."""
+    if not isinstance(model, Model):
         raise ValidationError(f"cannot serialize {type(model).__name__}")
+    state = {}
+    for f in fields(model)[1:]:
+        value = getattr(model, f.name)
+        state[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     spec = asdict(model.spec)
     # A fitting cap, not a property of the model: a converged fit is the
     # same under any cap it stays below.
@@ -681,21 +669,15 @@ def load_model(path) -> Model:
     if version != MODEL_FORMAT_VERSION:
         raise ValidationError(f"unsupported model format version {version!r}")
     spec = ModelSpec(**doc["spec"])
+    cls = _MODEL_CLASSES[spec.kind]
+    names = [f.name for f in fields(cls)[1:]]
     state = doc["state"]
-    arr = lambda v: np.asarray(v, dtype=np.float64)
-    if spec.kind == "NB":
-        return NBModel(spec, arr(state["log_priors"]), arr(state["means"]),
-                       arr(state["variances"]))
-    if spec.kind == "KNN":
-        return KNNModel(spec, arr(state["mu"]), arr(state["sigma"]),
-                        arr(state["train_x"]),
-                        np.asarray(state["train_y"], dtype=np.int64))
-    if spec.kind == "LR":
-        return LRModel(spec, arr(state["mu"]), arr(state["sigma"]),
-                       arr(state["weights"]), state["bias"], state["n_iters"],
-                       state["grad_norm"])
-    ints = lambda v: np.asarray(v, dtype=np.int64)
-    return RFModel(spec, state["n_features"], ints(state["feature"]),
-                   arr(state["threshold"]), ints(state["left"]),
-                   ints(state["right"]), ints(state["counts"]).reshape(-1, 2),
-                   ints(state["roots"]))
+    if not isinstance(state, dict):
+        raise ValidationError("model state must be an object")
+    missing = [key for key in names if key not in state]
+    unknown = [key for key in state if key not in names]
+    if missing or unknown:
+        raise ValidationError(f"{spec.kind} model state: missing key(s) {missing}, "
+                              f"unknown key(s) {unknown}")
+    return cls(spec, **{key: np.asarray(value) if isinstance(value, list) else value
+                        for key, value in state.items()})

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -46,45 +47,78 @@ class PipelineConfig:
 
     def __post_init__(self):
         if not self.manifests:
-            raise BotmeterError("pipeline config needs at least one dataset")
+            raise ValidationError("pipeline config needs at least one dataset")
         if not 0 < self.ratio < 1:
-            raise BotmeterError(f"ratio must be in (0, 1), got {self.ratio}")
+            raise ValidationError(f"ratio must be in (0, 1), got {self.ratio}")
         build_model_specs(self.seed, self.model_overrides)  # reject bad overrides now
 
 
 def load_pipeline_config(path, args=None) -> PipelineConfig:
-    """JSON config (see README for the schema); CLI flags override."""
+    """JSON config (see README for the schema); CLI flags override.  A file
+    that is not a JSON object, or a value of the wrong type, is a
+    ValidationError naming the file or the key."""
     path = Path(path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValidationError(f"{path}: not a JSON config: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: config must be a JSON object")
     base = path.parent
 
-    def pick(flag, key, default):
+    def pick(flag, key, default, integer=False):
         value = getattr(args, flag, None) if args is not None else None
-        if value is not None:
-            return value
-        return doc.get(key, default)
+        if value is None:
+            value = doc.get(key, default)
+        return _config_number(key, value, integer)
 
-    manifests = tuple(parse_manifest(base / m) for m in doc.get("datasets", []))
+    def timeout_us(flag, key, default):
+        us = pick(flag, key, default) * 1e6
+        if not math.isfinite(us):
+            raise ValidationError(f"{key} is too large to count in microseconds")
+        return int(us)
+
+    datasets = doc.get("datasets", [])
+    if not (isinstance(datasets, list) and all(isinstance(m, str) for m in datasets)):
+        raise ValidationError(
+            f"datasets must be a list of manifest paths, got {datasets!r}")
+    manifests = tuple(parse_manifest(base / m) for m in datasets)
     meter = MeterConfig(
-        flow_timeout_us=int(float(pick("timeout_s", "flow_timeout_s", 120.0)) * 1e6),
-        activity_timeout_us=int(float(pick("activity_timeout_s",
-                                           "activity_timeout_s", 5.0)) * 1e6))
+        flow_timeout_us=timeout_us("timeout_s", "flow_timeout_s", 120.0),
+        activity_timeout_us=timeout_us("activity_timeout_s", "activity_timeout_s", 5.0))
     # A relative --out is taken from the working directory, a relative
     # out_dir in the config from the config's directory.
     if getattr(args, "out", None) is not None:
         out_dir = Path(args.out)
     else:
-        out_dir = base / doc.get("out_dir", "pipeline_out")
+        out_dir = doc.get("out_dir", "pipeline_out")
+        if not isinstance(out_dir, str):
+            raise ValidationError(f"out_dir must be a path, got {out_dir!r}")
+        out_dir = base / out_dir
     return PipelineConfig(
         manifests=manifests,
         meter=meter,
         out_dir=out_dir,
-        seed=int(pick("seed", "seed", 0)),
-        ratio=float(pick("ratio", "ratio", 0.8)),
-        top_k=int(pick("top_k", "top_k", 10)),
-        threshold=int(pick("threshold", "threshold", 2)),
+        seed=pick("seed", "seed", 0, integer=True),
+        ratio=pick("ratio", "ratio", 0.8),
+        top_k=pick("top_k", "top_k", 10, integer=True),
+        threshold=pick("threshold", "threshold", 2, integer=True),
         model_overrides=doc.get("models"),
     )
+
+
+def _config_number(key: str, value, integer: bool):
+    """A config value as an int (``integer``) or a finite float; anything
+    else, booleans included, is a ValidationError naming the key."""
+    if not isinstance(value, bool):
+        if integer and isinstance(value, int):
+            return value
+        # The bound also rejects nan, inf and ints beyond the float range.
+        if (not integer and isinstance(value, (int, float))
+                and abs(value) <= sys.float_info.max):
+            return float(value)
+    what = "an integer" if integer else "a finite number"
+    raise ValidationError(f"{key} must be {what}, got {value!r}")
 
 
 # Hyperparameters a config's ``models.<KIND>`` may set.
@@ -125,8 +159,8 @@ def extract_and_label(manifest, meter: MeterConfig, out_path: Path):
     manifest.validate()
     flows = _meter_captures(manifest.captures, meter)
     rules = parse_rules(str(manifest.rules))
-    labeled, report = label_flows(flows, rules, manifest.default_label)
-    write_flow_csv(out_path, labeled)
+    labels, report = label_flows(flows, rules, manifest.default_label)
+    write_flow_csv(out_path, flows, labels)
     return report
 
 
@@ -421,8 +455,8 @@ def _dispatch(args) -> int:
     if args.command == "label":
         flows, _ = read_flow_csv(args.features)
         rules = parse_rules(args.rules)
-        labeled, report = label_flows(flows, rules, args.default_label)
-        write_flow_csv(args.out, labeled)
+        labels, report = label_flows(flows, rules, args.default_label)
+        write_flow_csv(args.out, flows, labels)
         counts = ", ".join(f"{k}={v}" for k, v in sorted(report.counts.items()))
         print(f"labeled {report.total} flows ({counts}; "
               f"{report.unmatched} unmatched)")

@@ -15,14 +15,13 @@ import math
 import re
 from contextlib import closing
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CsvFormatError, ValidationError
 from .features import FEATURE_NAMES, IDENTITY_COLUMNS, FeatureVector
-from .labeling import LabeledRow, labels_to_binary
+from .labeling import labels_to_binary
 from .pcap import ip_from_str, ip_to_str
 
 logger = logging.getLogger(__name__)
@@ -180,31 +179,28 @@ def _format_float(x: float) -> str:
     return f"{x:.6f}"
 
 
-_feature_values = itemgetter(*FEATURE_NAMES)
-
-
-def write_flow_csv(path, rows) -> None:
-    """Write flows (FeatureVector or LabeledRow) to the canonical flow CSV:
-    identity columns, the 65 features, then Label when rows carry one."""
-    rows = list(rows)
-    include_label = bool(rows) and isinstance(rows[0], LabeledRow)
+def write_flow_csv(path, flows, labels=None) -> None:
+    """Write flows (FeatureVectors) to the canonical flow CSV: identity
+    columns, the 65 features, then Label when ``labels`` (one per flow) is
+    given."""
     header = list(IDENTITY_COLUMNS) + list(FEATURE_NAMES)
-    if include_label:
+    if labels is not None:
+        if len(labels) != len(flows):
+            raise ValidationError(f"{len(labels)} labels for {len(flows)} flows")
         header.append(LABEL_COLUMN)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            flow = row.flow if isinstance(row, LabeledRow) else row
+        for i, flow in enumerate(flows):
             cells = [flow.flow_id, flow.src_ip, flow.src_port, flow.dst_ip,
                      flow.dst_port, flow.protocol, flow.start_ts_us]
             # Features hold ints and floats; any other type (bool, numpy
             # scalars) takes the general path.
             cells += [_format_float(v) if type(v) is float
                       else str(v) if type(v) is int else format_number(v)
-                      for v in _feature_values(flow.features)]
-            if include_label:
-                cells.append(row.label if isinstance(row, LabeledRow) else "")
+                      for v in flow.values]
+            if labels is not None:
+                cells.append(labels[i])
             writer.writerow(cells)
 
 
@@ -328,7 +324,7 @@ def read_flow_csv(path) -> tuple[list, list[str] | None]:
                 dst_port=ints["Destination Port"],
                 protocol=ints["Protocol"],
                 start_ts_us=ints["Timestamp"],
-                features=dict(zip(FEATURE_NAMES, values))))
+                values=tuple(values)))
             if has_label:
                 labels.append(row[positions[LABEL_COLUMN]])
     return flows, (labels if has_label else None)
@@ -384,12 +380,17 @@ def parse_manifest(path) -> DatasetManifest:
     """Plain-text ``key = value`` manifest.
 
     Keys: name, captures (comma-separated), rules, default_label, notes.
-    Relative paths resolve against the manifest's directory.
+    Relative paths resolve against the manifest's directory.  Text that is
+    not UTF-8 is a format error.
     """
     path = Path(path)
     base = path.parent
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: {exc}") from None
     values: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -95,30 +95,11 @@ FEATURE_NAMES = (
     "Inbound",
 )
 
-# Integer-valued features (counts, byte totals, microsecond extrema).
-INT_FEATURES = frozenset((
-    "Flow Duration",
-    "Total Fwd Packets", "Total Backward Packets",
-    "Total Length of Fwd Packets", "Total Length of Bwd Packets",
-    "Fwd Packet Length Max", "Fwd Packet Length Min",
-    "Bwd Packet Length Max", "Bwd Packet Length Min",
-    "Flow IAT Max", "Flow IAT Min",
-    "Fwd IAT Total", "Fwd IAT Max", "Fwd IAT Min",
-    "Bwd IAT Total", "Bwd IAT Max", "Bwd IAT Min",
-    "Fwd PSH Flags", "Bwd PSH Flags", "Fwd URG Flags", "Bwd URG Flags",
-    "Fwd Header Length", "Bwd Header Length",
-    "Min Packet Length", "Max Packet Length",
-    "FIN Flag Count", "SYN Flag Count", "RST Flag Count", "PSH Flag Count",
-    "ACK Flag Count", "URG Flag Count", "CWR Flag Count", "ECE Flag Count",
-    "Init Fwd Win Bytes", "Init Bwd Win Bytes",
-    "Active Max", "Active Min", "Idle Max", "Idle Min",
-    "Inbound",
-))
-
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """One finalized flow: identity fields plus the 65 model features."""
+    """One finalized flow: identity fields plus the 65 model features,
+    ``values``, in ``FEATURE_NAMES`` order."""
 
     flow_id: str
     src_ip: str
@@ -127,7 +108,7 @@ class FeatureVector:
     dst_port: int
     protocol: int
     start_ts_us: int
-    features: dict[str, float]
+    values: tuple
 
 
 @lru_cache(maxsize=8)
@@ -185,65 +166,36 @@ def compute_features(flow: FlowAccumulator, config: MeterConfig | None = None) -
     active = [a for a, _ in flow.periods]
     active.append(flow.last_ts_us - flow.activity_start_ts)
 
-    f: dict[str, float] = {}
-    f["Flow Duration"] = duration
-    f["Total Fwd Packets"] = fwd_pkts
-    f["Total Backward Packets"] = bwd_pkts
-    f["Total Length of Fwd Packets"] = flow.fwd_sum
-    f["Total Length of Bwd Packets"] = flow.bwd_sum
-    f["Fwd Packet Length Max"] = fwd_max
-    f["Fwd Packet Length Min"] = fwd_min
-    f["Fwd Packet Length Mean"] = fwd_mean
-    f["Fwd Packet Length Std"] = fwd_std
-    f["Bwd Packet Length Max"] = bwd_max
-    f["Bwd Packet Length Min"] = bwd_min
-    f["Bwd Packet Length Mean"] = bwd_mean
-    f["Bwd Packet Length Std"] = bwd_std
-    f["Flow Bytes/s"] = _rate_per_s(total_bytes, duration)
-    f["Flow Packets/s"] = _rate_per_s(total_pkts, duration)
-    (f["Flow IAT Mean"], f["Flow IAT Std"], f["Flow IAT Max"], f["Flow IAT Min"]) = _moments(
-        total_pkts - 1, duration, flow.iat_sq, flow.iat_lo, flow.iat_hi)
-    f["Fwd IAT Total"] = fwd_iat_total
-    (f["Fwd IAT Mean"], f["Fwd IAT Std"], f["Fwd IAT Max"], f["Fwd IAT Min"]) = _moments(
-        fwd_pkts - 1, fwd_iat_total, flow.fwd_iat_sq, flow.fwd_iat_lo, flow.fwd_iat_hi)
-    f["Bwd IAT Total"] = bwd_iat_total
-    (f["Bwd IAT Mean"], f["Bwd IAT Std"], f["Bwd IAT Max"], f["Bwd IAT Min"]) = _moments(
-        bwd_pkts - 1, bwd_iat_total, flow.bwd_iat_sq, flow.bwd_iat_lo, flow.bwd_iat_hi)
-    f["Fwd PSH Flags"] = flow.fwd_psh
-    f["Bwd PSH Flags"] = flow.bwd_psh
-    f["Fwd URG Flags"] = flow.fwd_urg
-    f["Bwd URG Flags"] = flow.bwd_urg
-    f["Fwd Header Length"] = flow.fwd_header_bytes
-    f["Bwd Header Length"] = flow.bwd_header_bytes
-    f["Fwd Packets/s"] = _rate_per_s(fwd_pkts, duration)
-    f["Bwd Packets/s"] = _rate_per_s(bwd_pkts, duration)
-    f["Min Packet Length"] = min(flow.fwd_lo, flow.bwd_lo)
-    f["Max Packet Length"] = max(flow.fwd_hi, flow.bwd_hi)
-    f["Packet Length Mean"] = total_bytes / total_pkts
-    f["Packet Length Std"] = math.sqrt(pkt_len_var)
-    f["Packet Length Variance"] = pkt_len_var
-    f["FIN Flag Count"] = flow.flag_counts[0]
-    f["SYN Flag Count"] = flow.flag_counts[1]
-    f["RST Flag Count"] = flow.flag_counts[2]
-    f["PSH Flag Count"] = flow.flag_counts[3]
-    f["ACK Flag Count"] = flow.flag_counts[4]
-    f["URG Flag Count"] = flow.flag_counts[5]
-    f["CWR Flag Count"] = flow.flag_counts[6]
-    f["ECE Flag Count"] = flow.flag_counts[7]
-    f["Down/Up Ratio"] = bwd_pkts / fwd_pkts if fwd_pkts > 0 else 0.0
-    f["Average Packet Size"] = total_bytes / total_pkts
-    f["Avg Fwd Segment Size"] = fwd_mean
-    f["Avg Bwd Segment Size"] = bwd_mean
-    f["Init Fwd Win Bytes"] = flow.init_fwd_win
-    f["Init Bwd Win Bytes"] = flow.init_bwd_win
-    (f["Active Mean"], f["Active Std"],
-     f["Active Max"], f["Active Min"]) = _moments_of(active)
-    (f["Idle Mean"], f["Idle Std"],
-     f["Idle Max"], f["Idle Min"]) = _moments_of([g for _, g in flow.periods])
     # ``addr in network`` in ipaddress is this same masked comparison.
     dst = int.from_bytes(flow.dst_ip, "big")
-    f["Inbound"] = int(any(dst & mask == net for net, mask
-                           in _home_networks(config.home_prefixes)[len(flow.dst_ip)]))
+    inbound = int(any(dst & mask == net for net, mask
+                      in _home_networks(config.home_prefixes)[len(flow.dst_ip)]))
+    # In FEATURE_NAMES order; (mean, std, max, min) and FIN..ECE already are.
+    values = (
+        duration, fwd_pkts, bwd_pkts, flow.fwd_sum, flow.bwd_sum,
+        fwd_max, fwd_min, fwd_mean, fwd_std,
+        bwd_max, bwd_min, bwd_mean, bwd_std,
+        _rate_per_s(total_bytes, duration), _rate_per_s(total_pkts, duration),
+        *_moments(total_pkts - 1, duration, flow.iat_sq, flow.iat_lo, flow.iat_hi),
+        fwd_iat_total,
+        *_moments(fwd_pkts - 1, fwd_iat_total, flow.fwd_iat_sq,
+                  flow.fwd_iat_lo, flow.fwd_iat_hi),
+        bwd_iat_total,
+        *_moments(bwd_pkts - 1, bwd_iat_total, flow.bwd_iat_sq,
+                  flow.bwd_iat_lo, flow.bwd_iat_hi),
+        flow.fwd_psh, flow.bwd_psh, flow.fwd_urg, flow.bwd_urg,
+        flow.fwd_header_bytes, flow.bwd_header_bytes,
+        _rate_per_s(fwd_pkts, duration), _rate_per_s(bwd_pkts, duration),
+        min(flow.fwd_lo, flow.bwd_lo), max(flow.fwd_hi, flow.bwd_hi),
+        total_bytes / total_pkts, math.sqrt(pkt_len_var), pkt_len_var,
+        *flow.flag_counts,
+        bwd_pkts / fwd_pkts if fwd_pkts > 0 else 0.0,
+        total_bytes / total_pkts, fwd_mean, bwd_mean,
+        flow.init_fwd_win, flow.init_bwd_win,
+        *_moments_of(active),
+        *_moments_of([g for _, g in flow.periods]),
+        inbound,
+    )
 
     src_ip = ip_to_str(flow.fwd_ip)
     dst_ip = ip_to_str(flow.dst_ip)
@@ -251,4 +203,4 @@ def compute_features(flow: FlowAccumulator, config: MeterConfig | None = None) -
     return FeatureVector(
         flow_id=flow_id, src_ip=src_ip, src_port=flow.fwd_port,
         dst_ip=dst_ip, dst_port=flow.dst_port, protocol=flow.protocol,
-        start_ts_us=flow.first_ts_us, features=f)
+        start_ts_us=flow.first_ts_us, values=values)

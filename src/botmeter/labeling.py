@@ -123,12 +123,6 @@ class RuleIndex:
         return best
 
 
-@dataclass(frozen=True)
-class LabeledRow:
-    flow: FeatureVector
-    label: str
-
-
 @dataclass
 class LabelReport:
     counts: Counter = field(default_factory=Counter)
@@ -165,42 +159,47 @@ def _parse_int_cell(cell: str, line_no: int, column: str) -> int | None:
 
 def parse_rules(path: str) -> list[LabelRule]:
     """Read a rule CSV: src_ip, src_port, dst_ip, dst_port, protocol, label
-    plus optional start/end microsecond columns; "*" means wildcard."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in _MANDATORY if c not in header]
-        if missing:
-            raise CsvFormatError(f"rule file missing mandatory column(s): "
-                                 f"{', '.join(missing)}")
-        rules = []
-        for row in reader:
-            line_no = reader.line_num
-            label = (row["label"] or "").strip()
-            if not label:
-                raise CsvFormatError(f"line {line_no}: empty label")
-            rules.append(LabelRule(
-                src_ip=_parse_ip_cell(row["src_ip"] or "*", line_no, "src_ip"),
-                src_port=_parse_int_cell(row["src_port"] or "*", line_no, "src_port"),
-                dst_ip=_parse_ip_cell(row["dst_ip"] or "*", line_no, "dst_ip"),
-                dst_port=_parse_int_cell(row["dst_port"] or "*", line_no, "dst_port"),
-                protocol=_parse_int_cell(row["protocol"] or "*", line_no, "protocol"),
-                label=label,
-                start_us=_parse_int_cell(row.get("start") or "", line_no, "start"),
-                end_us=_parse_int_cell(row.get("end") or "", line_no, "end"),
-                line=line_no,
-            ))
+    plus optional start/end microsecond columns; "*" means wildcard.  Text
+    that is not UTF-8 CSV is a format error."""
+    rules = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            missing = [c for c in _MANDATORY if c not in header]
+            if missing:
+                raise CsvFormatError(f"rule file missing mandatory column(s): "
+                                     f"{', '.join(missing)}")
+            for row in reader:
+                line_no = reader.line_num
+                label = (row["label"] or "").strip()
+                if not label:
+                    raise CsvFormatError(f"line {line_no}: empty label")
+                rules.append(LabelRule(
+                    src_ip=_parse_ip_cell(row["src_ip"] or "*", line_no, "src_ip"),
+                    src_port=_parse_int_cell(row["src_port"] or "*", line_no, "src_port"),
+                    dst_ip=_parse_ip_cell(row["dst_ip"] or "*", line_no, "dst_ip"),
+                    dst_port=_parse_int_cell(row["dst_port"] or "*", line_no, "dst_port"),
+                    protocol=_parse_int_cell(row["protocol"] or "*", line_no, "protocol"),
+                    label=label,
+                    start_us=_parse_int_cell(row.get("start") or "", line_no, "start"),
+                    end_us=_parse_int_cell(row.get("end") or "", line_no, "end"),
+                    line=line_no,
+                ))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise CsvFormatError(f"{path}: {exc}") from None
     return rules
 
 
 def label_flows(flows, rules: list[LabelRule],
-                default_label: str = "Normal") -> tuple[list[LabeledRow], LabelReport]:
+                default_label: str = "Normal") -> tuple[list[str], LabelReport]:
+    """One label per flow, in flow order, and the report of the matches."""
     if not rules:
         raise ValidationError("need at least one label rule")
     index = RuleIndex(rules)
     report = LabelReport(rule_matches=[0] * len(rules))
     hits = report.rule_matches
-    out = []
+    labels = []
     for flow in flows:
         i = index.match(flow)
         if i is None:
@@ -210,7 +209,7 @@ def label_flows(flows, rules: list[LabelRule],
             label = rules[i].label
             hits[i] += 1
         report.counts[label] += 1
-        out.append(LabeledRow(flow, label))
+        labels.append(label)
     if report.unmatched:
         logger.warning(
             "%d of %d flows matched no rule and were labeled %r",
@@ -221,7 +220,7 @@ def label_flows(flows, rules: list[LabelRule],
     if idle:
         logger.warning("%d of %d rules matched no flow: %s",
                        len(idle), len(rules), ", ".join(idle))
-    return out, report
+    return labels, report
 
 
 def labels_to_binary(labels, negative_label: str = "Normal") -> list[int]:

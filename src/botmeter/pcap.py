@@ -9,7 +9,9 @@ counted, never fatal.
 The reader holds one bounded block of the file at a time (``BLOCK_SIZE``, or
 one record if a record is larger), carries a partial record over to the
 next block and unpacks headers in place with precompiled structs, so its
-memory does not grow with the size of the capture.  Decoded packets are
+memory does not grow with the size of the capture.  A record length above
+both the capture's snaplen and ``MAX_SNAPLEN`` is corrupt: it counts as one
+truncated record and ends the capture unread.  Decoded packets are
 ``PacketRecord`` NamedTuples.
 """
 
@@ -50,6 +52,7 @@ _MAGICS = {
 
 
 BLOCK_SIZE = 64 * 1024
+MAX_SNAPLEN = 262144  # libpcap's largest snapshot length
 
 # Header fields the decoder reads, at fixed offsets from the header start.
 _ETHERTYPE = struct.Struct("!H")
@@ -155,7 +158,8 @@ def _read_stream(fh: BinaryIO, stats: CaptureStats) -> Iterator[PacketRecord]:
     except KeyError:
         raise PcapFormatError(
             f"not a classic pcap file (magic {buf[:4].hex()})") from None
-    linktype = struct.unpack_from(endian + "I", buf, 20)[0]
+    snaplen, linktype = struct.unpack_from(endian + "II", buf, 16)
+    max_record = max(snaplen, MAX_SNAPLEN)
     decode = _LINK_DECODERS.get(linktype, _decode_unknown_link)
     unpack_record = struct.Struct(endian + "IIII").unpack_from
 
@@ -173,6 +177,11 @@ def _read_stream(fh: BinaryIO, stats: CaptureStats) -> Iterator[PacketRecord]:
         stats.records += 1
         pos += 16
         if end - pos < incl_len:
+            # Records already in the buffer are shorter than a block, so
+            # only one still to be read can be over-long.
+            if incl_len > max_record:
+                stats.truncated += 1
+                return
             buf = _fill(fh, buf[pos:], incl_len)
             pos, end = 0, len(buf)
             if end < incl_len:

@@ -4,10 +4,26 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from botmeter.synth import FlowBlueprint, PacketBlueprint
 
 _V4_POOL = ["10.0.0.{}", "192.168.1.{}", "8.8.8.{}", "203.0.113.{}"]
 _V6_POOL = ["2001:db8::{:x}", "fc00::{:x}"]
+
+
+# Byte overwrites for mutation properties: (position, new byte) pairs, the
+# position taken modulo the length of the data.
+EDITS = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)),
+                 min_size=1, max_size=8)
+
+
+def overwrite(data: bytes, edits) -> bytes:
+    """``data`` with every (position, byte) of ``edits`` written in place."""
+    out = bytearray(data)
+    for position, value in edits:
+        out[position % len(out)] = value
+    return bytes(out)
 
 
 def random_blueprints(rng: random.Random, max_flows=8, max_packets_per_flow=60,

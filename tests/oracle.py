@@ -191,9 +191,38 @@ def flow_features(packets, config):
     return f
 
 
+# Integer-valued features (counts, byte totals, microsecond extrema):
+# compared exactly, the rest within a relative tolerance.
+INT_FEATURES = frozenset((
+    "Flow Duration",
+    "Total Fwd Packets", "Total Backward Packets",
+    "Total Length of Fwd Packets", "Total Length of Bwd Packets",
+    "Fwd Packet Length Max", "Fwd Packet Length Min",
+    "Bwd Packet Length Max", "Bwd Packet Length Min",
+    "Flow IAT Max", "Flow IAT Min",
+    "Fwd IAT Total", "Fwd IAT Max", "Fwd IAT Min",
+    "Bwd IAT Total", "Bwd IAT Max", "Bwd IAT Min",
+    "Fwd PSH Flags", "Bwd PSH Flags", "Fwd URG Flags", "Bwd URG Flags",
+    "Fwd Header Length", "Bwd Header Length",
+    "Min Packet Length", "Max Packet Length",
+    "FIN Flag Count", "SYN Flag Count", "RST Flag Count", "PSH Flag Count",
+    "ACK Flag Count", "URG Flag Count", "CWR Flag Count", "ECE Flag Count",
+    "Init Fwd Win Bytes", "Init Bwd Win Bytes",
+    "Active Max", "Active Min", "Idle Max", "Idle Min",
+    "Inbound",
+))
+
+
+def named(fv):
+    """A FeatureVector's features by name."""
+    from botmeter.features import FEATURE_NAMES
+
+    return dict(zip(FEATURE_NAMES, fv.values))
+
+
 def assert_flows_match(meter_flows, oracle_flows, rel_tol=1e-9):
     """Field-for-field comparison: counts exact, reals within rel_tol."""
-    from botmeter.features import FEATURE_NAMES, INT_FEATURES
+    from botmeter.features import FEATURE_NAMES
 
     assert len(meter_flows) == len(oracle_flows), (
         f"flow count mismatch: meter {len(meter_flows)} vs oracle {len(oracle_flows)}")
@@ -207,8 +236,10 @@ def assert_flows_match(meter_flows, oracle_flows, rel_tol=1e-9):
         assert fv.dst_port == identity["Destination Port"]
         assert fv.protocol == identity["Protocol"]
         assert fv.start_ts_us == identity["Timestamp"]
+        assert len(fv.values) == len(FEATURE_NAMES)
+        got_feats = named(fv)
         for name in FEATURE_NAMES:
-            got, want = fv.features[name], feats[name]
+            got, want = got_feats[name], feats[name]
             if name in INT_FEATURES:
                 assert got == want, f"{fv.flow_id} {name}: {got} != {want}"
             else:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from unittest import mock
 
@@ -633,6 +634,43 @@ class TestSerialization:
         np.testing.assert_array_equal(predict(model, queries),
                                       predict(loaded, queries))
         assert loaded.spec == spec
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_state_is_every_field_after_spec(self, kind, tmp_path):
+        rng = np.random.default_rng(19)
+        X, y = blobs(rng, n=80, d=3, gap=2.0)
+        model = fit(ModelSpec(kind=kind, n_trees=3), X, y)
+        path = tmp_path / f"{kind}.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        names = [f.name for f in dataclasses.fields(model)[1:]]
+        assert list(doc["state"]) == names
+        loaded = load_model(path)
+        for name in names:
+            want, got = getattr(model, name), getattr(loaded, name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert got == want, name
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_missing_or_unknown_state_key_is_refused(self, kind, tmp_path):
+        rng = np.random.default_rng(20)
+        X, y = blobs(rng, n=80, d=3, gap=2.0)
+        path = tmp_path / f"{kind}.json"
+        save_model(fit(ModelSpec(kind=kind, n_trees=3), X, y), path)
+        doc = json.loads(path.read_text())
+        last = list(doc["state"])[-1]
+        value = doc["state"].pop(last)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=rf"missing key\(s\) \['{last}'\]"):
+            load_model(path)
+        doc["state"][last] = value
+        doc["state"]["extra"] = [1.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"unknown key\(s\) \['extra'\]"):
+            load_model(path)
 
     def test_lr_fit_record_round_trips(self, tmp_path):
         rng = np.random.default_rng(18)

@@ -5,14 +5,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from botmeter import classifiers, cli
 from botmeter.dataset import (FeatureTable, read_feature_csv, write_feature_csv,
                               write_flow_csv)
 from botmeter.demo import make_demo_corpus
-from botmeter.errors import ValidationError
+from botmeter.errors import CsvFormatError, ValidationError
 from botmeter.features import FEATURE_NAMES
 from botmeter.selection import derive_universal_set, rank_features_lr
+
+import capgen
+import oracle
 
 
 def run_cli(*argv):
@@ -108,11 +112,8 @@ class TestStageCommands:
     def test_label_rejects_non_finite_feature_cell(self, tmp_path, capsys, cell):
         from test_labeling import flow
 
-        rows = []
-        for sport in (1000, 1001):
-            fv = flow(sport=sport)
-            fv.features.update({n: 0.0 for n in FEATURE_NAMES})
-            rows.append(fv)
+        rows = [flow(sport=sport, values=(0.0,) * len(FEATURE_NAMES))
+                for sport in (1000, 1001)]
         features = tmp_path / "features.csv"
         write_flow_csv(features, rows)
         lines = features.read_text(encoding="utf-8").splitlines()
@@ -149,7 +150,7 @@ class TestStageCommands:
         from botmeter.meter import ingest_capture_detailed
         flows, _ = ingest_capture_detailed(str(out))
         assert len(flows) == 1
-        assert flows[0].features["Total Backward Packets"] == 1
+        assert oracle.named(flows[0])["Total Backward Packets"] == 1
         rules = out.with_suffix(".rules.csv")
         assert rules.exists() and "Botnet" in rules.read_text()
 
@@ -442,3 +443,67 @@ class TestPipelineConfig:
             ["pipeline", "--config", str(config_path)])
         config = cli.load_pipeline_config(config_path, args)
         assert config.out_dir == config_path.parent / "from_config"
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"datasets": ["ds.manifest"]', "not a JSON config: Expecting"),
+        ('["ds.manifest"]', "config must be a JSON object"),
+        ('{"datasets": "ds.manifest"}',
+         "datasets must be a list of manifest paths, got 'ds.manifest'"),
+        ('{"datasets": ["ds.manifest", 5]}', "datasets must be a list of manifest paths"),
+        ('{"datasets": ["ds.manifest"], "seed": "abc"}',
+         "seed must be an integer, got 'abc'"),
+        ('{"datasets": ["ds.manifest"], "seed": 1.0}', "seed must be an integer, got 1.0"),
+        ('{"datasets": ["ds.manifest"], "top_k": null}', "top_k must be an integer, got None"),
+        ('{"datasets": ["ds.manifest"], "threshold": true}',
+         "threshold must be an integer, got True"),
+        ('{"datasets": ["ds.manifest"], "ratio": "x"}', "ratio must be a finite number, got 'x'"),
+        ('{"datasets": ["ds.manifest"], "ratio": NaN}', "ratio must be a finite number, got nan"),
+        ('{"datasets": ["ds.manifest"], "flow_timeout_s": "x"}',
+         "flow_timeout_s must be a finite number, got 'x'"),
+        ('{"datasets": ["ds.manifest"], "flow_timeout_s": Infinity}',
+         "flow_timeout_s must be a finite number, got inf"),
+        pytest.param('{"datasets": ["ds.manifest"], "activity_timeout_s": 1'
+                     + "0" * 400 + "}",
+                     "activity_timeout_s must be a finite number, got 1",
+                     id="int-beyond-float-range"),
+        ('{"datasets": ["ds.manifest"], "flow_timeout_s": 1e307}',
+         "flow_timeout_s is too large to count in microseconds"),
+        ('{"datasets": ["ds.manifest"], "out_dir": 5}', "out_dir must be a path, got 5"),
+        ('{"datasets": []}', "pipeline config needs at least one dataset"),
+        ('{"datasets": ["ds.manifest"], "ratio": 1.5}', "ratio must be in (0, 1), got 1.5"),
+    ])
+    def test_malformed_config_is_a_validation_error(self, config_path, text, message):
+        config_path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            cli.load_pipeline_config(config_path)
+        assert message in str(info.value)
+
+    def test_non_utf8_config_is_a_validation_error(self, config_path):
+        config_path.write_bytes(b'{"datasets": ["\xff.manifest"]}')
+        with pytest.raises(ValidationError, match="not a JSON config: 'utf-8' codec"):
+            cli.load_pipeline_config(config_path)
+
+    def test_bad_flag_value_is_a_validation_error(self, config_path):
+        args = cli.build_parser().parse_args(
+            ["pipeline", "--config", str(config_path), "--timeout-s", "inf"])
+        with pytest.raises(ValidationError, match="flow_timeout_s must be a finite"):
+            cli.load_pipeline_config(config_path, args)
+
+    VALID = json.dumps({"datasets": ["ds.manifest"], "out_dir": "out", "seed": 3,
+                        "ratio": 0.75, "top_k": 4, "threshold": 1,
+                        "flow_timeout_s": 60.0, "activity_timeout_s": 2.5,
+                        "models": {"RF": {"n_trees": 5}, "KNN": {"k": 3}}})
+
+    @settings(max_examples=200, deadline=None)
+    @given(edits=capgen.EDITS)
+    def test_mutated_config_loads_or_is_refused(self, tmp_path_factory, edits):
+        base = tmp_path_factory.mktemp("config")
+        (base / "ds.manifest").write_text(
+            "name = ds\ncaptures = a.pcap\nrules = rules.csv\n", encoding="utf-8")
+        path = base / "config.json"
+        path.write_bytes(capgen.overwrite(self.VALID.encode(), edits))
+        try:
+            config = cli.load_pipeline_config(path)
+        except (CsvFormatError, ValidationError, OSError):
+            return  # OSError: a mutated manifest path names no file
+        assert config.manifests and 0 < config.ratio < 1

@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,10 @@ from botmeter.dataset import (FeatureTable, format_number, normalize_feature_nam
                               train_test_split, write_feature_csv, write_flow_csv)
 from botmeter.errors import CsvFormatError, ValidationError
 from botmeter.features import FEATURE_NAMES, IDENTITY_COLUMNS
+
+import capgen
+
+ZEROS = (0.0,) * len(FEATURE_NAMES)
 
 
 class TestNormalizeName:
@@ -81,17 +86,15 @@ class TestFeatureCsv:
 
     @pytest.mark.parametrize("reader", [read_feature_csv, read_flow_csv])
     def test_readers_reject_missing_header_and_ragged_row(self, reader, tmp_path):
-        from botmeter.labeling import LabeledRow
         from test_labeling import flow
 
         empty = tmp_path / "empty.csv"
         empty.write_text("")
         with pytest.raises(CsvFormatError, match="empty.csv: missing header row"):
             reader(empty)
-        fv = flow()
-        fv.features.update({n: 0.0 for n in FEATURE_NAMES})
+        fv = flow(values=ZEROS)
         path = tmp_path / "flows.csv"
-        write_flow_csv(path, [LabeledRow(fv, "Botnet")])
+        write_flow_csv(path, [fv], ["Botnet"])
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("1,2\n")
         with pytest.raises(CsvFormatError,
@@ -107,11 +110,7 @@ class TestFeatureCsv:
             read_feature_csv(path)
         assert str(info.value) == f"{path}: non-numeric value 'oops' in column 'b' at line 2"
 
-        rows = []
-        for sport in (1000, 1001):
-            fv = flow(sport=sport)
-            fv.features.update({n: 0.0 for n in FEATURE_NAMES})
-            rows.append(fv)
+        rows = [flow(sport=sport, values=ZEROS) for sport in (1000, 1001)]
         path = tmp_path / "flows.csv"
         write_flow_csv(path, rows)
         lines = path.read_text().splitlines()
@@ -134,14 +133,13 @@ class TestFeatureCsv:
             f"{path}: non-finite value {cell!r} in column 'b' at line 4")
 
     def test_flow_csv_headers_and_labels(self, tmp_path):
-        from botmeter.labeling import LabeledRow
         from test_labeling import flow
 
-        fv = flow()
-        fv.features.update({n: 0.0 for n in FEATURE_NAMES})
-        fv.features["Packet Length Mean"] = 123.456789
+        values = [0.0] * len(FEATURE_NAMES)
+        values[FEATURE_NAMES.index("Packet Length Mean")] = 123.456789
+        fv = flow(values=tuple(values))
         path = tmp_path / "flows.csv"
-        write_flow_csv(path, [LabeledRow(fv, "Botnet")])
+        write_flow_csv(path, [fv], ["Botnet"])
         text = path.read_text().splitlines()
         assert text[0].split(",")[:7] == list(IDENTITY_COLUMNS)
         assert text[0].split(",")[-1] == "Label"
@@ -151,21 +149,18 @@ class TestFeatureCsv:
         assert table.labels.tolist() == [1]
         assert table.rows[0][FEATURE_NAMES.index("Packet Length Mean")] == \
             pytest.approx(123.456789, abs=1e-6)
+        with pytest.raises(ValidationError, match="2 labels for 1 flows"):
+            write_flow_csv(path, [fv], ["Botnet", "Normal"])
 
     @pytest.mark.parametrize("column", ["Source Port", "Destination Port",
                                         "Protocol", "Timestamp"])
     def test_flow_csv_non_integer_identity_cell_names_file_line_column(
             self, column, tmp_path):
-        from botmeter.labeling import LabeledRow
         from test_labeling import flow
 
-        rows = []
-        for sport in (1000, 1001):
-            fv = flow(sport=sport)
-            fv.features.update({n: 0.0 for n in FEATURE_NAMES})
-            rows.append(LabeledRow(fv, "Botnet"))
+        rows = [flow(sport=sport, values=ZEROS) for sport in (1000, 1001)]
         path = tmp_path / "flows.csv"
-        write_flow_csv(path, rows)
+        write_flow_csv(path, rows, ["Botnet"] * len(rows))
         lines = path.read_text().splitlines()
         cells = lines[2].split(",")
         cells[lines[0].split(",").index(column)] = "8x"
@@ -179,8 +174,7 @@ class TestFeatureCsv:
         from botmeter.labeling import label_flows, parse_rules
         from test_labeling import flow
 
-        fv = flow(src="2001:db8:0:0:0:0:0:1", dst="2001:DB8::0:2")
-        fv.features.update({n: 0.0 for n in FEATURE_NAMES})
+        fv = flow(src="2001:db8:0:0:0:0:0:1", dst="2001:DB8::0:2", values=ZEROS)
         path = tmp_path / "flows.csv"
         write_flow_csv(path, [fv])
         (back,), labels = read_flow_csv(path)
@@ -189,8 +183,8 @@ class TestFeatureCsv:
         rules = tmp_path / "rules.csv"
         rules.write_text("src_ip,src_port,dst_ip,dst_port,protocol,label\n"
                          "2001:db8:0:0:0:0:0:1,*,*,*,*,Botnet\n")
-        labeled, report = label_flows([back], parse_rules(str(rules)))
-        assert [row.label for row in labeled] == ["Botnet"]
+        labels, report = label_flows([back], parse_rules(str(rules)))
+        assert labels == ["Botnet"]
         assert report.unmatched == 0
 
     @pytest.mark.parametrize("column", ["Source IP", "Destination IP"])
@@ -199,11 +193,7 @@ class TestFeatureCsv:
             self, column, text, tmp_path):
         from test_labeling import flow
 
-        rows = []
-        for sport in (1000, 1001):
-            fv = flow(sport=sport)
-            fv.features.update({n: 0.0 for n in FEATURE_NAMES})
-            rows.append(fv)
+        rows = [flow(sport=sport, values=ZEROS) for sport in (1000, 1001)]
         path = tmp_path / "flows.csv"
         write_flow_csv(path, rows)
         with open(path, newline="", encoding="utf-8") as fh:
@@ -252,8 +242,7 @@ class TestFormatNumber:
     def test_flow_csv_cells_equal_format_number(self, tmp_path_factory, values):
         from test_labeling import flow
 
-        fv = flow()
-        fv.features.update(zip(FEATURE_NAMES, values))
+        fv = flow(values=tuple(values))
         path = tmp_path_factory.mktemp("cells") / "flows.csv"
         write_flow_csv(path, [fv])
         with open(path, newline="", encoding="utf-8") as fh:
@@ -323,6 +312,26 @@ class TestManifest:
         manifest.write_text("name = x\n")
         with pytest.raises(CsvFormatError, match="captures"):
             parse_manifest(manifest)
+
+    def test_non_utf8_file_is_a_format_error(self, tmp_path):
+        manifest = tmp_path / "ds.manifest"
+        manifest.write_bytes(b"name = \xe9t\xe9\ncaptures = a.pcap\nrules = r.csv\n")
+        with pytest.raises(CsvFormatError, match="ds.manifest: 'utf-8' codec"):
+            parse_manifest(manifest)
+
+    VALID = ("# demo dataset\nname = demo\ncaptures = caps/a.pcap, caps/b.pcap\n"
+             "rules = rules.csv\ndefault_label = Normal\nnotes = two captures\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(edits=capgen.EDITS)
+    def test_mutated_file_parses_or_is_refused(self, tmp_path_factory, edits):
+        manifest = tmp_path_factory.mktemp("manifest") / "ds.manifest"
+        manifest.write_bytes(capgen.overwrite(self.VALID.encode(), edits))
+        try:
+            m = parse_manifest(manifest)
+        except (CsvFormatError, ValidationError):
+            return
+        assert m.captures and all(isinstance(p, Path) for p in m.captures)
 
     def test_validate_reports_missing_paths(self, tmp_path):
         manifest = tmp_path / "ds.manifest"

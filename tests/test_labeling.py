@@ -10,14 +10,16 @@ from botmeter.features import FeatureVector
 from botmeter.labeling import (LabelRule, RuleIndex, label_flows,
                                labels_to_binary, parse_rules)
 from botmeter.pcap import ip_from_str, ip_to_str
+import capgen
 from label_oracle import match_rule
 
 
-def flow(src="10.0.0.5", sport=1000, dst="8.8.8.8", dport=80, proto=6, ts=0):
+def flow(src="10.0.0.5", sport=1000, dst="8.8.8.8", dport=80, proto=6, ts=0,
+         values=()):
     return FeatureVector(
         flow_id=f"{src}-{dst}-{sport}-{dport}-{proto}",
         src_ip=src, src_port=sport, dst_ip=dst, dst_port=dport,
-        protocol=proto, start_ts_us=ts, features={})
+        protocol=proto, start_ts_us=ts, values=values)
 
 
 def rules_csv(tmp_path, text, name="rules.csv"):
@@ -78,6 +80,28 @@ class TestParseRules:
         with pytest.raises(ValidationError):
             LabelRule("*", None, "*", None, None, "X", start_us=5, end_us=1)
 
+    def test_non_utf8_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "rules.csv"
+        path.write_bytes(HEADER.encode() + b"10.0.0.5,1,8.8.8.8,80,6,Bot\xffnet\n")
+        with pytest.raises(CsvFormatError, match="rules.csv: 'utf-8' codec"):
+            parse_rules(str(path))
+
+    VALID = (HEADER.replace("label", "label,start,end")
+             + "10.0.0.5,4444,8.8.8.8,80,6,Botnet,100,200\n"
+             + "*,*,2001:db8::1,*,17,Scan,,\n"
+             + "192.168.1.9,*,*,53,*,Dns,,\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(edits=capgen.EDITS)
+    def test_mutated_file_parses_or_is_refused(self, tmp_path_factory, edits):
+        path = tmp_path_factory.mktemp("rules") / "rules.csv"
+        path.write_bytes(capgen.overwrite(self.VALID.encode(), edits))
+        try:
+            rules = parse_rules(str(path))
+        except (CsvFormatError, ValidationError):
+            return
+        assert all(rule.label for rule in rules)
+
 
 class TestLabelFlows:
     def exact(self, label="Botnet", **kw):
@@ -87,21 +111,21 @@ class TestLabelFlows:
         return LabelRule(**base)
 
     def test_exact_orientation_match(self):
-        rows, report = label_flows([flow()], [self.exact()])
-        assert rows[0].label == "Botnet"
+        labels, report = label_flows([flow()], [self.exact()])
+        assert labels[0] == "Botnet"
         assert report.counts["Botnet"] == 1
         assert report.unmatched == 0
 
     def test_reversed_orientation_match(self):
         reply_flow = flow(src="8.8.8.8", sport=80, dst="10.0.0.5", dport=1000)
-        rows, _ = label_flows([reply_flow], [self.exact()])
-        assert rows[0].label == "Botnet"
+        labels, _ = label_flows([reply_flow], [self.exact()])
+        assert labels[0] == "Botnet"
 
     def test_unmatched_gets_default(self, caplog):
         with caplog.at_level(logging.WARNING):
-            rows, report = label_flows([flow(src="1.2.3.4")], [self.exact()],
-                                       default_label="Normal")
-        assert rows[0].label == "Normal"
+            labels, report = label_flows([flow(src="1.2.3.4")], [self.exact()],
+                                         default_label="Normal")
+        assert labels[0] == "Normal"
         assert report.unmatched == 1
         assert any("matched no rule" in r.message for r in caplog.records)
 
@@ -122,17 +146,18 @@ class TestLabelFlows:
 
     def test_windowed_rule_skipped_outside_window(self):
         windowed = self.exact(start_us=0, end_us=10)
-        rows, _ = label_flows([flow(ts=50)], [windowed], default_label="Normal")
-        assert rows[0].label == "Normal"
+        labels, _ = label_flows([flow(ts=50)], [windowed], default_label="Normal")
+        assert labels[0] == "Normal"
 
     def test_completeness_and_flow_order_independence(self):
         flows = [flow(sport=p) for p in (1000, 2000, 3000)]
         rules = [self.exact(), LabelRule("10.0.0.5", 2000, "8.8.8.8", 80, 6, "DDoS")]
-        rows_ab, _ = label_flows(flows, rules)
-        rows_ba, _ = label_flows(list(reversed(flows)), rules)
-        assert len(rows_ab) == len(flows)
-        by_port = {r.flow.src_port: r.label for r in rows_ab}
-        assert by_port == {r.flow.src_port: r.label for r in rows_ba}
+        labels_ab, _ = label_flows(flows, rules)
+        labels_ba, _ = label_flows(list(reversed(flows)), rules)
+        assert len(labels_ab) == len(flows)
+        by_port = {f.src_port: lab for f, lab in zip(flows, labels_ab)}
+        assert by_port == {f.src_port: lab
+                           for f, lab in zip(reversed(flows), labels_ba)}
         assert by_port == {1000: "Botnet", 2000: "DDoS", 3000: "Normal"}
 
     def test_empty_rules_rejected(self):
@@ -148,8 +173,8 @@ class TestLabelFlows:
         rules = parse_rules(rules_csv(
             tmp_path, HEADER + f"{text},1000,8.8.8.8,80,6,Botnet\n"))
         assert rules[0].src_ip == flow_text
-        rows, _ = label_flows([flow(src=flow_text)], rules)
-        assert rows[0].label == "Botnet"
+        labels, _ = label_flows([flow(src=flow_text)], rules)
+        assert labels[0] == "Botnet"
 
     def test_rules_that_matched_no_flow_are_counted_and_logged(self, tmp_path, caplog):
         path = rules_csv(tmp_path, HEADER + "10.0.0.5,1000,8.8.8.8,80,6,Botnet\n\n"

@@ -48,7 +48,8 @@ class TestIngest:
                            (PacketBlueprint("fwd", 0, 0, flags="S"),))
         flows, _ = ingest_capture_detailed(write_capture(tmp_path, [bp]))
         assert len(flows) == 1
-        f = flows[0].features
+        assert len(flows[0].values) == len(FEATURE_NAMES)
+        f = oracle.named(flows[0])
         assert f["Total Fwd Packets"] == 1
         assert f["Flow Duration"] == 0
         for name in FEATURE_NAMES:
@@ -93,7 +94,7 @@ class TestIngest:
         flows, stats = ingest_capture_detailed(str(path))
         assert stats.truncated == 1
         assert len(flows) == 1
-        assert flows[0].features["Total Fwd Packets"] == 1
+        assert oracle.named(flows[0])["Total Fwd Packets"] == 1
 
 
 class TestOfferPacket:
@@ -150,8 +151,8 @@ class TestOfferPacket:
         flows = table.flush()
         assert len(flows) == 1
         fv = compute_features(flows[0])
-        assert fv.features["Total Fwd Packets"] == 1
-        assert fv.features["Total Backward Packets"] == 1
+        assert oracle.named(fv)["Total Fwd Packets"] == 1
+        assert oracle.named(fv)["Total Backward Packets"] == 1
 
 
 class TestComputeFeatures:
@@ -159,7 +160,7 @@ class TestComputeFeatures:
         path = write_capture(tmp_path, [simple_flow(payloads_gaps, **kw)])
         flows, _ = ingest_capture_detailed(path)
         assert len(flows) == 1
-        return flows[0].features
+        return oracle.named(flows[0])
 
     def test_hand_computed_two_direction_flow(self, tmp_path):
         f = self.metered(tmp_path, [("fwd", 100, 0), ("bwd", 50, 500_000),
@@ -229,8 +230,8 @@ class TestMeterProperties:
     @pytest.mark.parametrize("seed", [3, 17, 99])
     def test_packet_conservation(self, tmp_path, seed):
         _, _, flows, stats, _ = self.run_case(tmp_path, seed)
-        attributed = sum(f.features["Total Fwd Packets"]
-                         + f.features["Total Backward Packets"] for f in flows)
+        attributed = sum(oracle.named(f)["Total Fwd Packets"]
+                         + oracle.named(f)["Total Backward Packets"] for f in flows)
         assert attributed == stats.records - stats.skipped
 
     @pytest.mark.parametrize("seed", [5, 21])
@@ -246,7 +247,7 @@ class TestMeterProperties:
             write_capture(tmp_path, shifted, seed, "b.pcap"), self.CONFIG)
         assert len(base) == len(moved)
         for a, b in zip(base, moved):
-            assert a.features == b.features
+            assert a.values == b.values
 
     @pytest.mark.parametrize("seed", [2, 13])
     def test_direction_reversal_invariance(self, tmp_path, seed):
@@ -274,12 +275,13 @@ class TestMeterProperties:
         base.sort(key=unoriented)
         rev.sort(key=unoriented)
         for a, b in zip(base, rev):
+            fa, fb = oracle.named(a), oracle.named(b)
             assert (a.src_ip, a.src_port) == (b.dst_ip, b.dst_port)
             assert (a.dst_ip, a.dst_port) == (b.src_ip, b.src_port)
             for name in FEATURE_NAMES:
                 if name == "Inbound":
                     continue  # follows the (swapped) forward destination
-                assert a.features[name] == pytest.approx(b.features[name], rel=1e-9), name
+                assert fa[name] == pytest.approx(fb[name], rel=1e-9), name
 
     @pytest.mark.parametrize("seed", [7, 29])
     def test_payload_doubling_scales_length_features(self, tmp_path, seed):
@@ -304,12 +306,13 @@ class TestMeterProperties:
                      "SYN Flag Count", "Flow Packets/s", "Fwd Header Length"]
         assert len(base) == len(big)
         for a, b in zip(base, big):
+            fa, fb = oracle.named(a), oracle.named(b)
             for name in length_features:
-                assert 2 * a.features[name] == pytest.approx(b.features[name], rel=1e-9), name
-            assert 4 * a.features["Packet Length Variance"] == pytest.approx(
-                b.features["Packet Length Variance"], rel=1e-9)
+                assert 2 * fa[name] == pytest.approx(fb[name], rel=1e-9), name
+            assert 4 * fa["Packet Length Variance"] == pytest.approx(
+                fb["Packet Length Variance"], rel=1e-9)
             for name in unchanged:
-                assert a.features[name] == pytest.approx(b.features[name], rel=1e-12), name
+                assert fa[name] == pytest.approx(fb[name], rel=1e-12), name
 
 
 class TestMeterConfig:
