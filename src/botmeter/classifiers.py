@@ -662,16 +662,29 @@ def _write_json(fh, obj) -> None:
     fh.write("}")
 
 
+_SPEC_KEYS = frozenset(f.name for f in fields(ModelSpec))
+
+
 def load_model(path) -> Model:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValidationError("model file must hold a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValidationError(f"unsupported model format version {version!r}")
-    spec = ModelSpec(**doc["spec"])
+    spec_doc = doc.get("spec")
+    if not isinstance(spec_doc, dict):
+        raise ValidationError("model spec must be an object")
+    missing = [] if "kind" in spec_doc else ["kind"]
+    unknown = [key for key in spec_doc if key not in _SPEC_KEYS]
+    if missing or unknown:
+        raise ValidationError(f"model spec: missing key(s) {missing}, "
+                              f"unknown key(s) {unknown}")
+    spec = ModelSpec(**spec_doc)
     cls = _MODEL_CLASSES[spec.kind]
     names = [f.name for f in fields(cls)[1:]]
-    state = doc["state"]
+    state = doc.get("state")
     if not isinstance(state, dict):
         raise ValidationError("model state must be an object")
     missing = [key for key in names if key not in state]

@@ -148,8 +148,9 @@ def _meter_captures(captures, meter: MeterConfig) -> list:
     flows = []
     for capture in captures:
         metered, stats = ingest_capture_detailed(str(capture), meter)
-        logger.info("%s: %d records -> %d flows (%d skipped)",
-                    capture, stats.records, stats.flows, stats.skipped)
+        logger.info("%s: %d records -> %d flows (%d skipped, %d reordered)",
+                    capture, stats.records, stats.flows, stats.skipped,
+                    stats.reordered)
         flows.extend(metered)
     return flows
 

@@ -8,13 +8,16 @@ frequency counting compares like with like.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import itertools
 import logging
 import math
 import re
 from contextlib import closing
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -144,22 +147,46 @@ class FeatureTable:
 
 def _csv_rows(path):
     """Yield a CSV file's normalized header, then ``(line number, cells)`` for
-    each non-empty row.  A missing header or a ragged row is a format error."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        raw_header = next(reader, None)
-        if raw_header is None:
-            raise CsvFormatError(f"{path}: missing header row")
-        header = [normalize_feature_name(h)[0] for h in raw_header]
-        yield header
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}: ragged row at line {line_no} "
-                    f"({len(row)} cells, expected {len(header)})")
-            yield line_no, row
+    each non-empty row.  A missing header, a ragged row or text that is not
+    UTF-8 is a format error."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            raw_header = next(reader, None)
+            if raw_header is None:
+                raise CsvFormatError(f"{path}: missing header row")
+            header = [normalize_feature_name(h)[0] for h in raw_header]
+            yield header
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise CsvFormatError(
+                        f"{path}: ragged row at line {line_no} "
+                        f"({len(row)} cells, expected {len(header)})")
+                yield line_no, row
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(
+            f"{path}: not UTF-8 text at line {_undecodable_line(path)} "
+            f"({exc.reason})") from None
+
+
+def _undecodable_line(path) -> int:
+    """The 1-based line of the first byte sequence of ``path`` that is not
+    UTF-8, found by decoding the file again block by block (only on the
+    error path)."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line = 1
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            pending = len(decoder.getstate()[0])
+            try:
+                decoder.decode(block)
+            except UnicodeDecodeError as exc:
+                # A sequence begun in an earlier block holds no newline.
+                return line + block.count(b"\n", 0, max(exc.start - pending, 0))
+            line += block.count(b"\n")
+    return line
 
 
 def format_number(x: float) -> str:
@@ -171,37 +198,120 @@ def format_number(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _format_float(x: float) -> str:
-    """``format_number`` for an exact ``float``: ``is_integer`` is False for
-    nan and inf, so no separate finiteness test is needed."""
-    if x.is_integer() and -1e15 < x < 1e15:
-        return str(int(x))
-    return f"{x:.6f}"
+def _csv_cell(value) -> str:
+    """``value`` as ``csv.writer`` writes it as one cell of a longer row."""
+    out = io.StringIO()
+    csv.writer(out).writerow(("", value))
+    return out.getvalue()[1:-2]
+
+
+# The types of the identity cells (flow ID, addresses, ports, protocol and
+# timestamp) in a row that can take one %-format.
+_IDENTITY_KINDS = (str, str, int, str, int, int, int)
+
+
+class _RowFormats:
+    """The %-formats of the flow CSV rows whose cells have one tuple of
+    types: identity cells of ``_IDENTITY_KINDS``, then ``int`` and ``float``
+    features.
+
+    An ``int`` or ``str`` cell formats as ``%s``, which is its ``str``.  A
+    float cell formats as ``%d`` when it is integral and as ``%.6f``
+    otherwise, which is ``format_number``'s text as long as the float is
+    below 1e15 in magnitude.  So the formats are kept by the floats'
+    integral mask.
+    """
+
+    def __init__(self, kinds: tuple, end: str):
+        self.directives = [None if kind is float else "%s" for kind in kinds]
+        positions = [i for i, kind in enumerate(kinds) if kind is float]
+        if len(positions) > 1:
+            self.floats = itemgetter(*positions)
+        elif positions:
+            self.floats = lambda row, _i=positions[0]: (row[_i],)
+        else:
+            # No float cells: one 0.0 passes every test and shows in no cell.
+            self.floats = lambda row: (0.0,)
+        self.end = end
+        self.by_mask: dict[tuple, str] = {}
+
+    @staticmethod
+    def for_kinds(kinds: tuple, end: str) -> "_RowFormats | None":
+        """The formats for rows of cell types ``kinds``, or None when such
+        rows need ``format_number`` and ``csv.writer``."""
+        if kinds[:7] == _IDENTITY_KINDS and all(
+                kind is int or kind is float for kind in kinds[7:]):
+            return _RowFormats(kinds, end)
+        return None
+
+    def format_of(self, row: tuple) -> str | None:
+        """The format for ``row``, or None when a float of it is 1e15 or more
+        in magnitude or its identity text needs quoting."""
+        floats = self.floats(row)
+        # max and min skip a nan unless it comes first, and then it fails
+        # the test; a nan that passes is written "nan", as format_number
+        # writes it.
+        if not (max(floats) < 1e15 and min(floats) > -1e15):
+            return None
+        ids = row[0] + row[1] + row[3]
+        if "," in ids or '"' in ids or "\n" in ids or "\r" in ids:
+            return None
+        mask = tuple(map(float.is_integer, floats))
+        fmt = self.by_mask.get(mask)
+        if fmt is None:
+            integral = iter(mask)
+            fmt = self.by_mask[mask] = ",".join(
+                d if d is not None else "%d" if next(integral) else "%.6f"
+                for d in self.directives) + self.end
+        return fmt
 
 
 def write_flow_csv(path, flows, labels=None) -> None:
     """Write flows (FeatureVectors) to the canonical flow CSV: identity
     columns, the 65 features, then Label when ``labels`` (one per flow) is
-    given."""
+    given.
+
+    Each row holds what ``csv.writer`` writes for the identity cells and the
+    label, and the ``format_number`` text of each feature.  A row that
+    ``_RowFormats`` has a format for is one %-format, with a ``str`` label
+    quoted once per distinct label; any other row goes through
+    ``format_number`` and ``csv.writer``.
+    """
     header = list(IDENTITY_COLUMNS) + list(FEATURE_NAMES)
-    if labels is not None:
+    if labels is None:
+        end, row_labels = "\r\n", itertools.repeat(None)
+    else:
         if len(labels) != len(flows):
             raise ValidationError(f"{len(labels)} labels for {len(flows)} flows")
         header.append(LABEL_COLUMN)
+        end, row_labels = ",%s\r\n", labels
+    formats_by_kinds: dict[tuple, _RowFormats | None] = {}
+    label_cells: dict[str, str] = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, flow in enumerate(flows):
-            cells = [flow.flow_id, flow.src_ip, flow.src_port, flow.dst_ip,
-                     flow.dst_port, flow.protocol, flow.start_ts_us]
-            # Features hold ints and floats; any other type (bool, numpy
-            # scalars) takes the general path.
-            cells += [_format_float(v) if type(v) is float
-                      else str(v) if type(v) is int else format_number(v)
-                      for v in flow.values]
-            if labels is not None:
-                cells.append(labels[i])
-            writer.writerow(cells)
+        for flow, label in zip(flows, row_labels):
+            row = flow[:7] + flow.values
+            kinds = tuple(map(type, row))
+            formats = formats_by_kinds.get(kinds, False)
+            if formats is False:
+                formats = formats_by_kinds[kinds] = _RowFormats.for_kinds(kinds, end)
+            fmt = formats and formats.format_of(row)
+            if fmt and labels is not None:
+                if type(label) is str:
+                    cell = label_cells.get(label)
+                    if cell is None:
+                        cell = label_cells[label] = _csv_cell(label)
+                    row += (cell,)
+                else:
+                    fmt = None
+            if fmt:
+                fh.write(fmt % row)
+            else:
+                cells = [*flow[:7], *map(format_number, flow.values)]
+                if labels is not None:
+                    cells.append(label)
+                writer.writerow(cells)
 
 
 def write_feature_csv(table: FeatureTable, path) -> None:

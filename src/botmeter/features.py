@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import ipaddress
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .meter import FlowAccumulator, MeterConfig
 from .pcap import ip_to_str
@@ -96,8 +96,7 @@ FEATURE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     """One finalized flow: identity fields plus the 65 model features,
     ``values``, in ``FEATURE_NAMES`` order."""
 
@@ -109,6 +108,15 @@ class FeatureVector:
     protocol: int
     start_ts_us: int
     values: tuple
+
+
+# Builds a FeatureVector from a field tuple without the Python-level __new__
+# that NamedTuple generates; ``compute_features`` makes one per flow.
+_tuple_new = tuple.__new__
+
+# The text of the addresses of recent flows: scanners and popular servers
+# recur flow after flow.
+_address_text = lru_cache(maxsize=1024)(ip_to_str)
 
 
 @lru_cache(maxsize=8)
@@ -123,10 +131,6 @@ def _home_networks(prefixes: tuple[str, ...]) -> dict[int, tuple]:
     return {size: tuple(v) for size, v in nets.items()}
 
 
-def _rate_per_s(count: float, duration_us: int) -> float:
-    return count * 1_000_000 / duration_us if duration_us > 0 else 0.0
-
-
 def _variance(n: int, s: int, q: int) -> float:
     """Sample variance of n integers with sum s and sum of squares q: the
     exact (n·q − s²) / (n(n−1)), correctly rounded by one int division; 0
@@ -134,12 +138,18 @@ def _variance(n: int, s: int, q: int) -> float:
     return (n * q - s * s) / (n * (n - 1)) if n > 1 else 0.0
 
 
+# (mean, std, max, min) of an empty sample set.
+_NO_SAMPLES = (0.0, 0.0, 0, 0)
+
+
 def _moments(n: int, s: int, q: int, lo: int, hi: int) -> tuple:
     """(mean, std, max, min) of n integer samples with sum s, sum of squares
     q, least lo and greatest hi; all 0 when n ≤ 0.  The mean is the
     correctly rounded s / n, so it lies between the rounded lo and hi."""
     if n <= 0:
-        return 0.0, 0.0, 0, 0
+        return _NO_SAMPLES
+    if n == 1:
+        return s / n, 0.0, hi, lo
     return s / n, math.sqrt(_variance(n, s, q)), hi, lo
 
 
@@ -163,19 +173,36 @@ def compute_features(flow: FlowAccumulator, config: MeterConfig | None = None) -
     pkt_len_var = _variance(total_pkts, total_bytes, flow.fwd_sq + flow.bwd_sq)
     fwd_iat_total = flow.fwd_last_ts - flow.first_ts_us
     bwd_iat_total = flow.bwd_last_ts - flow.bwd_first_ts
-    active = [a for a, _ in flow.periods]
-    active.append(flow.last_ts_us - flow.activity_start_ts)
+    # Per-second rates; 0 over a zero-length flow.
+    if duration > 0:
+        bytes_per_s = total_bytes * 1_000_000 / duration
+        pkts_per_s = total_pkts * 1_000_000 / duration
+        fwd_per_s = fwd_pkts * 1_000_000 / duration
+        bwd_per_s = bwd_pkts * 1_000_000 / duration
+    else:
+        bytes_per_s = pkts_per_s = fwd_per_s = bwd_per_s = 0.0
+    last_active = flow.last_ts_us - flow.activity_start_ts
+    if flow.periods is None:
+        # No gap above the activity timeout: one active period, no idle one.
+        active = (float(last_active), 0.0, last_active, last_active)
+        idle = _NO_SAMPLES
+    else:
+        active = _moments_of([a for a, _ in flow.periods] + [last_active])
+        idle = _moments_of([g for _, g in flow.periods])
 
     # ``addr in network`` in ipaddress is this same masked comparison.
     dst = int.from_bytes(flow.dst_ip, "big")
-    inbound = int(any(dst & mask == net for net, mask
-                      in _home_networks(config.home_prefixes)[len(flow.dst_ip)]))
+    inbound = 0
+    for net, mask in _home_networks(config.home_prefixes)[len(flow.dst_ip)]:
+        if dst & mask == net:
+            inbound = 1
+            break
     # In FEATURE_NAMES order; (mean, std, max, min) and FIN..ECE already are.
     values = (
         duration, fwd_pkts, bwd_pkts, flow.fwd_sum, flow.bwd_sum,
         fwd_max, fwd_min, fwd_mean, fwd_std,
         bwd_max, bwd_min, bwd_mean, bwd_std,
-        _rate_per_s(total_bytes, duration), _rate_per_s(total_pkts, duration),
+        bytes_per_s, pkts_per_s,
         *_moments(total_pkts - 1, duration, flow.iat_sq, flow.iat_lo, flow.iat_hi),
         fwd_iat_total,
         *_moments(fwd_pkts - 1, fwd_iat_total, flow.fwd_iat_sq,
@@ -185,22 +212,20 @@ def compute_features(flow: FlowAccumulator, config: MeterConfig | None = None) -
                   flow.bwd_iat_lo, flow.bwd_iat_hi),
         flow.fwd_psh, flow.bwd_psh, flow.fwd_urg, flow.bwd_urg,
         flow.fwd_header_bytes, flow.bwd_header_bytes,
-        _rate_per_s(fwd_pkts, duration), _rate_per_s(bwd_pkts, duration),
+        fwd_per_s, bwd_per_s,
         min(flow.fwd_lo, flow.bwd_lo), max(flow.fwd_hi, flow.bwd_hi),
         total_bytes / total_pkts, math.sqrt(pkt_len_var), pkt_len_var,
         *flow.flag_counts,
         bwd_pkts / fwd_pkts if fwd_pkts > 0 else 0.0,
         total_bytes / total_pkts, fwd_mean, bwd_mean,
         flow.init_fwd_win, flow.init_bwd_win,
-        *_moments_of(active),
-        *_moments_of([g for _, g in flow.periods]),
+        *active, *idle,
         inbound,
     )
 
-    src_ip = ip_to_str(flow.fwd_ip)
-    dst_ip = ip_to_str(flow.dst_ip)
-    flow_id = f"{src_ip}-{dst_ip}-{flow.fwd_port}-{flow.dst_port}-{flow.protocol}"
-    return FeatureVector(
-        flow_id=flow_id, src_ip=src_ip, src_port=flow.fwd_port,
-        dst_ip=dst_ip, dst_port=flow.dst_port, protocol=flow.protocol,
-        start_ts_us=flow.first_ts_us, values=values)
+    src_ip = _address_text(flow.fwd_ip)
+    dst_ip = _address_text(flow.dst_ip)
+    return _tuple_new(FeatureVector, (
+        f"{src_ip}-{dst_ip}-{flow.fwd_port}-{flow.dst_port}-{flow.protocol}",
+        src_ip, flow.fwd_port, dst_ip, flow.dst_port, flow.protocol,
+        flow.first_ts_us, values))

@@ -91,8 +91,9 @@ class FlowAccumulator:
     squares and extremes (±inf while empty) of the inter-arrival times,
     whose counts and sums ``compute_features`` derives from the packet
     counts and timestamps.  ``periods`` holds one (active, idle) pair per
-    gap above the activity timeout; the last active period runs from
-    ``activity_start_ts`` to ``last_ts_us``.
+    gap above the activity timeout, and is None until the first such gap;
+    the last active period runs from ``activity_start_ts`` to
+    ``last_ts_us``.
     """
 
     __slots__ = (
@@ -116,7 +117,7 @@ class FlowAccumulator:
         self.dst_port = dst_port
         self.protocol = protocol
         self.first_ts_us = self.last_ts_us = self.fwd_last_ts = self.activity_start_ts = ts
-        self.periods: list[tuple[int, int]] = []
+        self.periods: list[tuple[int, int]] | None = None
         self.fwd_n = 1
         self.fwd_sum = self.fwd_lo = self.fwd_hi = length
         self.fwd_sq = length * length
@@ -143,7 +144,11 @@ class FlowAccumulator:
         ts, src_ip, _, src_port, _, _, length, header_len, flags, window = pkt
         iat = ts - self.last_ts_us
         if iat > activity_timeout_us:
-            self.periods.append((self.last_ts_us - self.activity_start_ts, iat))
+            period = (self.last_ts_us - self.activity_start_ts, iat)
+            if self.periods is None:
+                self.periods = [period]
+            else:
+                self.periods.append(period)
             self.activity_start_ts = ts
         self.last_ts_us = ts
         self.iat_sq += iat * iat

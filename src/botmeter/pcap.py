@@ -6,6 +6,11 @@ nanosecond timestamp variants); pcapng is rejected.  Link layers: Ethernet
 decoder cannot attribute to a TCP/UDP/ICMP-over-IP packet is skipped and
 counted, never fatal.
 
+The capture clock is monotone: a packet stamped earlier than a packet
+decoded before it is metered at the latest timestamp seen so far, and
+counted in ``CaptureStats.reordered``, so that no duration or
+inter-arrival time is negative.
+
 The reader holds one bounded block of the file at a time (``BLOCK_SIZE``, or
 one record if a record is larger), carries a partial record over to the
 next block and unpacks headers in place with precompiled structs, so its
@@ -105,6 +110,9 @@ class CaptureStats:
     skipped_fragment: int = 0   # non-first IP fragments (no reassembly)
     truncated: int = 0          # record too short to decode headers
     flows: int = 0
+    # Decoded packets stamped earlier than a packet decoded before them,
+    # metered at the latest timestamp seen; not part of ``skipped``.
+    reordered: int = 0
 
     @property
     def skipped(self) -> int:
@@ -164,6 +172,7 @@ def _read_stream(fh: BinaryIO, stats: CaptureStats) -> Iterator[PacketRecord]:
     unpack_record = struct.Struct(endian + "IIII").unpack_from
 
     pos, end = 24, len(buf)
+    clock = 0  # the latest timestamp of a decoded packet
     while True:
         if end - pos < 16:
             buf = _fill(fh, buf[pos:], 16)
@@ -192,6 +201,11 @@ def _read_stream(fh: BinaryIO, stats: CaptureStats) -> Iterator[PacketRecord]:
         pos = stop
         if pkt is not None:
             stats.decoded += 1
+            if pkt[0] < clock:
+                stats.reordered += 1
+                pkt = pkt._replace(timestamp_us=clock)
+            else:
+                clock = pkt[0]
             yield pkt
 
 

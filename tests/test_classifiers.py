@@ -691,6 +691,23 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="version 2"):
             load_model(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"format_version": 3, "spec": {"kind": "NB", "bogus": 1}, "state": {}}',
+         r"model spec: missing key\(s\) \[\], unknown key\(s\) \['bogus'\]"),
+        ('{"format_version": 3, "spec": {"seed": 0}, "state": {}}',
+         r"missing key\(s\) \['kind'\]"),
+        ('{"format_version": 3, "state": {}}', "model spec must be an object"),
+        ('{"format_version": 3, "spec": {"kind": "NB"}}',
+         "model state must be an object"),
+        ('[{"format_version": 3}]', "must hold a JSON object"),
+    ])
+    def test_malformed_model_file_is_a_validation_error(self, tmp_path, text,
+                                                        message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            load_model(path)
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format_version": 99, "kind": "NB", "spec": {}, "state": {}}')

@@ -132,6 +132,21 @@ class TestStageCommands:
             "'Flow Bytes/s' at line 3"]
         assert not labeled.exists()
 
+    def test_label_rejects_non_utf8_flow_csv(self, tmp_path, capsys):
+        from test_labeling import flow
+
+        features = tmp_path / "features.csv"
+        write_flow_csv(features, [flow(values=(0.0,) * len(FEATURE_NAMES))])
+        features.write_bytes(features.read_bytes().replace(b"8.8.8.8-", b"\xff-"))
+        rules = tmp_path / "rules.csv"
+        rules.write_text("src_ip,src_port,dst_ip,dst_port,protocol,label\n"
+                         "10.0.0.5,*,*,*,*,Botnet\n", encoding="utf-8")
+        labeled = tmp_path / "labeled.csv"
+        assert run_cli("label", features, "--rules", rules, "--out", labeled) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {features}: not UTF-8 text at line 2 (invalid start byte)"]
+        assert not labeled.exists()
+
     def test_synth_blueprint_roundtrip(self, tmp_path):
         blueprint = {
             "seed": 9,

@@ -75,6 +75,32 @@ class TestIngest:
         assert len(flows) == 3
         oracle.assert_flows_match(flows, oracle.expected_flows(packets, config))
 
+    @pytest.mark.parametrize("record, reordered", [(0, 2), (1, 1)])
+    def test_out_of_order_timestamps_meter_on_a_monotone_clock(
+            self, tmp_path, record, reordered):
+        # One record of a 3-packet flow restamped to 100 s: the records
+        # after it, stamped near 0 s, are metered at 100 s.
+        data = bytearray(generate_synthetic_capture(
+            [simple_flow([("fwd", 10, 0), ("bwd", 20, 2), ("fwd", 30, 3)])], seed=0))
+        offset = 24
+        for _ in range(record):
+            offset += 16 + int.from_bytes(data[offset + 8:offset + 12], "little")
+        data[offset:offset + 4] = (100).to_bytes(4, "little")
+        path = tmp_path / "reordered.pcap"
+        path.write_bytes(bytes(data))
+        config = MeterConfig()
+        flows, stats = ingest_capture_detailed(str(path), config)
+        assert (stats.records, stats.decoded, stats.skipped) == (3, 3, 0)
+        assert stats.reordered == reordered
+        packets, _ = parse(str(path))
+        assert all(a.timestamp_us <= b.timestamp_us for a, b in zip(packets, packets[1:]))
+        (f,) = flows
+        timed = [name for name in FEATURE_NAMES
+                 if "Duration" in name or "IAT" in name or "Active" in name
+                 or "Idle" in name]
+        assert all(oracle.named(f)[name] >= 0 for name in timed)
+        oracle.assert_flows_match(flows, oracle.expected_flows(packets, config))
+
     def test_unreadable_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             ingest_capture_detailed(str(tmp_path / "missing.pcap"))
