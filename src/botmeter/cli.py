@@ -148,9 +148,11 @@ def _meter_captures(captures, meter: MeterConfig) -> list:
     flows = []
     for capture in captures:
         metered, stats = ingest_capture_detailed(str(capture), meter)
-        logger.info("%s: %d records -> %d flows (%d skipped, %d reordered)",
+        logger.info("%s: %d records -> %d flows (%d skipped: %d truncated, "
+                    "%d link, %d fragment, %d protocol; %d reordered)",
                     capture, stats.records, stats.flows, stats.skipped,
-                    stats.reordered)
+                    stats.truncated, stats.skipped_link, stats.skipped_fragment,
+                    stats.skipped_protocol, stats.reordered)
         flows.extend(metered)
     return flows
 

@@ -18,6 +18,15 @@ memory does not grow with the size of the capture.  A record length above
 both the capture's snaplen and ``MAX_SNAPLEN`` is corrupt: it counts as one
 truncated record and ends the capture unread.  Decoded packets are
 ``PacketRecord`` NamedTuples.
+
+Almost every captured frame is Ethernet (untagged), IPv4 with a 20-byte
+header that is not a fragment, then TCP or UDP.  The reader decodes such a
+frame with one unpack of Ethernet + IPv4 + the first transport bytes (and
+one more for the TCP data offset, flags and window).  Every other frame,
+and every frame that fails one of those checks, goes to the decoder chain
+(``_LINK_DECODERS``) from its first byte; the chain is the one definition
+of a packet and of each ``CaptureStats`` counter, and the fused path gives
+the same records.
 """
 
 from __future__ import annotations
@@ -65,6 +74,11 @@ _IPV4 = struct.Struct("!BxHxxHxB2x4s4s")   # ver/ihl, total len, frag, proto, sr
 _IPV6 = struct.Struct("!B3xHBx16s16s")     # version, payload len, next header, src, dst
 _TCP = struct.Struct("!HH8xBBH")           # ports, data offset, flags, window
 _UDP = struct.Struct("!HHH")               # ports, length
+# The common frame in one unpack: Ethernet type, IPv4 (ver/ihl, total len,
+# frag, proto, src, dst) and the first 8 transport bytes (ports, then the
+# UDP length; for TCP those two bytes are part of the sequence number).
+_ETH_IPV4 = struct.Struct("!12xHBxH2xHxB2x4s4sHHH2x")
+_TCP_TAIL = struct.Struct("!BBH")          # data offset, flags, window
 
 # Builds a PacketRecord from a field tuple without the Python-level __new__
 # that NamedTuple generates; the decoder makes one per packet.
@@ -108,7 +122,9 @@ class CaptureStats:
     skipped_link: int = 0       # non-IP frames (ARP, unknown link payloads...)
     skipped_protocol: int = 0   # IP but not TCP/UDP/ICMP
     skipped_fragment: int = 0   # non-first IP fragments (no reassembly)
-    truncated: int = 0          # record too short to decode headers
+    # Records cut short of their headers, and IP/TCP headers that are
+    # malformed (IP version nibble, IPv4 IHL < 5, TCP data offset < 5).
+    truncated: int = 0
     flows: int = 0
     # Decoded packets stamped earlier than a packet decoded before them,
     # metered at the latest timestamp seen; not part of ``skipped``.
@@ -169,7 +185,10 @@ def _read_stream(fh: BinaryIO, stats: CaptureStats) -> Iterator[PacketRecord]:
     snaplen, linktype = struct.unpack_from(endian + "II", buf, 16)
     max_record = max(snaplen, MAX_SNAPLEN)
     decode = _LINK_DECODERS.get(linktype, _decode_unknown_link)
+    fused = linktype == LINKTYPE_ETHERNET
     unpack_record = struct.Struct(endian + "IIII").unpack_from
+    unpack_frame = _ETH_IPV4.unpack_from
+    unpack_tcp = _TCP_TAIL.unpack_from
 
     pos, end = 24, len(buf)
     clock = 0  # the latest timestamp of a decoded packet
@@ -197,15 +216,38 @@ def _read_stream(fh: BinaryIO, stats: CaptureStats) -> Iterator[PacketRecord]:
                 stats.truncated += 1
                 return
         stop = pos + incl_len
-        pkt = decode(buf, pos, stop, ts_sec * 1_000_000 + ts_frac // ts_divisor, stats)
+        ts_us = ts_sec * 1_000_000 + ts_frac // ts_divisor
+        pkt = None
+        # Fused path for Ethernet/IPv4 (IHL 5, not a fragment)/TCP or UDP;
+        # any other frame, or one that fails a check, goes to the chain.
+        if fused and incl_len >= 42:
+            (ethertype, ver_ihl, total_len, frag, protocol, src, dst,
+             sport, dport, udp_len) = unpack_frame(buf, pos)
+            if ethertype == 0x0800 and ver_ihl == 0x45 and not frag & 0x3FFF:
+                if protocol == PROTO_TCP:
+                    if incl_len >= 54:
+                        data_offset, flags, window = unpack_tcp(buf, pos + 46)
+                        data_offset = (data_offset >> 4) * 4
+                        if 20 <= data_offset <= incl_len - 34:
+                            payload = total_len - 20 - data_offset
+                            pkt = _tuple_new(PacketRecord, (
+                                ts_us, src, dst, sport, dport, PROTO_TCP,
+                                payload if payload > 0 else 0, 20 + data_offset,
+                                flags, window))
+                elif protocol == PROTO_UDP:
+                    pkt = _tuple_new(PacketRecord, (
+                        ts_us, src, dst, sport, dport, PROTO_UDP,
+                        udp_len - 8 if udp_len > 8 else 0, 28, 0, None))
+        if pkt is None:
+            pkt = decode(buf, pos, stop, ts_us, stats)
         pos = stop
         if pkt is not None:
             stats.decoded += 1
-            if pkt[0] < clock:
+            if ts_us < clock:
                 stats.reordered += 1
                 pkt = pkt._replace(timestamp_us=clock)
             else:
-                clock = pkt[0]
+                clock = ts_us
             yield pkt
 
 

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 import warnings
 from dataclasses import replace
 
@@ -13,7 +14,9 @@ from botmeter.dataset import (FeatureTable, read_feature_csv, write_feature_csv,
 from botmeter.demo import make_demo_corpus
 from botmeter.errors import CsvFormatError, ValidationError
 from botmeter.features import FEATURE_NAMES
+from botmeter.meter import MeterConfig
 from botmeter.selection import derive_universal_set, rank_features_lr
+from botmeter.synth import FlowBlueprint, PacketBlueprint, generate_synthetic_capture
 
 import capgen
 import oracle
@@ -246,6 +249,26 @@ def test_bad_model_override_fails_at_config_load(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: models.LR: unknown key(s) 'tol'"]
     assert not (tmp_path / "pipeline_out").exists()
+
+
+def test_capture_summary_logs_each_skip_reason(tmp_path, caplog):
+    data = generate_synthetic_capture([FlowBlueprint(
+        "10.0.0.1", "8.8.8.8", 1000, 80, 6,
+        (PacketBlueprint("fwd", 10, 1, "S"), PacketBlueprint("bwd", 0, 1, "SA")))], 1)
+    frame = data[40:40 + struct.unpack_from("<I", data, 32)[0]]
+    arp = frame[:12] + b"\x08\x06" + bytes(28)
+    fragment = bytearray(frame)
+    fragment[20] |= 0x20   # more fragments
+    frames = [arp, bytes(fragment), frame[:30]]
+    records = b"".join(struct.pack("<IIII", 2, 0, len(f), len(f)) + f for f in frames)
+    capture = tmp_path / "skips.pcap"
+    capture.write_bytes(data + records)
+    with caplog.at_level("INFO", logger="botmeter.cli"):
+        flows = cli._meter_captures([capture], MeterConfig())
+    assert len(flows) == 1
+    assert caplog.messages == [
+        f"{capture}: 5 records -> 1 flows (3 skipped: 1 truncated, 1 link, "
+        "1 fragment, 0 protocol; 0 reordered)"]
 
 
 class TestPipeline:

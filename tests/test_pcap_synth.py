@@ -337,3 +337,285 @@ class TestMutatedCapture:
         assert sum(flow.total_packets for flow in flows) == stats.decoded
         for flow in flows:
             assert all(map(math.isfinite, compute_features(flow).values))
+
+
+# The fused Ethernet/IPv4/TCP|UDP path against the decoder chain alone.
+
+_MACS = bytes(range(1, 13))
+
+
+def chain_reference(data):
+    """(packets, stats) of a classic pcap in memory, decoded by framing each
+    record and calling only the decoder chain for its link type."""
+    endian, divisor = pcap._MAGICS[data[:4]]
+    linktype = struct.unpack_from(endian + "I", data, 20)[0]
+    decode = pcap._LINK_DECODERS.get(linktype, pcap._decode_unknown_link)
+    stats, pkts, clock, pos = CaptureStats(), [], 0, 24
+    while pos < len(data):
+        stats.records += 1
+        if len(data) - pos < 16:
+            stats.truncated += 1
+            break
+        sec, frac, incl, _ = struct.unpack_from(endian + "IIII", data, pos)
+        pos += 16
+        if len(data) - pos < incl:
+            stats.truncated += 1
+            break
+        pkt = decode(data, pos, pos + incl, sec * 1_000_000 + frac // divisor, stats)
+        pos += incl
+        if pkt is not None:
+            stats.decoded += 1
+            if pkt.timestamp_us < clock:
+                stats.reordered += 1
+                pkt = pkt._replace(timestamp_us=clock)
+            clock = max(clock, pkt.timestamp_us)
+            pkts.append(pkt)
+    return pkts, stats
+
+
+def pcap_bytes(frames, linktype=pcap.LINKTYPE_ETHERNET, endian="<", nanos=False,
+               stamps=None):
+    """A classic pcap of ``frames``; ``stamps`` gives (sec, frac) per frame."""
+    magic = 0xA1B23C4D if nanos else 0xA1B2C3D4
+    out = [struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, linktype)]
+    for i, frame in enumerate(frames):
+        sec, frac = stamps[i] if stamps else (i, 0)
+        out.append(struct.pack(endian + "IIII", sec, frac, len(frame), len(frame)))
+        out.append(frame)
+    return b"".join(out)
+
+
+def synth_frame(bp):
+    """The Ethernet frame of a one-packet blueprint, as ``botmeter.synth`` renders it."""
+    return generate_synthetic_capture([bp], 1)[40:]
+
+
+def with_ipv4_options(frame, words=1):
+    """``frame`` (Ethernet/IPv4, IHL 5) with ``words`` 4-byte IPv4 option words."""
+    ip = bytearray(frame[14:34])
+    ip[0] = 0x40 | (5 + words)
+    struct.pack_into("!H", ip, 2, struct.unpack_from("!H", ip, 2)[0] + 4 * words)
+    return frame[:14] + bytes(ip) + b"\x01" * (4 * words) + frame[34:]
+
+
+def vlan_tagged(frame, tpid=0x8100):
+    return frame[:12] + struct.pack("!HH", tpid, 7) + frame[12:]
+
+
+def usually(value, other):
+    """``value`` three draws in four, else a draw from ``other``."""
+    return st.one_of(st.just(value), st.just(value), st.just(value), other)
+
+
+@st.composite
+def transports(draw, protocol):
+    """Transport header and payload bytes for ``protocol``; any other protocol
+    gets arbitrary bytes."""
+    sport, dport = draw(st.integers(0, 65535)), draw(st.integers(0, 65535))
+    payload = draw(st.binary(max_size=24))
+    if protocol == 6:
+        offset = draw(usually(5, st.integers(0, 15)))
+        head = struct.pack("!HHIIBBHHH", sport, dport, draw(st.integers(0, 2**32 - 1)),
+                           0, offset << 4, draw(st.integers(0, 255)),
+                           draw(st.integers(0, 65535)), 0, 0)
+        return head + b"\x01" * (4 * max(offset - 5, 0)) + payload
+    if protocol == 17:
+        length = draw(usually(8 + len(payload), st.integers(0, 65535)))
+        return struct.pack("!HHHH", sport, dport, length, 0) + payload
+    if protocol in (1, 58):
+        return struct.pack("!BBHI", 8, 0, 0, 0) + payload
+    return payload
+
+
+@st.composite
+def ipv4_packets(draw):
+    version = draw(usually(4, st.integers(0, 15)))
+    ihl = draw(usually(5, st.integers(0, 15)))
+    frag = draw(usually(0, st.one_of(
+        st.sampled_from([0x4000, 0x2000, 0x0001, 0x1FFF, 0x6000]), st.integers(0, 0xFFFF))))
+    protocol = draw(st.sampled_from([6, 6, 17, 17, 1, 47]))
+    options = b"\x01" * (4 * max(ihl - 5, 0))
+    transport = draw(transports(protocol))
+    total = draw(usually(20 + len(options) + len(transport), st.integers(0, 65535)))
+    header = struct.pack("!BBHHHBBH4s4s", version << 4 | ihl, 0, total, 0, frag, 64,
+                         protocol, 0, draw(st.binary(min_size=4, max_size=4)),
+                         draw(st.binary(min_size=4, max_size=4)))
+    return header + options + transport
+
+
+@st.composite
+def common_frames(draw):
+    """An Ethernet/IPv4/TCP|UDP frame as captured (IHL 5, not a fragment), or
+    one with a single field changed that a check of the fused path reads."""
+    twist = draw(st.sampled_from([None, "options", "ver_ihl", "fragment", "ethertype",
+                                  "short_data_offset", "long_data_offset",
+                                  "udp_length"]))
+    protocol = draw(st.sampled_from([6, 17]))
+    ports = struct.pack("!HH", draw(st.integers(0, 65535)), draw(st.integers(0, 65535)))
+    payload = draw(st.binary(max_size=24))
+    if protocol == 6:
+        offset, options = 5, 0
+        if twist == "short_data_offset":
+            offset = draw(st.integers(0, 4))
+        elif twist == "long_data_offset":
+            offset = draw(st.integers(6, 15))
+            options = draw(st.integers(0, 4 * offset - 20))
+            payload = payload[:4 * offset - 20 - options]
+        transport = (ports + struct.pack("!IIBBHHH", draw(st.integers(0, 2**32 - 1)), 0,
+                                         offset << 4, draw(st.integers(0, 255)),
+                                         draw(st.integers(0, 65535)), 0, 0)
+                     + b"\x01" * options + payload)
+    else:
+        length = 8 + len(payload)
+        if twist == "udp_length":
+            length = draw(st.one_of(st.integers(0, 16), st.integers(0, 65535)))
+        transport = ports + struct.pack("!HH", length, 0) + payload
+    words = draw(st.integers(1, 10)) if twist == "options" else 0
+    ver_ihl = draw(st.integers(0, 255)) if twist == "ver_ihl" else 0x45 + words
+    frag = 0
+    if twist == "fragment":
+        frag = draw(st.one_of(st.sampled_from([0x4000, 0x2000, 0x0001, 0x1FFF]),
+                              st.integers(0, 0xFFFF)))
+    ethertype = 0x0800
+    if twist == "ethertype":
+        ethertype = draw(st.one_of(st.sampled_from([0x86DD, 0x0806, 0x8100, 0x88A8]),
+                                   st.integers(0, 0xFFFF)))
+    header = struct.pack("!BBHHHBBH4s4s", ver_ihl, 0, 20 + 4 * words + len(transport),
+                         0, frag, 64, protocol, 0, draw(st.binary(min_size=4, max_size=4)),
+                         draw(st.binary(min_size=4, max_size=4)))
+    return (_MACS + struct.pack("!H", ethertype) + header + b"\x01" * (4 * words)
+            + transport)
+
+
+@st.composite
+def ipv6_packets(draw):
+    version = draw(usually(6, st.integers(0, 15)))
+    next_header = draw(st.sampled_from([6, 17, 58, 0, 43]))
+    transport = draw(transports(next_header))
+    return struct.pack("!IHBB16s16s", version << 28, len(transport), next_header, 64,
+                       b"\x20" * 16, b"\xfc" * 16) + transport
+
+
+def ip_packets():
+    return st.one_of(ipv4_packets(), ipv4_packets(), ipv6_packets(),
+                     st.binary(max_size=48))
+
+
+@st.composite
+def ethernet_frames(draw):
+    tags = draw(usually([], st.lists(st.sampled_from([0x8100, 0x88A8]), max_size=2)))
+    ethertype, l3 = draw(st.one_of(
+        st.tuples(st.just(0x0800), ipv4_packets()),
+        st.tuples(st.just(0x0800), ipv4_packets()),
+        st.tuples(st.just(0x86DD), ipv6_packets()),
+        st.tuples(st.sampled_from([0x0806, 0x0800, 0x86DD]), st.binary(max_size=48)),
+        st.tuples(st.integers(0, 0xFFFF), st.binary(max_size=48))))
+    return (_MACS + b"".join(struct.pack("!HH", tag, 5) for tag in tags)
+            + struct.pack("!H", ethertype) + l3)
+
+
+LINK_FRAMES = {
+    pcap.LINKTYPE_ETHERNET: ethernet_frames(),
+    pcap.LINKTYPE_RAW: ip_packets(),
+    pcap.LINKTYPE_NULL: st.builds(lambda family, ip: struct.pack("<I", family) + ip,
+                                  st.sampled_from([2, 24, 30]), ip_packets()),
+    147: st.binary(max_size=60),   # a link type the reader does not decode
+}
+
+
+@st.composite
+def captures(draw, link_frames=LINK_FRAMES):
+    """Classic pcaps of up to six frames drawn from ``link_frames`` (link type
+    -> frame strategy), some cut short or overwritten, with stamps that may
+    go back in time; the whole capture is sometimes cut too."""
+    linktype = draw(st.sampled_from(sorted(link_frames)))
+    nanos = draw(st.booleans())
+    frames = []
+    for _ in range(draw(st.integers(1, 6))):
+        frame = draw(link_frames[linktype])
+        cut = draw(usually(None, st.integers(0, 60)))
+        if cut is not None:
+            frame = frame[:cut]
+        if frame and draw(st.integers(0, 3)) == 0:
+            frame = capgen.overwrite(frame, draw(capgen.EDITS))
+        frames.append(frame)
+    stamps = [(draw(st.integers(0, 3)),
+               draw(st.integers(0, 999_999_999 if nanos else 999_999)))
+              for _ in frames]
+    data = pcap_bytes(frames, linktype, draw(st.sampled_from("<>")), nanos, stamps)
+    return data[:draw(st.integers(24, len(data)))] if draw(st.booleans()) else data
+
+
+class TestFusedPath:
+    @staticmethod
+    def read(tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fused") / "cap.pcap"
+        path.write_bytes(data)
+        stats = CaptureStats()
+        return list(read_capture(str(path), stats)), stats
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=captures({pcap.LINKTYPE_ETHERNET: common_frames()}))
+    def test_common_frames_read_as_the_chain_reads_them(self, tmp_path_factory, data):
+        assert self.read(tmp_path_factory, data) == chain_reference(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=captures())
+    def test_any_capture_reads_as_the_chain_reads_it(self, tmp_path_factory, data):
+        assert self.read(tmp_path_factory, data) == chain_reference(data)
+
+    @pytest.mark.parametrize("frame", [
+        synth_frame(blueprint(1)),
+        synth_frame(blueprint(1, protocol=17)),
+        synth_frame(FlowBlueprint("10.0.0.1", "8.8.8.8", 1000, 53, 17,
+                                  (PacketBlueprint("fwd", 0, 1),))),
+        with_ipv4_options(synth_frame(blueprint(1))),
+        vlan_tagged(synth_frame(blueprint(1, protocol=17)), 0x88A8),
+    ], ids=["tcp", "udp", "udp-42", "ipv4-options", "vlan-udp"])
+    def test_frame_cut_at_every_byte_equals_the_chain(self, frame):
+        for cut in range(61):
+            for endian in "<>":
+                data = pcap_bytes([frame[:cut], frame], endian=endian)
+                assert parse_stream(io.BytesIO(data)) == chain_reference(data), cut
+
+
+class TestFusedPathFires:
+    """The fused path must decode the common frame without the chain, and hand
+    every other frame to it."""
+
+    @pytest.fixture
+    def chain_calls(self, monkeypatch):
+        calls = []
+        chain = pcap._LINK_DECODERS[pcap.LINKTYPE_ETHERNET]
+
+        def spy(buf, off, stop, ts_us, stats):
+            calls.append(bytes(buf[off:stop]))
+            return chain(buf, off, stop, ts_us, stats)
+
+        monkeypatch.setitem(pcap._LINK_DECODERS, pcap.LINKTYPE_ETHERNET, spy)
+        return calls
+
+    def test_plain_tcp_and_udp_never_reach_the_chain(self, chain_calls):
+        zero_payload = (PacketBlueprint("fwd", 0, 1, flags="S"),
+                        PacketBlueprint("bwd", 0, 1, flags="SA"))
+        data = generate_synthetic_capture([
+            varied_flow(20), blueprint(3, protocol=17),
+            FlowBlueprint("10.0.0.2", "8.8.4.4", 5000, 80, 6, zero_payload),
+            FlowBlueprint("10.0.0.2", "8.8.4.4", 5000, 53, 17, zero_payload[:1]),
+        ], 3)
+        pkts, stats = parse_stream(io.BytesIO(data))
+        assert stats == CaptureStats(records=26, decoded=26)
+        assert chain_calls == []
+        assert pkts == chain_reference(data)[0]
+
+    @pytest.mark.parametrize("frame", [
+        vlan_tagged(synth_frame(blueprint(1))),
+        with_ipv4_options(synth_frame(blueprint(1, protocol=17)), 2),
+        synth_frame(blueprint(1, protocol=1, src_port=0, dst_port=0)),
+        synth_frame(blueprint(1, src_ip="2001:db8::1", dst_ip="2001:db8::2")),
+    ], ids=["vlan", "ipv4-options", "icmp", "ipv6"])
+    def test_other_frames_go_to_the_chain(self, chain_calls, frame):
+        pkts, stats = parse_stream(io.BytesIO(pcap_bytes([frame])))
+        assert chain_calls == [frame]
+        assert stats == CaptureStats(records=1, decoded=1)
+        assert len(pkts) == 1
