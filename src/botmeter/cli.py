@@ -16,13 +16,14 @@ import json
 import logging
 import math
 import sys
+from contextlib import closing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import classifiers, demo
-from .dataset import (FeatureTable, parse_manifest, read_feature_csv,
+from .dataset import (FeatureTable, csv_rows, parse_manifest, read_feature_csv,
                       read_flow_csv, train_test_split, write_flow_csv)
-from .errors import BotmeterError, ValidationError
+from .errors import BotmeterError, CsvFormatError, ValidationError
 from .evaluation import evaluate_predictions, render_report
 from .labeling import label_flows, parse_rules
 from .meter import MeterConfig, ingest_capture_detailed
@@ -72,20 +73,17 @@ def load_pipeline_config(path, args=None) -> PipelineConfig:
             value = doc.get(key, default)
         return _config_number(key, value, integer)
 
-    def timeout_us(flag, key, default):
-        us = pick(flag, key, default) * 1e6
-        if not math.isfinite(us):
-            raise ValidationError(f"{key} is too large to count in microseconds")
-        return int(us)
-
     datasets = doc.get("datasets", [])
     if not (isinstance(datasets, list) and all(isinstance(m, str) for m in datasets)):
         raise ValidationError(
             f"datasets must be a list of manifest paths, got {datasets!r}")
     manifests = tuple(parse_manifest(base / m) for m in datasets)
     meter = MeterConfig(
-        flow_timeout_us=timeout_us("timeout_s", "flow_timeout_s", 120.0),
-        activity_timeout_us=timeout_us("activity_timeout_s", "activity_timeout_s", 5.0))
+        flow_timeout_us=_timeout_us(
+            "flow_timeout_s", pick("timeout_s", "flow_timeout_s", 120.0)),
+        activity_timeout_us=_timeout_us(
+            "activity_timeout_s",
+            pick("activity_timeout_s", "activity_timeout_s", 5.0)))
     # A relative --out is taken from the working directory, a relative
     # out_dir in the config from the config's directory.
     if getattr(args, "out", None) is not None:
@@ -119,6 +117,16 @@ def _config_number(key: str, value, integer: bool):
             return float(value)
     what = "an integer" if integer else "a finite number"
     raise ValidationError(f"{key} must be {what}, got {value!r}")
+
+
+def _timeout_us(key: str, seconds) -> int:
+    """A timeout in seconds, from a config or the command line, in whole
+    microseconds.  A value that is not a finite number, or is too large to
+    count in microseconds, is a ValidationError naming the config key."""
+    us = _config_number(key, seconds, False) * 1e6
+    if not math.isfinite(us):
+        raise ValidationError(f"{key} is too large to count in microseconds")
+    return int(us)
 
 
 # Hyperparameters a config's ``models.<KIND>`` may set.
@@ -183,13 +191,21 @@ def write_ranked_csv(ranked: RankedFeatureList, path: Path) -> None:
 
 
 def read_ranked_csv(path) -> RankedFeatureList:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["name", "score"]:
-            raise BotmeterError(f"{path}: not a ranked-list CSV")
-        ranked = tuple((row[0], float(row[1])) for row in reader if row)
-    return RankedFeatureList(Path(path).stem, ranked)
+    """A ranked list written by ``write_ranked_csv``.  A file of another
+    header, a ragged row, a non-numeric score or text that is not UTF-8 is
+    a CsvFormatError naming the file (and the line)."""
+    with closing(csv_rows(path)) as records:
+        if next(records)[:2] != ["name", "score"]:
+            raise CsvFormatError(f"{path}: not a ranked-list CSV")
+        ranked = []
+        for line_no, row in records:
+            try:
+                ranked.append((row[0], float(row[1])))
+            except ValueError:
+                raise CsvFormatError(
+                    f"{path}: non-numeric score {row[1]!r} at line {line_no}"
+                ) from None
+    return RankedFeatureList(Path(path).stem, tuple(ranked))
 
 
 def write_universal_csv(universal, path: Path) -> None:
@@ -201,12 +217,12 @@ def write_universal_csv(universal, path: Path) -> None:
 
 
 def read_universal_features(path) -> list[str]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:1] != ["name"]:
-            raise BotmeterError(f"{path}: not a universal-set CSV")
-        return [row[0] for row in reader if row]
+    """The feature names of a universal-set CSV; format errors as in
+    ``read_ranked_csv``."""
+    with closing(csv_rows(path)) as records:
+        if next(records)[:1] != ["name"]:
+            raise CsvFormatError(f"{path}: not a universal-set CSV")
+        return [row[0] for _, row in records]
 
 
 def train_models(train: FeatureTable, seed: int, out_dir: Path, dataset: str,
@@ -448,8 +464,9 @@ def _split_labeled(args) -> tuple[FeatureTable, FeatureTable]:
 def _dispatch(args) -> int:
     if args.command == "extract":
         meter = MeterConfig(
-            flow_timeout_us=int(args.timeout_s * 1e6),
-            activity_timeout_us=int(args.activity_timeout_s * 1e6))
+            flow_timeout_us=_timeout_us("flow_timeout_s", args.timeout_s),
+            activity_timeout_us=_timeout_us("activity_timeout_s",
+                                            args.activity_timeout_s))
         flows = _meter_captures(args.captures, meter)
         write_flow_csv(args.out, flows)
         print(f"wrote {len(flows)} flows to {args.out}")

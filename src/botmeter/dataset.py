@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CsvFormatError, ValidationError
-from .features import FEATURE_NAMES, IDENTITY_COLUMNS, FeatureVector
+from .features import (FEATURE_COLUMNS, FEATURE_NAMES, IDENTITY_COLUMNS,
+                       FeatureVector)
 from .labeling import labels_to_binary
 from .pcap import ip_from_str, ip_to_str
 
@@ -145,17 +146,16 @@ class FeatureTable:
         return FeatureTable(self.columns, self.rows[indices], labels)
 
 
-def _csv_rows(path):
-    """Yield a CSV file's normalized header, then ``(line number, cells)`` for
-    each non-empty row.  A missing header, a ragged row or text that is not
-    UTF-8 is a format error."""
+def csv_rows(path):
+    """Yield a CSV file's header, then ``(line number, cells)`` for each
+    non-empty row.  A missing header, a ragged row or text that is not UTF-8
+    is a format error."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            raw_header = next(reader, None)
-            if raw_header is None:
+            header = next(reader, None)
+            if header is None:
                 raise CsvFormatError(f"{path}: missing header row")
-            header = [normalize_feature_name(h)[0] for h in raw_header]
             yield header
             for line_no, row in enumerate(reader, start=2):
                 if not row:
@@ -190,12 +190,14 @@ def _undecodable_line(path) -> int:
 
 
 def format_number(x: float) -> str:
-    """Up to six fractional digits; integral values render as integers."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if math.isfinite(x) and x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return f"{x:.6f}"
+    """A float cell's text: ``x`` rounded to six decimal places, written as an
+    integer when that is integral (``0``, never ``-0``) and with six
+    decimals otherwise; nan and infinities as ``nan``, ``inf``, ``-inf``.
+    The text reads back to a float that is written with the same text."""
+    text = "%.6f" % x
+    if text.endswith(".000000"):
+        return "0" if text == "-0.000000" else text[:-7]
+    return text
 
 
 def _csv_cell(value) -> str:
@@ -205,65 +207,24 @@ def _csv_cell(value) -> str:
     return out.getvalue()[1:-2]
 
 
-# The types of the identity cells (flow ID, addresses, ports, protocol and
-# timestamp) in a row that can take one %-format.
-_IDENTITY_KINDS = (str, str, int, str, int, int, int)
+# The text of each feature's cells: ``str`` for an int column, so that a
+# value of another type shows in the text, and ``format_number`` for a
+# float column.
+_FEATURE_TEXT = tuple(str if kind is int else format_number
+                      for _, kind in FEATURE_COLUMNS)
+# The float features of a flow's ``values``.
+_FLOAT_VALUES = itemgetter(*(i for i, (_, kind) in enumerate(FEATURE_COLUMNS)
+                             if kind is float))
 
 
-class _RowFormats:
-    """The %-formats of the flow CSV rows whose cells have one tuple of
-    types: identity cells of ``_IDENTITY_KINDS``, then ``int`` and ``float``
-    features.
-
-    An ``int`` or ``str`` cell formats as ``%s``, which is its ``str``.  A
-    float cell formats as ``%d`` when it is integral and as ``%.6f``
-    otherwise, which is ``format_number``'s text as long as the float is
-    below 1e15 in magnitude.  So the formats are kept by the floats'
-    integral mask.
-    """
-
-    def __init__(self, kinds: tuple, end: str):
-        self.directives = [None if kind is float else "%s" for kind in kinds]
-        positions = [i for i, kind in enumerate(kinds) if kind is float]
-        if len(positions) > 1:
-            self.floats = itemgetter(*positions)
-        elif positions:
-            self.floats = lambda row, _i=positions[0]: (row[_i],)
-        else:
-            # No float cells: one 0.0 passes every test and shows in no cell.
-            self.floats = lambda row: (0.0,)
-        self.end = end
-        self.by_mask: dict[tuple, str] = {}
-
-    @staticmethod
-    def for_kinds(kinds: tuple, end: str) -> "_RowFormats | None":
-        """The formats for rows of cell types ``kinds``, or None when such
-        rows need ``format_number`` and ``csv.writer``."""
-        if kinds[:7] == _IDENTITY_KINDS and all(
-                kind is int or kind is float for kind in kinds[7:]):
-            return _RowFormats(kinds, end)
-        return None
-
-    def format_of(self, row: tuple) -> str | None:
-        """The format for ``row``, or None when a float of it is 1e15 or more
-        in magnitude or its identity text needs quoting."""
-        floats = self.floats(row)
-        # max and min skip a nan unless it comes first, and then it fails
-        # the test; a nan that passes is written "nan", as format_number
-        # writes it.
-        if not (max(floats) < 1e15 and min(floats) > -1e15):
-            return None
-        ids = row[0] + row[1] + row[3]
-        if "," in ids or '"' in ids or "\n" in ids or "\r" in ids:
-            return None
-        mask = tuple(map(float.is_integer, floats))
-        fmt = self.by_mask.get(mask)
-        if fmt is None:
-            integral = iter(mask)
-            fmt = self.by_mask[mask] = ",".join(
-                d if d is not None else "%d" if next(integral) else "%.6f"
-                for d in self.directives) + self.end
-        return fmt
+def _row_format(integral, end: str) -> str:
+    """The %-format of a flow row whose float cells are integral as in
+    ``integral``: ``%d`` for those that are, ``%.6f`` for the rest and
+    ``%s`` for the identity and int cells."""
+    integral = iter(integral)
+    return ",".join(["%s"] * len(IDENTITY_COLUMNS) + [
+        "%s" if kind is int else "%d" if next(integral) else "%.6f"
+        for _, kind in FEATURE_COLUMNS]) + end
 
 
 def write_flow_csv(path, flows, labels=None) -> None:
@@ -271,13 +232,14 @@ def write_flow_csv(path, flows, labels=None) -> None:
     columns, the 65 features, then Label when ``labels`` (one per flow) is
     given.
 
-    Each row holds what ``csv.writer`` writes for the identity cells and the
-    label, and the ``format_number`` text of each feature.  A row that
-    ``_RowFormats`` has a format for is one %-format, with a ``str`` label
-    quoted once per distinct label; any other row goes through
-    ``format_number`` and ``csv.writer``.
+    Identity cells and labels are written as ``csv.writer`` writes them, and
+    each feature as ``_FEATURE_TEXT`` says.  A row is one %-format, picked by
+    which of its floats are integral.  Two rare rows go through
+    ``csv.writer`` instead: one whose identity text needs quoting, and one
+    with a fraction that rounds to an integer, which ``%.6f`` writes with
+    six zero decimals where ``format_number`` writes an integer.
     """
-    header = list(IDENTITY_COLUMNS) + list(FEATURE_NAMES)
+    header = [*IDENTITY_COLUMNS, *FEATURE_NAMES]
     if labels is None:
         end, row_labels = "\r\n", itertools.repeat(None)
     else:
@@ -285,33 +247,31 @@ def write_flow_csv(path, flows, labels=None) -> None:
             raise ValidationError(f"{len(labels)} labels for {len(flows)} flows")
         header.append(LABEL_COLUMN)
         end, row_labels = ",%s\r\n", labels
-    formats_by_kinds: dict[tuple, _RowFormats | None] = {}
-    label_cells: dict[str, str] = {}
+    formats: dict[tuple, str] = {}
+    label_cells: dict = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for flow, label in zip(flows, row_labels):
+            integral = tuple(map(float.is_integer, _FLOAT_VALUES(flow.values)))
+            fmt = formats.get(integral)
+            if fmt is None:
+                fmt = formats[integral] = _row_format(integral, end)
             row = flow[:7] + flow.values
-            kinds = tuple(map(type, row))
-            formats = formats_by_kinds.get(kinds, False)
-            if formats is False:
-                formats = formats_by_kinds[kinds] = _RowFormats.for_kinds(kinds, end)
-            fmt = formats and formats.format_of(row)
-            if fmt and labels is not None:
-                if type(label) is str:
-                    cell = label_cells.get(label)
-                    if cell is None:
-                        cell = label_cells[label] = _csv_cell(label)
-                    row += (cell,)
-                else:
-                    fmt = None
-            if fmt:
-                fh.write(fmt % row)
+            if labels is not None:
+                cell = label_cells.get(label)
+                if cell is None:
+                    cell = label_cells[label] = _csv_cell(label)
+                row += (cell,)
+            line = fmt % row
+            ids = flow[0] + flow[1] + flow[3]
+            if ("," in ids or '"' in ids or "\n" in ids or "\r" in ids
+                    or ".000000" in line):
+                cells = [*flow[:7], *(text(v) for text, v
+                                      in zip(_FEATURE_TEXT, flow.values))]
+                writer.writerow(cells if labels is None else [*cells, label])
             else:
-                cells = [*flow[:7], *map(format_number, flow.values)]
-                if labels is not None:
-                    cells.append(label)
-                writer.writerow(cells)
+                fh.write(line)
 
 
 def write_feature_csv(table: FeatureTable, path) -> None:
@@ -336,16 +296,17 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
     non-numeric cells and non-finite cells (``inf``, ``Infinity``, ``NaN``)
     are format errors naming the line and column.
     """
-    with closing(_csv_rows(path)) as records:
-        header = next(records)
+    with closing(csv_rows(path)) as records:
+        header = [normalize_feature_name(h)[0] for h in next(records)]
         feature_idx = [i for i, name in enumerate(header)
                        if name not in IDENTITY_COLUMNS and name != LABEL_COLUMN]
         label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
         columns = [header[i] for i in feature_idx]
+        kinds = [(name, float) for name in columns]
         data: list[list[float]] = []
         labels: list[str] = []
         for line_no, row in records:
-            data.append(_float_cells(path, row, feature_idx, columns, line_no))
+            data.append(_number_cells(path, row, feature_idx, kinds, line_no))
             if label_idx is not None:
                 labels.append(row[label_idx])
     table_labels = None
@@ -364,16 +325,18 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
     return FeatureTable(columns, rows, table_labels)
 
 
-def _float_cells(path, row, indices, names, line_no) -> list[float]:
-    """The cells of ``row`` at ``indices`` as floats.  A non-numeric cell is
-    a format error naming its text, its column (from ``names``) and its line."""
+def _number_cells(path, row, indices, columns, line_no) -> list:
+    """The cells of ``row`` at ``indices``, each read by the kind of its
+    column in ``columns`` ((name, int | float) pairs).  A cell that its kind
+    cannot read is a format error naming its text, its column and its line."""
     values = []
-    for i, name in zip(indices, names):
+    for i, (name, kind) in zip(indices, columns):
         try:
-            values.append(float(row[i]))
+            values.append(kind(row[i]))
         except ValueError:
+            what = "non-integer" if kind is int else "non-numeric"
             raise CsvFormatError(
-                f"{path}: non-numeric value {row[i]!r} in column {name!r} "
+                f"{path}: {what} value {row[i]!r} in column {name!r} "
                 f"at line {line_no}") from None
     return values
 
@@ -381,26 +344,33 @@ def _float_cells(path, row, indices, names, line_no) -> list[float]:
 def _cell(path, index, column) -> tuple[int, str]:
     """The line number and text of one cell of data row ``index``, read
     again from the file (only on the error path, so reads stay one pass)."""
-    with closing(_csv_rows(path)) as records:
+    with closing(csv_rows(path)) as records:
         next(records)
         line_no, row = next(itertools.islice(records, index, None))
     return line_no, row[column]
 
 
-_INT_IDENTITY_COLUMNS = ("Source Port", "Destination Port", "Protocol", "Timestamp")
+# The columns of a flow CSV that are read as numbers: the int identity
+# columns, then the features.
+_NUMBER_COLUMNS = (("Source Port", int), ("Destination Port", int),
+                   ("Protocol", int), ("Timestamp", int), *FEATURE_COLUMNS)
 
 
 def read_flow_csv(path) -> tuple[list, list[str] | None]:
     """Load a flow CSV back into FeatureVectors (plus labels when present).
 
     The inverse of write_flow_csv; needs the identity columns and all 65
-    canonical features (aliases accepted).  Addresses are rewritten in the
-    flows' own text form (``pcap.ip_to_str``), so ``2001:db8:0:0:0:0:0:1``
-    reads as ``2001:db8::1``.  Non-numeric and non-finite feature cells and
-    unparsable addresses are format errors naming the cell's text, its
-    column and its line."""
-    with closing(_csv_rows(path)) as records:
-        positions = {name: i for i, name in enumerate(next(records))}
+    canonical features (aliases accepted).  Int columns are read with
+    ``int`` and float columns with ``float``, as ``FEATURE_COLUMNS`` says.
+    Addresses are rewritten in the flows' own text form
+    (``pcap.ip_to_str``), so ``2001:db8:0:0:0:0:0:1`` reads as
+    ``2001:db8::1``.  A cell that its column's type cannot read (float text
+    in an int column included), a non-finite float cell and an unparsable
+    address are format errors naming the cell's text, its column and its
+    line."""
+    with closing(csv_rows(path)) as records:
+        positions = {normalize_feature_name(name)[0]: i
+                     for i, name in enumerate(next(records))}
         missing = [c for c in (*IDENTITY_COLUMNS, *FEATURE_NAMES)
                    if c not in positions]
         if missing:
@@ -408,33 +378,28 @@ def read_flow_csv(path) -> tuple[list, list[str] | None]:
                 f"{path}: flow CSV missing column(s): {', '.join(missing[:4])}"
                 + (" ..." if len(missing) > 4 else ""))
         has_label = LABEL_COLUMN in positions
-        feature_idx = [positions[name] for name in FEATURE_NAMES]
+        number_idx = [positions[name] for name, _ in _NUMBER_COLUMNS]
         flows, labels = [], []
         for line_no, row in records:
-            values = _float_cells(path, row, feature_idx, FEATURE_NAMES, line_no)
-            if not all(map(math.isfinite, values)):
-                name = next(n for n, v in zip(FEATURE_NAMES, values)
-                            if not math.isfinite(v))
+            src_port, dst_port, protocol, start_ts_us, *values = _number_cells(
+                path, row, number_idx, _NUMBER_COLUMNS, line_no)
+            values = tuple(values)
+            if not all(map(math.isfinite, _FLOAT_VALUES(values))):
+                name = next(name for (name, kind), v
+                            in zip(FEATURE_COLUMNS, values)
+                            if kind is float and not math.isfinite(v))
                 raise CsvFormatError(
                     f"{path}: non-finite value {row[positions[name]]!r} in "
                     f"column {name!r} at line {line_no}")
-            ints = {}
-            for name in _INT_IDENTITY_COLUMNS:
-                try:
-                    ints[name] = int(row[positions[name]])
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: non-integer {name!r} cell at line {line_no}"
-                    ) from None
             flows.append(FeatureVector(
                 flow_id=row[positions["Flow ID"]],
                 src_ip=_address(path, row, positions, "Source IP", line_no),
-                src_port=ints["Source Port"],
+                src_port=src_port,
                 dst_ip=_address(path, row, positions, "Destination IP", line_no),
-                dst_port=ints["Destination Port"],
-                protocol=ints["Protocol"],
-                start_ts_us=ints["Timestamp"],
-                values=tuple(values)))
+                dst_port=dst_port,
+                protocol=protocol,
+                start_ts_us=start_ts_us,
+                values=values))
             if has_label:
                 labels.append(row[positions[LABEL_COLUMN]])
     return flows, (labels if has_label else None)

@@ -26,79 +26,82 @@ IDENTITY_COLUMNS = (
     "Timestamp",
 )
 
-# The 65 model features, in CSV column order.
-FEATURE_NAMES = (
-    "Flow Duration",
-    "Total Fwd Packets",
-    "Total Backward Packets",
-    "Total Length of Fwd Packets",
-    "Total Length of Bwd Packets",
-    "Fwd Packet Length Max",
-    "Fwd Packet Length Min",
-    "Fwd Packet Length Mean",
-    "Fwd Packet Length Std",
-    "Bwd Packet Length Max",
-    "Bwd Packet Length Min",
-    "Bwd Packet Length Mean",
-    "Bwd Packet Length Std",
-    "Flow Bytes/s",
-    "Flow Packets/s",
-    "Flow IAT Mean",
-    "Flow IAT Std",
-    "Flow IAT Max",
-    "Flow IAT Min",
-    "Fwd IAT Total",
-    "Fwd IAT Mean",
-    "Fwd IAT Std",
-    "Fwd IAT Max",
-    "Fwd IAT Min",
-    "Bwd IAT Total",
-    "Bwd IAT Mean",
-    "Bwd IAT Std",
-    "Bwd IAT Max",
-    "Bwd IAT Min",
-    "Fwd PSH Flags",
-    "Bwd PSH Flags",
-    "Fwd URG Flags",
-    "Bwd URG Flags",
-    "Fwd Header Length",
-    "Bwd Header Length",
-    "Fwd Packets/s",
-    "Bwd Packets/s",
-    "Min Packet Length",
-    "Max Packet Length",
-    "Packet Length Mean",
-    "Packet Length Std",
-    "Packet Length Variance",
-    "FIN Flag Count",
-    "SYN Flag Count",
-    "RST Flag Count",
-    "PSH Flag Count",
-    "ACK Flag Count",
-    "URG Flag Count",
-    "CWR Flag Count",
-    "ECE Flag Count",
-    "Down/Up Ratio",
-    "Average Packet Size",
-    "Avg Fwd Segment Size",
-    "Avg Bwd Segment Size",
-    "Init Fwd Win Bytes",
-    "Init Bwd Win Bytes",
-    "Active Mean",
-    "Active Std",
-    "Active Max",
-    "Active Min",
-    "Idle Mean",
-    "Idle Std",
-    "Idle Max",
-    "Idle Min",
-    "Inbound",
+# The 65 model features, in CSV column order, each with the type of its
+# values: counts, byte totals, flags and microsecond totals and extremes are
+# ints; means, deviations, variances, rates and ratios are floats.
+FEATURE_COLUMNS = (
+    ("Flow Duration", int),
+    ("Total Fwd Packets", int),
+    ("Total Backward Packets", int),
+    ("Total Length of Fwd Packets", int),
+    ("Total Length of Bwd Packets", int),
+    ("Fwd Packet Length Max", int),
+    ("Fwd Packet Length Min", int),
+    ("Fwd Packet Length Mean", float),
+    ("Fwd Packet Length Std", float),
+    ("Bwd Packet Length Max", int),
+    ("Bwd Packet Length Min", int),
+    ("Bwd Packet Length Mean", float),
+    ("Bwd Packet Length Std", float),
+    ("Flow Bytes/s", float),
+    ("Flow Packets/s", float),
+    ("Flow IAT Mean", float),
+    ("Flow IAT Std", float),
+    ("Flow IAT Max", int),
+    ("Flow IAT Min", int),
+    ("Fwd IAT Total", int),
+    ("Fwd IAT Mean", float),
+    ("Fwd IAT Std", float),
+    ("Fwd IAT Max", int),
+    ("Fwd IAT Min", int),
+    ("Bwd IAT Total", int),
+    ("Bwd IAT Mean", float),
+    ("Bwd IAT Std", float),
+    ("Bwd IAT Max", int),
+    ("Bwd IAT Min", int),
+    ("Fwd PSH Flags", int),
+    ("Bwd PSH Flags", int),
+    ("Fwd URG Flags", int),
+    ("Bwd URG Flags", int),
+    ("Fwd Header Length", int),
+    ("Bwd Header Length", int),
+    ("Fwd Packets/s", float),
+    ("Bwd Packets/s", float),
+    ("Min Packet Length", int),
+    ("Max Packet Length", int),
+    ("Packet Length Mean", float),
+    ("Packet Length Std", float),
+    ("Packet Length Variance", float),
+    ("FIN Flag Count", int),
+    ("SYN Flag Count", int),
+    ("RST Flag Count", int),
+    ("PSH Flag Count", int),
+    ("ACK Flag Count", int),
+    ("URG Flag Count", int),
+    ("CWR Flag Count", int),
+    ("ECE Flag Count", int),
+    ("Down/Up Ratio", float),
+    ("Average Packet Size", float),
+    ("Avg Fwd Segment Size", float),
+    ("Avg Bwd Segment Size", float),
+    ("Init Fwd Win Bytes", int),
+    ("Init Bwd Win Bytes", int),
+    ("Active Mean", float),
+    ("Active Std", float),
+    ("Active Max", int),
+    ("Active Min", int),
+    ("Idle Mean", float),
+    ("Idle Std", float),
+    ("Idle Max", int),
+    ("Idle Min", int),
+    ("Inbound", int),
 )
+FEATURE_NAMES = tuple(name for name, _ in FEATURE_COLUMNS)
 
 
 class FeatureVector(NamedTuple):
     """One finalized flow: identity fields plus the 65 model features,
-    ``values``, in ``FEATURE_NAMES`` order."""
+    ``values``, in ``FEATURE_COLUMNS`` order and of its types."""
 
     flow_id: str
     src_ip: str

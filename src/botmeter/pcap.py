@@ -235,9 +235,12 @@ def _read_stream(fh: BinaryIO, stats: CaptureStats) -> Iterator[PacketRecord]:
                                 payload if payload > 0 else 0, 20 + data_offset,
                                 flags, window))
                 elif protocol == PROTO_UDP:
+                    # min(udp_len, total_len - 20) - 8, without a call.
+                    payload = total_len - 20
+                    payload = (udp_len if udp_len < payload else payload) - 8
                     pkt = _tuple_new(PacketRecord, (
                         ts_us, src, dst, sport, dport, PROTO_UDP,
-                        udp_len - 8 if udp_len > 8 else 0, 28, 0, None))
+                        payload if payload > 0 else 0, 28, 0, None))
         if pkt is None:
             pkt = decode(buf, pos, stop, ts_us, stats)
         pos = stop
@@ -366,9 +369,10 @@ def _decode_transport(buf: bytes, off: int, stop: int, ts_us: int,
             stats.truncated += 1
             return None
         sport, dport, udp_len = _UDP.unpack_from(buf, off)
+        # The UDP length cannot stretch the payload past the IP packet.
         return _tuple_new(PacketRecord, (
             ts_us, src, dst, sport, dport, protocol,
-            max(udp_len - 8, 0), ip_header_len + 8, 0, None))
+            max(min(udp_len, ip_payload_len) - 8, 0), ip_header_len + 8, 0, None))
     if protocol == PROTO_ICMP or protocol == PROTO_ICMPV6:
         if stop - off < 8:
             stats.truncated += 1

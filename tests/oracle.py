@@ -221,8 +221,9 @@ def named(fv):
 
 
 def assert_flows_match(meter_flows, oracle_flows, rel_tol=1e-9):
-    """Field-for-field comparison: counts exact, reals within rel_tol."""
-    from botmeter.features import FEATURE_NAMES
+    """Field-for-field comparison: counts exact, reals within rel_tol, and
+    every metered value of its column's type in ``FEATURE_COLUMNS``."""
+    from botmeter.features import FEATURE_COLUMNS, FEATURE_NAMES
 
     assert len(meter_flows) == len(oracle_flows), (
         f"flow count mismatch: meter {len(meter_flows)} vs oracle {len(oracle_flows)}")
@@ -238,8 +239,10 @@ def assert_flows_match(meter_flows, oracle_flows, rel_tol=1e-9):
         assert fv.start_ts_us == identity["Timestamp"]
         assert len(fv.values) == len(FEATURE_NAMES)
         got_feats = named(fv)
-        for name in FEATURE_NAMES:
+        for name, kind in FEATURE_COLUMNS:
             got, want = got_feats[name], feats[name]
+            assert type(got) is kind, (
+                f"{fv.flow_id} {name}: {got!r} is not {kind.__name__}")
             if name in INT_FEATURES:
                 assert got == want, f"{fv.flow_id} {name}: {got} != {want}"
             else:

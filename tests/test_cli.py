@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import struct
 import warnings
@@ -13,13 +14,13 @@ from botmeter.dataset import (FeatureTable, read_feature_csv, write_feature_csv,
                               write_flow_csv)
 from botmeter.demo import make_demo_corpus
 from botmeter.errors import CsvFormatError, ValidationError
-from botmeter.features import FEATURE_NAMES
 from botmeter.meter import MeterConfig
 from botmeter.selection import derive_universal_set, rank_features_lr
 from botmeter.synth import FlowBlueprint, PacketBlueprint, generate_synthetic_capture
 
 import capgen
 import oracle
+from test_dataset import ZEROS
 
 
 def run_cli(*argv):
@@ -115,7 +116,7 @@ class TestStageCommands:
     def test_label_rejects_non_finite_feature_cell(self, tmp_path, capsys, cell):
         from test_labeling import flow
 
-        rows = [flow(sport=sport, values=(0.0,) * len(FEATURE_NAMES))
+        rows = [flow(sport=sport, values=ZEROS)
                 for sport in (1000, 1001)]
         features = tmp_path / "features.csv"
         write_flow_csv(features, rows)
@@ -139,7 +140,7 @@ class TestStageCommands:
         from test_labeling import flow
 
         features = tmp_path / "features.csv"
-        write_flow_csv(features, [flow(values=(0.0,) * len(FEATURE_NAMES))])
+        write_flow_csv(features, [flow(values=ZEROS)])
         features.write_bytes(features.read_bytes().replace(b"8.8.8.8-", b"\xff-"))
         rules = tmp_path / "rules.csv"
         rules.write_text("src_ip,src_port,dst_ip,dst_port,protocol,label\n"
@@ -149,6 +150,60 @@ class TestStageCommands:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {features}: not UTF-8 text at line 2 (invalid start byte)"]
         assert not labeled.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--timeout-s", "inf", "flow_timeout_s must be a finite number, got inf"),
+        ("--timeout-s", "nan", "flow_timeout_s must be a finite number, got nan"),
+        ("--activity-timeout-s", "inf",
+         "activity_timeout_s must be a finite number, got inf"),
+        ("--timeout-s", "1e307",
+         "flow_timeout_s is too large to count in microseconds"),
+    ])
+    def test_extract_rejects_a_timeout_it_cannot_count(self, tmp_path, capsys,
+                                                       flag, value, message):
+        capture = tmp_path / "cap.pcap"
+        capture.write_bytes(generate_synthetic_capture([FlowBlueprint(
+            "10.0.0.1", "8.8.8.8", 1000, 80, 6, (PacketBlueprint("fwd", 10, 0),))],
+            1))
+        argv = ["extract", str(capture), "--out", str(tmp_path / "f.csv"),
+                flag, value]
+        with pytest.raises(ValidationError) as info:
+            cli._dispatch(cli.build_parser().parse_args(argv))
+        assert str(info.value) == message
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("reader, text, message", [
+        (cli.read_ranked_csv, b"name,score\nFlow Duration,0.5\nIdle Max,high\n",
+         "non-numeric score 'high' at line 3"),
+        (cli.read_ranked_csv, b"name,score\nFlow Duration,0.5\nIdle Max\n",
+         r"ragged row at line 3 \(1 cells, expected 2\)"),
+        (cli.read_ranked_csv, b"name,score\nFlow Duration,0.5\nIdle M\xe4x,0.2\n",
+         r"not UTF-8 text at line 3 \(invalid continuation byte\)"),
+        (cli.read_ranked_csv, b"feature,score\nFlow Duration,0.5\n",
+         "not a ranked-list CSV"),
+        (cli.read_universal_features, b"name,count\nFlow Duration,2\nIdle Max\n",
+         r"ragged row at line 3 \(1 cells, expected 2\)"),
+        (cli.read_universal_features, b"name,count\nFlow Duration,2\n\xff,2\n",
+         r"not UTF-8 text at line 3 \(invalid start byte\)"),
+        (cli.read_universal_features, b"", "missing header row"),
+    ], ids=["ranked-score", "ranked-one-cell", "ranked-utf8", "ranked-header",
+            "universal-one-cell", "universal-utf8", "universal-empty"])
+    def test_ranked_and_universal_files_refuse_bad_rows(self, tmp_path, reader,
+                                                        text, message):
+        path = tmp_path / "list.csv"
+        path.write_bytes(text)
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(str(path))}: {message}$"):
+            reader(path)
+
+    def test_universal_stage_names_a_bad_ranked_file(self, tmp_path, capsys):
+        ranked = tmp_path / "ranked.csv"
+        ranked.write_text("name,score\nFlow Duration,x\n", encoding="utf-8")
+        assert run_cli("universal", ranked, ranked, "--out",
+                       tmp_path / "universal.csv") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ranked}: non-numeric score 'x' at line 2"]
 
     def test_synth_blueprint_roundtrip(self, tmp_path):
         blueprint = {

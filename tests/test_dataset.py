@@ -12,12 +12,14 @@ from botmeter.dataset import (FeatureTable, format_number, normalize_feature_nam
                               parse_manifest, read_feature_csv, read_flow_csv,
                               train_test_split, write_feature_csv, write_flow_csv)
 from botmeter.errors import CsvFormatError, ValidationError
-from botmeter.features import FEATURE_NAMES, IDENTITY_COLUMNS, FeatureVector
+from botmeter.features import (FEATURE_COLUMNS, FEATURE_NAMES, IDENTITY_COLUMNS,
+                               FeatureVector)
 from botmeter.pcap import ip_to_str
 
 import capgen
 
-ZEROS = (0.0,) * len(FEATURE_NAMES)
+# A flow's features, all zero and each of its column's type.
+ZEROS = tuple(kind(0) for _, kind in FEATURE_COLUMNS)
 
 
 class TestNormalizeName:
@@ -162,7 +164,7 @@ class TestFeatureCsv:
     def test_flow_csv_headers_and_labels(self, tmp_path):
         from test_labeling import flow
 
-        values = [0.0] * len(FEATURE_NAMES)
+        values = list(ZEROS)
         values[FEATURE_NAMES.index("Packet Length Mean")] = 123.456789
         fv = flow(values=tuple(values))
         path = tmp_path / "flows.csv"
@@ -194,8 +196,47 @@ class TestFeatureCsv:
         lines[2] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CsvFormatError,
-                           match=f"flows.csv: non-integer '{column}' cell at line 3"):
+                           match=f"flows.csv: non-integer value '8x' in column "
+                                 f"'{column}' at line 3"):
             read_flow_csv(path)
+
+    @pytest.mark.parametrize("text", ["2.0", "7.5", "1e3", "nan", ""])
+    def test_flow_csv_float_text_in_int_feature_column_is_refused(self, text,
+                                                                   tmp_path):
+        from test_labeling import flow
+
+        path = tmp_path / "flows.csv"
+        write_flow_csv(path, [flow(values=ZEROS)])
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index("Total Fwd Packets")] = text
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvFormatError) as info:
+            read_flow_csv(path)
+        assert str(info.value) == (f"{path}: non-integer value {text!r} in "
+                                   "column 'Total Fwd Packets' at line 2")
+
+    def test_off_type_value_in_int_column_shows_in_the_text(self, tmp_path):
+        # Written as its str, not truncated to an int, so reading refuses it.
+        from test_labeling import flow
+
+        values = list(ZEROS)
+        values[FEATURE_NAMES.index("Total Fwd Packets")] = 2.5
+        path = tmp_path / "flows.csv"
+        write_flow_csv(path, [flow(values=tuple(values))])
+        with pytest.raises(CsvFormatError, match="non-integer value '2.5' in "
+                                                 "column 'Total Fwd Packets'"):
+            read_flow_csv(path)
+
+    def test_flow_csv_reads_each_column_as_its_type(self, tmp_path):
+        from test_labeling import flow
+
+        path = tmp_path / "flows.csv"
+        write_flow_csv(path, [flow(values=ZEROS)])
+        (back,), _ = read_flow_csv(path)
+        assert [type(v) for v in back.values] == [k for _, k in FEATURE_COLUMNS]
+        assert back.values == ZEROS
 
     def test_flow_csv_addresses_read_in_flow_text_form(self, tmp_path):
         from botmeter.labeling import label_flows, parse_rules
@@ -246,48 +287,65 @@ class TestFormatNumber:
         assert format_number(350.0) == "350"
         assert format_number(-1.0) == "-1"
         assert format_number(0.0) == "0"
+        assert format_number(1e15) == "1000000000000000"
 
     def test_fractions_capped_at_six_digits(self):
         assert format_number(1 / 3) == "0.333333"
         assert format_number(76.37626158259734) == "76.376262"
 
-    # The flow CSV writer formats ints and floats without calling
-    # format_number; its cells must still read exactly as format_number's.
-    CELL_VALUES = st.one_of(
-        st.integers(-10**18, 10**18),
-        st.floats(allow_nan=True, allow_infinity=True),
-        st.integers(-10**16, 10**16).map(float),
-        st.sampled_from([1e15, -1e15, 1e15 - 1, -(1e15 - 1), 1e15 + 2, -(1e15 + 2),
-                         -0.0, 1e-7, -1e-7, math.nan, math.inf, -math.inf]),
-        st.booleans(),
-        st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
-    )
+    def test_integrality_is_decided_after_rounding(self):
+        assert format_number(2.0000001) == "2"
+        assert format_number(-2.0000001) == "-2"
+        assert format_number(1e-7) == "0"
+        assert format_number(-1e-7) == "0"
+        assert format_number(-0.0) == "0"
+        assert format_number(2.0000005000001) == "2.000001"
+
+    def test_non_finite_values_keep_their_names(self):
+        assert [format_number(x) for x in (math.nan, math.inf, -math.inf)] == \
+            ["nan", "inf", "-inf"]
+
+    @given(x=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.tuples(st.integers(-10**9, 10**9),
+                                 st.floats(-1e-6, 1e-6)).map(sum)))
+    def test_text_reads_back_to_the_same_text(self, x):
+        text = format_number(x)
+        assert format_number(float(text)) == text
+        assert text != "-0"
 
     @settings(max_examples=100, deadline=None)
-    @given(values=st.lists(CELL_VALUES, min_size=len(FEATURE_NAMES),
-                           max_size=len(FEATURE_NAMES)))
+    @given(values=st.tuples(*(st.integers() if kind is int else st.floats()
+                              for _, kind in FEATURE_COLUMNS)))
     def test_flow_csv_cells_equal_format_number(self, tmp_path_factory, values):
+        # The flow CSV writer formats cells without calling format_number;
+        # its float cells must still read exactly as format_number's, and
+        # its int cells as str's.
         from test_labeling import flow
 
-        fv = flow(values=tuple(values))
+        fv = flow(values=values)
         path = tmp_path_factory.mktemp("cells") / "flows.csv"
         write_flow_csv(path, [fv])
         with open(path, newline="", encoding="utf-8") as fh:
             _, row = csv.reader(fh)
         start = len(IDENTITY_COLUMNS)
-        assert row[start:start + len(values)] == [format_number(v) for v in values]
+        assert row[start:start + len(values)] == [
+            str(v) if kind is int else format_number(v)
+            for (_, kind), v in zip(FEATURE_COLUMNS, values)]
 
 
 def reference_flow_csv(flows, labels=None) -> bytes:
     """What ``write_flow_csv`` must write: ``csv.writer`` over the identity
-    cells, the ``format_number`` text of every feature and the label."""
+    cells, the text of every feature (``str`` in an int column,
+    ``format_number`` in a float column) and the label."""
     out = io.StringIO(newline="")
     writer = csv.writer(out)
     writer.writerow([*IDENTITY_COLUMNS, *FEATURE_NAMES]
                     + ([] if labels is None else ["Label"]))
     for i, f in enumerate(flows):
         cells = [f.flow_id, f.src_ip, f.src_port, f.dst_ip, f.dst_port,
-                 f.protocol, f.start_ts_us, *map(format_number, f.values)]
+                 f.protocol, f.start_ts_us]
+        cells += [str(v) if kind is int else format_number(v)
+                  for (_, kind), v in zip(FEATURE_COLUMNS, f.values)]
         if labels is not None:
             cells.append(labels[i])
         writer.writerow(cells)
@@ -299,45 +357,46 @@ QUOTABLE = st.text(st.sampled_from('ab1.:-_ é,"\r\n'), max_size=10)
 ADDRESSES = st.one_of(st.binary(min_size=4, max_size=4),
                       st.binary(min_size=16, max_size=16)).map(ip_to_str)
 PORTS = st.integers(0, 65535)
-# Cells the one-format path takes: ints, and floats below 1e15 in magnitude,
-# integral or not.
-PLAIN_CELLS = st.one_of(
-    st.integers(-10**18, 10**18),
-    st.integers(-10**15 + 1, 10**15 - 1).map(float),
-    st.floats(-1e15, 1e15, exclude_min=True, exclude_max=True),
-    st.sampled_from([-0.0, 0.5, 1e-7, -1e-7, -2.0000001, 1e15 - 1, -(1e15 - 1),
-                     1e15 - 0.5]),
-)
-# Cells that send their row to format_number: floats from 1e15 up in
-# magnitude, nan and infinities, bools and numpy scalars.
-EDGE_CELLS = st.one_of(
-    st.sampled_from([1e15, -1e15, 1e15 + 2, -(1e15 + 2), math.nan, math.inf,
-                     -math.inf]),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.booleans(),
-    st.integers(-2**62, 2**62).map(np.int64),
-    st.integers(-100, 100).map(np.int32),
-    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
-    st.floats(width=32).map(np.float32),
-)
+# The cells the one-format path writes: ints, and floats that are integral
+# or a multiple of 1/1024 (so never within 5e-7 of an integer).
+PLAIN_CELLS = {
+    int: st.integers(-10**18, 10**18),
+    float: st.one_of(st.integers(-10**16, 10**16).map(float),
+                     st.integers(-2**50, 2**50).map(lambda n: n / 1024)),
+}
+# Cells at the edges of their column's type: ints of any size, and any
+# float, fractions within 1e-6 of an integer (some of which round to it),
+# values either side of 1e15, -0.0, nan and infinities.
+EDGE_CELLS = {
+    int: st.one_of(st.integers(), st.sampled_from(
+        [10**15, -10**15, 10**15 - 1, 2**63, -2**63, -1, 0])),
+    float: st.one_of(
+        st.floats(),
+        st.tuples(st.integers(-10**9, 10**9), st.floats(-1e-6, 1e-6)).map(sum),
+        st.sampled_from([1e15, -1e15, 1e15 - 1, 1e15 + 2, -(1e15 + 2), 1e15 - 0.5,
+                         1e300, -0.0, 0.5, 1e-7, -1e-7, 2.0000001, -2.0000001,
+                         5e-324, math.nan, math.inf, -math.inf])),
+}
 
 
 @st.composite
-def flow_rows(draw):
-    """Rows of plain cells, half of them with one to three edge cells, and
-    identity text that sometimes needs quoting."""
-    n = len(FEATURE_NAMES)
-    values = draw(st.lists(PLAIN_CELLS, min_size=n, max_size=n))
+def flow_rows(draw, finite=False, addresses=st.one_of(ADDRESSES, QUOTABLE)):
+    """Rows with each feature drawn by its column's type, half of them with
+    one to three edge cells (finite ones only if ``finite``), and identity
+    text that sometimes needs quoting."""
+    kinds = [kind for _, kind in FEATURE_COLUMNS]
+    values = [draw(PLAIN_CELLS[kind]) for kind in kinds]
     if draw(st.booleans()):
-        for position, cell in draw(st.lists(
-                st.tuples(st.integers(0, n - 1), EDGE_CELLS),
-                min_size=1, max_size=3)):
-            values[position] = cell
-    text = st.one_of(ADDRESSES, QUOTABLE)
+        for position in draw(st.lists(st.integers(0, len(kinds) - 1),
+                                      min_size=1, max_size=3)):
+            kind = kinds[position]
+            edge = EDGE_CELLS[kind]
+            if finite and kind is float:
+                edge = edge.filter(math.isfinite)
+            values[position] = draw(edge)
     return FeatureVector(
-        flow_id=draw(text), src_ip=draw(text),
-        src_port=draw(PORTS if draw(st.integers(0, 5)) else EDGE_CELLS),
-        dst_ip=draw(text), dst_port=draw(PORTS),
+        flow_id=draw(st.one_of(ADDRESSES, QUOTABLE)), src_ip=draw(addresses),
+        src_port=draw(PORTS), dst_ip=draw(addresses), dst_port=draw(PORTS),
         protocol=draw(st.sampled_from([1, 6, 17])),
         start_ts_us=draw(st.integers(0, 2**62)), values=tuple(values))
 
@@ -351,29 +410,6 @@ def flow_tables(draw):
     return flows, labels
 
 
-# Features whose text reads back to a value written the same way: ints
-# below 1e15 (the reader makes floats of them, and a float from 1e15 up is
-# written with six zero decimals) and any finite float not within 1e-6 of
-# an integer without being one.  A fraction that close to an integer n is
-# written "n.000000", which reads back as the integer n, written "n".
-EXACT_CELLS = st.one_of(
-    st.integers(-(10**15 - 1), 10**15 - 1),
-    st.integers(-2**60, 2**60).map(float),
-    st.floats(allow_nan=False, allow_infinity=False).filter(
-        lambda x: x.is_integer() or abs(x - round(x)) > 1e-6),
-)
-
-
-@st.composite
-def exact_flow_rows(draw):
-    n = len(FEATURE_NAMES)
-    return FeatureVector(
-        flow_id=draw(QUOTABLE), src_ip=draw(ADDRESSES), src_port=draw(PORTS),
-        dst_ip=draw(ADDRESSES), dst_port=draw(PORTS), protocol=draw(PORTS),
-        start_ts_us=draw(st.integers(0, 2**62)),
-        values=tuple(draw(st.lists(EXACT_CELLS, min_size=n, max_size=n))))
-
-
 class TestFlowCsvWriter:
     @settings(max_examples=100, deadline=None)
     @given(table=flow_tables())
@@ -384,8 +420,11 @@ class TestFlowCsvWriter:
         write_flow_csv(path, flows, labels)
         assert path.read_bytes() == reference_flow_csv(flows, labels)
 
+    # Every value the bytes property draws but nan and infinities, which the
+    # reader refuses; addresses in the text form the reader writes them in.
     @settings(max_examples=50, deadline=None)
-    @given(flows=st.lists(exact_flow_rows(), min_size=1, max_size=4),
+    @given(flows=st.lists(flow_rows(finite=True, addresses=ADDRESSES),
+                          min_size=1, max_size=4),
            label=QUOTABLE)
     def test_read_then_write_is_byte_stable(self, tmp_path_factory, flows, label):
         root = tmp_path_factory.mktemp("stable")
@@ -394,20 +433,23 @@ class TestFlowCsvWriter:
         write_flow_csv(second, *read_flow_csv(first))
         assert second.read_bytes() == first.read_bytes()
 
-    def test_values_the_text_does_not_hold_change_when_read_back(self, tmp_path):
-        # The limits EXACT_CELLS leaves out, pinned so that a change to them
-        # shows: six decimals cannot tell 2.0000001 from 2, and the reader
-        # makes a float of the int 10**15.
+    def test_near_integer_float_and_large_int_survive_read_back(self, tmp_path):
+        # Six decimals cannot tell 2.0000001 from 2, so it is written "2";
+        # the int 10**15 is read back as an int.
         from test_labeling import flow
 
+        values = list(ZEROS)
+        values[FEATURE_NAMES.index("Flow Duration")] = 10**15
+        values[FEATURE_NAMES.index("Flow IAT Mean")] = 2.0000001
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-        write_flow_csv(first, [flow(values=(2.0000001, 10**15) + ZEROS[2:])])
+        write_flow_csv(first, [flow(values=tuple(values))])
         write_flow_csv(second, *read_flow_csv(first))
-        cell = len(IDENTITY_COLUMNS)
-        row = first.read_text().splitlines()[1].split(",")
-        assert row[cell:cell + 2] == ["2.000000", "1000000000000000"]
-        row = second.read_text().splitlines()[1].split(",")
-        assert row[cell:cell + 2] == ["2", "1000000000000000.000000"]
+        header = first.read_text().splitlines()[0].split(",")
+        cells = [header.index("Flow Duration"), header.index("Flow IAT Mean")]
+        for path in (first, second):
+            row = path.read_text().splitlines()[1].split(",")
+            assert [row[i] for i in cells] == ["1000000000000000", "2"]
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestSplit:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from botmeter.errors import ValidationError
-from botmeter.features import FEATURE_NAMES, compute_features
+from botmeter.features import FEATURE_COLUMNS, FEATURE_NAMES, compute_features
 from botmeter.meter import FlowTable, MeterConfig, ingest_capture_detailed
 from botmeter.pcap import CaptureStats, read_capture
 from botmeter.synth import FlowBlueprint, PacketBlueprint, generate_synthetic_capture
@@ -31,6 +31,14 @@ def simple_flow(payloads_gaps, protocol=TCP, src="10.0.0.1", dst="8.8.8.8",
         PacketBlueprint(direction, payload, gap, flags="A" if protocol == TCP else "")
         for direction, payload, gap in payloads_gaps)
     return FlowBlueprint(src, dst, sport, dport, protocol, packets)
+
+
+def test_schema_int_columns_are_the_oracle_int_features():
+    # The oracle keeps its own list as the reference; the schema must agree.
+    assert {name for name, kind in FEATURE_COLUMNS if kind is int} == \
+        oracle.INT_FEATURES
+    assert {kind for _, kind in FEATURE_COLUMNS} == {int, float}
+    assert len(FEATURE_COLUMNS) == len(set(FEATURE_NAMES)) == 65
 
 
 class TestIngest:

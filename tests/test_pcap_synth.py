@@ -579,21 +579,23 @@ class TestFusedPath:
                 assert parse_stream(io.BytesIO(data)) == chain_reference(data), cut
 
 
+@pytest.fixture
+def chain_calls(monkeypatch):
+    """The frames that reach the Ethernet decoder chain."""
+    calls = []
+    chain = pcap._LINK_DECODERS[pcap.LINKTYPE_ETHERNET]
+
+    def spy(buf, off, stop, ts_us, stats):
+        calls.append(bytes(buf[off:stop]))
+        return chain(buf, off, stop, ts_us, stats)
+
+    monkeypatch.setitem(pcap._LINK_DECODERS, pcap.LINKTYPE_ETHERNET, spy)
+    return calls
+
+
 class TestFusedPathFires:
     """The fused path must decode the common frame without the chain, and hand
     every other frame to it."""
-
-    @pytest.fixture
-    def chain_calls(self, monkeypatch):
-        calls = []
-        chain = pcap._LINK_DECODERS[pcap.LINKTYPE_ETHERNET]
-
-        def spy(buf, off, stop, ts_us, stats):
-            calls.append(bytes(buf[off:stop]))
-            return chain(buf, off, stop, ts_us, stats)
-
-        monkeypatch.setitem(pcap._LINK_DECODERS, pcap.LINKTYPE_ETHERNET, spy)
-        return calls
 
     def test_plain_tcp_and_udp_never_reach_the_chain(self, chain_calls):
         zero_payload = (PacketBlueprint("fwd", 0, 1, flags="S"),
@@ -619,3 +621,46 @@ class TestFusedPathFires:
         assert chain_calls == [frame]
         assert stats == CaptureStats(records=1, decoded=1)
         assert len(pkts) == 1
+
+
+def udp_frame(total_len, udp_len, payload=b""):
+    """An Ethernet/IPv4/UDP frame whose IPv4 total length and UDP length
+    fields say ``total_len`` and ``udp_len``, whatever it carries."""
+    return (_MACS + struct.pack("!H", 0x0800)
+            + struct.pack("!BBHHHBBH4s4s", 0x45, 0, total_len, 0, 0, 64, 17, 0,
+                          b"\x0a\x00\x00\x01", b"\x08\x08\x08\x08")
+            + struct.pack("!HHHH", 1000, 53, udp_len, 0) + payload)
+
+
+class TestUdpPayloadBound:
+    """A UDP payload ends where the IP packet ends, whatever the UDP length
+    field says."""
+
+    @pytest.mark.parametrize("total_len, udp_len, payload, expected", [
+        (28, 65535, b"", 0),
+        (38, 65535, b"x" * 10, 10),
+        (38, 12, b"x" * 10, 4),
+        (20, 100, b"", 0),
+    ])
+    def test_udp_length_past_the_ip_packet_is_cut_to_it(
+            self, chain_calls, total_len, udp_len, payload, expected):
+        frame = udp_frame(total_len, udp_len, payload)
+        data = pcap_bytes([frame])
+        (fused,), _ = parse_stream(io.BytesIO(data))
+        assert chain_calls == []
+        (chained,), _ = chain_reference(data)
+        assert fused == chained
+        assert fused.payload_len == expected
+        # The IPv6 chain bounds by the IPv6 payload length the same way.
+        ip6 = (struct.pack("!IHBB16s16s", 6 << 28, total_len - 20, 17, 64,
+                           b"\x20" * 16, b"\xfc" * 16) + frame[34:])
+        (v6,), _ = parse_stream(io.BytesIO(pcap_bytes([ip6], pcap.LINKTYPE_RAW)))
+        assert v6.payload_len == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame=common_frames())
+    def test_payload_fits_in_the_ip_packet(self, frame):
+        pkts, _ = parse_stream(io.BytesIO(pcap_bytes([frame])))
+        if pkts and frame[12:14] == b"\x08\x00":
+            total_len = struct.unpack_from("!H", frame, 16)[0]
+            assert pkts[0].payload_len <= max(total_len - 28, 0)
