@@ -85,6 +85,8 @@ def _validate_training_input(X, y):
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2:
         raise ValidationError("X must be a 2-D matrix")
+    if X.shape[1] == 0:
+        raise ValidationError("X has no feature columns")
     if len(y) != len(X):
         raise ValidationError("X and y lengths differ")
     bad = np.argwhere(~np.isfinite(X))
@@ -127,7 +129,8 @@ class NBModel:
     means: np.ndarray        # (2, d)
     variances: np.ndarray    # (2, d), smoothing floor already added
 
-    def joint_log_likelihood(self, X) -> np.ndarray:
+    def predict(self, X) -> np.ndarray:
+        """The class of greater joint log-likelihood; a tie goes to 0."""
         X = _validate_predict_input(X, self.means.shape[1])
         scores = np.empty((len(X), 2))
         for cls in (0, 1):
@@ -135,17 +138,7 @@ class NBModel:
             scores[:, cls] = self.log_priors[cls] - 0.5 * np.sum(
                 np.log(2 * np.pi * var) + (X - self.means[cls]) ** 2 / var,
                 axis=1)
-        return scores
-
-    def predict_proba(self, X) -> np.ndarray:
-        scores = self.joint_log_likelihood(X)
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        expd = np.exp(shifted)
-        return expd / expd.sum(axis=1, keepdims=True)
-
-    def predict(self, X) -> np.ndarray:
-        scores = self.joint_log_likelihood(X)
-        return (scores[:, 1] > scores[:, 0]).astype(np.int64)  # tie -> 0
+        return (scores[:, 1] > scores[:, 0]).astype(np.int64)
 
 
 def _fit_nb(spec: ModelSpec, X, y) -> NBModel:
@@ -262,15 +255,11 @@ class LRModel:
     n_iters: int = 0            # Newton steps taken
     grad_norm: float = math.nan  # norm of the final gradient (w and b)
 
-    def decision_function(self, X) -> np.ndarray:
-        X = _validate_predict_input(X, len(self.weights))
-        return ((X - self.mu) / self.sigma) @ self.weights + self.bias
-
-    def predict_proba(self, X) -> np.ndarray:
-        return _sigmoid(self.decision_function(X))
-
     def predict(self, X) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(np.int64)
+        # sigma(z) >= 0.5, not z >= 0: sigma rounds to 0.5 for tiny negative z.
+        X = _validate_predict_input(X, len(self.weights))
+        z = ((X - self.mu) / self.sigma) @ self.weights + self.bias
+        return (_sigmoid(z) >= 0.5).astype(np.int64)
 
 
 # Newton stops once the norm of the full gradient (w and b) is at most this.

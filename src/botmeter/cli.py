@@ -32,8 +32,6 @@ from .synth import FlowBlueprint, PacketBlueprint, write_synthetic_capture
 
 logger = logging.getLogger(__name__)
 
-MODEL_KINDS = classifiers.KINDS
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -139,14 +137,14 @@ def build_model_specs(seed: int, overrides: dict | None) -> list[classifiers.Mod
             and all(isinstance(params, dict) for params in overrides.values())):
         raise ValidationError("models: expected an object of settings per kind")
     for kind, params in overrides.items():
-        if kind not in MODEL_KINDS:
+        if kind not in classifiers.KINDS:
             raise ValidationError(f"models: unknown classifier kind {kind!r}")
         unknown = sorted(set(params) - _MODEL_PARAMS)
         if unknown:
             raise ValidationError(
                 f"models.{kind}: unknown key(s) {', '.join(map(repr, unknown))}")
     return [classifiers.ModelSpec(kind=kind, seed=seed, **overrides.get(kind, {}))
-            for kind in MODEL_KINDS]
+            for kind in classifiers.KINDS]
 
 
 # --- pipeline stages ----------------------------------------------------------
@@ -175,11 +173,9 @@ def extract_and_label(manifest, meter: MeterConfig, out_path: Path):
     return report
 
 
-def rank_dataset(table: FeatureTable, top_k: int, seed: int,
-                 dataset: str) -> RankedFeatureList:
+def rank_dataset(table: FeatureTable, top_k: int, dataset: str) -> RankedFeatureList:
     """Rank a labeled table's raw features; LR standardizes them itself."""
-    spec = classifiers.ModelSpec(kind="LR", seed=seed)
-    return rank_features_lr(table, k=top_k, spec=spec, dataset=dataset)
+    return rank_features_lr(table, k=top_k, dataset=dataset)
 
 
 def write_ranked_csv(ranked: RankedFeatureList, path: Path) -> None:
@@ -242,7 +238,7 @@ def train_models(train: FeatureTable, seed: int, out_dir: Path, dataset: str,
 def evaluate_models(test: FeatureTable, models_dir: Path, dataset: str):
     """Score the saved models of a dataset on its test half."""
     reports = []
-    for kind in MODEL_KINDS:
+    for kind in classifiers.KINDS:
         model = classifiers.load_model(models_dir / f"model_{dataset}_{kind}.json")
         y_pred = classifiers.predict(model, test.rows)
         reports.append(evaluate_predictions(test.labels, y_pred, dataset, kind))
@@ -276,7 +272,7 @@ def run_pipeline(config: PipelineConfig) -> int:
             name = manifest.name
             tables[name] = read_feature_csv(
                 out / f"labeled_{name}.csv", negative_label=manifest.default_label)
-            ranked = rank_dataset(tables[name], config.top_k, config.seed, name)
+            ranked = rank_dataset(tables[name], config.top_k, name)
             write_ranked_csv(ranked, out / f"ranked_{name}.csv")
             ranked_lists.append(ranked)
 
@@ -333,23 +329,42 @@ def _run_report(ranked_lists, universal, reports) -> str:
 
 # --- synth helpers -------------------------------------------------------------
 
-def blueprints_from_json(doc: dict) -> tuple[list[FlowBlueprint], int]:
-    flows = []
-    for item in doc.get("flows", []):
-        packets = tuple(PacketBlueprint(
-            direction=p.get("dir", "fwd"),
-            payload_len=int(p.get("payload", 0)),
-            gap_us=int(p.get("gap_us", 0)),
-            flags=p.get("flags", ""),
-            window=int(p.get("window", 8192)),
-        ) for p in item.get("packets", []))
-        flows.append(FlowBlueprint(
-            src_ip=item["src_ip"], dst_ip=item["dst_ip"],
-            src_port=int(item["src_port"]), dst_port=int(item["dst_port"]),
-            protocol=int(item["protocol"]), packets=packets,
-            start_us=int(item.get("start_us", 0)),
-            label=item.get("label")))
-    return flows, int(doc.get("seed", 0))
+def blueprints_from_json(path) -> tuple[list[FlowBlueprint], int]:
+    """The flows and seed of a blueprint JSON file (see README).  A file
+    that is not a UTF-8 JSON object, a missing key, and a value of the
+    wrong type or range are ValidationErrors naming the file and, within a
+    flow, its index and the key."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValidationError(f"{path}: not a JSON blueprint: {exc}") from None
+    flows, where = [], path
+    try:
+        if not isinstance(doc, dict):
+            raise ValidationError("blueprint must be a JSON object")
+        seed = _config_number("seed", doc.get("seed", 0), True)
+        for i, item in enumerate(_json_objects(doc, "flows")):
+            where = f"{path}: flows[{i}]"
+            packets = tuple(PacketBlueprint(
+                direction=p.get("dir", "fwd"), payload_len=p.get("payload", 0),
+                gap_us=p.get("gap_us", 0), flags=p.get("flags", ""),
+                window=p.get("window", 8192)) for p in _json_objects(item, "packets"))
+            flows.append(FlowBlueprint(
+                item["src_ip"], item["dst_ip"], item["src_port"], item["dst_port"],
+                item["protocol"], packets, item.get("start_us", 0), item.get("label")))
+    except KeyError as exc:
+        raise ValidationError(f"{where}: missing key {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+    return flows, seed
+
+
+def _json_objects(obj: dict, key: str) -> list[dict]:
+    """``obj[key]``, a list of JSON objects; [] when the key is absent."""
+    items = obj.get(key, [])
+    if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
+        raise ValidationError(f"key {key!r} must be a list of objects")
+    return items
 
 
 def _write_rules_for_blueprints(flows, path: Path) -> None:
@@ -387,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="rank features by LR weight")
     p.add_argument("labeled", help="labeled CSV")
     p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted and ignored: the LR fit uses no randomness")
     p.add_argument("--name", default=None, help="dataset name for the list")
     p.add_argument("--out", required=True, help="ranked CSV")
 
@@ -484,8 +497,7 @@ def _dispatch(args) -> int:
 
     if args.command == "rank":
         name = args.name or Path(args.labeled).stem
-        ranked = rank_dataset(read_feature_csv(args.labeled), args.top_k,
-                              args.seed, name)
+        ranked = rank_dataset(read_feature_csv(args.labeled), args.top_k, name)
         write_ranked_csv(ranked, Path(args.out))
         for feat, score in ranked.ranked:
             print(f"{score:12.6f}  {feat}")
@@ -527,8 +539,7 @@ def _dispatch(args) -> int:
             config_path = demo.make_demo_corpus(args.out, seed=args.seed or 0)
             print(f"demo corpus ready; run: botmeter pipeline --config {config_path}")
             return 0
-        doc = json.loads(Path(args.blueprint).read_text(encoding="utf-8"))
-        flows, doc_seed = blueprints_from_json(doc)
+        flows, doc_seed = blueprints_from_json(args.blueprint)
         seed = args.seed if args.seed is not None else doc_seed
         out = Path(args.out)
         write_synthetic_capture(flows, seed, out)

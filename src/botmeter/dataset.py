@@ -25,7 +25,6 @@ import numpy as np
 from .errors import CsvFormatError, ValidationError
 from .features import (FEATURE_COLUMNS, FEATURE_NAMES, IDENTITY_COLUMNS,
                        FeatureVector)
-from .labeling import labels_to_binary
 from .pcap import ip_from_str, ip_to_str
 
 logger = logging.getLogger(__name__)
@@ -148,8 +147,8 @@ class FeatureTable:
 
 def csv_rows(path):
     """Yield a CSV file's header, then ``(line number, cells)`` for each
-    non-empty row.  A missing header, a ragged row or text that is not UTF-8
-    is a format error."""
+    non-empty row.  A missing header, a ragged row, text that is not UTF-8
+    and a cell beyond the csv module's field limit are format errors."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -169,6 +168,8 @@ def csv_rows(path):
         raise CsvFormatError(
             f"{path}: not UTF-8 text at line {_undecodable_line(path)} "
             f"({exc.reason})") from None
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: {exc} at line {reader.line_num}") from None
 
 
 def _undecodable_line(path) -> int:
@@ -274,20 +275,6 @@ def write_flow_csv(path, flows, labels=None) -> None:
                 fh.write(line)
 
 
-def write_feature_csv(table: FeatureTable, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = list(table.columns)
-        if table.labels is not None:
-            header.append(LABEL_COLUMN)
-        writer.writerow(header)
-        for i in range(table.n_rows):
-            cells = [format_number(v) for v in table.rows[i]]
-            if table.labels is not None:
-                cells.append(str(int(table.labels[i])))
-            writer.writerow(cells)
-
-
 def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
     """Load a feature CSV into a table.
 
@@ -328,17 +315,32 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
 def _number_cells(path, row, indices, columns, line_no) -> list:
     """The cells of ``row`` at ``indices``, each read by the kind of its
     column in ``columns`` ((name, int | float) pairs).  A cell that its kind
-    cannot read is a format error naming its text, its column and its line."""
+    cannot read is a format error naming its text, its column and its line.
+
+    So is text that ``int`` and ``float`` read but no writer emits: digit
+    group underscores, surrounding whitespace (the six ASCII characters
+    tested below) and non-ASCII digits.  One test of the whole row passes
+    nearly every row; single cells are looked at only when it fails."""
+    text = "".join(row)
+    if (not text.isascii() or "_" in text or " " in text or "\t" in text
+            or "\n" in text or "\r" in text or "\x0b" in text or "\x0c" in text):
+        for i, (name, kind) in zip(indices, columns):
+            cell = row[i]
+            if not cell.isascii() or "_" in cell or cell != cell.strip():
+                raise _unreadable(path, cell, name, kind, line_no)
     values = []
     for i, (name, kind) in zip(indices, columns):
         try:
             values.append(kind(row[i]))
         except ValueError:
-            what = "non-integer" if kind is int else "non-numeric"
-            raise CsvFormatError(
-                f"{path}: {what} value {row[i]!r} in column {name!r} "
-                f"at line {line_no}") from None
+            raise _unreadable(path, row[i], name, kind, line_no) from None
     return values
+
+
+def _unreadable(path, cell, name, kind, line_no) -> CsvFormatError:
+    what = "non-integer" if kind is int else "non-numeric"
+    return CsvFormatError(
+        f"{path}: {what} value {cell!r} in column {name!r} at line {line_no}")
 
 
 def _cell(path, index, column) -> tuple[int, str]:
@@ -415,6 +417,12 @@ def _address(path, row, positions, column, line_no) -> str:
             f"at line {line_no}") from None
 
 
+def labels_to_binary(labels, negative_label: str = "Normal") -> list[int]:
+    """Collapse string labels for training: anything but the negative label
+    is the positive (attack) class."""
+    return [0 if lb == negative_label else 1 for lb in labels]
+
+
 def train_test_split(table: FeatureTable, ratio: float,
                      seed: int) -> tuple[FeatureTable, FeatureTable]:
     """Seeded uniform random partition; train gets round(ratio * n) rows."""
@@ -442,7 +450,6 @@ class DatasetManifest:
     captures: tuple[Path, ...]
     rules: Path
     default_label: str = "Normal"
-    notes: str = ""
 
     def validate(self) -> None:
         missing = [str(p) for p in (*self.captures, self.rules) if not p.exists()]
@@ -454,9 +461,9 @@ class DatasetManifest:
 def parse_manifest(path) -> DatasetManifest:
     """Plain-text ``key = value`` manifest.
 
-    Keys: name, captures (comma-separated), rules, default_label, notes.
-    Relative paths resolve against the manifest's directory.  Text that is
-    not UTF-8 is a format error.
+    Keys: name, captures (comma-separated), rules, default_label; other
+    keys are ignored.  Relative paths resolve against the manifest's
+    directory.  Text that is not UTF-8 is a format error.
     """
     path = Path(path)
     base = path.parent
@@ -484,5 +491,4 @@ def parse_manifest(path) -> DatasetManifest:
         captures=captures,
         rules=base / values["rules"],
         default_label=values.get("default_label", "Normal"),
-        notes=values.get("notes", ""),
     )

@@ -12,13 +12,14 @@ SIGCOMM 1999): see ``RuleIndex``.
 
 from __future__ import annotations
 
-import csv
 import ipaddress
 import logging
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
 from operator import itemgetter
 
+from .dataset import csv_rows
 from .errors import CsvFormatError, ValidationError
 from .features import FeatureVector
 from .pcap import ip_to_str
@@ -134,7 +135,7 @@ class LabelReport:
         return sum(self.counts.values())
 
 
-def _parse_ip_cell(cell: str, line_no: int, column: str) -> str:
+def _parse_ip_cell(cell: str, where: str, column: str) -> str:
     cell = cell.strip()
     if cell == WILDCARD:
         return WILDCARD
@@ -143,10 +144,10 @@ def _parse_ip_cell(cell: str, line_no: int, column: str) -> str:
         return ip_to_str(ipaddress.ip_address(cell).packed)
     except ValueError:
         raise CsvFormatError(
-            f"line {line_no}: column {column!r} has unparseable IP {cell!r}") from None
+            f"{where}: column {column!r} has unparseable IP {cell!r}") from None
 
 
-def _parse_int_cell(cell: str, line_no: int, column: str) -> int | None:
+def _parse_int_cell(cell: str, where: str, column: str) -> int | None:
     cell = cell.strip()
     if cell in (WILDCARD, ""):
         return None
@@ -154,40 +155,39 @@ def _parse_int_cell(cell: str, line_no: int, column: str) -> int | None:
         return int(cell)
     except ValueError:
         raise CsvFormatError(
-            f"line {line_no}: column {column!r} is not an integer: {cell!r}") from None
+            f"{where}: column {column!r} is not an integer: {cell!r}") from None
 
 
 def parse_rules(path: str) -> list[LabelRule]:
     """Read a rule CSV: src_ip, src_port, dst_ip, dst_port, protocol, label
-    plus optional start/end microsecond columns; "*" means wildcard.  Text
-    that is not UTF-8 CSV is a format error."""
+    plus optional start/end microsecond columns; "*" or an empty cell means
+    wildcard.  The file is read by ``dataset.csv_rows``, so a ragged row or
+    text that is not UTF-8 is a format error; every error names the file,
+    and the line of a bad row."""
     rules = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            missing = [c for c in _MANDATORY if c not in header]
-            if missing:
-                raise CsvFormatError(f"rule file missing mandatory column(s): "
-                                     f"{', '.join(missing)}")
-            for row in reader:
-                line_no = reader.line_num
-                label = (row["label"] or "").strip()
-                if not label:
-                    raise CsvFormatError(f"line {line_no}: empty label")
+    with closing(csv_rows(path)) as records:
+        header = next(records)
+        missing = [c for c in _MANDATORY if c not in header]
+        if missing:
+            raise CsvFormatError(f"{path}: rule file missing mandatory column(s): "
+                                 f"{', '.join(missing)}")
+        for line_no, cells in records:
+            row = dict(zip(header, cells))
+            where = f"{path}: line {line_no}"
+            try:
                 rules.append(LabelRule(
-                    src_ip=_parse_ip_cell(row["src_ip"] or "*", line_no, "src_ip"),
-                    src_port=_parse_int_cell(row["src_port"] or "*", line_no, "src_port"),
-                    dst_ip=_parse_ip_cell(row["dst_ip"] or "*", line_no, "dst_ip"),
-                    dst_port=_parse_int_cell(row["dst_port"] or "*", line_no, "dst_port"),
-                    protocol=_parse_int_cell(row["protocol"] or "*", line_no, "protocol"),
-                    label=label,
-                    start_us=_parse_int_cell(row.get("start") or "", line_no, "start"),
-                    end_us=_parse_int_cell(row.get("end") or "", line_no, "end"),
+                    src_ip=_parse_ip_cell(row["src_ip"] or "*", where, "src_ip"),
+                    src_port=_parse_int_cell(row["src_port"] or "*", where, "src_port"),
+                    dst_ip=_parse_ip_cell(row["dst_ip"] or "*", where, "dst_ip"),
+                    dst_port=_parse_int_cell(row["dst_port"] or "*", where, "dst_port"),
+                    protocol=_parse_int_cell(row["protocol"] or "*", where, "protocol"),
+                    label=row["label"].strip(),
+                    start_us=_parse_int_cell(row.get("start", ""), where, "start"),
+                    end_us=_parse_int_cell(row.get("end", ""), where, "end"),
                     line=line_no,
                 ))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise CsvFormatError(f"{path}: {exc}") from None
+            except ValidationError as exc:
+                raise ValidationError(f"{where}: {exc}") from None
     return rules
 
 
@@ -221,9 +221,3 @@ def label_flows(flows, rules: list[LabelRule],
         logger.warning("%d of %d rules matched no flow: %s",
                        len(idle), len(rules), ", ".join(idle))
     return labels, report
-
-
-def labels_to_binary(labels, negative_label: str = "Normal") -> list[int]:
-    """Collapse string labels for training: anything but the negative label
-    is the positive (attack) class."""
-    return [0 if lb == negative_label else 1 for lb in labels]

@@ -6,15 +6,13 @@ direction of the flow's first observed packet.  Timeout checks are lazy:
 a live flow is only aged out when another packet of the same key arrives
 (or at end of capture, when every residual flow is flushed).
 
-Packets (``PacketRecord``) and keys (``FlowKey``) are NamedTuples; the
-table keys its live flows by the plain canonical tuple, which equals and
-hashes like the ``FlowKey`` of any packet of the flow.
+The table keys its live flows by the canonical tuple
+(ip_a, port_a, ip_b, port_b, protocol), in which endpoint a sorts before b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import ValidationError
 from .pcap import (ACK, CWR, ECE, FIN, PSH, RST, SYN, URG, CaptureStats,
@@ -51,24 +49,6 @@ class MeterConfig:
                 f"(got {self.flow_timeout_us}, {self.activity_timeout_us})")
 
 
-class FlowKey(NamedTuple):
-    """Canonical bidirectional 5-tuple: endpoint (a) sorts before (b)."""
-
-    ip_a: bytes
-    port_a: int
-    ip_b: bytes
-    port_b: int
-    protocol: int
-
-    @classmethod
-    def of(cls, pkt: PacketRecord) -> "FlowKey":
-        a = (pkt.src_ip, pkt.src_port)
-        b = (pkt.dst_ip, pkt.dst_port)
-        if a > b:
-            a, b = b, a
-        return cls(a[0], a[1], b[0], b[1], pkt.protocol)
-
-
 # Flag-count slots, in FIN SYN RST PSH ACK URG CWR ECE order; for each TCP
 # flag byte, the slots it counts toward and its 0/1 count per slot.
 _FLAG_BITS = (FIN, SYN, RST, PSH, ACK, URG, CWR, ECE)
@@ -83,7 +63,6 @@ _INF = float("inf")
 class FlowAccumulator:
     """In-progress state for one flow; updated packet by packet.
 
-    ``key`` is the flow's canonical 5-tuple (equal to ``FlowKey.of(first)``).
     ``flag_counts`` holds the TCP flag counts in FIN SYN RST PSH ACK URG CWR
     ECE order.  Every sample is an integer, so statistics are exact integer
     moments: per direction the packet count and the sum, sum of squares and
@@ -97,7 +76,7 @@ class FlowAccumulator:
     """
 
     __slots__ = (
-        "key", "fwd_ip", "fwd_port", "dst_ip", "dst_port", "protocol",
+        "fwd_ip", "fwd_port", "dst_ip", "dst_port", "protocol",
         "first_ts_us", "last_ts_us", "iat_sq", "iat_lo", "iat_hi",
         "fwd_n", "fwd_sum", "fwd_sq", "fwd_lo", "fwd_hi",
         "fwd_iat_sq", "fwd_iat_lo", "fwd_iat_hi", "fwd_last_ts",
@@ -108,9 +87,8 @@ class FlowAccumulator:
         "init_fwd_win", "init_bwd_win", "activity_start_ts", "periods",
     )
 
-    def __init__(self, first: PacketRecord, key: tuple):
+    def __init__(self, first: PacketRecord):
         ts, src_ip, dst_ip, src_port, dst_port, protocol, length, header_len, flags, window = first
-        self.key = key
         self.fwd_ip = src_ip
         self.fwd_port = src_port
         self.dst_ip = dst_ip
@@ -134,10 +112,6 @@ class FlowAccumulator:
         self.fwd_urg = 1 if flags & URG else 0
         self.fwd_fin = 1 if flags & FIN else 0
         self.bwd_psh = self.bwd_urg = self.bwd_fin = 0
-
-    @property
-    def total_packets(self) -> int:
-        return self.fwd_n + self.bwd_n
 
     def add(self, pkt: PacketRecord, activity_timeout_us: int) -> None:
         """Attribute one more packet to this flow."""
@@ -241,7 +215,7 @@ class FlowTable:
             finalized.append(self._live.pop(key))
             flow = None
         if flow is None:
-            flow = FlowAccumulator(pkt, key)
+            flow = FlowAccumulator(pkt)
             if flags & RST:
                 finalized.append(flow)
             else:

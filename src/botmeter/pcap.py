@@ -104,14 +104,6 @@ class PacketRecord(NamedTuple):
     tcp_flags: int = 0
     tcp_window: int | None = None
 
-    @property
-    def src_ip_str(self) -> str:
-        return ip_to_str(self.src_ip)
-
-    @property
-    def dst_ip_str(self) -> str:
-        return ip_to_str(self.dst_ip)
-
 
 @dataclass
 class CaptureStats:

@@ -22,6 +22,17 @@ _FLAG_BITS = {"F": 0x01, "S": 0x02, "R": 0x04, "P": 0x08,
 _SRC_MAC = bytes.fromhex("020000000001")
 _DST_MAC = bytes.fromhex("020000000002")
 
+# Every packet time fits a pcap record's 32-bit seconds field; every
+# payload fits a TCP segment in an IPv4 packet (65535 - 20 - 20 bytes).
+_TS_LIMIT_US = (1 << 32) * 1_000_000
+_MAX_PAYLOAD = 65495
+
+
+def _check_range(name: str, value, lo: int, hi: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        raise ValidationError(
+            f"{name} must be an integer within {lo}..{hi}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class PacketBlueprint:
@@ -37,6 +48,17 @@ class PacketBlueprint:
     gap_us: int = 0
     flags: str = ""
     window: int = 8192
+
+    def __post_init__(self):
+        if self.direction not in ("fwd", "bwd"):
+            raise ValidationError(
+                f"packet direction must be fwd or bwd, got {self.direction!r}")
+        _check_range("payload_len", self.payload_len, 0, _MAX_PAYLOAD)
+        _check_range("gap_us", self.gap_us, 0, _TS_LIMIT_US - 1)
+        _check_range("window", self.window, 0, 0xFFFF)
+        if not isinstance(self.flags, str):
+            raise ValidationError(f"flags must be a string, got {self.flags!r}")
+        self.flag_bits()
 
     def flag_bits(self) -> int:
         bits = 0
@@ -62,6 +84,25 @@ class FlowBlueprint:
     def __post_init__(self):
         if not self.packets:
             raise ValidationError("flow blueprint must contain at least one packet")
+        _check_range("src_port", self.src_port, 0, 0xFFFF)
+        _check_range("dst_port", self.dst_port, 0, 0xFFFF)
+        _check_range("start_us", self.start_us, 0, _TS_LIMIT_US - 1)
+        if self.start_us + sum(p.gap_us for p in self.packets) >= _TS_LIMIT_US:
+            raise ValidationError(f"packet times must stay below {_TS_LIMIT_US} us")
+        for name in ("src_ip", "dst_ip"):
+            try:
+                ip_from_str(getattr(self, name))
+            except (OSError, TypeError, ValueError):
+                raise ValidationError(
+                    f"{name} is not an IP address: {getattr(self, name)!r}") from None
+        src, dst = ip_from_str(self.src_ip), ip_from_str(self.dst_ip)
+        if len(src) != len(dst):
+            raise ValidationError("blueprint endpoints mix IPv4 and IPv6")
+        if self.protocol in (PROTO_ICMP, PROTO_ICMPV6):
+            if (self.protocol == PROTO_ICMP) != (len(src) == 4):
+                raise ValidationError("ICMP protocol number does not match IP version")
+        elif self.protocol not in (PROTO_TCP, PROTO_UDP):
+            raise ValidationError(f"unsupported blueprint protocol {self.protocol!r}")
 
 
 def generate_synthetic_capture(blueprints, seed: int) -> bytes:
@@ -102,15 +143,9 @@ def _render_frame(bp: FlowBlueprint, pkt: PacketBlueprint, rng: random.Random) -
     if pkt.direction == "fwd":
         src, dst = ip_from_str(bp.src_ip), ip_from_str(bp.dst_ip)
         sport, dport = bp.src_port, bp.dst_port
-    elif pkt.direction == "bwd":
+    else:
         src, dst = ip_from_str(bp.dst_ip), ip_from_str(bp.src_ip)
         sport, dport = bp.dst_port, bp.src_port
-    else:
-        raise ValidationError(f"packet direction must be fwd or bwd, got {pkt.direction!r}")
-    if len(src) != len(dst):
-        raise ValidationError("blueprint endpoints mix IPv4 and IPv6")
-    if pkt.payload_len < 0:
-        raise ValidationError("payload_len must be non-negative")
 
     payload = rng.randbytes(pkt.payload_len)
     if bp.protocol == PROTO_TCP:
@@ -118,12 +153,8 @@ def _render_frame(bp: FlowBlueprint, pkt: PacketBlueprint, rng: random.Random) -
                                 pkt.flag_bits(), pkt.window, 0, 0) + payload
     elif bp.protocol == PROTO_UDP:
         transport = struct.pack("!HHHH", sport, dport, 8 + len(payload), 0) + payload
-    elif bp.protocol in (PROTO_ICMP, PROTO_ICMPV6):
-        if (bp.protocol == PROTO_ICMP) != (len(src) == 4):
-            raise ValidationError("ICMP protocol number does not match IP version")
-        transport = struct.pack("!BBHI", 8, 0, 0, 0) + payload
     else:
-        raise ValidationError(f"unsupported blueprint protocol {bp.protocol}")
+        transport = struct.pack("!BBHI", 8, 0, 0, 0) + payload
 
     if len(src) == 4:
         total = 20 + len(transport)

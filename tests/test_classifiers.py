@@ -140,6 +140,8 @@ class TestLR:
         model = LRModel(ModelSpec(kind="LR"), mu=np.zeros(1), sigma=np.ones(1),
                         weights=np.array([1.0]), bias=0.0)
         assert predict(model, [[0.0]])[0] == 1  # sigma(0) = 0.5 >= 0.5
+        # sigma(-1e-20) rounds to 0.5, so a margin test z >= 0 differs here.
+        assert predict(model, [[-1e-20], [-1e-15]]).tolist() == [1, 0]
 
     def test_duplicated_column_shares_weight(self):
         rng = np.random.default_rng(0)
@@ -275,13 +277,6 @@ class TestNB:
         assert model.means[0, 0] == 1.0
         floor = spec.var_smoothing * X.var(axis=0).max()
         assert model.variances[0, 0] == pytest.approx(floor)
-
-    def test_posterior_sums_to_one(self):
-        rng = np.random.default_rng(3)
-        X, y = blobs(rng, n=100)
-        model = fit(ModelSpec(kind="NB"), X, y)
-        proba = model.predict_proba(rng.normal(size=(50, X.shape[1])))
-        np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-12)
 
     def test_tie_goes_to_class_zero(self):
         X = np.array([[-1.0], [1.0]])

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import shutil
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from botmeter import classifiers, cli
-from botmeter.dataset import (FeatureTable, read_feature_csv, write_feature_csv,
+from botmeter.dataset import (FeatureTable, format_number, read_feature_csv,
                               write_flow_csv)
 from botmeter.demo import make_demo_corpus
 from botmeter.errors import CsvFormatError, ValidationError
@@ -151,6 +152,44 @@ class TestStageCommands:
             f"error: {features}: not UTF-8 text at line 2 (invalid start byte)"]
         assert not labeled.exists()
 
+    def test_label_refuses_number_text_no_writer_emits(self, tmp_path, capsys):
+        from test_labeling import flow
+
+        features = tmp_path / "features.csv"
+        write_flow_csv(features, [flow(values=ZEROS)])
+        lines = features.read_text(encoding="utf-8").splitlines()
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index("Flow Duration")] = "1_000"
+        lines[1] = ",".join(cells)
+        features.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rules = tmp_path / "rules.csv"
+        rules.write_text("src_ip,src_port,dst_ip,dst_port,protocol,label\n"
+                         "10.0.0.5,*,*,*,*,Botnet\n", encoding="utf-8")
+        labeled = tmp_path / "labeled.csv"
+        assert run_cli("label", features, "--rules", rules, "--out", labeled) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {features}: non-integer value '1_000' in column "
+            "'Flow Duration' at line 2"]
+        assert not labeled.exists()
+
+    def test_train_refuses_an_empty_universal_set(self, tmp_path, capsys):
+        from test_labeling import flow
+
+        labeled = tmp_path / "labeled.csv"
+        write_flow_csv(labeled, [flow(values=ZEROS)] * 4, ["Botnet", "Normal"] * 2)
+        universal = tmp_path / "universal.csv"
+        universal.write_text("name,count\n", encoding="utf-8")
+        assert run_cli("train", labeled, "--universal", universal,
+                       "--out", tmp_path / "models") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: X has no feature columns"]
+
+    def test_rank_has_no_seed_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("rank", tmp_path / "labeled.csv", "--seed", 1,
+                    "--out", tmp_path / "ranked.csv")
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--timeout-s", "inf", "flow_timeout_s must be a finite number, got inf"),
         ("--timeout-s", "nan", "flow_timeout_s must be a finite number, got nan"),
@@ -227,6 +266,34 @@ class TestStageCommands:
         rules = out.with_suffix(".rules.csv")
         assert rules.exists() and "Botnet" in rules.read_text()
 
+    BLUEPRINT_FLOW = {"src_ip": "10.0.0.1", "dst_ip": "8.8.8.8", "src_port": 5,
+                      "dst_port": 80, "protocol": 6, "packets": [{"payload": 10}]}
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"flows": [{"dst_ip": "8.8.8.8", "src_port": 5, "dst_port": 80,
+                     "protocol": 6}]}, "flows[0]: missing key 'src_ip'"),
+        ([BLUEPRINT_FLOW], "blueprint must be a JSON object"),
+        ({"flows": [{**BLUEPRINT_FLOW, "src_port": "x"}]},
+         "flows[0]: src_port must be an integer within 0..65535, got 'x'"),
+        (b'{"flows": [], "seed": "\xff"}',
+         "not a JSON blueprint: 'utf-8' codec can't decode byte 0xff in "
+         "position 23: invalid start byte"),
+        ({"flows": [{**BLUEPRINT_FLOW, "src_port": 70000}]},
+         "flows[0]: src_port must be an integer within 0..65535, got 70000"),
+        ({"flows": [BLUEPRINT_FLOW, {**BLUEPRINT_FLOW, "packets": [{"window": -1}]}]},
+         "flows[1]: window must be an integer within 0..65535, got -1"),
+        ({"flows": [{**BLUEPRINT_FLOW, "dst_ip": "8.8.8"}]},
+         "flows[0]: dst_ip is not an IP address: '8.8.8'"),
+    ])
+    def test_synth_blueprint_input_errors_name_file_flow_and_key(
+            self, tmp_path, capsys, doc, message):
+        bp_path = tmp_path / "bp.json"
+        bp_path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+        out = tmp_path / "cap.pcap"
+        assert run_cli("synth", "--blueprint", bp_path, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {bp_path}: {message}"]
+        assert not out.exists()
+
     def test_stage_commands_match_the_pipeline(self, corpus, tmp_path):
         config = cli.load_pipeline_config(corpus)
         pipe = tmp_path / "pipe"
@@ -239,7 +306,7 @@ class TestStageCommands:
         names = [m.name for m in config.manifests]
         for name in names:
             assert run_cli("rank", pipe / f"labeled_{name}.csv", "--top-k", 8,
-                           "--seed", 4, "--name", name,
+                           "--name", name,
                            "--out", stages / f"ranked_{name}.csv") == 0
         assert run_cli("universal", *(stages / f"ranked_{n}.csv" for n in names),
                        "--threshold", 2, "--out", stages / "universal.csv") == 0
@@ -257,7 +324,7 @@ class TestStageCommands:
             metrics += out.read_text(encoding="utf-8").splitlines()[1:]
 
         shared = ["universal.csv"] + [f"ranked_{n}.csv" for n in names] + [
-            f"model_{n}_{k}.json" for n in names for k in cli.MODEL_KINDS]
+            f"model_{n}_{k}.json" for n in names for k in classifiers.KINDS]
         for file_name in shared:
             assert (stages / file_name).read_bytes() == \
                 (pipe / file_name).read_bytes(), file_name
@@ -481,10 +548,12 @@ class TestEngineeredUniversalSix:
             X = rng.normal(size=(n, len(all_names)))
             signal = sum(X[:, all_names.index(f)] for f in informative)
             y = (signal > 0).astype(int)
-            # Boost informative columns so they dominate the LR weights.
-            table = FeatureTable(all_names, X, labels=y)
             path = tmp_path / f"ds{d}.csv"
-            write_feature_csv(table, path)
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow([*all_names, "Label"])
+                writer.writerows([*map(format_number, row), label]
+                                 for row, label in zip(X, y))
             labeled_paths.append(path)
 
         ranked_lists = []

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,7 @@ from hypothesis import strategies as st
 
 from botmeter.errors import CsvFormatError, ValidationError
 from botmeter.features import FeatureVector
-from botmeter.labeling import (LabelRule, RuleIndex, label_flows,
-                               labels_to_binary, parse_rules)
+from botmeter.labeling import LabelRule, RuleIndex, label_flows, parse_rules
 from botmeter.pcap import ip_from_str, ip_to_str
 import capgen
 from label_oracle import match_rule
@@ -54,17 +54,29 @@ class TestParseRules:
         assert rules[0].src_port is None
         assert rules[0].has_wildcard
 
-    def test_missing_label_column(self, tmp_path):
-        path = rules_csv(tmp_path,
-                         "src_ip,src_port,dst_ip,dst_port,protocol\n"
-                         "10.0.0.5,1,8.8.8.8,80,6\n")
-        with pytest.raises(CsvFormatError, match="label"):
-            parse_rules(path)
+    WINDOWED = HEADER.replace("label", "label,start,end")
 
-    def test_bad_ip_names_line(self, tmp_path):
-        path = rules_csv(tmp_path, HEADER + "10.0.0.5,1,8.8.8.8,80,6,X\n"
-                                            "not-an-ip,1,8.8.8.8,80,6,X\n")
-        with pytest.raises(CsvFormatError, match="line 3"):
+    @pytest.mark.parametrize("text, error, message", [
+        ("src_ip,src_port,dst_ip,dst_port,protocol\n10.0.0.5,1,8.8.8.8,80,6\n",
+         CsvFormatError, "rule file missing mandatory column(s): label"),
+        (HEADER + "10.0.0.5,1,8.8.8.8,80,6,X\nnot-an-ip,1,8.8.8.8,80,6,X\n",
+         CsvFormatError, "line 3: column 'src_ip' has unparseable IP 'not-an-ip'"),
+        (HEADER + "10.0.0.5,x,8.8.8.8,80,6,X\n",
+         CsvFormatError, "line 2: column 'src_port' is not an integer: 'x'"),
+        (HEADER + "10.0.0.5,1,8.8.8.8,80,6, \n",
+         ValidationError, "line 2: rule label must be non-empty"),
+        (HEADER + "10.0.0.5,1,8.8.8.8,80,6\n",
+         CsvFormatError, "ragged row at line 2 (5 cells, expected 6)"),
+        (WINDOWED + "10.0.0.5,1,8.8.8.8,80,6,X,5,1\n",
+         ValidationError, "line 2: time window start must not exceed end"),
+        (HEADER + "*,*,*,*,*," + "x" * 200_000 + "\n",
+         CsvFormatError, "field larger than field limit (131072) at line 2"),
+        ("", CsvFormatError, "missing header row"),
+    ], ids=["no-label-column", "bad-ip", "bad-port", "empty-label", "ragged-row",
+            "window", "field-limit", "empty-file"])
+    def test_error_names_the_file(self, tmp_path, text, error, message):
+        path = rules_csv(tmp_path, text)
+        with pytest.raises(error, match=f"^{re.escape(path)}: {re.escape(message)}$"):
             parse_rules(path)
 
     def test_time_window_columns(self, tmp_path):
@@ -83,7 +95,9 @@ class TestParseRules:
     def test_non_utf8_file_is_a_format_error(self, tmp_path):
         path = tmp_path / "rules.csv"
         path.write_bytes(HEADER.encode() + b"10.0.0.5,1,8.8.8.8,80,6,Bot\xffnet\n")
-        with pytest.raises(CsvFormatError, match="rules.csv: 'utf-8' codec"):
+        with pytest.raises(CsvFormatError, match=(
+                f"^{re.escape(str(path))}: not UTF-8 text at line 2 "
+                r"\(invalid start byte\)$")):
             parse_rules(str(path))
 
     VALID = (HEADER.replace("label", "label,start,end")
@@ -232,8 +246,3 @@ def flows_and_rules(draw):
 def test_index_picks_the_oracle_rule(case):
     f, rules = case
     assert first_match(f, rules) is match_rule(f, rules)
-
-
-def test_binary_collapse():
-    assert labels_to_binary(["Normal", "Botnet", "DDoS", "Normal"]) == [0, 1, 1, 0]
-    assert labels_to_binary(["ok", "bad"], negative_label="ok") == [0, 1]

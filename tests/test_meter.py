@@ -145,7 +145,7 @@ class TestOfferPacket:
         assert table.offer_packet(packets[0]) == []
         emitted = table.offer_packet(packets[1])
         assert len(emitted) == 1
-        assert emitted[0].total_packets == 1
+        assert emitted[0].fwd_n + emitted[0].bwd_n == 1
         assert len(table.flush()) == 1  # the restarted flow
 
     def test_tcp_termination_on_final_ack(self, tmp_path):
@@ -160,7 +160,7 @@ class TestOfferPacket:
         assert emitted == []  # second FIN carries ACK but is not the final ACK
         emitted = table.offer_packet(packets[5])
         assert len(emitted) == 1
-        assert emitted[0].total_packets == 6
+        assert emitted[0].fwd_n + emitted[0].bwd_n == 6
         assert table.flush() == []
 
     def test_rst_terminates_immediately(self, tmp_path):
@@ -172,10 +172,10 @@ class TestOfferPacket:
         table = FlowTable()
         emitted = self.offer_all(table, packets)
         assert len(emitted) == 1
-        assert emitted[0].total_packets == 2
+        assert emitted[0].fwd_n + emitted[0].bwd_n == 2
         residual = table.flush()
         assert len(residual) == 1  # packet 3 started a fresh flow
-        assert residual[0].total_packets == 1
+        assert residual[0].fwd_n + residual[0].bwd_n == 1
 
     def test_bidirectional_keying(self, tmp_path):
         bp = simple_flow([("fwd", 10, 0), ("bwd", 20, 100)])

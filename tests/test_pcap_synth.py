@@ -11,7 +11,7 @@ from botmeter import pcap
 from botmeter.errors import PcapFormatError, ValidationError
 from botmeter.features import compute_features
 from botmeter.meter import FlowTable
-from botmeter.pcap import CaptureStats, read_capture
+from botmeter.pcap import CaptureStats, ip_to_str, read_capture
 from botmeter.synth import FlowBlueprint, PacketBlueprint, generate_synthetic_capture
 
 import capgen
@@ -43,14 +43,15 @@ class TestSynth:
         pkts, stats = parse_bytes(tmp_path, generate_synthetic_capture([bp], 1))
         assert stats.records == 2 and stats.skipped == 0
         first, second = pkts
-        assert (first.src_ip_str, first.dst_ip_str) == ("10.0.0.1", "8.8.8.8")
+        assert (ip_to_str(first.src_ip), ip_to_str(first.dst_ip)) == (
+            "10.0.0.1", "8.8.8.8")
         assert (first.src_port, first.dst_port) == (1000, 80)
         assert first.payload_len == 77
         assert first.header_len == 40  # 20 IP + 20 TCP
         assert first.tcp_flags == 0x02
         assert first.tcp_window == 4096
         assert second.timestamp_us - first.timestamp_us == 9
-        assert (second.src_ip_str, second.dst_port) == ("8.8.8.8", 1000)
+        assert (ip_to_str(second.src_ip), second.dst_port) == ("8.8.8.8", 1000)
         assert second.tcp_flags == 0x12
 
     def test_udp_and_icmp_fields(self, tmp_path):
@@ -66,7 +67,7 @@ class TestSynth:
         bp = blueprint(2, src_ip="2001:db8::1", dst_ip="2001:db8::2")
         pkts, stats = parse_bytes(tmp_path, generate_synthetic_capture([bp], 0))
         assert stats.skipped == 0
-        assert pkts[0].src_ip_str == "2001:db8::1"
+        assert ip_to_str(pkts[0].src_ip) == "2001:db8::1"
         assert pkts[0].header_len == 60  # 40 IPv6 + 20 TCP
 
     def test_two_tuples_two_flows(self, tmp_path):
@@ -141,7 +142,7 @@ class TestReader:
         rec = struct.pack("<IIII", 0, 0, len(tagged), len(tagged)) + tagged
         pkts, stats = parse_bytes(tmp_path, hdr + rec, "vlan.pcap")
         assert len(pkts) == 1 and stats.skipped == 0
-        assert pkts[0].src_ip_str == "10.0.0.1"
+        assert ip_to_str(pkts[0].src_ip) == "10.0.0.1"
 
 
 def varied_flow(n_packets):
@@ -334,7 +335,7 @@ class TestMutatedCapture:
             return
         flows += table.flush()
         assert stats.records == stats.decoded + stats.skipped
-        assert sum(flow.total_packets for flow in flows) == stats.decoded
+        assert sum(flow.fwd_n + flow.bwd_n for flow in flows) == stats.decoded
         for flow in flows:
             assert all(map(math.isfinite, compute_features(flow).values))
 

@@ -2,12 +2,12 @@ import math
 import statistics
 from fractions import Fraction
 
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from botmeter.features import _moments, _moments_of
-from botmeter.pcap import PacketRecord
-from botmeter.meter import FlowKey, FlowTable
+from botmeter.pcap import RST, PacketRecord
+from botmeter.meter import FlowTable
 
 # Every sample the meter sees is an integer: a length, or a difference of
 # microsecond timestamps, which can be negative in an out-of-order capture.
@@ -65,25 +65,27 @@ def _packet(src, sport, dst, dport, proto=6, flags=0):
 
 
 class TestFlowKey:
+    """The table's canonical key, seen through the flows it builds: a RST
+    finalizes a flow at once, exposing which flow a packet joined."""
+
     @given(st.binary(min_size=4, max_size=4), st.integers(0, 65535),
            st.binary(min_size=4, max_size=4), st.integers(0, 65535),
            st.sampled_from([1, 6, 17]))
-    def test_reverse_packet_same_key(self, ip1, p1, ip2, p2, proto):
-        fwd = _packet(ip1, p1, ip2, p2, proto)
-        rev = _packet(ip2, p2, ip1, p1, proto)
-        assert FlowKey.of(fwd) == FlowKey.of(rev)
-
-    def test_distinct_tuples_distinct_keys(self):
-        a = FlowKey.of(_packet(b"\x01\x02\x03\x04", 1, b"\x05\x06\x07\x08", 2))
-        b = FlowKey.of(_packet(b"\x01\x02\x03\x04", 1, b"\x05\x06\x07\x08", 3))
-        assert a != b
+    def test_reverse_packet_joins_the_flow(self, ip1, p1, ip2, p2, proto):
+        table = FlowTable()
+        assert table.offer_packet(_packet(ip1, p1, ip2, p2, proto)) == []
+        (flow,) = table.offer_packet(_packet(ip2, p2, ip1, p1, proto, flags=RST))
+        assert flow.fwd_n + flow.bwd_n == 2
+        assert table.flush() == []
 
     @given(st.binary(min_size=4, max_size=4), st.integers(0, 65535),
-           st.binary(min_size=4, max_size=4), st.integers(0, 65535))
-    def test_table_keys_flows_by_flow_key(self, ip1, p1, ip2, p2):
-        # A RST finalizes the flow at once, exposing the key the table used.
-        for pkt in (_packet(ip1, p1, ip2, p2, flags=0x04),
-                    _packet(ip2, p2, ip1, p1, flags=0x04)):
-            (flow,) = FlowTable().offer_packet(pkt)
-            assert flow.key == FlowKey.of(pkt)
-            assert hash(flow.key) == hash(FlowKey.of(pkt))
+           st.binary(min_size=4, max_size=4), st.integers(0, 65535),
+           st.integers(0, 65535), st.sampled_from([1, 6, 17]))
+    def test_another_port_makes_another_flow(self, ip1, p1, ip2, p2, p3, proto):
+        assume(p3 != p2)
+        table = FlowTable()
+        assert table.offer_packet(_packet(ip1, p1, ip2, p2, proto)) == []
+        (flow,) = table.offer_packet(_packet(ip1, p1, ip2, p3, proto, flags=RST))
+        assert (flow.fwd_n, flow.bwd_n, flow.dst_port) == (1, 0, p3)
+        (live,) = table.flush()
+        assert (live.fwd_n, live.bwd_n, live.dst_port) == (1, 0, p2)
