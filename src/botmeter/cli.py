@@ -21,11 +21,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import classifiers, demo
-from .dataset import (FeatureTable, csv_rows, parse_manifest, read_feature_csv,
-                      read_flow_csv, train_test_split, write_flow_csv)
+from .dataset import (FeatureTable, csv_rows, number_cells, parse_manifest,
+                      read_feature_csv, read_flow_csv, train_test_split,
+                      write_flow_csv)
 from .errors import BotmeterError, CsvFormatError, ValidationError
 from .evaluation import evaluate_predictions, render_report
-from .labeling import label_flows, parse_rules
+from .labeling import LabelRule, label_flows, parse_rules, write_rules
 from .meter import MeterConfig, ingest_capture_detailed
 from .selection import RankedFeatureList, derive_universal_set, rank_features_lr
 from .synth import FlowBlueprint, PacketBlueprint, write_synthetic_capture
@@ -50,6 +51,12 @@ class PipelineConfig:
         if not 0 < self.ratio < 1:
             raise ValidationError(f"ratio must be in (0, 1), got {self.ratio}")
         build_model_specs(self.seed, self.model_overrides)  # reject bad overrides now
+        if self.top_k < 1:
+            raise ValidationError(f"top_k must be at least 1, got {self.top_k}")
+        if not 1 <= self.threshold <= len(self.manifests):
+            raise ValidationError(
+                f"threshold must be within 1..{len(self.manifests)} (the number "
+                f"of datasets), got {self.threshold}")
 
 
 def load_pipeline_config(path, args=None) -> PipelineConfig:
@@ -166,8 +173,8 @@ def _meter_captures(captures, meter: MeterConfig) -> list:
 def extract_and_label(manifest, meter: MeterConfig, out_path: Path):
     """pcaps + rules -> labeled flow CSV; returns the label report."""
     manifest.validate()
-    flows = _meter_captures(manifest.captures, meter)
     rules = parse_rules(str(manifest.rules))
+    flows = _meter_captures(manifest.captures, meter)
     labels, report = label_flows(flows, rules, manifest.default_label)
     write_flow_csv(out_path, flows, labels)
     return report
@@ -188,19 +195,15 @@ def write_ranked_csv(ranked: RankedFeatureList, path: Path) -> None:
 
 def read_ranked_csv(path) -> RankedFeatureList:
     """A ranked list written by ``write_ranked_csv``.  A file of another
-    header, a ragged row, a non-numeric score or text that is not UTF-8 is
-    a CsvFormatError naming the file (and the line)."""
+    header, a ragged row, a score that ``dataset.number_cells`` refuses or
+    text that is not UTF-8 is a CsvFormatError naming the file (and the
+    line)."""
     with closing(csv_rows(path)) as records:
         if next(records)[:2] != ["name", "score"]:
             raise CsvFormatError(f"{path}: not a ranked-list CSV")
-        ranked = []
-        for line_no, row in records:
-            try:
-                ranked.append((row[0], float(row[1])))
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: non-numeric score {row[1]!r} at line {line_no}"
-                ) from None
+        ranked = [(row[0], number_cells(path, row, (1,), (("score", float),),
+                                        line_no)[0])
+                  for line_no, row in records]
     return RankedFeatureList(Path(path).stem, tuple(ranked))
 
 
@@ -367,15 +370,6 @@ def _json_objects(obj: dict, key: str) -> list[dict]:
     return items
 
 
-def _write_rules_for_blueprints(flows, path: Path) -> None:
-    lines = ["src_ip,src_port,dst_ip,dst_port,protocol,label"]
-    for bp in flows:
-        if bp.label:
-            lines.append(f"{bp.src_ip},{bp.src_port},{bp.dst_ip},"
-                         f"{bp.dst_port},{bp.protocol},{bp.label}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 # --- argument parsing ----------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,8 +480,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "label":
-        flows, _ = read_flow_csv(args.features)
         rules = parse_rules(args.rules)
+        flows, _ = read_flow_csv(args.features)
         labels, report = label_flows(flows, rules, args.default_label)
         write_flow_csv(args.out, flows, labels)
         counts = ", ".join(f"{k}={v}" for k, v in sorted(report.counts.items()))
@@ -543,8 +537,10 @@ def _dispatch(args) -> int:
         seed = args.seed if args.seed is not None else doc_seed
         out = Path(args.out)
         write_synthetic_capture(flows, seed, out)
-        if any(bp.label for bp in flows):
-            _write_rules_for_blueprints(flows, out.with_suffix(".rules.csv"))
+        rules = [LabelRule(bp.src_ip, bp.src_port, bp.dst_ip, bp.dst_port,
+                           bp.protocol, bp.label) for bp in flows if bp.label]
+        if rules:
+            write_rules(out.with_suffix(".rules.csv"), rules)
         print(f"wrote {out}")
         return 0
 

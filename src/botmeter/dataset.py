@@ -293,7 +293,7 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
         data: list[list[float]] = []
         labels: list[str] = []
         for line_no, row in records:
-            data.append(_number_cells(path, row, feature_idx, kinds, line_no))
+            data.append(number_cells(path, row, feature_idx, kinds, line_no))
             if label_idx is not None:
                 labels.append(row[label_idx])
     table_labels = None
@@ -303,19 +303,15 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
         else:
             table_labels = labels_to_binary(labels, negative_label)
     rows = np.asarray(data, dtype=np.float64) if data else np.empty((0, len(columns)))
-    if not np.isfinite(rows).all():
-        r, c = np.argwhere(~np.isfinite(rows))[0]
-        line_no, text = _cell(path, r, feature_idx[c])
-        raise CsvFormatError(
-            f"{path}: non-finite value {text!r} in column "
-            f"{header[feature_idx[c]]!r} at line {line_no}")
     return FeatureTable(columns, rows, table_labels)
 
 
-def _number_cells(path, row, indices, columns, line_no) -> list:
+def number_cells(path, row, indices, columns, line_no) -> list:
     """The cells of ``row`` at ``indices``, each read by the kind of its
-    column in ``columns`` ((name, int | float) pairs).  A cell that its kind
-    cannot read is a format error naming its text, its column and its line.
+    column in ``columns`` ((name, int | float) pairs): the one rule for the
+    number cells of every CSV botmeter reads.  A cell that its kind cannot
+    read, and a float cell that is not finite, is a format error naming
+    its text, its column and its line.
 
     So is text that ``int`` and ``float`` read but no writer emits: digit
     group underscores, surrounding whitespace (the six ASCII characters
@@ -331,9 +327,13 @@ def _number_cells(path, row, indices, columns, line_no) -> list:
     values = []
     for i, (name, kind) in zip(indices, columns):
         try:
-            values.append(kind(row[i]))
+            value = kind(row[i])
         except ValueError:
             raise _unreadable(path, row[i], name, kind, line_no) from None
+        if value - value:  # nan for nan and the infinities, 0 when finite
+            raise CsvFormatError(f"{path}: non-finite value {row[i]!r} in "
+                                 f"column {name!r} at line {line_no}")
+        values.append(value)
     return values
 
 
@@ -341,15 +341,6 @@ def _unreadable(path, cell, name, kind, line_no) -> CsvFormatError:
     what = "non-integer" if kind is int else "non-numeric"
     return CsvFormatError(
         f"{path}: {what} value {cell!r} in column {name!r} at line {line_no}")
-
-
-def _cell(path, index, column) -> tuple[int, str]:
-    """The line number and text of one cell of data row ``index``, read
-    again from the file (only on the error path, so reads stay one pass)."""
-    with closing(csv_rows(path)) as records:
-        next(records)
-        line_no, row = next(itertools.islice(records, index, None))
-    return line_no, row[column]
 
 
 # The columns of a flow CSV that are read as numbers: the int identity
@@ -383,32 +374,28 @@ def read_flow_csv(path) -> tuple[list, list[str] | None]:
         number_idx = [positions[name] for name, _ in _NUMBER_COLUMNS]
         flows, labels = [], []
         for line_no, row in records:
-            src_port, dst_port, protocol, start_ts_us, *values = _number_cells(
+            src_port, dst_port, protocol, start_ts_us, *values = number_cells(
                 path, row, number_idx, _NUMBER_COLUMNS, line_no)
-            values = tuple(values)
-            if not all(map(math.isfinite, _FLOAT_VALUES(values))):
-                name = next(name for (name, kind), v
-                            in zip(FEATURE_COLUMNS, values)
-                            if kind is float and not math.isfinite(v))
-                raise CsvFormatError(
-                    f"{path}: non-finite value {row[positions[name]]!r} in "
-                    f"column {name!r} at line {line_no}")
             flows.append(FeatureVector(
                 flow_id=row[positions["Flow ID"]],
-                src_ip=_address(path, row, positions, "Source IP", line_no),
+                src_ip=address_cell(path, row[positions["Source IP"]],
+                                    "Source IP", line_no),
                 src_port=src_port,
-                dst_ip=_address(path, row, positions, "Destination IP", line_no),
+                dst_ip=address_cell(path, row[positions["Destination IP"]],
+                                    "Destination IP", line_no),
                 dst_port=dst_port,
                 protocol=protocol,
                 start_ts_us=start_ts_us,
-                values=values))
+                values=tuple(values)))
             if has_label:
                 labels.append(row[positions[LABEL_COLUMN]])
     return flows, (labels if has_label else None)
 
 
-def _address(path, row, positions, column, line_no) -> str:
-    text = row[positions[column]]
+def address_cell(path, text, column, line_no) -> str:
+    """An address cell in a flow's own text form (``pcap.ip_to_str``); text
+    that ``pcap.ip_from_str`` cannot read is a format error naming it, its
+    column and its line."""
     try:
         return ip_to_str(ip_from_str(text))
     except (OSError, ValueError):

@@ -12,6 +12,7 @@ import json
 import random
 from pathlib import Path
 
+from .labeling import LabelRule, write_rules
 from .synth import FlowBlueprint, PacketBlueprint, write_synthetic_capture
 
 _DATASETS = (
@@ -100,9 +101,8 @@ def make_demo_corpus(out_dir, seed: int = 0, flows_per_class: int = 60) -> Path:
                                 ds_dir / "capture_a.pcap")
         write_synthetic_capture(blueprints[half:], seed + d_idx + 1000,
                                 ds_dir / "capture_b.pcap")
-        rules = ["src_ip,src_port,dst_ip,dst_port,protocol,label"]
-        rules += [f"{ip},*,*,*,*,Botnet" for ip in attackers]
-        (ds_dir / "rules.csv").write_text("\n".join(rules) + "\n")
+        write_rules(ds_dir / "rules.csv",
+                    [LabelRule(ip, None, "*", None, None, "Botnet") for ip in attackers])
         manifest = (f"name = {name}\n"
                     "captures = capture_a.pcap, capture_b.pcap\n"
                     "rules = rules.csv\n"

@@ -7,6 +7,7 @@ explicit flag instead of NaN so reports stay total and machine-readable.
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
 
@@ -97,13 +98,14 @@ _COLUMNS = ("dataset", "classifier", "accuracy", "precision", "recall", "f1")
 
 
 def render_report(reports, fmt: str = "text") -> str:
-    """Reports as an aligned text table or CSV, metrics to two decimals."""
+    """Reports as an aligned text table or a CSV (RFC 4180 quoting), metrics
+    to two decimals."""
     rows = [r.as_row() for r in reports]
     if fmt == "csv":
         out = io.StringIO()
-        out.write(",".join(_COLUMNS) + "\n")
-        for row in rows:
-            out.write(",".join(row) + "\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(_COLUMNS)
+        writer.writerows(rows)
         return out.getvalue()
     if fmt != "text":
         raise ValidationError(f"unknown report format {fmt!r}")

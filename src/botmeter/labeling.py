@@ -12,22 +12,24 @@ SIGCOMM 1999): see ``RuleIndex``.
 
 from __future__ import annotations
 
-import ipaddress
+import csv
 import logging
 from collections import Counter
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from operator import itemgetter
 
-from .dataset import csv_rows
+from .dataset import address_cell, csv_rows, number_cells
 from .errors import CsvFormatError, ValidationError
 from .features import FeatureVector
-from .pcap import ip_to_str
 
 logger = logging.getLogger(__name__)
 
 WILDCARD = "*"
 _MANDATORY = ("src_ip", "src_port", "dst_ip", "dst_port", "protocol", "label")
+# The rule-file columns read as addresses or ints, in LabelRule order.
+_TYPED_COLUMNS = ("src_ip", "src_port", "dst_ip", "dst_port", "protocol",
+                  "start", "end")
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,11 @@ class LabelRule:
     def __post_init__(self):
         if not self.label:
             raise ValidationError("rule label must be non-empty")
+        for name, top in (("src_port", 65535), ("dst_port", 65535),
+                          ("protocol", 255)):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value <= top:
+                raise ValidationError(f"{name} must be within 0..{top}, got {value}")
         if (self.start_us is None) != (self.end_us is None):
             raise ValidationError("time window needs both start and end")
         if self.start_us is not None and self.start_us > self.end_us:
@@ -135,35 +142,27 @@ class LabelReport:
         return sum(self.counts.values())
 
 
-def _parse_ip_cell(cell: str, where: str, column: str) -> str:
-    cell = cell.strip()
-    if cell == WILDCARD:
-        return WILDCARD
-    try:
-        # Validated by ipaddress, rendered like a flow's own address text.
-        return ip_to_str(ipaddress.ip_address(cell).packed)
-    except ValueError:
-        raise CsvFormatError(
-            f"{where}: column {column!r} has unparseable IP {cell!r}") from None
-
-
-def _parse_int_cell(cell: str, where: str, column: str) -> int | None:
-    cell = cell.strip()
-    if cell in (WILDCARD, ""):
-        return None
-    try:
-        return int(cell)
-    except ValueError:
-        raise CsvFormatError(
-            f"{where}: column {column!r} is not an integer: {cell!r}") from None
+def _rule_cell(path, row, column, line_no):
+    """The stripped cell of ``column`` in a rule-file ``row``: ``*`` or an
+    empty cell is a wildcard (``*`` for an address, None for a number);
+    other text is read as a flow CSV's address or int cell."""
+    text = row.get(column, "")
+    address = column.endswith("_ip")
+    if text in (WILDCARD, ""):
+        return WILDCARD if address else None
+    if address:
+        return address_cell(path, text, column, line_no)
+    return number_cells(path, (text,), (0,), ((column, int),), line_no)[0]
 
 
 def parse_rules(path: str) -> list[LabelRule]:
     """Read a rule CSV: src_ip, src_port, dst_ip, dst_port, protocol, label
     plus optional start/end microsecond columns; "*" or an empty cell means
-    wildcard.  The file is read by ``dataset.csv_rows``, so a ragged row or
-    text that is not UTF-8 is a format error; every error names the file,
-    and the line of a bad row."""
+    wildcard.  The file is read by ``dataset.csv_rows`` and its cells,
+    stripped of surrounding whitespace, by ``dataset.address_cell`` and
+    ``dataset.number_cells``, so a ragged row, text that is not UTF-8 and an
+    unreadable address or number are format errors; every error names the
+    file, and the line of a bad row."""
     rules = []
     with closing(csv_rows(path)) as records:
         header = next(records)
@@ -172,23 +171,29 @@ def parse_rules(path: str) -> list[LabelRule]:
             raise CsvFormatError(f"{path}: rule file missing mandatory column(s): "
                                  f"{', '.join(missing)}")
         for line_no, cells in records:
-            row = dict(zip(header, cells))
-            where = f"{path}: line {line_no}"
+            row = dict(zip(header, map(str.strip, cells)))
+            src_ip, src_port, dst_ip, dst_port, protocol, start, end = (
+                _rule_cell(path, row, column, line_no) for column in _TYPED_COLUMNS)
             try:
-                rules.append(LabelRule(
-                    src_ip=_parse_ip_cell(row["src_ip"] or "*", where, "src_ip"),
-                    src_port=_parse_int_cell(row["src_port"] or "*", where, "src_port"),
-                    dst_ip=_parse_ip_cell(row["dst_ip"] or "*", where, "dst_ip"),
-                    dst_port=_parse_int_cell(row["dst_port"] or "*", where, "dst_port"),
-                    protocol=_parse_int_cell(row["protocol"] or "*", where, "protocol"),
-                    label=row["label"].strip(),
-                    start_us=_parse_int_cell(row.get("start", ""), where, "start"),
-                    end_us=_parse_int_cell(row.get("end", ""), where, "end"),
-                    line=line_no,
-                ))
+                rules.append(LabelRule(src_ip, src_port, dst_ip, dst_port, protocol,
+                                       row["label"], start, end, line=line_no))
             except ValidationError as exc:
-                raise ValidationError(f"{where}: {exc}") from None
+                raise ValidationError(f"{path}: line {line_no}: {exc}") from None
     return rules
+
+
+def write_rules(path, rules) -> None:
+    """Write LabelRules as a rule CSV that ``parse_rules`` reads back: the
+    mandatory columns, then start and end when a rule has a time window; a
+    wildcard is ``*``."""
+    windowed = any(rule.start_us is not None for rule in rules)
+    columns = _MANDATORY + (("start", "end") if windowed else ())
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for rule in rules:
+            writer.writerow(WILDCARD if cell is None else cell
+                            for cell in astuple(rule)[:len(columns)])
 
 
 def label_flows(flows, rules: list[LabelRule],

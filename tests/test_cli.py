@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from botmeter import classifiers, cli
+from botmeter import classifiers, cli, meter
 from botmeter.dataset import (FeatureTable, format_number, read_feature_csv,
-                              write_flow_csv)
+                              read_flow_csv, write_flow_csv)
 from botmeter.demo import make_demo_corpus
 from botmeter.errors import CsvFormatError, ValidationError
 from botmeter.meter import MeterConfig
@@ -215,20 +215,26 @@ class TestStageCommands:
 
     @pytest.mark.parametrize("reader, text, message", [
         (cli.read_ranked_csv, b"name,score\nFlow Duration,0.5\nIdle Max,high\n",
-         "non-numeric score 'high' at line 3"),
+         "non-numeric value 'high' in column 'score' at line 3"),
         (cli.read_ranked_csv, b"name,score\nFlow Duration,0.5\nIdle Max\n",
          r"ragged row at line 3 \(1 cells, expected 2\)"),
         (cli.read_ranked_csv, b"name,score\nFlow Duration,0.5\nIdle M\xe4x,0.2\n",
          r"not UTF-8 text at line 3 \(invalid continuation byte\)"),
         (cli.read_ranked_csv, b"feature,score\nFlow Duration,0.5\n",
          "not a ranked-list CSV"),
+        (cli.read_ranked_csv, b"name,score\nFlow Duration,nan\n",
+         "non-finite value 'nan' in column 'score' at line 2"),
+        (cli.read_ranked_csv, b"name,score\nFlow Duration, inf\n",
+         "non-numeric value ' inf' in column 'score' at line 2"),
+        (cli.read_ranked_csv, b"name,score\nFlow Duration,1_0\n",
+         "non-numeric value '1_0' in column 'score' at line 2"),
         (cli.read_universal_features, b"name,count\nFlow Duration,2\nIdle Max\n",
          r"ragged row at line 3 \(1 cells, expected 2\)"),
         (cli.read_universal_features, b"name,count\nFlow Duration,2\n\xff,2\n",
          r"not UTF-8 text at line 3 \(invalid start byte\)"),
         (cli.read_universal_features, b"", "missing header row"),
     ], ids=["ranked-score", "ranked-one-cell", "ranked-utf8", "ranked-header",
-            "universal-one-cell", "universal-utf8", "universal-empty"])
+            "ranked-nan", "ranked-space", "ranked-digit-group", "universal-one-cell", "universal-utf8", "universal-empty"])
     def test_ranked_and_universal_files_refuse_bad_rows(self, tmp_path, reader,
                                                         text, message):
         path = tmp_path / "list.csv"
@@ -242,7 +248,7 @@ class TestStageCommands:
         assert run_cli("universal", ranked, ranked, "--out",
                        tmp_path / "universal.csv") == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {ranked}: non-numeric score 'x' at line 2"]
+            f"error: {ranked}: non-numeric value 'x' in column 'score' at line 2"]
 
     def test_synth_blueprint_roundtrip(self, tmp_path):
         blueprint = {
@@ -263,11 +269,25 @@ class TestStageCommands:
         flows, _ = ingest_capture_detailed(str(out))
         assert len(flows) == 1
         assert oracle.named(flows[0])["Total Backward Packets"] == 1
-        rules = out.with_suffix(".rules.csv")
-        assert rules.exists() and "Botnet" in rules.read_text()
+        assert out.with_suffix(".rules.csv").read_bytes() == (
+            b"src_ip,src_port,dst_ip,dst_port,protocol,label\n"
+            b"10.0.0.1,5,8.8.8.8,80,6,Botnet\n")
 
     BLUEPRINT_FLOW = {"src_ip": "10.0.0.1", "dst_ip": "8.8.8.8", "src_port": 5,
                       "dst_port": 80, "protocol": 6, "packets": [{"payload": 10}]}
+
+    @pytest.mark.parametrize("label", ["Bot,net", 'Bot"net'])
+    def test_synth_blueprint_label_that_needs_quoting(self, tmp_path, label):
+        bp_path = tmp_path / "bp.json"
+        bp_path.write_text(json.dumps(
+            {"flows": [{**self.BLUEPRINT_FLOW, "label": label}]}))
+        capture, features = tmp_path / "cap.pcap", tmp_path / "features.csv"
+        labeled = tmp_path / "labeled.csv"
+        assert run_cli("synth", "--blueprint", bp_path, "--out", capture) == 0
+        assert run_cli("extract", capture, "--out", features) == 0
+        assert run_cli("label", features, "--rules", capture.with_suffix(".rules.csv"),
+                       "--out", labeled) == 0
+        assert read_flow_csv(labeled)[1] == [label]
 
     @pytest.mark.parametrize("doc, message", [
         ({"flows": [{"dst_ip": "8.8.8.8", "src_port": 5, "dst_port": 80,
@@ -414,12 +434,41 @@ class TestPipeline:
         (base / "ds.manifest").write_text(
             "name = broken\ncaptures = gone.pcap\nrules = rules.csv\n")
         (base / "config.json").write_text(json.dumps(
-            {"datasets": ["ds.manifest"], "out_dir": "out"}))
+            {"datasets": ["ds.manifest"], "out_dir": "out", "threshold": 1}))
         assert run_cli("pipeline", "--config", base / "config.json") == 1
         err = capsys.readouterr().err
         assert "extract" in err
         marker = (base / "out/FAILED").read_text()
         assert "extract" in marker
+
+    def test_bad_rule_file_fails_before_any_capture_is_read(
+            self, corpus, tmp_path, monkeypatch, capsys):
+        reads = []
+        monkeypatch.setattr(meter, "read_capture", lambda *a: reads.append(a))
+        monkeypatch.setattr(cli, "read_flow_csv", lambda *a: reads.append(a))
+        rules = tmp_path / "rules.csv"
+        rules.write_text("src_ip,src_port,dst_ip,dst_port,protocol,label\n"
+                         "10.0.0.5,x,8.8.8.8,80,6,Botnet\n")
+        manifest = replace(cli.load_pipeline_config(corpus).manifests[0], rules=rules)
+        with pytest.raises(CsvFormatError, match="non-integer value 'x'"):
+            cli.extract_and_label(manifest, MeterConfig(), tmp_path / "labeled.csv")
+        assert run_cli("label", tmp_path / "features.csv", "--rules", rules,
+                       "--out", tmp_path / "labeled.csv") == 1
+        assert "non-integer value 'x'" in capsys.readouterr().err
+        assert reads == []
+        assert not (tmp_path / "labeled.csv").exists()
+
+    def test_metrics_csv_quotes_a_dataset_name(self, corpus, tmp_path):
+        config = cli.load_pipeline_config(corpus)
+        manifests = (replace(config.manifests[0], name='ddos,"a"'),
+                     config.manifests[1])
+        out = tmp_path / "out"
+        assert cli.run_pipeline(cli.PipelineConfig(
+            manifests=manifests, meter=config.meter, out_dir=out, threshold=1)) == 0
+        with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {6}
+        assert [row[0] for row in rows[1:5]] == ['ddos,"a"'] * 4
 
     @pytest.mark.parametrize("target, exc_type, stage", [
         ("rank_dataset", ValueError, "rank"),
@@ -582,7 +631,7 @@ class TestPipelineConfig:
             "name = ds\ncaptures = gone.pcap\nrules = rules.csv\n")
         path = base / "config.json"
         path.write_text(json.dumps({"datasets": ["ds.manifest"],
-                                    "out_dir": "from_config"}))
+                                    "out_dir": "from_config", "threshold": 1}))
         return path
 
     def test_relative_out_flag_resolves_against_working_directory(
@@ -639,6 +688,20 @@ class TestPipelineConfig:
         with pytest.raises(ValidationError) as info:
             cli.load_pipeline_config(config_path)
         assert message in str(info.value)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--threshold", 0, "threshold must be within 1..3 (the number of datasets), "
+                           "got 0"),
+        ("--threshold", 4, "threshold must be within 1..3 (the number of datasets), "
+                           "got 4"),
+        ("--top-k", 0, "top_k must be at least 1, got 0"),
+    ])
+    def test_count_out_of_range_fails_before_any_capture(self, corpus, tmp_path,
+                                                         capsys, flag, value, message):
+        assert run_cli("pipeline", "--config", corpus, "--out", tmp_path / "out",
+                       flag, value) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert list(tmp_path.rglob("labeled_*.csv")) == []
 
     def test_non_utf8_config_is_a_validation_error(self, config_path):
         config_path.write_bytes(b'{"datasets": ["\xff.manifest"]}')

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from botmeter.errors import CsvFormatError, ValidationError
 from botmeter.features import FeatureVector
-from botmeter.labeling import LabelRule, RuleIndex, label_flows, parse_rules
+from botmeter.labeling import (LabelRule, RuleIndex, label_flows, parse_rules,
+                               write_rules)
 from botmeter.pcap import ip_from_str, ip_to_str
 import capgen
 from label_oracle import match_rule
@@ -60,9 +61,9 @@ class TestParseRules:
         ("src_ip,src_port,dst_ip,dst_port,protocol\n10.0.0.5,1,8.8.8.8,80,6\n",
          CsvFormatError, "rule file missing mandatory column(s): label"),
         (HEADER + "10.0.0.5,1,8.8.8.8,80,6,X\nnot-an-ip,1,8.8.8.8,80,6,X\n",
-         CsvFormatError, "line 3: column 'src_ip' has unparseable IP 'not-an-ip'"),
+         CsvFormatError, "unparsable address 'not-an-ip' in column 'src_ip' at line 3"),
         (HEADER + "10.0.0.5,x,8.8.8.8,80,6,X\n",
-         CsvFormatError, "line 2: column 'src_port' is not an integer: 'x'"),
+         CsvFormatError, "non-integer value 'x' in column 'src_port' at line 2"),
         (HEADER + "10.0.0.5,1,8.8.8.8,80,6, \n",
          ValidationError, "line 2: rule label must be non-empty"),
         (HEADER + "10.0.0.5,1,8.8.8.8,80,6\n",
@@ -78,6 +79,41 @@ class TestParseRules:
         path = rules_csv(tmp_path, text)
         with pytest.raises(error, match=f"^{re.escape(path)}: {re.escape(message)}$"):
             parse_rules(path)
+
+    @pytest.mark.parametrize("row, error, message", [
+        ("10.0.0.5,-5,8.8.8.8,80,6,X", ValidationError,
+         "line 2: src_port must be within 0..65535, got -5"),
+        ("10.0.0.5,1,8.8.8.8,70000,6,X", ValidationError,
+         "line 2: dst_port must be within 0..65535, got 70000"),
+        ("10.0.0.5,1,8.8.8.8,80,300,X", ValidationError,
+         "line 2: protocol must be within 0..255, got 300"),
+        ("10.0.0.5,1_024,8.8.8.8,80,6,X", CsvFormatError,
+         "non-integer value '1_024' in column 'src_port' at line 2"),
+        ("10.0.0.5,1,8.8.8.8,\u0668\u0660,6,X", CsvFormatError,
+         "non-integer value '\u0668\u0660' in column 'dst_port' at line 2"),
+        ("fe80::1%eth0,1,8.8.8.8,80,6,X", CsvFormatError,
+         "unparsable address 'fe80::1%eth0' in column 'src_ip' at line 2"),
+    ], ids=["negative-port", "port-above-range", "protocol-above-range",
+            "digit-group", "arabic-digits", "zone-index"])
+    def test_cells_are_read_like_flow_cells(self, tmp_path, row, error, message):
+        path = rules_csv(tmp_path, HEADER + row + "\n")
+        with pytest.raises(error, match=f"^{re.escape(path)}: {re.escape(message)}$"):
+            parse_rules(path)
+
+    def test_cells_may_be_padded_and_empty_cells_are_wildcards(self, tmp_path):
+        rules = parse_rules(rules_csv(
+            tmp_path, HEADER + " 10.0.0.5 , 80 ,,\t*\t, 6 , Bot \n"))
+        assert rules == [LabelRule("10.0.0.5", 80, "*", None, 6, "Bot")]
+
+    def test_written_rules_read_back(self, tmp_path):
+        path = tmp_path / "rules.csv"
+        rules = [LabelRule("10.0.0.5", 4444, "2001:db8::1", 80, 6, 'Bot,"net"',
+                           start_us=100, end_us=200),
+                 LabelRule("*", None, "8.8.8.8", None, None, "Scan")]
+        write_rules(path, rules)
+        assert parse_rules(str(path)) == rules
+        write_rules(path, rules[1:])
+        assert path.read_bytes() == HEADER.encode() + b"*,*,8.8.8.8,*,*,Scan\n"
 
     def test_time_window_columns(self, tmp_path):
         path = rules_csv(tmp_path,
