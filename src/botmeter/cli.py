@@ -15,6 +15,7 @@ import csv
 import json
 import logging
 import math
+import os
 import sys
 from contextlib import closing
 from dataclasses import dataclass, fields
@@ -26,7 +27,8 @@ from .dataset import (FeatureTable, csv_rows, number_cells, parse_manifest,
                       write_flow_csv)
 from .errors import BotmeterError, CsvFormatError, ValidationError
 from .evaluation import evaluate_predictions, render_report
-from .labeling import LabelRule, label_flows, parse_rules, write_rules
+from .labeling import (LabelReport, LabelRule, RuleIndex, label_flows,
+                       log_label_warnings, parse_rules, write_rules)
 from .meter import MeterConfig, ingest_capture_detailed
 from .selection import RankedFeatureList, derive_universal_set, rank_features_lr
 from .synth import FlowBlueprint, PacketBlueprint, write_synthetic_capture
@@ -156,27 +158,69 @@ def build_model_specs(seed: int, overrides: dict | None) -> list[classifiers.Mod
 
 # --- pipeline stages ----------------------------------------------------------
 
-def _meter_captures(captures, meter: MeterConfig) -> list:
-    """Meter each capture in turn; returns their flows in capture order."""
-    flows = []
-    for capture in captures:
-        metered, stats = ingest_capture_detailed(str(capture), meter)
-        logger.info("%s: %d records -> %d flows (%d skipped: %d truncated, "
-                    "%d link, %d fragment, %d protocol; %d reordered)",
-                    capture, stats.records, stats.flows, stats.skipped,
-                    stats.truncated, stats.skipped_link, stats.skipped_fragment,
-                    stats.skipped_protocol, stats.reordered)
-        flows.extend(metered)
-    return flows
+# Extraction writes finished flows in batches of at most this many, so its
+# memory holds the live flows and one batch, not every flow.
+FLOW_BATCH = 1024
+
+
+def _extract(captures, meter: MeterConfig, out_path, rules=None,
+             default_label: str = "Normal"):
+    """Meter each capture in turn into the flow CSV ``out_path``, labeled by
+    ``rules`` when given; returns the flow count and the label report.
+
+    Finished flows are labeled and written in batches of at most FLOW_BATCH,
+    in the meter's order, to a temporary file beside ``out_path`` that
+    replaces it after the last capture: a failed extract leaves no file, or
+    the old one as it was."""
+    out_path = Path(out_path)
+    tmp = out_path.with_name(f".{out_path.name}.partial")
+    index = None if rules is None else RuleIndex(rules)
+    report = LabelReport(rule_matches=[0] * len(rules or ()))
+    batch = []
+
+    def write_batch():
+        nonlocal batch
+        labels = None
+        if index is not None:
+            labels, part = label_flows(batch, index, default_label)
+            report.merge(part)
+        write_flow_csv(tmp, batch, labels, append=True)
+        batch = []
+
+    def emit(flow):
+        batch.append(flow)
+        if len(batch) >= FLOW_BATCH:
+            write_batch()
+
+    total = 0
+    try:
+        write_flow_csv(tmp, [], None if index is None else [])  # the header
+        for capture in captures:
+            _, stats = ingest_capture_detailed(str(capture), meter, emit)
+            logger.info("%s: %d records -> %d flows (%d skipped: %d truncated, "
+                        "%d link, %d fragment, %d protocol; %d reordered)",
+                        capture, stats.records, stats.flows, stats.skipped,
+                        stats.truncated, stats.skipped_link,
+                        stats.skipped_fragment, stats.skipped_protocol,
+                        stats.reordered)
+            total += stats.flows
+        if batch:
+            write_batch()
+        os.replace(tmp, out_path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    if index is not None:
+        log_label_warnings(report, rules, default_label)
+    return total, report
 
 
 def extract_and_label(manifest, meter: MeterConfig, out_path: Path):
     """pcaps + rules -> labeled flow CSV; returns the label report."""
     manifest.validate()
     rules = parse_rules(str(manifest.rules))
-    flows = _meter_captures(manifest.captures, meter)
-    labels, report = label_flows(flows, rules, manifest.default_label)
-    write_flow_csv(out_path, flows, labels)
+    _, report = _extract(manifest.captures, meter, out_path, rules,
+                         manifest.default_label)
     return report
 
 
@@ -474,15 +518,15 @@ def _dispatch(args) -> int:
             flow_timeout_us=_timeout_us("flow_timeout_s", args.timeout_s),
             activity_timeout_us=_timeout_us("activity_timeout_s",
                                             args.activity_timeout_s))
-        flows = _meter_captures(args.captures, meter)
-        write_flow_csv(args.out, flows)
-        print(f"wrote {len(flows)} flows to {args.out}")
+        total, _ = _extract(args.captures, meter, args.out)
+        print(f"wrote {total} flows to {args.out}")
         return 0
 
     if args.command == "label":
         rules = parse_rules(args.rules)
         flows, _ = read_flow_csv(args.features)
         labels, report = label_flows(flows, rules, args.default_label)
+        log_label_warnings(report, rules, args.default_label)
         write_flow_csv(args.out, flows, labels)
         counts = ", ".join(f"{k}={v}" for k, v in sorted(report.counts.items()))
         print(f"labeled {report.total} flows ({counts}; "

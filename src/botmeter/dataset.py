@@ -228,10 +228,11 @@ def _row_format(integral, end: str) -> str:
         for _, kind in FEATURE_COLUMNS]) + end
 
 
-def write_flow_csv(path, flows, labels=None) -> None:
+def write_flow_csv(path, flows, labels=None, *, append=False) -> None:
     """Write flows (FeatureVectors) to the canonical flow CSV: identity
     columns, the 65 features, then Label when ``labels`` (one per flow) is
-    given.
+    given.  With ``append`` the rows go to the end of the file and no
+    header is written, so a file can be written in batches.
 
     Identity cells and labels are written as ``csv.writer`` writes them, and
     each feature as ``_FEATURE_TEXT`` says.  A row is one %-format, picked by
@@ -250,9 +251,10 @@ def write_flow_csv(path, flows, labels=None) -> None:
         end, row_labels = ",%s\r\n", labels
     formats: dict[tuple, str] = {}
     label_cells: dict = {}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "a" if append else "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        if not append:
+            writer.writerow(header)
         for flow, label in zip(flows, row_labels):
             integral = tuple(map(float.is_integer, _FLOAT_VALUES(flow.values)))
             fmt = formats.get(integral)

@@ -1,7 +1,8 @@
 """Ground-truth labeling of flows by 5-tuple rule matching.
 
 Dataset providers enumerate malicious endpoints; everything unmatched falls
-back to the default label with a loud summary warning.  Match precedence:
+back to the default label, and ``log_label_warnings`` reports them and
+the rules that matched no flow.  Match precedence:
 exact-orientation 5-tuple, then reversed orientation, then rules containing
 wildcards (either orientation); within a tier the first rule in file order
 wins.  A rule with a time window only applies to flows starting inside it.
@@ -82,10 +83,13 @@ class RuleIndex:
     fields.  Each bucket lists rule positions in file order, and a time
     window is checked only on a bucket's candidates.  A flow probes the
     exact table with its forward key, then its reversed key, then every
-    pattern table in both orientations, keeping the lowest position.
+    pattern table in both orientations, keeping the lowest position.  An
+    empty rule list is a ValidationError.
     """
 
     def __init__(self, rules: list[LabelRule]):
+        if not rules:
+            raise ValidationError("need at least one label rule")
         self.rules = rules
         self._exact: dict[tuple, list[int]] = {}
         # Concrete field positions -> (key getter, table).  itemgetter gives
@@ -140,6 +144,13 @@ class LabelReport:
     @property
     def total(self) -> int:
         return sum(self.counts.values())
+
+    def merge(self, other: LabelReport) -> None:
+        """Add the counts of ``other``, a report over the same rules."""
+        self.counts.update(other.counts)
+        self.unmatched += other.unmatched
+        self.rule_matches = [a + b for a, b in
+                             zip(self.rule_matches, other.rule_matches)]
 
 
 def _rule_cell(path, row, column, line_no):
@@ -196,12 +207,13 @@ def write_rules(path, rules) -> None:
                             for cell in astuple(rule)[:len(columns)])
 
 
-def label_flows(flows, rules: list[LabelRule],
+def label_flows(flows, rules: list[LabelRule] | RuleIndex,
                 default_label: str = "Normal") -> tuple[list[str], LabelReport]:
-    """One label per flow, in flow order, and the report of the matches."""
-    if not rules:
-        raise ValidationError("need at least one label rule")
-    index = RuleIndex(rules)
+    """One label per flow, in flow order, and the report of the matches.
+    ``rules`` may be a RuleIndex, so that a caller labeling flows in batches
+    builds the index once."""
+    index = rules if isinstance(rules, RuleIndex) else RuleIndex(rules)
+    rules = index.rules
     report = LabelReport(rule_matches=[0] * len(rules))
     hits = report.rule_matches
     labels = []
@@ -215,14 +227,20 @@ def label_flows(flows, rules: list[LabelRule],
             hits[i] += 1
         report.counts[label] += 1
         labels.append(label)
+    return labels, report
+
+
+def log_label_warnings(report: LabelReport, rules: list[LabelRule],
+                       default_label: str) -> None:
+    """Warn once about the flows of ``report`` that matched no rule, and once
+    about the rules that matched no flow."""
     if report.unmatched:
         logger.warning(
             "%d of %d flows matched no rule and were labeled %r",
             report.unmatched, report.total, default_label)
     # By rule-file line; rules built in code have none, so by position.
     idle = [f"line {rule.line}" if rule.line is not None else f"rule {i + 1}"
-            for i, rule in enumerate(rules) if not hits[i]]
+            for i, rule in enumerate(rules) if not report.rule_matches[i]]
     if idle:
         logger.warning("%d of %d rules matched no flow: %s",
                        len(idle), len(rules), ", ".join(idle))
-    return labels, report

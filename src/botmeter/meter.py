@@ -234,19 +234,28 @@ class FlowTable:
         return flows
 
 
-def ingest_capture_detailed(path: str, config: MeterConfig | None = None):
-    """Meter a capture file into finalized flow feature vectors; returns
-    them with the capture's CaptureStats counters."""
+def ingest_capture_detailed(path: str, config: MeterConfig | None = None,
+                            emit=None):
+    """Meter a capture file into finalized flow feature vectors, passing
+    each to ``emit`` as it is finalized: flows in finalization order, then
+    the flush in flow-start order.  ``emit`` defaults to the returned list's
+    ``append``.  Returns that list with the capture's CaptureStats
+    counters."""
     from .features import compute_features
 
     config = config or MeterConfig()
     table = FlowTable(config)
     stats = CaptureStats()
     out = []
+    if emit is None:
+        emit = out.append
+    flows = 0
     for pkt in read_capture(path, stats):
         for flow in table.offer_packet(pkt):
-            out.append(compute_features(flow, config))
+            emit(compute_features(flow, config))
+            flows += 1
     for flow in table.flush():
-        out.append(compute_features(flow, config))
-    stats.flows = len(out)
+        emit(compute_features(flow, config))
+        flows += 1
+    stats.flows = flows
     return out, stats

@@ -103,6 +103,13 @@ class FlowBlueprint:
                 raise ValidationError("ICMP protocol number does not match IP version")
         elif self.protocol not in (PROTO_TCP, PROTO_UDP):
             raise ValidationError(f"unsupported blueprint protocol {self.protocol!r}")
+        # Rule-file cells are stripped when read: a label must read back as written.
+        if self.label is not None and not (
+                isinstance(self.label, str) and self.label
+                and self.label == self.label.strip()):
+            raise ValidationError(
+                "label must be a non-empty string without surrounding "
+                f"whitespace, got {self.label!r}")
 
 
 def generate_synthetic_capture(blueprints, seed: int) -> bytes:

@@ -304,6 +304,15 @@ class TestStageCommands:
          "flows[1]: window must be an integer within 0..65535, got -1"),
         ({"flows": [{**BLUEPRINT_FLOW, "dst_ip": "8.8.8"}]},
          "flows[0]: dst_ip is not an IP address: '8.8.8'"),
+        ({"flows": [BLUEPRINT_FLOW, {**BLUEPRINT_FLOW, "label": " Bot "}]},
+         "flows[1]: label must be a non-empty string without surrounding "
+         "whitespace, got ' Bot '"),
+        ({"flows": [{**BLUEPRINT_FLOW, "label": ""}]},
+         "flows[0]: label must be a non-empty string without surrounding "
+         "whitespace, got ''"),
+        ({"flows": [{**BLUEPRINT_FLOW, "label": 5}]},
+         "flows[0]: label must be a non-empty string without surrounding "
+         "whitespace, got 5"),
     ])
     def test_synth_blueprint_input_errors_name_file_flow_and_key(
             self, tmp_path, capsys, doc, message):
@@ -406,8 +415,8 @@ def test_capture_summary_logs_each_skip_reason(tmp_path, caplog):
     capture = tmp_path / "skips.pcap"
     capture.write_bytes(data + records)
     with caplog.at_level("INFO", logger="botmeter.cli"):
-        flows = cli._meter_captures([capture], MeterConfig())
-    assert len(flows) == 1
+        assert run_cli("extract", capture, "--out", tmp_path / "flows.csv") == 0
+    assert len(read_flow_csv(tmp_path / "flows.csv")[0]) == 1
     assert caplog.messages == [
         f"{capture}: 5 records -> 1 flows (3 skipped: 1 truncated, 1 link, "
         "1 fragment, 0 protocol; 0 reordered)"]

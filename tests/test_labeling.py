@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from botmeter.errors import CsvFormatError, ValidationError
 from botmeter.features import FeatureVector
-from botmeter.labeling import (LabelRule, RuleIndex, label_flows, parse_rules,
-                               write_rules)
+from botmeter.labeling import (LabelReport, LabelRule, RuleIndex, label_flows,
+                               log_label_warnings, parse_rules, write_rules)
 from botmeter.pcap import ip_from_str, ip_to_str
 import capgen
 from label_oracle import match_rule
@@ -172,9 +172,12 @@ class TestLabelFlows:
         assert labels[0] == "Botnet"
 
     def test_unmatched_gets_default(self, caplog):
+        rules = [self.exact()]
         with caplog.at_level(logging.WARNING):
-            labels, report = label_flows([flow(src="1.2.3.4")], [self.exact()],
+            labels, report = label_flows([flow(src="1.2.3.4")], rules,
                                          default_label="Normal")
+            assert not caplog.records  # label_flows itself never warns
+            log_label_warnings(report, rules, "Normal")
         assert labels[0] == "Normal"
         assert report.unmatched == 1
         assert any("matched no rule" in r.message for r in caplog.records)
@@ -211,8 +214,27 @@ class TestLabelFlows:
         assert by_port == {1000: "Botnet", 2000: "DDoS", 3000: "Normal"}
 
     def test_empty_rules_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="need at least one label rule"):
             label_flows([flow()], [])
+        with pytest.raises(ValidationError, match="need at least one label rule"):
+            RuleIndex([])
+
+    def test_a_rule_index_labels_like_its_rule_list(self):
+        rules = [self.exact(), self.exact(label="Dns", src_ip="*", src_port=None)]
+        flows = [flow(), flow(sport=7), flow(src="1.2.3.4", dport=53)]
+        assert (label_flows(flows, RuleIndex(rules), "Normal")
+                == label_flows(flows, rules, "Normal"))
+
+    def test_merged_reports_equal_one_report_over_all_flows(self):
+        rules = [self.exact(), self.exact(label="Dns", src_ip="*", src_port=None)]
+        flows = [flow(src="1.2.3.4", dport=53), flow(), flow(sport=7),
+                 flow(src="1.2.3.4")]
+        merged = LabelReport(rule_matches=[0, 0])
+        for part in (flows[:1], flows[1:3], flows[3:]):
+            merged.merge(label_flows(part, rules)[1])
+        whole = label_flows(flows, rules)[1]
+        assert merged == whole
+        assert list(merged.counts) == list(whole.counts)  # first-seen order
 
     @pytest.mark.parametrize("text", ["::ffff:1.2.3.4", "::1.2.3.4",
                                       "2001:DB8:0:0::1", "10.0.0.5"])
@@ -232,9 +254,11 @@ class TestLabelFlows:
                                             "*,*,8.8.8.8,*,*,Dns\n")
         rules = parse_rules(path)
         assert [r.line for r in rules] == [2, 4, 5]
+        coded = rules[:1] + [self.exact(src_ip="1.1.1.1")]
         with caplog.at_level(logging.WARNING):
             _, report = label_flows([flow(), flow(sport=7)], rules)
-            label_flows([flow()], rules[:1] + [self.exact(src_ip="1.1.1.1")])
+            log_label_warnings(report, rules, "Normal")
+            log_label_warnings(label_flows([flow()], coded)[1], coded, "Normal")
         assert report.rule_matches == [1, 0, 1]
         messages = [r.message for r in caplog.records]
         assert messages == ["1 of 3 rules matched no flow: line 4",
