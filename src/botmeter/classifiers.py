@@ -9,11 +9,11 @@ conventions all resolve to class 0.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
 import numbers
-from array import array
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -341,6 +341,7 @@ def log_lr_fit(model: LRModel, what: str) -> None:
 
 _RF_PAIRS_PER_STEP = 1 << 20  # (tree, row) pairs routed together in predict
 _RF_SEARCH_ELEMENTS = 1 << 13  # (sample, column) pairs per batched split search
+_RF_PERMUTATION_ENTRIES = 256  # column indices per tree per permutation draw
 
 
 @dataclass
@@ -468,43 +469,23 @@ def _best_splits(keys, levels, rows, sizes, columns, ones):
     return feature, threshold, cut, left_ones
 
 
-class _TreeGrowth:
-    """One tree of a forest being grown: its index, its rng, its stack of
-    pending nodes (rows, zeros, ones, offset of the parent's record if a
-    right child else -1) and its node count so far."""
-
-    __slots__ = ("t", "rng", "stack", "size")
-
-    def __init__(self, t, rng, rows, y):
-        self.t, self.rng, self.size = t, rng, 0
-        ones = int(y[rows].sum())
-        self.stack = [(rows, len(rows) - ones, ones, -1)]
-
-    def pop_splittable(self, records, min_samples_split):
-        """Record popped nodes until one is worth a split search; return
-        (tree, record offset, node, rows, ones) for it, or None once the
-        stack is empty."""
-        stack = self.stack
-        while stack:
-            rows, zeros, ones, parent = stack.pop()
-            if parent >= 0:
-                records[parent + 4] = self.size
-            at = len(records)
-            records.extend((self.t, -1, 0.0, -1, -1, zeros, ones))
-            self.size += 1
-            if zeros and ones and zeros + ones >= min_samples_split:
-                return self, at, self.size - 1, rows, ones
-        return None
-
-
 def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
-    """Grow every tree at once.  Each step pops the next splittable node of
-    every unfinished tree, in that tree's preorder, and draws its
-    ``rng.permutation`` as a tree grown alone would; the nodes' split
-    searches then run in batches of at most ``_RF_SEARCH_ELEMENTS``
+    """Grow every tree at once, in lockstep.
+
+    Step ``k`` splits the ``k``-th splittable node, in preorder, of every
+    tree that has one, examining the columns of the tree's ``k``-th
+    ``rng.permutation(d)`` as a tree grown alone would.  The permutations
+    are drawn in blocks by ``rng.permuted``, which gives the same ones.  The
+    split searches run in batches of at most ``_RF_SEARCH_ELEMENTS``
     (sample, column) pairs, a lone node above that in a batch of its own.
+
+    Each tree keeps its pending splittable nodes on a stack, and their
+    training rows in the same order: a split puts its splittable children,
+    the right one below the left one, in its own place on both.  Nodes are
+    numbered as they are made, and put in preorder once all trees are grown.
     """
     n, d = X.shape
+    n_trees = spec.n_trees
     max_features = spec.max_features or math.ceil(math.sqrt(d))
     max_features = min(max_features, d)
     levels, keys = [], np.empty((n, d), dtype=np.int64)
@@ -513,83 +494,149 @@ def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
         keys[:, c] = (rank + sum(map(len, levels))) * 2 + y
         levels.append(distinct)
     levels = np.concatenate(levels)
-    # One record per node, in the order nodes pop: tree, feature,
-    # threshold, left, right (node numbers local to the tree), zeros, ones.
-    # Every value is exact in float64.
-    records = array("d")
-    growing = []
-    for t in range(spec.n_trees):
-        rng = np.random.default_rng([spec.seed, t])
-        rows = rng.integers(0, n, n) if spec.bootstrap else np.arange(n)
-        growing.append(_TreeGrowth(t, rng, rows, y))
-    while growing:
-        popped = [tree.pop_splittable(records, spec.min_samples_split)
-                  for tree in growing]
-        popped = [item for item in popped if item is not None]
-        growing = [item[0] for item in popped]
-        batch, elements = [], 0
-        for item in popped:
-            size = len(item[3]) * max_features
-            if batch and elements + size > _RF_SEARCH_ELEMENTS:
-                _split_batch(batch, X, keys, levels, records, max_features)
-                batch, elements = [], 0
-            batch.append(item + (item[0].rng.permutation(d),))
-            elements += size
-        if batch:
-            _split_batch(batch, X, keys, levels, records, max_features)
-    # Each tree's records popped in its preorder: a stable sort by tree
-    # gives the per-tree tables one after another.
-    table = np.frombuffer(records).reshape(-1, 7)
-    table = table[np.argsort(table[:, 0], kind="stable")]
-    del records
-    tree, feature, left, right, counts = (
-        table[:, cols].astype(np.int64) for cols in (0, 1, 3, 4, slice(5, 7)))
-    roots = np.searchsorted(tree, np.arange(spec.n_trees))
-    offset = roots[tree]
-    left = np.where(left >= 0, left + offset, -1)
-    right = np.where(right >= 0, right + offset, -1)
-    return RFModel(spec, d, feature, table[:, 2].copy(), left, right, counts,
-                   roots)
+
+    def splittable(size, ones):
+        return (ones > 0) & (ones < size) & (size >= spec.min_samples_split)
+
+    rngs = [np.random.default_rng([spec.seed, t]) for t in range(n_trees)]
+    # Tree t's pending nodes own the first row_top[t] entries of rows[t],
+    # the node on top of its stack the last ones.
+    rows = np.empty((n_trees, n), dtype=np.int64)
+    for t, rng in enumerate(rngs):
+        rows[t] = rng.integers(0, n, n) if spec.bootstrap else np.arange(n)
+    flat_rows = rows.reshape(-1)
+    # Nodes by number, the roots first: tree, samples, class-1 samples.
+    nodes = [(np.arange(n_trees), np.full(n_trees, n), y[rows].sum(axis=1))]
+    # Stack entries: node number, samples, class-1 samples.
+    stack = np.empty((n_trees, 8, 3), dtype=np.int64)
+    stack[:, 0] = np.column_stack(nodes[0])
+    depth = splittable(*nodes[0][1:]).astype(np.int64)
+    row_top = depth * n
+    block = max(1, _RF_PERMUTATION_ENTRIES // d)
+    perms = np.empty((n_trees, block, d), dtype=np.int64)
+    draw = np.tile(np.arange(d), (block, 1))
+    # Per step, the nodes that split (number, feature, threshold) and the
+    # number of the first child made; left children precede right ones.
+    splits = []
+    made = n_trees
+    for step in itertools.count():
+        live = np.flatnonzero(depth)
+        if not len(live):
+            break
+        if step % block == 0:
+            for t in live.tolist():
+                perms[t] = rngs[t].permuted(draw, axis=1)
+        depth[live] -= 1
+        ids, sizes, ones = stack[live, depth[live]].T
+        row_top[live] -= sizes
+        starts = live * n + row_top[live]
+        node_rows = flat_rows[_ranges(starts, sizes)]
+        ends = np.cumsum(sizes)
+        found = [_split_batch(live[lo:hi], node_rows[ends[lo] - sizes[lo]:ends[hi - 1]],
+                              sizes[lo:hi], ones[lo:hi], perms[:, step % block],
+                              keys, levels, max_features)
+                 for lo, hi in _batches(sizes * max_features)]
+        feature, threshold, cut, ones_left = map(np.concatenate, zip(*found))
+        # An unsplit node's threshold is -inf: all of its rows go right.
+        go_left = (X[node_rows, np.repeat(feature, sizes)]
+                   <= np.repeat(threshold, sizes))
+        split = feature >= 0
+        push_left = split & splittable(cut, ones_left)
+        push_right = split & splittable(sizes - cut, ones - ones_left)
+        flat_rows[_ranges(starts, sizes - cut)] = node_rows[~go_left]
+        flat_rows[_ranges(starts + (sizes - cut) * push_right, cut)] = (
+            node_rows[go_left])
+        row_top[live] += (sizes - cut) * push_right + cut * push_left
+
+        trees, q = live[split], np.count_nonzero(split)
+        splits.append((ids[split], feature[split], threshold[split], made))
+        child_size = np.concatenate((cut[split], (sizes - cut)[split]))
+        child_ones = np.concatenate((ones_left[split], (ones - ones_left)[split]))
+        nodes.append((np.tile(trees, 2), child_size, child_ones))
+        entries = np.column_stack((made + np.arange(2 * q), child_size, child_ones))
+        made += 2 * q
+        if depth.max() + 2 > stack.shape[1]:
+            stack = np.concatenate((stack, np.empty_like(stack)), axis=1)
+        for push, side in ((push_right[split], entries[q:]),
+                           (push_left[split], entries[:q])):
+            pushed = trees[push]
+            stack[pushed, depth[pushed]] = side[push]
+            depth[pushed] += 1
+    return _preorder_forest(spec, d, splits, *map(np.concatenate, zip(*nodes)))
 
 
-def _split_batch(batch, X, keys, levels, records, max_features) -> None:
-    """Search and apply the splits of ``batch``, a list of (tree, record
-    offset, node, rows, ones, permuted columns) from distinct trees."""
-    rows = np.concatenate([item[3] for item in batch])
-    sizes = np.array([len(item[3]) for item in batch])
-    ones = np.array([item[4] for item in batch])
-    permuted = np.array([item[5] for item in batch])
-    feature, threshold, cut, ones_left = _best_splits(
-        keys, levels, rows, sizes, permuted[:, :max_features], ones)
-    # Scan past the examined subset, one column at a time, only while no
-    # examined column admits a split.
-    for i in np.flatnonzero(feature < 0):
-        for j in range(max_features, permuted.shape[1]):
-            split = _best_splits(keys, levels, batch[i][3], sizes[i:i + 1],
-                                 permuted[i:i + 1, j:j + 1], ones[i:i + 1])
-            if split[0][0] >= 0:
-                feature[i], threshold[i], cut[i], ones_left[i] = (
-                    part[0] for part in split)
-                break
-    # An unsplit node's threshold is -inf: all of its rows go right.
-    go_left = X[rows, np.repeat(feature, sizes)] <= np.repeat(threshold, sizes)
-    left_rows, right_rows = rows[go_left], rows[~go_left]
-    lo = ro = 0
-    for (tree, at, node, _, node_ones, _), f, th, size, n_left, ones_l in zip(
-            batch, feature.tolist(), threshold.tolist(), sizes.tolist(),
-            cut.tolist(), ones_left.tolist()):
-        n_right, ones_r = size - n_left, node_ones - ones_l
-        if f >= 0:
-            records[at + 1], records[at + 2], records[at + 3] = f, th, node + 1
-            # The left child pops next.  The right child waits for the
-            # whole left subtree: copy its rows so that they do not keep
-            # this batch's arrays alive.
-            tree.stack.append((right_rows[ro:ro + n_right].copy(),
-                               n_right - ones_r, ones_r, at))
-            tree.stack.append((left_rows[lo:lo + n_left],
-                               n_left - ones_l, ones_l, -1))
-        lo += n_left
-        ro += n_right
+def _preorder_forest(spec, d, splits, tree, size, ones) -> RFModel:
+    """The node table of trees grown as ``_fit_rf`` grows them: ``tree``,
+    ``size`` and ``ones`` by node number, and ``splits`` in the order the
+    nodes split."""
+    made = len(tree)
+    # Subtree sizes, from the last splits up; then preorder numbers down.
+    subtree = np.ones(made, dtype=np.int64)
+    for ids, _, _, first in reversed(splits):
+        q = len(ids)
+        subtree[ids] += subtree[first:first + q] + subtree[first + q:first + 2 * q]
+    pre = np.zeros(made, dtype=np.int64)
+    for ids, _, _, first in splits:
+        q = len(ids)
+        pre[first:first + q] = pre[ids] + 1
+        pre[first + q:first + 2 * q] = pre[ids] + 1 + subtree[first:first + q]
+    roots = np.cumsum(subtree[:spec.n_trees]) - subtree[:spec.n_trees]
+    at = roots[tree] + pre
+    feature, threshold = np.full(made, -1), np.zeros(made)
+    left, right = np.full(made, -1), np.full(made, -1)
+    for ids, split_feature, split_threshold, first in splits:
+        q = len(ids)
+        feature[at[ids]] = split_feature
+        threshold[at[ids]] = split_threshold
+        left[at[ids]] = at[first:first + q]
+        right[at[ids]] = at[first + q:first + 2 * q]
+    counts = np.empty((made, 2), dtype=np.int64)
+    counts[at] = np.column_stack((size - ones, ones))
+    return RFModel(spec, d, feature, threshold, left, right, counts, roots)
+
+
+def _ranges(starts, lengths):
+    """The concatenation of ``arange(s, s + k)`` for each start ``s`` and
+    length ``k``."""
+    ends = np.cumsum(lengths)
+    total = ends[-1] if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _batches(elements):
+    """``(lo, hi)`` bounds of consecutive batches of nodes, each holding as
+    many nodes as fit in ``_RF_SEARCH_ELEMENTS`` and at least one."""
+    total = np.cumsum(elements)
+    lo = 0
+    while lo < len(total):
+        before = total[lo - 1] if lo else 0
+        hi = np.searchsorted(total, before + _RF_SEARCH_ELEMENTS, "right")
+        hi = max(lo + 1, int(hi))
+        yield lo, hi
+        lo = hi
+
+
+def _split_batch(trees, rows, sizes, ones, perms, keys, levels, max_features):
+    """The splits, as ``_best_splits`` returns them, of a batch of nodes
+    from distinct trees: node ``i`` owns the next ``sizes[i]`` entries of
+    ``rows``, holds ``ones[i]`` class-1 samples and examines the first
+    ``max_features`` columns of ``perms[trees[i]]``, then the rest one at a
+    time while none admits a split."""
+    columns = perms[trees]
+    split = _best_splits(keys, levels, rows, sizes, columns[:, :max_features], ones)
+    starts = np.cumsum(sizes) - sizes
+    unsplit = np.flatnonzero(split[0] < 0)
+    for j in range(max_features, columns.shape[1]):
+        if not len(unsplit):
+            break
+        scan = _best_splits(keys, levels,
+                            rows[_ranges(starts[unsplit], sizes[unsplit])],
+                            sizes[unsplit], columns[unsplit, j:j + 1], ones[unsplit])
+        found = scan[0] >= 0
+        for part, value in zip(split, scan):
+            part[unsplit[found]] = value[found]
+        unsplit = unsplit[~found]
+    return split
 
 
 # --- Uniform interface ------------------------------------------------------
@@ -619,10 +666,7 @@ def save_model(model: Model, path) -> None:
     (nested) lists."""
     if not isinstance(model, Model):
         raise ValidationError(f"cannot serialize {type(model).__name__}")
-    state = {}
-    for f in fields(model)[1:]:
-        value = getattr(model, f.name)
-        state[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    state = {f.name: getattr(model, f.name) for f in fields(model)[1:]}
     spec = asdict(model.spec)
     # A fitting cap, not a property of the model: a converged fit is the
     # same under any cap it stays below.
@@ -636,11 +680,15 @@ def save_model(model: Model, path) -> None:
 
 
 def _write_json(fh, obj) -> None:
-    """Write the bytes of ``json.dumps(obj)``, encoding one dict value at a
-    time.  The C encoder is several times faster than ``json.dump``, but it
-    can hold every token of a call as its own string (Python 3.11 does), a
-    few MB for a whole forest; one node-table column at a time holds less.
+    """Write the bytes of ``json.dumps(obj)``, with each array as its
+    ``tolist()``, encoding one dict value at a time.  The C encoder is
+    several times faster than ``json.dump``, but it can hold every token of
+    a call as its own string (Python 3.11 does), a few MB for a whole
+    forest; one node-table column at a time, listed only when written,
+    holds less.
     """
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if not isinstance(obj, dict):
         fh.write(json.dumps(obj))
         return

@@ -6,6 +6,8 @@ generating synthetic captures.  Every stage reads the files the previous
 stage wrote, so runs can enter anywhere.  The rank, train and evaluate
 stages work on in-memory tables: their subcommands read and split a labeled
 CSV, while the pipeline reads each dataset's CSV once and shares the table.
+The evaluate subcommand scores the model files that train wrote; the
+pipeline scores the models it has just fit.
 """
 
 from __future__ import annotations
@@ -268,32 +270,35 @@ def read_universal_features(path) -> list[str]:
         return [row[0] for _, row in records]
 
 
+def model_path(models_dir: Path, dataset: str, kind: str) -> Path:
+    return models_dir / f"model_{dataset}_{kind}.json"
+
+
 def train_models(train: FeatureTable, seed: int, out_dir: Path, dataset: str,
-                 overrides: dict | None = None) -> list[Path]:
-    """Fit the four classifiers on a train half; returns the model files."""
-    paths = []
+                 overrides: dict | None = None) -> dict:
+    """Fit the four classifiers on a train half and save each to its model
+    file; returns the models by kind."""
+    models = {}
     for spec in build_model_specs(seed, overrides):
         model = classifiers.fit(spec, train.rows, train.labels)
         if spec.kind == "LR":
             classifiers.log_lr_fit(model, f"training {dataset}")
-        path = out_dir / f"model_{dataset}_{spec.kind}.json"
-        classifiers.save_model(model, path)
-        paths.append(path)
-    return paths
+        classifiers.save_model(model, model_path(out_dir, dataset, spec.kind))
+        models[spec.kind] = model
+    return models
 
 
-def evaluate_models(test: FeatureTable, models_dir: Path, dataset: str):
-    """Score the saved models of a dataset on its test half."""
-    reports = []
-    for kind in classifiers.KINDS:
-        model = classifiers.load_model(models_dir / f"model_{dataset}_{kind}.json")
-        y_pred = classifiers.predict(model, test.rows)
-        reports.append(evaluate_predictions(test.labels, y_pred, dataset, kind))
-    return reports
+def evaluate_models(test: FeatureTable, models: dict, dataset: str):
+    """Score a dataset's models (by kind) on its test half."""
+    return [evaluate_predictions(test.labels,
+                                 classifiers.predict(models[kind], test.rows),
+                                 dataset, kind)
+            for kind in classifiers.KINDS]
 
 
 def run_pipeline(config: PipelineConfig) -> int:
-    """extract -> label -> rank -> universal -> train -> evaluate.
+    """extract -> label -> rank -> universal -> train -> evaluate, the last
+    two one dataset at a time.
 
     Artifacts land in config.out_dir; a FAILED marker naming the stage is
     written (and partial artifacts kept) if any stage errors out.
@@ -335,13 +340,16 @@ def run_pipeline(config: PipelineConfig) -> int:
                                          config.ratio, config.seed)
                   for name, table in tables.items()}
         del tables  # only the universal columns are needed from here on
-        for name, (train, _) in splits.items():
-            train_models(train, config.seed, out, name, config.model_overrides)
-
-        stage = "evaluate"
         all_reports = []
-        for name, (_, test) in splits.items():
-            all_reports.extend(evaluate_models(test, out, name))
+        # Each dataset's models are scored as fitted, not read back from
+        # their files, and dropped before the next dataset's are fitted.
+        for name, (train, test) in splits.items():
+            stage = "train"
+            models = train_models(train, config.seed, out, name,
+                                  config.model_overrides)
+            stage = "evaluate"
+            all_reports.extend(evaluate_models(test, models, name))
+            del models
         (out / "metrics.csv").write_text(render_report(all_reports, "csv"),
                                          encoding="utf-8")
         report_text = _run_report(ranked_lists, universal, all_reports)
@@ -554,14 +562,17 @@ def _dispatch(args) -> int:
         train, _ = _split_labeled(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        paths = train_models(train, args.seed, out_dir, name)
-        print("\n".join(str(p) for p in paths))
+        for kind in train_models(train, args.seed, out_dir, name):
+            print(model_path(out_dir, name, kind))
         return 0
 
     if args.command == "evaluate":
         name = args.name or Path(args.labeled).stem
         _, test = _split_labeled(args)
-        reports = evaluate_models(test, Path(args.models), name)
+        models_dir = Path(args.models)
+        models = {kind: classifiers.load_model(model_path(models_dir, name, kind))
+                  for kind in classifiers.KINDS}
+        reports = evaluate_models(test, models, name)
         print(render_report(reports, "text"), end="")
         if args.out:
             Path(args.out).write_text(render_report(reports, "csv"),

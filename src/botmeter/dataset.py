@@ -15,6 +15,7 @@ import itertools
 import logging
 import math
 import re
+from array import array
 from contextlib import closing
 from dataclasses import dataclass
 from operator import itemgetter
@@ -284,6 +285,11 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
     Label column (string or binary) becomes binary labels.  Ragged rows,
     non-numeric cells and non-finite cells (``inf``, ``Infinity``, ``NaN``)
     are format errors naming the line and column.
+
+    Cells are read as ``number_cells`` reads them, but a row at a time, and
+    finiteness is checked once on the whole matrix.  Only when a row or the
+    matrix fails is the file read again through ``number_cells``, which
+    names the first bad cell in line order.
     """
     with closing(csv_rows(path)) as records:
         header = [normalize_feature_name(h)[0] for h in next(records)]
@@ -291,21 +297,50 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
                        if name not in IDENTITY_COLUMNS and name != LABEL_COLUMN]
         label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
         columns = [header[i] for i in feature_idx]
-        kinds = [(name, float) for name in columns]
-        data: list[list[float]] = []
+        cells = (itemgetter(*feature_idx) if len(feature_idx) > 1
+                 else lambda row: [row[i] for i in feature_idx])
+        values = array("d")
         labels: list[str] = []
-        for line_no, row in records:
-            data.append(number_cells(path, row, feature_idx, kinds, line_no))
-            if label_idx is not None:
-                labels.append(row[label_idx])
+        n_rows = 0
+        try:
+            for _, row in records:
+                texts = cells(row)
+                if _unwritten_number_text("".join(texts)):
+                    raise ValueError
+                values.fromlist(list(map(float, texts)))
+                if label_idx is not None:
+                    labels.append(row[label_idx])
+                n_rows += 1
+            rows = np.frombuffer(values).reshape(n_rows, len(columns))
+            if not np.isfinite(rows).all():
+                raise ValueError
+        except (ValueError, CsvFormatError):
+            _read_every_cell(path, feature_idx, [(name, float) for name in columns])
+            raise
     table_labels = None
     if label_idx is not None:
         if all(lb in ("0", "1") for lb in labels):
             table_labels = [int(lb) for lb in labels]
         else:
             table_labels = labels_to_binary(labels, negative_label)
-    rows = np.asarray(data, dtype=np.float64) if data else np.empty((0, len(columns)))
     return FeatureTable(columns, rows, table_labels)
+
+
+def _read_every_cell(path, indices, columns) -> None:
+    """Read the cells of ``path`` at ``indices`` through ``number_cells``,
+    row by row, which raises for the first bad one."""
+    with closing(csv_rows(path)) as records:
+        next(records)
+        for line_no, row in records:
+            number_cells(path, row, indices, columns, line_no)
+
+
+def _unwritten_number_text(text: str) -> bool:
+    """Whether ``text`` holds what ``int`` or ``float`` may read but no
+    writer emits: a digit group underscore, whitespace (the six ASCII
+    characters tested) or a non-ASCII character."""
+    return (not text.isascii() or "_" in text or " " in text or "\t" in text
+            or "\n" in text or "\r" in text or "\x0b" in text or "\x0c" in text)
 
 
 def number_cells(path, row, indices, columns, line_no) -> list:
@@ -315,13 +350,10 @@ def number_cells(path, row, indices, columns, line_no) -> list:
     read, and a float cell that is not finite, is a format error naming
     its text, its column and its line.
 
-    So is text that ``int`` and ``float`` read but no writer emits: digit
-    group underscores, surrounding whitespace (the six ASCII characters
-    tested below) and non-ASCII digits.  One test of the whole row passes
-    nearly every row; single cells are looked at only when it fails."""
-    text = "".join(row)
-    if (not text.isascii() or "_" in text or " " in text or "\t" in text
-            or "\n" in text or "\r" in text or "\x0b" in text or "\x0c" in text):
+    So is text that ``int`` and ``float`` read but no writer emits (see
+    ``_unwritten_number_text``).  One test of the whole row passes nearly
+    every row; single cells are looked at only when it fails."""
+    if _unwritten_number_text("".join(row)):
         for i, (name, kind) in zip(indices, columns):
             cell = row[i]
             if not cell.isascii() or "_" in cell or cell != cell.strip():

@@ -454,6 +454,26 @@ def rf_problems(draw, max_trees=4):
     return spec, X, y, queries
 
 
+@pytest.mark.parametrize("bootstrap", [False, True])
+def test_permuted_blocks_are_successive_permutations(bootstrap):
+    # The RF grower draws a tree's column permutations K at a time with
+    # Generator.permuted; forests stay the same only while that gives the
+    # permutations that K calls of Generator.permutation(d) give.
+    for d in range(1, 71):
+        for block in (3, max(1, classifiers._RF_PERMUTATION_ENTRIES // d)):
+            calls = np.random.default_rng([17, d, block])
+            blocks = np.random.default_rng([17, d, block])
+            if bootstrap:
+                calls.integers(0, 40, 40)
+                blocks.integers(0, 40, 40)
+            draw = np.tile(np.arange(d), (block, 1))
+            for _ in range(3):
+                expected = np.array([calls.permutation(d) for _ in range(block)])
+                np.testing.assert_array_equal(blocks.permuted(draw, axis=1),
+                                              expected)
+            assert blocks.integers(0, 2**62) == calls.integers(0, 2**62)
+
+
 class TestRF:
     def test_single_stump_on_one_informative_feature(self):
         X = np.array([[-2.0, 7.0], [-1.0, 7.0], [1.0, 7.0], [2.0, 7.0]])
@@ -539,9 +559,9 @@ class TestRF:
         batches = []
         split_batch = classifiers._split_batch
 
-        def spy(batch, *args):
-            batches.append([(item[0].t, len(item[3]) * 2) for item in batch])
-            return split_batch(batch, *args)
+        def spy(trees, rows, sizes, *args):
+            batches.append(list(zip(trees.tolist(), (sizes * 2).tolist())))
+            return split_batch(trees, rows, sizes, *args)
 
         with mock.patch.object(classifiers, "_RF_SEARCH_ELEMENTS", 64), \
                 mock.patch.object(classifiers, "_split_batch", spy):

@@ -483,6 +483,7 @@ class TestPipeline:
         ("rank_dataset", ValueError, "rank"),
         # What an RF too deep for the recursive grower used to raise.
         ("train_models", RecursionError, "train"),
+        ("evaluate_predictions", ZeroDivisionError, "evaluate"),
     ])
     def test_unexpected_exception_writes_marker(self, corpus, tmp_path, capsys,
                                                 monkeypatch, target, exc_type,
@@ -501,6 +502,20 @@ class TestPipeline:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"pipeline failed at stage {stage!r}: "
                        f"{exc_type.__name__}: boom"]
+
+    def test_scores_the_models_it_fit_without_reading_them_back(
+            self, corpus, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the pipeline read a model file")
+
+        monkeypatch.setattr(classifiers, "load_model", fail)
+        config = cli.load_pipeline_config(corpus)
+        out = tmp_path / "out"
+        assert cli.run_pipeline(cli.PipelineConfig(
+            manifests=config.manifests, meter=config.meter, out_dir=out,
+            seed=3)) == 0
+        assert not (out / "FAILED").exists()
+        assert len((out / "metrics.csv").read_text().splitlines()) == 13
 
     def test_reads_and_splits_each_dataset_once(self, corpus, tmp_path,
                                                  monkeypatch):

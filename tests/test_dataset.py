@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from botmeter.dataset import (FeatureTable, format_number, normalize_feature_name,
+from botmeter.dataset import (FeatureTable, csv_rows, format_number,
+                              normalize_feature_name, number_cells,
                               parse_manifest, read_feature_csv, read_flow_csv,
                               labels_to_binary, train_test_split, write_flow_csv)
 from botmeter.errors import CsvFormatError, ValidationError
@@ -59,7 +61,50 @@ class TestNormalizeName:
         assert once == twice
 
 
+# Cell text that float() reads, refuses, reads as non-finite, or reads but
+# no writer emits.
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr), st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["inf", "-Infinity", "NaN", "1e999", "1_000", " 7 ", "7\t",
+                     "\x0c2.5", "\u0661\u0660.5", "", "x", "0x10", "+.5", "1E-3"]),
+    st.text(max_size=6))
+
+
+def read_by_cells(path) -> np.ndarray:
+    """A feature CSV's matrix, read one cell at a time by ``number_cells``."""
+    with closing(csv_rows(path)) as records:
+        header = next(records)
+        idx = [i for i, name in enumerate(header)
+               if name not in IDENTITY_COLUMNS and name != "Label"]
+        kinds = [(header[i], float) for i in idx]
+        data = [number_cells(path, row, idx, kinds, line_no)
+                for line_no, row in records]
+    return np.array(data, dtype=np.float64).reshape(len(data), len(idx))
+
+
 class TestFeatureCsv:
+    @settings(max_examples=150, deadline=None)
+    @given(width=st.integers(1, 3), data=st.data())
+    def test_matches_reading_every_cell(self, tmp_path_factory, width, data):
+        rows = data.draw(st.lists(st.tuples(
+            st.text(max_size=4), st.lists(NUMBER_TEXT, min_size=width,
+                                          max_size=width),
+            st.text(max_size=4)), max_size=5))
+        path = tmp_path_factory.mktemp("cells") / "table.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["Source IP", *FEATURE_NAMES[:width], "Label"])
+            writer.writerows([ident, *cells, label] for ident, cells, label in rows)
+
+        def outcome(read):
+            try:
+                matrix = read(path)
+            except CsvFormatError as exc:
+                return str(exc)
+            return matrix.shape, matrix.tobytes()
+
+        assert outcome(lambda p: read_feature_csv(p).rows) == outcome(read_by_cells)
+
     def test_roundtrip_small_table(self, tmp_path):
         table = FeatureTable(["a", "b", "c"], [[1.5, 2, 3], [4, 5.25, 6]])
         path = tmp_path / "t.csv"

@@ -1,12 +1,16 @@
-"""Golden outputs: the labeled flow CSVs of two small seeded captures must
-keep the exact bytes recorded in ``GOLDEN``.
+"""Golden outputs: the labeled flow CSVs of two small seeded captures, and
+the saved models of two seeded forests, must keep the exact bytes recorded
+in ``GOLDEN`` and ``RF_GOLDEN``.
 
 One capture is scan-like (one- to three-packet flows, IPv4 and IPv6, rule
 labels that need CSV quoting); the other has long flows that cross the
 activity and flow timeouts.  Each is labeled twice: by ``extract_and_label``
 straight from the metered flows, and by the ``extract`` then ``label``
-subcommands, which read the flow CSV back.  A change that means to alter
-output bytes must say so and record the new digests here.
+subcommands, which read the flow CSV back.  One forest is bootstrapped on
+eight columns; the other is grown without bootstrap on columns of which
+six are constant, so that nodes often scan past ``max_features`` for a
+column that splits.  A change that means to alter output bytes must say so
+and record the new digests here.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ from __future__ import annotations
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from botmeter import cli
+from botmeter.classifiers import ModelSpec, fit, save_model
 from botmeter.dataset import DatasetManifest
 from botmeter.meter import MeterConfig
 from botmeter.synth import FlowBlueprint, PacketBlueprint, write_synthetic_capture
@@ -27,6 +33,12 @@ import capgen
 GOLDEN = {
     "scan": "11d420b3f967616103fbff369ce5e6b8ea8dd289d9aae56e89097a66702c6ae4",
     "long": "c4444551749f556ee7b6e5e55bf6f77a2ddf84ec799e1ba1dccdd48145ad8b8a",
+}
+
+# SHA-256 of ``save_model``'s file for each forest of ``rf_case``.
+RF_GOLDEN = {
+    "bootstrap": "ce854446db025bb8ea2f84f39c27ad31b3d5be3cc13c8cc8b034b90995332018",
+    "constant": "0144aef444d4855c085f70ddf5705be5756495cadb857b6e1029ff5e96901b26",
 }
 
 # Activity timeout below the long flows' 0.6–1.5 s gaps, flow timeout below
@@ -134,3 +146,27 @@ def test_extract_then_label_bytes(case):
     assert cli.main(["label", str(flows), "--rules", str(rules),
                      "--out", str(labeled)]) == 0
     assert digest(labeled) == GOLDEN[kind]
+
+
+def rf_case(kind):
+    """The spec and training data of one golden forest."""
+    if kind == "bootstrap":
+        rng = np.random.default_rng(1601)
+        y = rng.integers(0, 2, 300)
+        X = np.round(rng.normal(size=(300, 8))
+                     + 0.8 * y[:, None] * (np.arange(8) % 3), 2)
+        return ModelSpec(kind="RF", n_trees=25, seed=7), X, y
+    rng = np.random.default_rng(1602)
+    y = rng.integers(0, 2, 200)
+    X = np.empty((200, 10))
+    X[:, :6] = np.arange(6) * 1.5 - 2.0
+    X[:, 6:] = (rng.integers(0, 4, (200, 4))
+                + y[:, None] * (rng.random((200, 4)) < 0.3))
+    return ModelSpec(kind="RF", n_trees=20, seed=3, bootstrap=False), X, y
+
+
+@pytest.mark.parametrize("kind", sorted(RF_GOLDEN))
+def test_forest_model_bytes(kind, tmp_path):
+    path = tmp_path / "forest.json"
+    save_model(fit(*rf_case(kind)), path)
+    assert digest(path) == RF_GOLDEN[kind]
