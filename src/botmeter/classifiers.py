@@ -703,31 +703,34 @@ _SPEC_KEYS = frozenset(f.name for f in fields(ModelSpec))
 
 
 def load_model(path) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValidationError(f"{path}: not a JSON model: {exc}") from None
     if not isinstance(doc, dict):
-        raise ValidationError("model file must hold a JSON object")
+        raise ValidationError(f"{path}: model file must hold a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
-        raise ValidationError(f"unsupported model format version {version!r}")
+        raise ValidationError(f"{path}: unsupported model format version {version!r}")
     spec_doc = doc.get("spec")
     if not isinstance(spec_doc, dict):
-        raise ValidationError("model spec must be an object")
+        raise ValidationError(f"{path}: model spec must be an object")
     missing = [] if "kind" in spec_doc else ["kind"]
     unknown = [key for key in spec_doc if key not in _SPEC_KEYS]
     if missing or unknown:
-        raise ValidationError(f"model spec: missing key(s) {missing}, "
+        raise ValidationError(f"{path}: model spec: missing key(s) {missing}, "
                               f"unknown key(s) {unknown}")
     spec = ModelSpec(**spec_doc)
     cls = _MODEL_CLASSES[spec.kind]
     names = [f.name for f in fields(cls)[1:]]
     state = doc.get("state")
     if not isinstance(state, dict):
-        raise ValidationError("model state must be an object")
+        raise ValidationError(f"{path}: model state must be an object")
     missing = [key for key in names if key not in state]
     unknown = [key for key in state if key not in names]
     if missing or unknown:
-        raise ValidationError(f"{spec.kind} model state: missing key(s) {missing}, "
-                              f"unknown key(s) {unknown}")
+        raise ValidationError(f"{path}: {spec.kind} model state: missing key(s) "
+                              f"{missing}, unknown key(s) {unknown}")
     return cls(spec, **{key: np.asarray(value) if isinstance(value, list) else value
                         for key, value in state.items()})

@@ -21,6 +21,7 @@ import os
 import sys
 from contextlib import closing
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 from . import classifiers, demo
@@ -160,33 +161,33 @@ def build_model_specs(seed: int, overrides: dict | None) -> list[classifiers.Mod
 
 # --- pipeline stages ----------------------------------------------------------
 
-# Extraction writes finished flows in batches of at most this many, so its
-# memory holds the live flows and one batch, not every flow.
+# Flow CSVs are written in batches of at most this many flows, so memory
+# holds one batch (and, when extracting, the live flows), not every flow.
 FLOW_BATCH = 1024
 
 
-def _extract(captures, meter: MeterConfig, out_path, rules=None,
-             default_label: str = "Normal"):
-    """Meter each capture in turn into the flow CSV ``out_path``, labeled by
-    ``rules`` when given; returns the flow count and the label report.
-
-    Finished flows are labeled and written in batches of at most FLOW_BATCH,
-    in the meter's order, to a temporary file beside ``out_path`` that
-    replaces it after the last capture: a failed extract leaves no file, or
-    the old one as it was."""
+def _write_flows(out_path, feed, rules=None, default_label: str = "Normal"):
+    """Write each flow that ``feed(emit)`` passes to ``emit`` to the flow CSV
+    ``out_path``, labeled by ``rules`` when given; returns the row count and
+    the label report.  Flows are labeled and written in batches of at most
+    FLOW_BATCH, in the order fed, to a temporary file beside ``out_path``
+    that replaces it once ``feed`` returns: a failed write leaves no file,
+    or the old one as it was, even when ``feed`` reads ``out_path``."""
     out_path = Path(out_path)
     tmp = out_path.with_name(f".{out_path.name}.partial")
     index = None if rules is None else RuleIndex(rules)
     report = LabelReport(rule_matches=[0] * len(rules or ()))
     batch = []
+    written = 0
 
     def write_batch():
-        nonlocal batch
+        nonlocal batch, written
         labels = None
         if index is not None:
             labels, part = label_flows(batch, index, default_label)
             report.merge(part)
         write_flow_csv(tmp, batch, labels, append=True)
+        written += len(batch)
         batch = []
 
     def emit(flow):
@@ -194,18 +195,9 @@ def _extract(captures, meter: MeterConfig, out_path, rules=None,
         if len(batch) >= FLOW_BATCH:
             write_batch()
 
-    total = 0
     try:
         write_flow_csv(tmp, [], None if index is None else [])  # the header
-        for capture in captures:
-            _, stats = ingest_capture_detailed(str(capture), meter, emit)
-            logger.info("%s: %d records -> %d flows (%d skipped: %d truncated, "
-                        "%d link, %d fragment, %d protocol; %d reordered)",
-                        capture, stats.records, stats.flows, stats.skipped,
-                        stats.truncated, stats.skipped_link,
-                        stats.skipped_fragment, stats.skipped_protocol,
-                        stats.reordered)
-            total += stats.flows
+        feed(emit)
         if batch:
             write_batch()
         os.replace(tmp, out_path)
@@ -214,16 +206,25 @@ def _extract(captures, meter: MeterConfig, out_path, rules=None,
         raise
     if index is not None:
         log_label_warnings(report, rules, default_label)
-    return total, report
+    return written, report
+
+
+def _meter(captures, meter: MeterConfig, emit) -> None:
+    """Meter each capture in turn, handing each finished flow to ``emit``."""
+    for capture in captures:
+        _, stats = ingest_capture_detailed(str(capture), meter, emit)
+        logger.info("%s: %d records -> %d flows (%d skipped: %d truncated, "
+                    "%d link, %d fragment, %d protocol; %d reordered)",
+                    capture, stats.records, stats.flows, stats.skipped,
+                    stats.truncated, stats.skipped_link, stats.skipped_fragment,
+                    stats.skipped_protocol, stats.reordered)
 
 
 def extract_and_label(manifest, meter: MeterConfig, out_path: Path):
     """pcaps + rules -> labeled flow CSV; returns the label report."""
     manifest.validate()
-    rules = parse_rules(str(manifest.rules))
-    _, report = _extract(manifest.captures, meter, out_path, rules,
-                         manifest.default_label)
-    return report
+    return _write_flows(out_path, partial(_meter, manifest.captures, meter),
+                        parse_rules(str(manifest.rules)), manifest.default_label)[1]
 
 
 def rank_dataset(table: FeatureTable, top_k: int, dataset: str) -> RankedFeatureList:
@@ -526,16 +527,17 @@ def _dispatch(args) -> int:
             flow_timeout_us=_timeout_us("flow_timeout_s", args.timeout_s),
             activity_timeout_us=_timeout_us("activity_timeout_s",
                                             args.activity_timeout_s))
-        total, _ = _extract(args.captures, meter, args.out)
+        total, _ = _write_flows(args.out, partial(_meter, args.captures, meter))
         print(f"wrote {total} flows to {args.out}")
         return 0
 
     if args.command == "label":
-        rules = parse_rules(args.rules)
-        flows, _ = read_flow_csv(args.features)
-        labels, report = label_flows(flows, rules, args.default_label)
-        log_label_warnings(report, rules, args.default_label)
-        write_flow_csv(args.out, flows, labels)
+        def feed(emit):
+            for flow, _ in read_flow_csv(args.features):
+                emit(flow)
+
+        _, report = _write_flows(args.out, feed, parse_rules(args.rules),
+                                 args.default_label)
         counts = ", ".join(f"{k}={v}" for k, v in sorted(report.counts.items()))
         print(f"labeled {report.total} flows ({counts}; "
               f"{report.unmatched} unmatched)")

@@ -383,8 +383,9 @@ _NUMBER_COLUMNS = (("Source Port", int), ("Destination Port", int),
                    ("Protocol", int), ("Timestamp", int), *FEATURE_COLUMNS)
 
 
-def read_flow_csv(path) -> tuple[list, list[str] | None]:
-    """Load a flow CSV back into FeatureVectors (plus labels when present).
+def read_flow_csv(path):
+    """Yield each row of a flow CSV, one at a time, as a FeatureVector and
+    its label (None when the file has no Label column).
 
     The inverse of write_flow_csv; needs the identity columns and all 65
     canonical features (aliases accepted).  Int columns are read with
@@ -404,13 +405,12 @@ def read_flow_csv(path) -> tuple[list, list[str] | None]:
             raise CsvFormatError(
                 f"{path}: flow CSV missing column(s): {', '.join(missing[:4])}"
                 + (" ..." if len(missing) > 4 else ""))
-        has_label = LABEL_COLUMN in positions
+        label_at = positions.get(LABEL_COLUMN)
         number_idx = [positions[name] for name, _ in _NUMBER_COLUMNS]
-        flows, labels = [], []
         for line_no, row in records:
             src_port, dst_port, protocol, start_ts_us, *values = number_cells(
                 path, row, number_idx, _NUMBER_COLUMNS, line_no)
-            flows.append(FeatureVector(
+            yield FeatureVector(
                 flow_id=row[positions["Flow ID"]],
                 src_ip=address_cell(path, row[positions["Source IP"]],
                                     "Source IP", line_no),
@@ -420,10 +420,7 @@ def read_flow_csv(path) -> tuple[list, list[str] | None]:
                 dst_port=dst_port,
                 protocol=protocol,
                 start_ts_us=start_ts_us,
-                values=tuple(values)))
-            if has_label:
-                labels.append(row[positions[LABEL_COLUMN]])
-    return flows, (labels if has_label else None)
+                values=tuple(values)), None if label_at is None else row[label_at]
 
 
 def address_cell(path, text, column, line_no) -> str:

@@ -66,11 +66,12 @@ def rank_features_lr(table: FeatureTable, k: int = 10,
 def derive_universal_set(lists, threshold: int = 2) -> UniversalFeatureSet:
     """Frequency-count canonical names across ranked lists; keep those
     selected by at least ``threshold`` lists, ordered (count desc, name asc)."""
-    if threshold < 1:
-        raise ValidationError("threshold must be >= 1")
     lists = list(lists)
     if not lists:
         raise ValidationError("need at least one ranked list")
+    if not 1 <= threshold <= len(lists):
+        raise ValidationError(f"threshold must be within 1..{len(lists)} (the "
+                              f"number of ranked lists), got {threshold}")
     counts: Counter[str] = Counter()
     for ranked in lists:
         names = ranked.names() if isinstance(ranked, RankedFeatureList) else ranked

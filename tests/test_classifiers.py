@@ -715,13 +715,16 @@ class TestSerialization:
         ('{"format_version": 3, "spec": {"kind": "NB"}}',
          "model state must be an object"),
         ('[{"format_version": 3}]', "must hold a JSON object"),
+        ("not json", "not a JSON model: Expecting value"),
+        (b'{"format_version": 3, "spec": "\xff"}', "not a JSON model: 'utf-8' codec"),
     ])
     def test_malformed_model_file_is_a_validation_error(self, tmp_path, text,
                                                         message):
         path = tmp_path / "bad.json"
-        path.write_text(text)
-        with pytest.raises(ValidationError, match=message):
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(ValidationError, match=message) as caught:
             load_model(path)
+        assert str(caught.value).startswith(f"{path}: ")
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -65,6 +65,14 @@ class TestStageCommands:
                        "--out", universal) == 0
         names = cli.read_universal_features(universal)
         assert names
+        # No feature can be selected by three of two lists.
+        capsys.readouterr()
+        assert run_cli("universal", ranked1, ranked2, "--threshold", 3,
+                       "--out", tmp_path / "unreachable.csv") == 1
+        assert capsys.readouterr().err == (
+            "error: threshold must be within 1..2 (the number of ranked lists), "
+            "got 3\n")
+        assert not (tmp_path / "unreachable.csv").exists()
 
         models = tmp_path / "models"
         assert run_cli("train", labeled, "--universal", universal,
@@ -78,6 +86,13 @@ class TestStageCommands:
         lines = metrics.read_text().splitlines()
         assert lines[0] == "dataset,classifier,accuracy,precision,recall,f1"
         assert len(lines) == 5
+        # A broken model file is one error line that names it.
+        capsys.readouterr()
+        (models / "model_ds_NB.json").write_text("not json")
+        assert run_cli("evaluate", labeled, "--universal", universal,
+                       "--models", models, "--name", "ds") == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {models / 'model_ds_NB.json'}: not a JSON model: ")
 
     def test_unexpected_exception_is_one_error_line(self, tmp_path, capsys,
                                                     caplog, monkeypatch):
@@ -287,7 +302,7 @@ class TestStageCommands:
         assert run_cli("extract", capture, "--out", features) == 0
         assert run_cli("label", features, "--rules", capture.with_suffix(".rules.csv"),
                        "--out", labeled) == 0
-        assert read_flow_csv(labeled)[1] == [label]
+        assert [cell for _, cell in read_flow_csv(labeled)] == [label]
 
     @pytest.mark.parametrize("doc, message", [
         ({"flows": [{"dst_ip": "8.8.8.8", "src_port": 5, "dst_port": 80,
@@ -416,7 +431,7 @@ def test_capture_summary_logs_each_skip_reason(tmp_path, caplog):
     capture.write_bytes(data + records)
     with caplog.at_level("INFO", logger="botmeter.cli"):
         assert run_cli("extract", capture, "--out", tmp_path / "flows.csv") == 0
-    assert len(read_flow_csv(tmp_path / "flows.csv")[0]) == 1
+    assert len(list(read_flow_csv(tmp_path / "flows.csv"))) == 1
     assert caplog.messages == [
         f"{capture}: 5 records -> 1 flows (3 skipped: 1 truncated, 1 link, "
         "1 fragment, 0 protocol; 0 reordered)"]
@@ -454,7 +469,9 @@ class TestPipeline:
             self, corpus, tmp_path, monkeypatch, capsys):
         reads = []
         monkeypatch.setattr(meter, "read_capture", lambda *a: reads.append(a))
-        monkeypatch.setattr(cli, "read_flow_csv", lambda *a: reads.append(a))
+        # A call is counted even if its rows are never read.
+        monkeypatch.setattr(cli, "read_flow_csv",
+                            lambda *a: reads.append(a) or iter(()))
         rules = tmp_path / "rules.csv"
         rules.write_text("src_ip,src_port,dst_ip,dst_port,protocol,label\n"
                          "10.0.0.5,x,8.8.8.8,80,6,Botnet\n")

@@ -24,6 +24,19 @@ import capgen
 ZEROS = tuple(kind(0) for _, kind in FEATURE_COLUMNS)
 
 
+def read_flow_rows(path) -> list:
+    """Every (flow, label) row of a flow CSV, read to the end."""
+    return list(read_flow_csv(path))
+
+
+def read_flow_lists(path):
+    """A flow CSV's flows and labels (None for a file without a Label
+    column), as ``write_flow_csv`` takes them."""
+    rows = read_flow_rows(path)
+    labels = [label for _, label in rows]
+    return [flow for flow, _ in rows], None if None in labels else labels
+
+
 class TestNormalizeName:
     @pytest.mark.parametrize("alias,canonical", [
         ("Pkt Len Mean", "Packet Length Mean"),
@@ -127,7 +140,7 @@ class TestFeatureCsv:
         with pytest.raises(CsvFormatError, match="line 3"):
             read_feature_csv(path)
 
-    @pytest.mark.parametrize("reader", [read_feature_csv, read_flow_csv])
+    @pytest.mark.parametrize("reader", [read_feature_csv, read_flow_rows])
     def test_readers_reject_missing_header_and_ragged_row(self, reader, tmp_path):
         from test_labeling import flow
 
@@ -144,7 +157,7 @@ class TestFeatureCsv:
                            match=r"ragged row at line 3 \(2 cells, expected 73\)"):
             reader(path)
 
-    @pytest.mark.parametrize("reader", [read_feature_csv, read_flow_csv])
+    @pytest.mark.parametrize("reader", [read_feature_csv, read_flow_rows])
     def test_readers_reject_non_utf8_text_naming_file_and_line(self, reader,
                                                                tmp_path):
         from test_labeling import flow
@@ -187,7 +200,7 @@ class TestFeatureCsv:
         lines[2] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CsvFormatError) as info:
-            read_flow_csv(path)
+            read_flow_rows(path)
         assert str(info.value) == (
             f"{path}: non-numeric value '12x' in column 'Flow IAT Std' at line 3")
 
@@ -237,7 +250,7 @@ class TestFeatureCsv:
         with pytest.raises(CsvFormatError,
                            match=f"flows.csv: non-integer value '8x' in column "
                                  f"'{column}' at line 3"):
-            read_flow_csv(path)
+            read_flow_rows(path)
 
     @pytest.mark.parametrize("text", ["2.0", "7.5", "1e3", "nan", ""])
     def test_flow_csv_float_text_in_int_feature_column_is_refused(self, text,
@@ -252,11 +265,11 @@ class TestFeatureCsv:
         lines[1] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CsvFormatError) as info:
-            read_flow_csv(path)
+            read_flow_rows(path)
         assert str(info.value) == (f"{path}: non-integer value {text!r} in "
                                    "column 'Total Fwd Packets' at line 2")
 
-    @pytest.mark.parametrize("reader", [read_feature_csv, read_flow_csv])
+    @pytest.mark.parametrize("reader", [read_feature_csv, read_flow_rows])
     @pytest.mark.parametrize("column, text", [
         ("Flow Duration", "1_000"), ("Total Fwd Packets", " 7 "),
         ("Total Fwd Packets", "7\t"), ("Flow IAT Std", "\x0c2.5"),
@@ -275,7 +288,7 @@ class TestFeatureCsv:
         cells[lines[0].split(",").index(column)] = text
         lines[2] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        what = ("non-integer" if reader is read_flow_csv
+        what = ("non-integer" if reader is read_flow_rows
                 and dict(FEATURE_COLUMNS)[column] is int else "non-numeric")
         with pytest.raises(CsvFormatError) as info:
             reader(path)
@@ -292,14 +305,14 @@ class TestFeatureCsv:
         write_flow_csv(path, [flow(values=tuple(values))])
         with pytest.raises(CsvFormatError, match="non-integer value '2.5' in "
                                                  "column 'Total Fwd Packets'"):
-            read_flow_csv(path)
+            read_flow_rows(path)
 
     def test_flow_csv_reads_each_column_as_its_type(self, tmp_path):
         from test_labeling import flow
 
         path = tmp_path / "flows.csv"
         write_flow_csv(path, [flow(values=ZEROS)])
-        (back,), _ = read_flow_csv(path)
+        ((back, _),) = read_flow_csv(path)
         assert [type(v) for v in back.values] == [k for _, k in FEATURE_COLUMNS]
         assert back.values == ZEROS
 
@@ -310,8 +323,8 @@ class TestFeatureCsv:
         fv = flow(src="2001:db8:0:0:0:0:0:1", dst="2001:DB8::0:2", values=ZEROS)
         path = tmp_path / "flows.csv"
         write_flow_csv(path, [fv])
-        (back,), labels = read_flow_csv(path)
-        assert labels is None
+        ((back, label),) = read_flow_csv(path)
+        assert label is None
         assert (back.src_ip, back.dst_ip) == ("2001:db8::1", "2001:db8::2")
         rules = tmp_path / "rules.csv"
         rules.write_text("src_ip,src_port,dst_ip,dst_port,protocol,label\n"
@@ -335,7 +348,7 @@ class TestFeatureCsv:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(table)
         with pytest.raises(CsvFormatError) as info:
-            read_flow_csv(path)
+            read_flow_rows(path)
         assert str(info.value) == (
             f"{path}: unparsable address {text!r} in column {column!r} at line 3")
 
@@ -500,7 +513,7 @@ class TestFlowCsvWriter:
         root = tmp_path_factory.mktemp("stable")
         first, second = root / "first.csv", root / "second.csv"
         write_flow_csv(first, flows, [label] * len(flows))
-        write_flow_csv(second, *read_flow_csv(first))
+        write_flow_csv(second, *read_flow_lists(first))
         assert second.read_bytes() == first.read_bytes()
 
     def test_near_integer_float_and_large_int_survive_read_back(self, tmp_path):
@@ -513,7 +526,7 @@ class TestFlowCsvWriter:
         values[FEATURE_NAMES.index("Flow IAT Mean")] = 2.0000001
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
         write_flow_csv(first, [flow(values=tuple(values))])
-        write_flow_csv(second, *read_flow_csv(first))
+        write_flow_csv(second, *read_flow_lists(first))
         header = first.read_text().splitlines()[0].split(",")
         cells = [header.index("Flow Duration"), header.index("Flow IAT Mean")]
         for path in (first, second):

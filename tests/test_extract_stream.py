@@ -1,4 +1,5 @@
-"""Extraction streams flows in batches of at most ``cli.FLOW_BATCH``.
+"""Extraction and labeling stream flows in batches of at most
+``cli.FLOW_BATCH``.
 
 Every test shrinks the batch, so that a few dozen flows cross several batch
 boundaries.  The streamed file must hold the bytes of one ``write_flow_csv``
@@ -126,8 +127,8 @@ def test_batched_extract_writes_the_bytes_of_one_write(tmp_path, monkeypatch,
     assert idle == (["1 of 2 rules matched no flow: line 3"] if n_flows
                     else ["2 of 2 rules matched no flow: line 2, line 3"])
 
-    # The stage commands write the same bytes.
-    monkeypatch.setattr(cli, "write_flow_csv", write_flow_csv)
+    # The stage commands write the same bytes, in batches too.
+    sizes.clear()
     assert cli.main(["extract", *map(str, manifest.captures), "--out",
                      str(tmp_path / "features.csv"), "--timeout-s", "2",
                      "--activity-timeout-s", "1"]) == 0
@@ -135,6 +136,17 @@ def test_batched_extract_writes_the_bytes_of_one_write(tmp_path, monkeypatch,
                      str(manifest.rules), "--out", str(tmp_path / "staged.csv")]) == 0
     assert ((tmp_path / "staged.csv").read_bytes()
             == (tmp_path / "expected.csv").read_bytes())
+    assert max(sizes) <= B
+    assert sum(sizes) == 2 * n_flows
+    assert len(sizes) == 2 * (1 + -(-n_flows // B))
+
+    # Labeling a file in place, too.
+    assert cli.main(["label", str(tmp_path / "features.csv"), "--rules",
+                     str(manifest.rules), "--out", str(tmp_path / "features.csv")]) == 0
+    assert ((tmp_path / "features.csv").read_bytes()
+            == (tmp_path / "expected.csv").read_bytes())
+    assert max(sizes) <= B
+    assert not list(tmp_path.glob(".*.partial"))
 
 
 def test_a_rule_matching_only_in_the_last_batch_is_not_idle(tmp_path, caplog):
@@ -206,6 +218,41 @@ def test_an_empty_rule_list_fails_before_any_capture_is_metered(tmp_path,
         cli.extract_and_label(manifest, CONFIG, tmp_path / "labeled.csv")
     assert metered == []
     assert not (tmp_path / "labeled.csv").exists()
+
+
+def test_a_failed_label_writes_no_file(tmp_path, capsys):
+    manifest = dataset(tmp_path, 2 * B + 3, "*,*,8.8.8.8,80,6,Bot\n")
+    features, out = tmp_path / "features.csv", tmp_path / "labeled.csv"
+    write_flow_csv(features, listed_flows(manifest))
+    text = features.read_bytes()
+    assert text.count(b"\n") == 1 + 2 * B + 3
+    # A bad cell in the last row, after two full batches.
+    features.write_bytes(text[:text.rindex(b",")] + b",12x\r\n")
+    bad = features.read_bytes()
+    label = ["label", str(features), "--rules", str(manifest.rules), "--out"]
+    error = (f"error: {features}: non-integer value '12x' in column 'Inbound' "
+             f"at line {2 * B + 4}\n")
+    assert cli.main([*label, str(out)]) == 1
+    assert capsys.readouterr().err == error
+    assert not out.exists()
+
+    out.write_bytes(b"an earlier run's output\n")
+    assert cli.main([*label, str(out)]) == 1
+    assert out.read_bytes() == b"an earlier run's output\n"
+    assert cli.main([*label, str(features)]) == 1  # in place
+    assert features.read_bytes() == bad
+    assert capsys.readouterr().err == 2 * error
+    assert not list(tmp_path.glob(".*.partial"))
+
+
+def test_an_empty_rule_list_fails_before_the_flow_csv_is_opened(tmp_path, capsys):
+    (tmp_path / "rules.csv").write_text(HEADER)
+    out = tmp_path / "labeled.csv"
+    # The flow CSV does not exist, so opening it would fail otherwise.
+    assert cli.main(["label", str(tmp_path / "missing.csv"), "--rules",
+                     str(tmp_path / "rules.csv"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: need at least one label rule\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "rules.csv"]
 
 
 # Loads bench/spans.py as a file (it is not a package), installs its

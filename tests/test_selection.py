@@ -173,3 +173,9 @@ class TestUniversalSet:
     def test_bad_threshold(self):
         with pytest.raises(ValidationError):
             derive_universal_set([self.ranked("a", ["x"])], threshold=0)
+        # A threshold above the number of lists is one no feature can reach.
+        lists = [self.ranked("a", ["x"]), self.ranked("b", ["x"])]
+        assert derive_universal_set(lists, threshold=2).features == ("x",)
+        with pytest.raises(ValidationError, match=r"^threshold must be within "
+                           r"1\.\.2 \(the number of ranked lists\), got 3$"):
+            derive_universal_set(lists, threshold=3)
