@@ -721,7 +721,10 @@ def load_model(path) -> Model:
     if missing or unknown:
         raise ValidationError(f"{path}: model spec: missing key(s) {missing}, "
                               f"unknown key(s) {unknown}")
-    spec = ModelSpec(**spec_doc)
+    try:
+        spec = ModelSpec(**spec_doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: model spec: {exc}") from None
     cls = _MODEL_CLASSES[spec.kind]
     names = [f.name for f in fields(cls)[1:]]
     state = doc.get("state")
@@ -732,5 +735,86 @@ def load_model(path) -> Model:
     if missing or unknown:
         raise ValidationError(f"{path}: {spec.kind} model state: missing key(s) "
                               f"{missing}, unknown key(s) {unknown}")
-    return cls(spec, **{key: np.asarray(value) if isinstance(value, list) else value
-                        for key, value in state.items()})
+    return cls(spec, **_checked_state(path, spec.kind, state))
+
+
+# Each kind's state arrays: "i" for integers or "f" for finite reals, and
+# the shape, whose named sizes must agree across the file: d features, n
+# training rows or forest nodes, t trees.
+_STATE_ARRAYS = {
+    "NB": {"log_priors": ("f", (2,)), "means": ("f", (2, "d")),
+           "variances": ("f", (2, "d"))},
+    "KNN": {"mu": ("f", ("d",)), "sigma": ("f", ("d",)),
+            "train_x": ("f", ("n", "d")), "train_y": ("i", ("n",))},
+    "LR": {"mu": ("f", ("d",)), "sigma": ("f", ("d",)), "weights": ("f", ("d",))},
+    "RF": {"feature": ("i", ("n",)), "threshold": ("f", ("n",)),
+           "left": ("i", ("n",)), "right": ("i", ("n",)),
+           "counts": ("i", ("n", 2)), "roots": ("i", ("t",))},
+}
+
+
+def _is_number(value, integer=False) -> bool:
+    return isinstance(value, int if integer else (int, float)) \
+        and not isinstance(value, bool)
+
+
+def _checked_state(path, kind, state) -> dict:
+    """A model file's state with its arrays as numpy arrays, once every
+    value has the type, shape and range that ``predict`` relies on: for a
+    forest, every internal node's children follow it, so that each descent
+    ends at a leaf."""
+    def fail(key, what):
+        raise ValidationError(f"{path}: {kind} model state {key!r}: {what}")
+
+    out = dict(state)
+    sizes = {}
+    for key, (of, shape) in _STATE_ARRAYS[kind].items():
+        try:
+            array = np.asarray(state[key]) if isinstance(state[key], list) else None
+        except ValueError:  # ragged nested lists
+            array = None
+        if array is None or array.ndim != len(shape):
+            fail(key, f"expected a {len(shape)}-D array")
+        if not array.size:
+            fail(key, "expected a non-empty array")
+        expected = tuple(sizes.setdefault(dim, got) if isinstance(dim, str) else dim
+                         for dim, got in zip(shape, array.shape))
+        if array.shape != expected:
+            fail(key, f"expected shape {expected}, got {array.shape}")
+        if array.dtype.kind not in ("i" if of == "i" else "if"):
+            fail(key, f"expected {'integers' if of == 'i' else 'numbers'}, "
+                      f"got {array.dtype}")
+        if of == "f" and not np.isfinite(array).all():
+            fail(key, "expected finite numbers")
+        out[key] = array.astype(np.int64 if of == "i" else np.float64, copy=False)
+
+    if kind == "NB" and not (out["variances"] > 0).all():
+        fail("variances", "expected values > 0")
+    if kind in ("KNN", "LR") and not (out["sigma"] > 0).all():
+        fail("sigma", "expected values > 0")
+    if kind == "KNN" and not np.isin(out["train_y"], (0, 1)).all():
+        fail("train_y", "expected classes 0 and 1 only")
+    if kind == "LR":
+        bias, n_iters, grad_norm = out["bias"], out["n_iters"], out["grad_norm"]
+        if not (_is_number(bias) and math.isfinite(bias)):
+            fail("bias", f"expected a finite number, got {bias!r}")
+        if not (_is_number(n_iters, integer=True) and n_iters >= 0):
+            fail("n_iters", f"expected an integer >= 0, got {n_iters!r}")
+        if not _is_number(grad_norm):
+            fail("grad_norm", f"expected a number, got {grad_norm!r}")
+    if kind == "RF":
+        d, feature, n = out["n_features"], out["feature"], len(out["feature"])
+        if not (_is_number(d, integer=True) and d >= 1):
+            fail("n_features", f"expected an integer >= 1, got {d!r}")
+        if ((feature < -1) | (feature >= d)).any():
+            fail("feature", f"expected -1 (a leaf) or a column in 0..{d - 1}")
+        inner = np.flatnonzero(feature >= 0)
+        for key in ("left", "right"):
+            child = out[key][inner]
+            if ((child <= inner) | (child >= n)).any():
+                fail(key, f"an internal node's child must follow it, below {n}")
+        if ((out["roots"] < 0) | (out["roots"] >= n)).any():
+            fail("roots", f"expected node numbers in 0..{n - 1}")
+        if (out["counts"] < 0).any():
+            fail("counts", "expected counts >= 0")
+    return out

@@ -12,6 +12,7 @@ The table keys its live flows by the canonical tuple
 
 from __future__ import annotations
 
+import ipaddress
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -47,6 +48,16 @@ class MeterConfig:
             raise ValidationError(
                 "flow_timeout_us must exceed activity_timeout_us, both > 0 "
                 f"(got {self.flow_timeout_us}, {self.activity_timeout_us})")
+        if isinstance(self.home_prefixes, str):
+            raise ValidationError("home_prefixes must be a sequence of prefixes, "
+                                  f"not the string {self.home_prefixes!r}")
+        # A tuple, so that features can cache the parsed networks by it.
+        object.__setattr__(self, "home_prefixes", tuple(self.home_prefixes))
+        for prefix in self.home_prefixes:
+            try:
+                ipaddress.ip_network(prefix)
+            except ValueError as exc:
+                raise ValidationError(f"bad home prefix {prefix!r}: {exc}") from None
 
 
 # Flag-count slots, in FIN SYN RST PSH ACK URG CWR ECE order; for each TCP
@@ -190,14 +201,17 @@ class FlowAccumulator:
 
 
 class FlowTable:
-    """Single-writer table of live flows keyed by canonical 5-tuple."""
+    """Single-writer table of live flows keyed by canonical 5-tuple.  A
+    one-packet flow is held as its ``PacketRecord``, which a second packet
+    of its key replaces in place with a ``FlowAccumulator``."""
 
     def __init__(self, config: MeterConfig | None = None):
         self.config = config or MeterConfig()
-        self._live: dict[tuple, FlowAccumulator] = {}
+        self._live: dict[tuple, FlowAccumulator | PacketRecord] = {}
 
-    def offer_packet(self, pkt: PacketRecord) -> list[FlowAccumulator]:
-        """Feed one packet; return any flows this packet finalized.
+    def offer_packet(self, pkt: PacketRecord) -> list[FlowAccumulator | PacketRecord]:
+        """Feed one packet; return any flows it finalized, a one-packet flow
+        as its packet.
 
         A live flow idle for at least the flow timeout (relative to the
         arriving packet) is emitted and replaced by a fresh flow whose
@@ -209,17 +223,20 @@ class FlowTable:
             key = (src_ip, src_port, dst_ip, dst_port, protocol)
         else:
             key = (dst_ip, dst_port, src_ip, src_port, protocol)
-        finalized: list[FlowAccumulator] = []
+        finalized: list[FlowAccumulator | PacketRecord] = []
         flow = self._live.get(key)
-        if flow is not None and ts - flow.last_ts_us >= self.config.flow_timeout_us:
-            finalized.append(self._live.pop(key))
-            flow = None
+        if flow is not None:
+            held = flow.__class__ is not FlowAccumulator
+            if ts - (flow[0] if held else flow.last_ts_us) >= self.config.flow_timeout_us:
+                finalized.append(self._live.pop(key))
+                flow = None
+            elif held:
+                flow = self._live[key] = FlowAccumulator(flow)
         if flow is None:
-            flow = FlowAccumulator(pkt)
             if flags & RST:
-                finalized.append(flow)
+                finalized.append(pkt)
             else:
-                self._live[key] = flow
+                self._live[key] = pkt
             return finalized
         ends_by_ack = flow.fwd_fin > 0 and flow.bwd_fin > 0 and flags & ACK
         flow.add(pkt, self.config.activity_timeout_us)
@@ -227,8 +244,8 @@ class FlowTable:
             finalized.append(self._live.pop(key))
         return finalized
 
-    def flush(self) -> list[FlowAccumulator]:
-        """Finalize all residual flows in flow-start order."""
+    def flush(self) -> list[FlowAccumulator | PacketRecord]:
+        """Finalize all residual flows in flow-start order, as offer_packet."""
         flows = list(self._live.values())
         self._live.clear()
         return flows

@@ -687,6 +687,60 @@ class TestSerialization:
         with pytest.raises(ValidationError, match=r"unknown key\(s\) \['extra'\]"):
             load_model(path)
 
+    @pytest.mark.parametrize("kind, edit, key, message", [
+        ("NB", {"means": 1, "variances": None}, "means", "expected a 2-D array"),
+        ("NB", {"variances": [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]}, "variances",
+         "expected values > 0"),
+        ("NB", {"variances": [[1.0, 1.0], [1.0, 1.0]]}, "variances",
+         r"expected shape \(2, 3\), got \(2, 2\)"),
+        ("NB", {"log_priors": [0.0, float("nan")]}, "log_priors",
+         "expected finite numbers"),
+        ("KNN", lambda s: s["train_y"].__setitem__(0, 2), "train_y",
+         "expected classes 0 and 1 only"),
+        ("KNN", lambda s: s["train_x"][0].pop(), "train_x", "expected a 2-D array"),
+        ("KNN", {"sigma": ["1", "1", "1"]}, "sigma", "expected numbers, got <U1"),
+        ("KNN", {"train_y": [0, 1]}, "train_y", r"expected shape \(80,\), got \(2,\)"),
+        ("LR", {"sigma": [1.0, 0.0, 1.0]}, "sigma", "expected values > 0"),
+        ("LR", {"weights": []}, "weights", "expected a non-empty array"),
+        ("LR", {"bias": "0.5"}, "bias", "expected a finite number"),
+        ("LR", {"n_iters": True}, "n_iters", "expected an integer >= 0"),
+        ("RF", lambda s: s.update(left=list(range(len(s["left"]))),
+                                  right=list(range(len(s["left"])))),
+         "left", "an internal node's child must follow it"),
+        ("RF", lambda s: s["right"].__setitem__(0, len(s["right"])), "right",
+         "an internal node's child must follow it"),
+        ("RF", lambda s: s["feature"].__setitem__(0, 3), "feature",
+         r"expected -1 \(a leaf\) or a column in 0..2"),
+        ("RF", lambda s: s["roots"].__setitem__(1, len(s["feature"])), "roots",
+         "expected node numbers in 0.."),
+        ("RF", {"threshold": [True]}, "threshold", "expected shape"),
+        ("RF", {"counts": [[0, 1]] * 3}, "counts", "expected shape"),
+        ("RF", {"n_features": 0}, "n_features", "expected an integer >= 1"),
+    ])
+    def test_bad_state_value_is_refused_at_load(self, tmp_path, kind, edit, key,
+                                                message):
+        rng = np.random.default_rng(21)
+        X, y = blobs(rng, n=80, d=3, gap=2.0)
+        path = tmp_path / f"{kind}.json"
+        save_model(fit(ModelSpec(kind=kind, n_trees=2), X, y), path)
+        doc = json.loads(path.read_text())
+        load_model(path)
+        if callable(edit):
+            edit(doc["state"])
+        else:
+            doc["state"].update(edit)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=message) as caught:
+            load_model(path)
+        assert str(caught.value).startswith(f"{path}: {kind} model state {key!r}: ")
+
+    def test_bad_spec_value_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"format_version": 3, "spec": {"kind": "XX"}, "state": {}}')
+        with pytest.raises(ValidationError) as caught:
+            load_model(path)
+        assert str(caught.value) == f"{path}: model spec: unknown classifier kind 'XX'"
+
     def test_lr_fit_record_round_trips(self, tmp_path):
         rng = np.random.default_rng(18)
         X, y = blobs(rng, gap=1.0)

@@ -88,11 +88,24 @@ class TestStageCommands:
         assert len(lines) == 5
         # A broken model file is one error line that names it.
         capsys.readouterr()
+        nb = (models / "model_ds_NB.json").read_text()
         (models / "model_ds_NB.json").write_text("not json")
         assert run_cli("evaluate", labeled, "--universal", universal,
                        "--models", models, "--name", "ds") == 1
         assert capsys.readouterr().err.startswith(
             f"error: {models / 'model_ds_NB.json'}: not a JSON model: ")
+        # So is a forest whose node is its own child, which would route a
+        # row forever.
+        (models / "model_ds_NB.json").write_text(nb)
+        rf = models / "model_ds_RF.json"
+        doc = json.loads(rf.read_text())
+        doc["state"]["left"][0] = doc["state"]["right"][0] = 0
+        rf.write_text(json.dumps(doc))
+        assert run_cli("evaluate", labeled, "--universal", universal,
+                       "--models", models, "--name", "ds") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {rf}: RF model state 'left': ")
+        assert err.count("\n") == 1
 
     def test_unexpected_exception_is_one_error_line(self, tmp_path, capsys,
                                                     caplog, monkeypatch):

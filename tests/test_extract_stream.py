@@ -19,7 +19,8 @@ from botmeter import cli
 from botmeter.dataset import parse_manifest, write_flow_csv
 from botmeter.errors import PcapFormatError, ValidationError
 from botmeter.labeling import label_flows, parse_rules
-from botmeter.meter import MeterConfig, ingest_capture_detailed
+from botmeter.meter import FlowTable, MeterConfig, ingest_capture_detailed
+from botmeter.pcap import read_capture
 from botmeter.synth import FlowBlueprint, PacketBlueprint, generate_synthetic_capture
 
 B = 4
@@ -299,4 +300,14 @@ def test_the_benchmark_tracer_still_sees_every_layer(tmp_path):
     assert layers["pcap.decoded"] == packets
     assert layers["dataset.rows_written"] == result["labeled"] == flows
     assert layers["meter.flows"] == flows
+    # The tracer wraps FlowTable.flush and offer_packet: flush must still
+    # run once per capture and return a sized list of the live flows.
+    live = 0
+    for path in manifest.captures:
+        table = FlowTable(CONFIG)
+        for pkt in read_capture(str(path)):
+            table.offer_packet(pkt)
+        live += len(table.flush())
+    assert layers["meter.flows_at_flush"] == live > 0
+    assert layers["meter.offer_s"] > 0
     assert layers["trace.self_sum_share"] == pytest.approx(1, abs=0.05)

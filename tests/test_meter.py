@@ -1,11 +1,15 @@
+import gc
+import ipaddress
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botmeter.errors import ValidationError
 from botmeter.features import FEATURE_COLUMNS, FEATURE_NAMES, compute_features
-from botmeter.meter import FlowTable, MeterConfig, ingest_capture_detailed
-from botmeter.pcap import CaptureStats, read_capture
+from botmeter.meter import FlowAccumulator, FlowTable, MeterConfig, ingest_capture_detailed
+from botmeter.pcap import ACK, FIN, PSH, RST, SYN, CaptureStats, PacketRecord, read_capture
 from botmeter.synth import FlowBlueprint, PacketBlueprint, generate_synthetic_capture
 
 import capgen
@@ -23,6 +27,13 @@ def write_capture(tmp_path, blueprints, seed=1, name="cap.pcap"):
 def parse(path):
     stats = CaptureStats()
     return list(read_capture(path, stats)), stats
+
+
+def packets_of(flow):
+    """Forward plus backward packets of a finished flow, an accumulator or
+    the packet of a one-packet flow."""
+    f = oracle.named(compute_features(flow))
+    return f["Total Fwd Packets"] + f["Total Backward Packets"]
 
 
 def simple_flow(payloads_gaps, protocol=TCP, src="10.0.0.1", dst="8.8.8.8",
@@ -145,7 +156,7 @@ class TestOfferPacket:
         assert table.offer_packet(packets[0]) == []
         emitted = table.offer_packet(packets[1])
         assert len(emitted) == 1
-        assert emitted[0].fwd_n + emitted[0].bwd_n == 1
+        assert packets_of(emitted[0]) == 1
         assert len(table.flush()) == 1  # the restarted flow
 
     def test_tcp_termination_on_final_ack(self, tmp_path):
@@ -160,7 +171,7 @@ class TestOfferPacket:
         assert emitted == []  # second FIN carries ACK but is not the final ACK
         emitted = table.offer_packet(packets[5])
         assert len(emitted) == 1
-        assert emitted[0].fwd_n + emitted[0].bwd_n == 6
+        assert packets_of(emitted[0]) == 6
         assert table.flush() == []
 
     def test_rst_terminates_immediately(self, tmp_path):
@@ -172,10 +183,10 @@ class TestOfferPacket:
         table = FlowTable()
         emitted = self.offer_all(table, packets)
         assert len(emitted) == 1
-        assert emitted[0].fwd_n + emitted[0].bwd_n == 2
+        assert packets_of(emitted[0]) == 2
         residual = table.flush()
         assert len(residual) == 1  # packet 3 started a fresh flow
-        assert residual[0].fwd_n + residual[0].bwd_n == 1
+        assert packets_of(residual[0]) == 1
 
     def test_bidirectional_keying(self, tmp_path):
         bp = simple_flow([("fwd", 10, 0), ("bwd", 20, 100)])
@@ -187,6 +198,133 @@ class TestOfferPacket:
         fv = compute_features(flows[0])
         assert oracle.named(fv)["Total Fwd Packets"] == 1
         assert oracle.named(fv)["Total Backward Packets"] == 1
+
+
+# Packets for held-flow tests: a few endpoints, so that keys recur in both
+# directions, and a flow timeout that short gaps can cross.
+HELD_CONFIG = MeterConfig(flow_timeout_us=1_000, activity_timeout_us=100)
+ENDPOINTS = [(ipaddress.ip_address(ip).packed, port)
+             for ip in ("10.0.0.1", "8.8.8.8") for port in (53, 80)]
+
+
+def pkt(ts, src, dst, flags=0, length=10, protocol=TCP):
+    """A packet from ``ENDPOINTS[src]`` to ``ENDPOINTS[dst]`` at ``ts``."""
+    (src_ip, src_port), (dst_ip, dst_port) = ENDPOINTS[src], ENDPOINTS[dst]
+    return PacketRecord(ts, src_ip, dst_ip, src_port, dst_port, protocol,
+                        length, 40, flags, 1000 + ts if protocol == TCP else None)
+
+
+def meter(packets, config=HELD_CONFIG):
+    """(finished flows in emission order, the flush's part of them)."""
+    table = FlowTable(config)
+    finished = [flow for p in packets for flow in table.offer_packet(p)]
+    flushed = table.flush()
+    return finished + flushed, flushed
+
+
+def assert_oracle_flows(packets, flows, config=HELD_CONFIG):
+    oracle.assert_flows_match([compute_features(f, config) for f in flows],
+                              oracle.expected_flows(packets, config))
+
+
+def live_accumulators():
+    gc.collect()
+    return sum(type(obj) is FlowAccumulator for obj in gc.get_objects())
+
+
+class TestHeldFlows:
+    """A live one-packet flow is held as its packet; its accumulator is
+    built when a second packet of its key arrives, in the flow's place."""
+
+    def test_key_returning_after_the_timeout_emits_the_held_packet(self):
+        first, second = pkt(0, 0, 2), pkt(1_000, 0, 2)
+        table = FlowTable(HELD_CONFIG)
+        assert table.offer_packet(first) == []
+        (emitted,) = table.offer_packet(second)
+        assert emitted is first
+        (live,) = table.flush()
+        assert live is second
+        assert_oracle_flows([first, second], [emitted, live])
+
+    def test_rst_on_the_first_packet_finishes_the_packet(self):
+        packets = [pkt(0, 0, 2, RST), pkt(5, 0, 2)]
+        table = FlowTable(HELD_CONFIG)
+        (reset,) = table.offer_packet(packets[0])
+        assert reset is packets[0]
+        assert table.offer_packet(packets[1]) == []
+        (live,) = table.flush()
+        assert live is packets[1]
+        assert oracle.named(compute_features(reset))["RST Flag Count"] == 1
+        assert_oracle_flows(packets, [reset, live])
+
+    @pytest.mark.parametrize("src, dst", [(0, 2), (2, 0)])
+    def test_reverse_second_packet_keeps_the_held_orientation(self, src, dst):
+        # (2, 0): the held packet runs from the endpoint that sorts last.
+        packets = [pkt(0, src, dst, SYN), pkt(7, dst, src, SYN | ACK, length=0)]
+        flows, flushed = meter(packets)
+        (flow,) = flushed
+        assert type(flow) is FlowAccumulator
+        fv = compute_features(flow, HELD_CONFIG)
+        f = oracle.named(fv)
+        assert (fv.src_port, fv.dst_port) == (ENDPOINTS[src][1], ENDPOINTS[dst][1])
+        assert (f["Total Fwd Packets"], f["Total Backward Packets"]) == (1, 1)
+        assert (f["Init Fwd Win Bytes"], f["Init Bwd Win Bytes"]) == (1000, 1007)
+        assert_oracle_flows(packets, flows)
+
+    def test_held_and_promoted_flows_flush_in_flow_start_order(self):
+        packets = [pkt(0, 0, 2), pkt(10, 1, 3), pkt(20, 2, 0), pkt(30, 0, 3),
+                   pkt(40, 3, 1, PSH), pkt(50, 1, 2), pkt(60, 1, 3)]
+        flows, flushed = meter(packets)
+        assert flows == flushed
+        assert [type(f) for f in flushed] == [
+            FlowAccumulator, FlowAccumulator, PacketRecord, PacketRecord]
+        starts = [compute_features(f, HELD_CONFIG).start_ts_us for f in flushed]
+        assert starts == [0, 10, 30, 50]
+        assert_oracle_flows(packets, flows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from([0, 1, 10, 999, 1_000, 3_000]),
+        st.integers(0, 3), st.integers(0, 3),
+        st.sampled_from([0, SYN, ACK, PSH | ACK, FIN | ACK, RST, RST | ACK]),
+        st.integers(0, 1460), st.sampled_from([TCP, UDP])), max_size=40))
+    def test_flows_match_the_oracle(self, steps):
+        packets, ts = [], 0
+        for gap, src, dst, flags, length, protocol in steps:
+            if src == dst:
+                continue
+            ts += gap
+            packets.append(pkt(ts, src, dst, flags if protocol == TCP else 0,
+                               length, protocol))
+        flows, flushed = meter(packets)
+        assert_oracle_flows(packets, flows)
+        starts = [compute_features(f, HELD_CONFIG).start_ts_us for f in flushed]
+        assert starts == sorted(starts)
+        # Exactly the one-packet flows come out as their packet.
+        assert [type(f) is PacketRecord for f in flows] == [
+            packets_of(f) == 1 for f in flows]
+
+    def test_only_multi_packet_flows_hold_an_accumulator(self, tmp_path):
+        # 4 one-packet flows and 8 longer ones, all live at the end.
+        blueprints = [simple_flow([("fwd", 10, 0)] + [("bwd", 5, 10)] * (i % 3),
+                                  sport=2000 + i) for i in range(12)]
+        path = write_capture(tmp_path, [
+            FlowBlueprint(b.src_ip, b.dst_ip, b.src_port, b.dst_port, b.protocol,
+                          b.packets, start_us=100 * i)
+            for i, b in enumerate(blueprints)])
+        multi = sum(len(b.packets) > 1 for b in blueprints)
+        packets, _ = parse(path)
+        before = live_accumulators()
+        table = FlowTable()
+        for p in packets:
+            assert table.offer_packet(p) == []
+        flushed = table.flush()
+        assert len(flushed) == 12
+        assert live_accumulators() - before == multi == 8
+        del flushed, table
+        peak = []
+        ingest_capture_detailed(path, emit=lambda fv: peak.append(live_accumulators()))
+        assert max(peak) - before == multi
 
 
 class TestComputeFeatures:
@@ -355,3 +493,19 @@ class TestMeterConfig:
             MeterConfig(flow_timeout_us=1, activity_timeout_us=2)
         with pytest.raises(ValidationError):
             MeterConfig(flow_timeout_us=10, activity_timeout_us=0)
+
+    @pytest.mark.parametrize("prefixes, message", [
+        (("10.0.0.0/8", "10.0.0.0/33"), "bad home prefix '10.0.0.0/33'"),
+        (("192.168.1.1/16",), "bad home prefix '192.168.1.1/16'"),
+        ("10.0.0.0/8", "not the string '10.0.0.0/8'"),
+    ])
+    def test_bad_home_prefixes_are_refused_at_construction(self, prefixes, message):
+        with pytest.raises(ValidationError, match=message):
+            MeterConfig(home_prefixes=prefixes)
+
+    def test_home_prefixes_may_be_any_sequence(self, tmp_path):
+        config = MeterConfig(home_prefixes=["8.8.0.0/16"])
+        assert config.home_prefixes == ("8.8.0.0/16",)
+        path = write_capture(tmp_path, [simple_flow([("fwd", 10, 0)])])
+        (fv,), _ = ingest_capture_detailed(path, config)
+        assert oracle.named(fv)["Inbound"] == 1

@@ -335,9 +335,11 @@ class TestMutatedCapture:
             return
         flows += table.flush()
         assert stats.records == stats.decoded + stats.skipped
-        assert sum(flow.fwd_n + flow.bwd_n for flow in flows) == stats.decoded
-        for flow in flows:
-            assert all(map(math.isfinite, compute_features(flow).values))
+        features = [oracle.named(compute_features(flow)) for flow in flows]
+        assert sum(f["Total Fwd Packets"] + f["Total Backward Packets"]
+                   for f in features) == stats.decoded
+        for f in features:
+            assert all(map(math.isfinite, f.values()))
 
 
 # The fused Ethernet/IPv4/TCP|UDP path against the decoder chain alone.
