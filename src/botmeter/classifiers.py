@@ -24,7 +24,7 @@ logger = logging.getLogger(__name__)
 
 KINDS = ("NB", "KNN", "RF", "LR")
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,22 @@ def _validate_predict_input(X, width):
     return X
 
 
+def constant_columns(X) -> np.ndarray:
+    """Which columns of a matrix with rows hold one value only (max == min).
+    A sample std can come out a rounding error above 0 for such a column,
+    so it is not the test."""
+    return X.max(axis=0) == X.min(axis=0)
+
+
 def _standardize_fit(X):
-    """Per-column mean and sample std; constant columns get std 1 so they
-    map to zeros instead of dividing by zero."""
-    mu = X.mean(axis=0)
-    sigma = X.std(axis=0, ddof=1) if len(X) > 1 else np.zeros(X.shape[1])
-    sigma = np.where(sigma == 0.0, 1.0, sigma)
+    """Per-column mean and sample std.  A constant column gets its value as
+    mean and std 1, so it standardizes to exact zeros."""
+    constant = constant_columns(X)
+    mu = np.where(constant, X[0], X.mean(axis=0))
+    sigma = X.std(axis=0, ddof=1)
+    # Values less than about 1e-154 apart have squared deviations that
+    # underflow, so such a column's std can be 0; it is left unscaled.
+    sigma = np.where(constant | (sigma == 0.0), 1.0, sigma)
     return mu, sigma
 
 
@@ -349,11 +359,12 @@ class RFModel:
     """A forest stored as one node table.
 
     Node ``i`` is a leaf when ``feature[i] == -1``; otherwise a row goes to
-    ``left[i]`` when ``row[feature[i]] <= threshold[i]`` and to ``right[i]``
-    when not.  ``counts[i]`` holds the class-0 and class-1 training samples
-    that reached node ``i``.  Trees follow one another in the table; each
-    starts at ``roots[t]`` and numbers its nodes in preorder (node, left
-    subtree, right subtree).  Leaves carry threshold 0.0 and children -1.
+    ``left[i]`` when ``row[feature[i]] <= threshold[i]`` and to
+    ``left[i] + 1`` when not.  ``counts[i]`` holds the class-0 and class-1
+    training samples that reached node ``i``.  Tree ``t`` starts at
+    ``roots[t]``; every other node follows its parent, and the two children
+    of a split sit side by side, left first.  Leaves carry threshold 0.0
+    and ``left`` -1.
     """
 
     spec: ModelSpec
@@ -361,7 +372,6 @@ class RFModel:
     feature: np.ndarray    # (n_nodes,) int64
     threshold: np.ndarray  # (n_nodes,) float64
     left: np.ndarray       # (n_nodes,) int64
-    right: np.ndarray      # (n_nodes,) int64
     counts: np.ndarray     # (n_nodes, 2) int64
     roots: np.ndarray      # (n_trees,) int64
 
@@ -386,7 +396,7 @@ class RFModel:
         while len(live):
             cur = node[live]
             go_left = X[row[live], self.feature[cur]] <= self.threshold[cur]
-            cur = np.where(go_left, self.left[cur], self.right[cur])
+            cur = self.left[cur] + ~go_left
             node[live] = cur
             live = live[self.feature[cur] >= 0]
         return node.reshape(len(self.roots), n)
@@ -482,7 +492,8 @@ def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
     Each tree keeps its pending splittable nodes on a stack, and their
     training rows in the same order: a split puts its splittable children,
     the right one below the left one, in its own place on both.  Nodes are
-    numbered as they are made, and put in preorder once all trees are grown.
+    numbered as they are made: the roots in tree order, then each step's
+    children, split by split, left then right.
     """
     n, d = X.shape
     n_trees = spec.n_trees
@@ -505,18 +516,17 @@ def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
     for t, rng in enumerate(rngs):
         rows[t] = rng.integers(0, n, n) if spec.bootstrap else np.arange(n)
     flat_rows = rows.reshape(-1)
-    # Nodes by number, the roots first: tree, samples, class-1 samples.
-    nodes = [(np.arange(n_trees), np.full(n_trees, n), y[rows].sum(axis=1))]
+    # Nodes by number, the roots first: samples, class-1 samples.
+    nodes = [(np.full(n_trees, n), y[rows].sum(axis=1))]
     # Stack entries: node number, samples, class-1 samples.
     stack = np.empty((n_trees, 8, 3), dtype=np.int64)
-    stack[:, 0] = np.column_stack(nodes[0])
-    depth = splittable(*nodes[0][1:]).astype(np.int64)
+    stack[:, 0] = np.column_stack((np.arange(n_trees), *nodes[0]))
+    depth = splittable(*nodes[0]).astype(np.int64)
     row_top = depth * n
     block = max(1, _RF_PERMUTATION_ENTRIES // d)
     perms = np.empty((n_trees, block, d), dtype=np.int64)
     draw = np.tile(np.arange(d), (block, 1))
-    # Per step, the nodes that split (number, feature, threshold) and the
-    # number of the first child made; left children precede right ones.
+    # Per step, the nodes that split: number, feature, threshold, left child.
     splits = []
     made = n_trees
     for step in itertools.count():
@@ -549,50 +559,27 @@ def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
         row_top[live] += (sizes - cut) * push_right + cut * push_left
 
         trees, q = live[split], np.count_nonzero(split)
-        splits.append((ids[split], feature[split], threshold[split], made))
-        child_size = np.concatenate((cut[split], (sizes - cut)[split]))
-        child_ones = np.concatenate((ones_left[split], (ones - ones_left)[split]))
-        nodes.append((np.tile(trees, 2), child_size, child_ones))
+        splits.append((ids[split], feature[split], threshold[split],
+                       made + 2 * np.arange(q)))
+        child_size = np.column_stack((cut, sizes - cut))[split].ravel()
+        child_ones = np.column_stack((ones_left, ones - ones_left))[split].ravel()
+        nodes.append((child_size, child_ones))
         entries = np.column_stack((made + np.arange(2 * q), child_size, child_ones))
         made += 2 * q
         if depth.max() + 2 > stack.shape[1]:
             stack = np.concatenate((stack, np.empty_like(stack)), axis=1)
-        for push, side in ((push_right[split], entries[q:]),
-                           (push_left[split], entries[:q])):
+        for push, side in ((push_right[split], entries[1::2]),
+                           (push_left[split], entries[::2])):
             pushed = trees[push]
             stack[pushed, depth[pushed]] = side[push]
             depth[pushed] += 1
-    return _preorder_forest(spec, d, splits, *map(np.concatenate, zip(*nodes)))
-
-
-def _preorder_forest(spec, d, splits, tree, size, ones) -> RFModel:
-    """The node table of trees grown as ``_fit_rf`` grows them: ``tree``,
-    ``size`` and ``ones`` by node number, and ``splits`` in the order the
-    nodes split."""
-    made = len(tree)
-    # Subtree sizes, from the last splits up; then preorder numbers down.
-    subtree = np.ones(made, dtype=np.int64)
-    for ids, _, _, first in reversed(splits):
-        q = len(ids)
-        subtree[ids] += subtree[first:first + q] + subtree[first + q:first + 2 * q]
-    pre = np.zeros(made, dtype=np.int64)
-    for ids, _, _, first in splits:
-        q = len(ids)
-        pre[first:first + q] = pre[ids] + 1
-        pre[first + q:first + 2 * q] = pre[ids] + 1 + subtree[first:first + q]
-    roots = np.cumsum(subtree[:spec.n_trees]) - subtree[:spec.n_trees]
-    at = roots[tree] + pre
-    feature, threshold = np.full(made, -1), np.zeros(made)
-    left, right = np.full(made, -1), np.full(made, -1)
-    for ids, split_feature, split_threshold, first in splits:
-        q = len(ids)
-        feature[at[ids]] = split_feature
-        threshold[at[ids]] = split_threshold
-        left[at[ids]] = at[first:first + q]
-        right[at[ids]] = at[first + q:first + 2 * q]
-    counts = np.empty((made, 2), dtype=np.int64)
-    counts[at] = np.column_stack((size - ones, ones))
-    return RFModel(spec, d, feature, threshold, left, right, counts, roots)
+    feature, threshold, left = np.full(made, -1), np.zeros(made), np.full(made, -1)
+    for ids, *split_values in splits:
+        for column, values in zip((feature, threshold, left), split_values):
+            column[ids] = values
+    size, ones = map(np.concatenate, zip(*nodes))
+    counts = np.column_stack((size - ones, ones))
+    return RFModel(spec, d, feature, threshold, left, counts, np.arange(n_trees))
 
 
 def _ranges(starts, lengths):
@@ -748,8 +735,7 @@ _STATE_ARRAYS = {
             "train_x": ("f", ("n", "d")), "train_y": ("i", ("n",))},
     "LR": {"mu": ("f", ("d",)), "sigma": ("f", ("d",)), "weights": ("f", ("d",))},
     "RF": {"feature": ("i", ("n",)), "threshold": ("f", ("n",)),
-           "left": ("i", ("n",)), "right": ("i", ("n",)),
-           "counts": ("i", ("n", 2)), "roots": ("i", ("t",))},
+           "left": ("i", ("n",)), "counts": ("i", ("n", 2)), "roots": ("i", ("t",))},
 }
 
 
@@ -761,8 +747,8 @@ def _is_number(value, integer=False) -> bool:
 def _checked_state(path, kind, state) -> dict:
     """A model file's state with its arrays as numpy arrays, once every
     value has the type, shape and range that ``predict`` relies on: for a
-    forest, every internal node's children follow it, so that each descent
-    ends at a leaf."""
+    forest, every internal node's two children follow it within the table,
+    so that each descent ends at a leaf."""
     def fail(key, what):
         raise ValidationError(f"{path}: {kind} model state {key!r}: {what}")
 
@@ -809,10 +795,9 @@ def _checked_state(path, kind, state) -> dict:
         if ((feature < -1) | (feature >= d)).any():
             fail("feature", f"expected -1 (a leaf) or a column in 0..{d - 1}")
         inner = np.flatnonzero(feature >= 0)
-        for key in ("left", "right"):
-            child = out[key][inner]
-            if ((child <= inner) | (child >= n)).any():
-                fail(key, f"an internal node's child must follow it, below {n}")
+        child = out["left"][inner]
+        if ((child <= inner) | (child >= n - 1)).any():
+            fail("left", f"an internal node's children must follow it, below {n}")
         if ((out["roots"] < 0) | (out["roots"] >= n)).any():
             fail("roots", f"expected node numbers in 0..{n - 1}")
         if (out["counts"] < 0).any():

@@ -53,6 +53,10 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.manifests:
             raise ValidationError("pipeline config needs at least one dataset")
+        names = [manifest.name for manifest in self.manifests]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValidationError(f"pipeline config lists dataset {name!r} twice")
         if not 0 < self.ratio < 1:
             raise ValidationError(f"ratio must be in (0, 1), got {self.ratio}")
         build_model_specs(self.seed, self.model_overrides)  # reject bad overrides now

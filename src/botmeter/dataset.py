@@ -103,7 +103,6 @@ def normalize_feature_name(name: str) -> tuple[str, bool]:
         return NAME_ALIASES[tidy], True
     if tidy in _CANONICAL:
         return tidy, True
-    logger.debug("unknown feature name %r kept as-is", tidy)
     return tidy, False
 
 
@@ -292,7 +291,14 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
     names the first bad cell in line order.
     """
     with closing(csv_rows(path)) as records:
-        header = [normalize_feature_name(h)[0] for h in next(records)]
+        named = [normalize_feature_name(h) for h in next(records)]
+        header = [name for name, _ in named]
+        unknown = [name for name, known in named if not known]
+        if unknown:
+            # An alias missing from NAME_ALIASES splits one feature in two
+            # across datasets, so say which names went unmapped.
+            logger.warning("%s: unknown column name(s) kept as-is: %s", path,
+                           ", ".join(map(repr, unknown)))
         feature_idx = [i for i, name in enumerate(header)
                        if name not in IDENTITY_COLUMNS and name != LABEL_COLUMN]
         label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import ModelSpec, fit, log_lr_fit
+from .classifiers import ModelSpec, constant_columns, fit, log_lr_fit
 from .dataset import FeatureTable, normalize_feature_name
 from .errors import ValidationError
 
@@ -40,8 +40,8 @@ def rank_features_lr(table: FeatureTable, k: int = 10,
     """Top-k features of a labeled table by |LR weight|.
 
     The LR trainer standardizes the raw features itself, so the weights
-    are per standard deviation.  Constant columns (sample std 0) never
-    rank; |w| ties break by name.  Uses the same LR trainer as the
+    are per standard deviation.  Constant columns (every value equal)
+    never rank; |w| ties break by name.  Uses the same LR trainer as the
     classifiers; its fit is the objective's unique optimum, so rankings
     depend only on the table and ``spec.l2_lambda``.
     """
@@ -50,8 +50,7 @@ def rank_features_lr(table: FeatureTable, k: int = 10,
     spec = spec or ModelSpec(kind="LR")
     if spec.kind != "LR":
         raise ValidationError("feature ranking uses the LR trainer")
-    variable = np.flatnonzero(table.rows.std(axis=0, ddof=1) > 0.0) \
-        if table.n_rows > 1 else []
+    variable = np.flatnonzero(~constant_columns(table.rows)) if table.n_rows else []
     if k < 1 or k > len(variable):
         raise ValidationError(
             f"k={k} must be within the {len(variable)} non-constant features")

@@ -1,6 +1,10 @@
+import dataclasses
+import re
 import types
+from pathlib import Path
 
 import botmeter
+from botmeter import classifiers
 
 
 def test_public_names_resolve_once():
@@ -16,3 +20,16 @@ def test_bound_public_names_are_the_exports():
              if not isinstance(value, types.ModuleType)
              and (not name.startswith("_") or name == "__version__")}
     assert bound == set(botmeter.__all__) | {"__version__"}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_model_format_matches_the_code():
+    # The README is the model file's only specification outside the code.
+    text = README.read_text(encoding="utf-8")
+    assert re.findall(r"format version (\d+)", text) == [
+        str(classifiers.MODEL_FORMAT_VERSION)]
+    table = text.split("A random forest's\n`state` is one node table", 1)[1]
+    listed = re.findall(r"^- `(\w+)`:", table.split("\n\n", 2)[1], re.MULTILINE)
+    assert listed == [f.name for f in dataclasses.fields(classifiers.RFModel)[1:]]

@@ -397,36 +397,47 @@ class TestKNN:
         np.testing.assert_array_equal(base, shuffled)
 
 
-def forest_table(model):
-    """The node table of an RF model, as lists."""
-    return {name: getattr(model, name).tolist() for name in
-            ("feature", "threshold", "left", "right", "counts", "roots")}
+def forest_trees(model):
+    """The trees of an RF model, walked from ``roots``: a node as (feature,
+    threshold, counts), and an internal node also with its left and right
+    subtrees.  Every node of the table is on exactly one tree."""
+    walked = []
+
+    def walk(i):
+        walked.append(i)
+        node = (int(model.feature[i]), float(model.threshold[i]),
+                model.counts[i].tolist())
+        if node[0] == -1:
+            assert model.left[i] == -1
+            return node
+        return node + (walk(model.left[i]), walk(model.left[i] + 1))
+
+    trees = [walk(root) for root in model.roots]
+    assert sorted(walked) == list(range(len(model.feature)))
+    return trees
 
 
-def oracle_table(trees):
-    """The oracle's nested trees as a node table in preorder."""
-    table = {name: [] for name in
-             ("feature", "threshold", "left", "right", "counts", "roots")}
-
-    def add(node):
-        i = len(table["feature"])
-        for name in ("feature", "threshold", "left", "right", "counts"):
-            table[name].append(None)
+def oracle_trees(trees):
+    """The oracle's nested trees in ``forest_trees``' form."""
+    def convert(node):
         if "counts" in node:
-            table["feature"][i], table["threshold"][i] = -1, 0.0
-            table["left"][i] = table["right"][i] = -1
-            table["counts"][i] = list(node["counts"])
-            return i
-        table["feature"][i] = node["feature"]
-        table["threshold"][i] = node["threshold"]
-        left, right = add(node["left"]), add(node["right"])
-        table["left"][i], table["right"][i] = left, right
-        table["counts"][i] = [a + b for a, b in
-                              zip(table["counts"][left], table["counts"][right])]
-        return i
+            return (-1, 0.0, list(node["counts"]))
+        left, right = convert(node["left"]), convert(node["right"])
+        counts = [a + b for a, b in zip(left[2], right[2])]
+        return (node["feature"], node["threshold"], counts, left, right)
 
-    table["roots"] = [add(tree) for tree in trees]
-    return table
+    return [convert(tree) for tree in trees]
+
+
+def assert_same_state(got, want):
+    """Every model field after ``spec`` equal, arrays in dtype and shape too."""
+    for field in dataclasses.fields(want)[1:]:
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            np.testing.assert_array_equal(a, b)
+        else:
+            assert a == b, field.name
 
 
 GRID = (-1.0, 0.0, 0.5, 2.0, 3.0)
@@ -483,7 +494,7 @@ class TestRF:
         assert model.feature[root] == 0
         assert -1.0 <= model.threshold[root] <= 1.0
         assert model.feature[model.left[root]] == -1
-        assert model.feature[model.right[root]] == -1
+        assert model.feature[model.left[root] + 1] == -1
         assert (predict(model, X) == y).all()
 
     def test_leaf_counts_sum_to_samples(self):
@@ -494,7 +505,7 @@ class TestRF:
         def leaf_total(node):
             if model.feature[node] == -1:
                 return int(model.counts[node].sum())
-            return leaf_total(model.left[node]) + leaf_total(model.right[node])
+            return leaf_total(model.left[node]) + leaf_total(model.left[node] + 1)
 
         for root in model.roots:
             assert leaf_total(root) == len(X)
@@ -506,7 +517,6 @@ class TestRF:
                         feature=np.array([-1, -1, -1]),
                         threshold=np.zeros(3),
                         left=np.array([-1, -1, -1]),
-                        right=np.array([-1, -1, -1]),
                         counts=np.array([[0, 1], [0, 1], [1, 0]]),
                         roots=np.array([0, 1, 2]))
         assert predict(model, [[0.0]])[0] == 1
@@ -516,9 +526,9 @@ class TestRF:
         X, y = blobs(rng, n=120, gap=1.5)
         a = fit(ModelSpec(kind="RF", n_trees=12, seed=5), X, y)
         b = fit(ModelSpec(kind="RF", n_trees=12, seed=5), X, y)
-        assert forest_table(a) == forest_table(b)
+        assert forest_trees(a) == forest_trees(b)
         c = fit(ModelSpec(kind="RF", n_trees=12, seed=6), X, y)
-        assert forest_table(c) != forest_table(a)
+        assert forest_trees(c) != forest_trees(a)
 
     @settings(max_examples=80, deadline=None)
     @given(rf_problems())
@@ -526,7 +536,7 @@ class TestRF:
         spec, X, y, queries = problem
         model = fit(spec, X, y)
         trees = rf_oracle.fit_forest(spec, X, y)
-        assert forest_table(model) == oracle_table(trees)
+        assert forest_trees(model) == oracle_trees(trees)
         for rows in (X, queries):
             np.testing.assert_array_equal(predict(model, rows),
                                           rf_oracle.forest_predict(trees, rows))
@@ -547,7 +557,7 @@ class TestRF:
                 mock.patch.object(classifiers, "_best_splits", capped):
             model = fit(spec, X, y)
         trees = rf_oracle.fit_forest(spec, X, y)
-        assert forest_table(model) == oracle_table(trees)
+        assert forest_trees(model) == oracle_trees(trees)
         np.testing.assert_array_equal(predict(model, queries),
                                       rf_oracle.forest_predict(trees, queries))
 
@@ -566,7 +576,7 @@ class TestRF:
         with mock.patch.object(classifiers, "_RF_SEARCH_ELEMENTS", 64), \
                 mock.patch.object(classifiers, "_split_batch", spy):
             capped = fit(spec, X, y)
-        assert forest_table(capped) == forest_table(whole)
+        assert forest_trees(capped) == forest_trees(whole)
         # Each root (60 samples x 2 columns) is over the cap: the first step
         # runs as one batch per tree, in tree order.
         assert batches[:12] == [[(t, 120)] for t in range(12)]
@@ -599,7 +609,7 @@ class TestRF:
         path = tmp_path / "deep.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert forest_table(loaded) == forest_table(model)
+        assert_same_state(loaded, model)
         np.testing.assert_array_equal(predict(loaded, X), y)
 
     def test_midpoint_rounding_onto_upper_value_still_splits(self):
@@ -660,14 +670,21 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         names = [f.name for f in dataclasses.fields(model)[1:]]
         assert list(doc["state"]) == names
+        assert_same_state(load_model(path), model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rf_problems())
+    def test_forest_round_trips(self, tmp_path_factory, problem):
+        # Forests of single-leaf trees and tables that end in a split's
+        # right child both load.
+        spec, X, y, queries = problem
+        model = fit(spec, X, y)
+        path = tmp_path_factory.mktemp("rf") / "rf.json"
+        save_model(model, path)
         loaded = load_model(path)
-        for name in names:
-            want, got = getattr(model, name), getattr(loaded, name)
-            if isinstance(want, np.ndarray):
-                assert got.dtype == want.dtype and got.shape == want.shape, name
-                np.testing.assert_array_equal(got, want)
-            else:
-                assert got == want, name
+        assert_same_state(loaded, model)
+        np.testing.assert_array_equal(predict(loaded, queries),
+                                      predict(model, queries))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_missing_or_unknown_state_key_is_refused(self, kind, tmp_path):
@@ -704,11 +721,11 @@ class TestSerialization:
         ("LR", {"weights": []}, "weights", "expected a non-empty array"),
         ("LR", {"bias": "0.5"}, "bias", "expected a finite number"),
         ("LR", {"n_iters": True}, "n_iters", "expected an integer >= 0"),
-        ("RF", lambda s: s.update(left=list(range(len(s["left"]))),
-                                  right=list(range(len(s["left"])))),
-         "left", "an internal node's child must follow it"),
-        ("RF", lambda s: s["right"].__setitem__(0, len(s["right"])), "right",
-         "an internal node's child must follow it"),
+        ("RF", lambda s: s.update(left=list(range(len(s["left"])))),
+         "left", "an internal node's children must follow it"),
+        # The right child would be one past the last node.
+        ("RF", lambda s: s["left"].__setitem__(0, len(s["left"]) - 1), "left",
+         "an internal node's children must follow it"),
         ("RF", lambda s: s["feature"].__setitem__(0, 3), "feature",
          r"expected -1 \(a leaf\) or a column in 0..2"),
         ("RF", lambda s: s["roots"].__setitem__(1, len(s["feature"])), "roots",
@@ -736,7 +753,7 @@ class TestSerialization:
 
     def test_bad_spec_value_names_the_file(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"format_version": 3, "spec": {"kind": "XX"}, "state": {}}')
+        path.write_text('{"format_version": 4, "spec": {"kind": "XX"}, "state": {}}')
         with pytest.raises(ValidationError) as caught:
             load_model(path)
         assert str(caught.value) == f"{path}: model spec: unknown classifier kind 'XX'"
@@ -748,7 +765,7 @@ class TestSerialization:
         path = tmp_path / "lr.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
-        assert doc["format_version"] == 3
+        assert doc["format_version"] == 4
         assert "max_iters" not in doc["spec"]
         loaded = load_model(path)
         assert (loaded.n_iters, loaded.grad_norm) == (model.n_iters, model.grad_norm)
@@ -760,17 +777,32 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="version 2"):
             load_model(path)
 
+    def test_format_3_forest_is_refused(self, tmp_path):
+        # Version 3 numbered each tree in preorder and stored a right child
+        # column; its node numbers mean other nodes now.
+        rng = np.random.default_rng(22)
+        X, y = blobs(rng, n=80, d=3, gap=2.0)
+        path = tmp_path / "rf.json"
+        save_model(fit(ModelSpec(kind="RF", n_trees=2), X, y), path)
+        doc = json.loads(path.read_text())
+        doc["format_version"] = 3
+        doc["state"]["right"] = doc["state"]["left"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError,
+                           match=r": unsupported model format version 3$"):
+            load_model(path)
+
     @pytest.mark.parametrize("text, message", [
-        ('{"format_version": 3, "spec": {"kind": "NB", "bogus": 1}, "state": {}}',
+        ('{"format_version": 4, "spec": {"kind": "NB", "bogus": 1}, "state": {}}',
          r"model spec: missing key\(s\) \[\], unknown key\(s\) \['bogus'\]"),
-        ('{"format_version": 3, "spec": {"seed": 0}, "state": {}}',
+        ('{"format_version": 4, "spec": {"seed": 0}, "state": {}}',
          r"missing key\(s\) \['kind'\]"),
-        ('{"format_version": 3, "state": {}}', "model spec must be an object"),
-        ('{"format_version": 3, "spec": {"kind": "NB"}}',
+        ('{"format_version": 4, "state": {}}', "model spec must be an object"),
+        ('{"format_version": 4, "spec": {"kind": "NB"}}',
          "model state must be an object"),
-        ('[{"format_version": 3}]', "must hold a JSON object"),
+        ('[{"format_version": 4}]', "must hold a JSON object"),
         ("not json", "not a JSON model: Expecting value"),
-        (b'{"format_version": 3, "spec": "\xff"}', "not a JSON model: 'utf-8' codec"),
+        (b'{"format_version": 4, "spec": "\xff"}', "not a JSON model: 'utf-8' codec"),
     ])
     def test_malformed_model_file_is_a_validation_error(self, tmp_path, text,
                                                         message):

@@ -99,7 +99,7 @@ class TestStageCommands:
         (models / "model_ds_NB.json").write_text(nb)
         rf = models / "model_ds_RF.json"
         doc = json.loads(rf.read_text())
-        doc["state"]["left"][0] = doc["state"]["right"][0] = 0
+        doc["state"]["left"][0] = 0
         rf.write_text(json.dumps(doc))
         assert run_cli("evaluate", labeled, "--universal", universal,
                        "--models", models, "--name", "ds") == 1
@@ -756,6 +756,18 @@ class TestPipelineConfig:
                        flag, value) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert list(tmp_path.rglob("labeled_*.csv")) == []
+
+    @pytest.mark.parametrize("datasets", [["ds.manifest", "ds.manifest"],
+                                          ["ds.manifest", "other.manifest"]])
+    def test_a_dataset_named_twice_is_refused(self, config_path, datasets):
+        # It would count twice towards every feature of the universal set,
+        # and its second run would overwrite the first one's files.
+        (config_path.parent / "other.manifest").write_text(
+            "name = ds\ncaptures = other.pcap\nrules = rules.csv\n")
+        config_path.write_text(json.dumps({"datasets": datasets}))
+        with pytest.raises(ValidationError, match=r"^pipeline config lists "
+                                                  r"dataset 'ds' twice$"):
+            cli.load_pipeline_config(config_path)
 
     def test_non_utf8_config_is_a_validation_error(self, config_path):
         config_path.write_bytes(b'{"datasets": ["\xff.manifest"]}')

@@ -134,6 +134,22 @@ class TestFeatureCsv:
         assert table.columns == ["Packet Length Mean", "Flow Bytes/s"]
         assert table.labels.tolist() == [1]
 
+    def test_unknown_headers_are_one_warning_per_file(self, tmp_path, caplog):
+        path = tmp_path / "odd.csv"
+        path.write_text("Pkt Len Mean, Fwd  Pkt Rate ,Src IP,Bwd Pkt Rate,Label\n"
+                        "1.0,2.0,10.0.0.1,3.0,Botnet\n")
+        known = tmp_path / "known.csv"
+        known.write_text("Pkt Len Mean,Src IP,Label\n1.0,10.0.0.1,Botnet\n")
+        with caplog.at_level("DEBUG", logger="botmeter.dataset"):
+            table = read_feature_csv(path)
+            read_feature_csv(known)
+            read_feature_csv(path)
+        assert table.columns == ["Packet Length Mean", "Fwd Pkt Rate", "Bwd Pkt Rate"]
+        # Every read of the file says it again; a file of known names is quiet.
+        assert [(r.levelname, r.message) for r in caplog.records] == [
+            ("WARNING", f"{path}: unknown column name(s) kept as-is: "
+                        "'Fwd Pkt Rate', 'Bwd Pkt Rate'")] * 2
+
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("a,b,c\n1,2,3\n1,2\n")

@@ -37,8 +37,8 @@ GOLDEN = {
 
 # SHA-256 of ``save_model``'s file for each forest of ``rf_case``.
 RF_GOLDEN = {
-    "bootstrap": "ce854446db025bb8ea2f84f39c27ad31b3d5be3cc13c8cc8b034b90995332018",
-    "constant": "0144aef444d4855c085f70ddf5705be5756495cadb857b6e1029ff5e96901b26",
+    "bootstrap": "9240d2372290d13b6f828288144dd75b8e6a864595f1fdbc5cca583891d84eaa",
+    "constant": "66c5a3bbed39b825cf0327683bb048769398cfea5c1f592168acc3846ee1a3c8",
 }
 
 # Activity timeout below the long flows' 0.6–1.5 s gaps, flow timeout below

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 
-from botmeter.classifiers import ModelSpec, fit
+from botmeter.classifiers import ModelSpec, fit, predict
 from botmeter.dataset import FeatureTable
 from botmeter.errors import ValidationError
 from botmeter.selection import (RankedFeatureList, derive_universal_set,
@@ -32,6 +32,49 @@ class TestStandardize:
         table = FeatureTable(["x"], [[5.0], [5.0], [5.0]], labels=[0, 1, 0])
         with pytest.raises(ValidationError, match="0 non-constant"):
             rank_features_lr(table, k=1)
+
+    def constant_tenths(self):
+        """(signal, noise, 0.1) rows, the same rows with the constant at 0.0,
+        labels, and queries whose constant column holds 0.2."""
+        rng = np.random.default_rng(7)
+        signal, noise = rng.normal(size=40), rng.normal(size=40)
+        rows = np.column_stack([signal, noise, np.full(40, 0.1)])
+        zero = rows.copy()
+        zero[:, 2] = 0.0
+        queries = np.column_stack([rng.normal(size=50), rng.normal(size=50),
+                                   np.full(50, 0.2)])
+        return rows, zero, (signal > 0).astype(int), queries
+
+    def test_column_of_tenths_is_constant(self):
+        # Its sample std is a rounding error above 0, not 0.
+        rows, _, labels, _ = self.constant_tenths()
+        assert rows.std(axis=0, ddof=1)[2] > 0
+        table = FeatureTable(["signal", "noise", "const"], rows, labels=labels)
+        assert rank_features_lr(table, k=2).names() == ["signal", "noise"]
+        with pytest.raises(ValidationError, match="k=3 must be within the 2 "
+                                                  "non-constant features"):
+            rank_features_lr(table, k=3)
+
+    @pytest.mark.parametrize("kind", ["KNN", "LR"])
+    def test_constant_column_standardizes_to_zeros(self, kind):
+        # Where the constant sits does not matter, so a query off it moves
+        # no prediction.
+        rows, zero, labels, queries = self.constant_tenths()
+        model = self.fitted(kind, rows, labels)
+        assert (model.mu[2], model.sigma[2]) == (0.1, 1.0)
+        if kind == "KNN":
+            np.testing.assert_array_equal(model.train_x[:, 2], 0.0)
+        else:
+            assert model.weights[2] == 0.0
+        np.testing.assert_array_equal(
+            predict(model, queries),
+            predict(self.fitted(kind, zero, labels), queries))
+
+    @pytest.mark.parametrize("kind", ["KNN", "LR"])
+    def test_column_whose_std_underflows_is_left_unscaled(self, kind):
+        # Two values, but their squared deviations underflow to 0.
+        model = self.fitted(kind, [[-1.0, 0.0], [-1.0, 1.75583285e-302]], [0, 1])
+        assert model.sigma.tolist() == [1.0, 1.0]
 
     def test_idempotent_on_standardized_input(self):
         rng = np.random.default_rng(0)
