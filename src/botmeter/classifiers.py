@@ -82,7 +82,7 @@ class ModelSpec:
 
 def _validate_training_input(X, y):
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if X.ndim != 2:
         raise ValidationError("X must be a 2-D matrix")
     if X.shape[1] == 0:
@@ -93,11 +93,13 @@ def _validate_training_input(X, y):
     if len(bad):
         r, c = bad[0]
         raise ValidationError(f"non-finite value at row {r}, column {c}")
-    classes = np.unique(y)
-    if not np.array_equal(classes, [0, 1]):
+    # The labels as given, before the int cast: 0.5 is not class 0.
+    zero, one = y == 0, y == 1
+    if not ((zero | one).all() and zero.any() and one.any()):
+        # Only here: np.unique imports numpy.ma (about 1.3 MB).
         raise ValidationError(
-            f"need both classes 0 and 1 in y (got {classes.tolist()})")
-    return X, y
+            f"need both classes 0 and 1 in y (got {np.unique(y).tolist()})")
+    return X, y.astype(np.int64, copy=False)
 
 
 def _validate_predict_input(X, width):
@@ -666,24 +668,34 @@ def save_model(model: Model, path) -> None:
         _write_json(fh, doc)
 
 
+# Leading rows of an array that _write_json lists and encodes at a time.
+_JSON_SLICE = 1024
+
+
 def _write_json(fh, obj) -> None:
     """Write the bytes of ``json.dumps(obj)``, with each array as its
-    ``tolist()``, encoding one dict value at a time.  The C encoder is
-    several times faster than ``json.dump``, but it can hold every token of
-    a call as its own string (Python 3.11 does), a few MB for a whole
-    forest; one node-table column at a time, listed only when written,
-    holds less.
+    ``tolist()``.  A dict is written one value at a time, and every array,
+    whatever its length or shape, in slices of ``_JSON_SLICE`` leading rows,
+    each listed and encoded only when written.  The C encoder is several
+    times faster than ``json.dump``, but it can hold every token of a call
+    as its own string (Python 3.11 does): a whole 7,000-node forest column
+    as lists and tokens peaks at about 1.6 MB, one slice at a time at about
+    0.26 MB.
     """
     if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if not isinstance(obj, dict):
+        fh.write("[")
+        for a in range(0, len(obj), _JSON_SLICE):
+            rows = json.dumps(obj[a:a + _JSON_SLICE].tolist())[1:-1]
+            fh.write((", " if a else "") + rows)
+        fh.write("]")
+    elif isinstance(obj, dict):
+        fh.write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write((", " if i else "") + json.dumps(key) + ": ")
+            _write_json(fh, value)
+        fh.write("}")
+    else:
         fh.write(json.dumps(obj))
-        return
-    fh.write("{")
-    for i, (key, value) in enumerate(obj.items()):
-        fh.write((", " if i else "") + json.dumps(key) + ": ")
-        _write_json(fh, value)
-    fh.write("}")
 
 
 _SPEC_KEYS = frozenset(f.name for f in fields(ModelSpec))

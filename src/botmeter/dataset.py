@@ -291,14 +291,7 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
     names the first bad cell in line order.
     """
     with closing(csv_rows(path)) as records:
-        named = [normalize_feature_name(h) for h in next(records)]
-        header = [name for name, _ in named]
-        unknown = [name for name, known in named if not known]
-        if unknown:
-            # An alias missing from NAME_ALIASES splits one feature in two
-            # across datasets, so say which names went unmapped.
-            logger.warning("%s: unknown column name(s) kept as-is: %s", path,
-                           ", ".join(map(repr, unknown)))
+        header = _canonical_header(path, next(records), "kept as-is")
         feature_idx = [i for i, name in enumerate(header)
                        if name not in IDENTITY_COLUMNS and name != LABEL_COLUMN]
         label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
@@ -330,6 +323,18 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
         else:
             table_labels = labels_to_binary(labels, negative_label)
     return FeatureTable(columns, rows, table_labels)
+
+
+def _canonical_header(path, names, fate: str) -> list[str]:
+    """Each header name in its canonical spelling.  The names no alias maps
+    are logged in one warning per file, with their ``fate``: an alias
+    missing from NAME_ALIASES splits one feature in two across datasets."""
+    named = [normalize_feature_name(name) for name in names]
+    unknown = [name for name, known in named if not known]
+    if unknown:
+        logger.warning("%s: unknown column name(s) %s: %s", path, fate,
+                       ", ".join(map(repr, unknown)))
+    return [name for name, _ in named]
 
 
 def _read_every_cell(path, indices, columns) -> None:
@@ -396,6 +401,7 @@ def read_flow_csv(path):
     The inverse of write_flow_csv; needs the identity columns and all 65
     canonical features (aliases accepted).  Int columns are read with
     ``int`` and float columns with ``float``, as ``FEATURE_COLUMNS`` says.
+    Columns of unknown name are ignored, and named in one warning.
     Addresses are rewritten in the flows' own text form
     (``pcap.ip_to_str``), so ``2001:db8:0:0:0:0:0:1`` reads as
     ``2001:db8::1``.  A cell that its column's type cannot read (float text
@@ -403,8 +409,8 @@ def read_flow_csv(path):
     address are format errors naming the cell's text, its column and its
     line."""
     with closing(csv_rows(path)) as records:
-        positions = {normalize_feature_name(name)[0]: i
-                     for i, name in enumerate(next(records))}
+        header = _canonical_header(path, next(records), "ignored")
+        positions = {name: i for i, name in enumerate(header)}
         missing = [c for c in (*IDENTITY_COLUMNS, *FEATURE_NAMES)
                    if c not in positions]
         if missing:

@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -69,6 +71,22 @@ class TestSpecValidation:
         X = np.zeros((4, 2))
         with pytest.raises(ValidationError):
             fit(ModelSpec(kind="NB"), X, [1, 1, 1, 1])
+
+    @pytest.mark.parametrize("y, got", [([0, 0.5, 1], "[0.0, 0.5, 1.0]"),
+                                        ([0, 1.9, 1], "[0.0, 1.0, 1.9]"),
+                                        ([0, 2, 1], "[0, 1, 2]")])
+    def test_labels_other_than_0_and_1_rejected(self, y, got):
+        # Checked as given: a cast to int would train 0.5 as 0 and 1.9 as 1.
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"need both classes 0 and 1 in y (got {got})")):
+            fit(ModelSpec(kind="NB"), np.zeros((3, 2)), y)
+
+    def test_bool_and_float_labels_train_as_ints(self):
+        X, y = separable_1d(10)
+        want = fit(ModelSpec(kind="NB"), X, y)
+        for labels in (y.astype(bool), y.astype(np.float64)):
+            got = fit(ModelSpec(kind="NB"), X, labels)
+            assert_same_state(got, want)
 
     def test_non_finite_named(self):
         X = np.zeros((3, 2))
@@ -645,7 +663,21 @@ class TestRF:
         assert rf_acc > 0.9
 
 
+_SLICE = classifiers._JSON_SLICE
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("n", [0, 1, _SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1])
+    def test_arrays_in_slices_write_the_bytes_of_one_dumps(self, n):
+        rng = np.random.default_rng(n)
+        doc = {"n": n, "state": {"floats": rng.normal(size=n),
+                                 "ints": rng.integers(-9, 9, n),
+                                 "pairs": rng.integers(0, 99, (n, 2))}}
+        fh = io.StringIO()
+        classifiers._write_json(fh, doc)
+        assert fh.getvalue() == json.dumps(
+            {"n": n, "state": {k: v.tolist() for k, v in doc["state"].items()}})
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_roundtrip_reproduces_predictions(self, kind, tmp_path):
         rng = np.random.default_rng(17)

@@ -3,8 +3,11 @@ import json
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -448,6 +451,26 @@ def test_capture_summary_logs_each_skip_reason(tmp_path, caplog):
     assert caplog.messages == [
         f"{capture}: 5 records -> 1 flows (3 skipped: 1 truncated, 1 link, "
         "1 fragment, 0 protocol; 0 reordered)"]
+
+
+PIPELINE_IMPORTS = """
+import json, sys
+from botmeter import cli
+code = cli.main(["pipeline", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_pipeline_does_not_import_numpy_ma(corpus, tmp_path):
+    # numpy.ma adds about 1.3 MB to the peak; np.unique and np.median, for
+    # example, import it.
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", PIPELINE_IMPORTS, str(corpus), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300,
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
 
 
 class TestPipeline:

@@ -150,6 +150,25 @@ class TestFeatureCsv:
             ("WARNING", f"{path}: unknown column name(s) kept as-is: "
                         "'Fwd Pkt Rate', 'Bwd Pkt Rate'")] * 2
 
+    def test_flow_csv_unknown_headers_are_one_warning_per_file(self, tmp_path,
+                                                               caplog):
+        from test_labeling import flow
+
+        plain = tmp_path / "plain.csv"
+        write_flow_csv(plain, [flow(values=ZEROS), flow(values=ZEROS)], ["Botnet"] * 2)
+        lines = plain.read_text(encoding="utf-8").splitlines()
+        odd = tmp_path / "odd.csv"
+        odd.write_text("".join(f"{line},{extra}\n" for line, extra in
+                               zip(lines, (" Fwd  Pkt Rate ", "7", "8"))),
+                       encoding="utf-8")
+        with caplog.at_level("DEBUG", logger="botmeter.dataset"):
+            got = read_flow_rows(odd)
+            want = read_flow_rows(plain)
+        # The column is ignored; a file of known names is quiet.
+        assert got == want
+        assert [(r.levelname, r.message) for r in caplog.records] == [
+            ("WARNING", f"{odd}: unknown column name(s) ignored: 'Fwd Pkt Rate'")]
+
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("a,b,c\n1,2,3\n1,2\n")
