@@ -122,7 +122,14 @@ class FeatureTable:
                 f"row width {self.rows.shape} does not match "
                 f"{len(self.columns)} columns")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            labels = np.asarray(self.labels)
+            # The labels as given, before the int cast, by the rule of
+            # ``classifiers.fit``: 0.5 is not class 0.  One class is legal here.
+            if not ((labels == 0) | (labels == 1)).all():
+                # Only here: np.unique imports numpy.ma (about 1.3 MB).
+                raise ValidationError(
+                    f"labels must be 0 or 1 (got {np.unique(labels).tolist()})")
+            self.labels = labels.astype(np.int64, copy=False)
             if len(self.labels) != len(self.rows):
                 raise ValidationError("labels length must equal row count")
 

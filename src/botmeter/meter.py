@@ -72,7 +72,7 @@ _INF = float("inf")
 
 
 class FlowAccumulator:
-    """In-progress state for one flow; updated packet by packet.
+    """In-progress state for one flow; ``FlowTable.offer_packet`` adds later packets.
 
     ``flag_counts`` holds the TCP flag counts in FIN SYN RST PSH ACK URG CWR
     ECE order.  Every sample is an integer, so statistics are exact integer
@@ -124,81 +124,6 @@ class FlowAccumulator:
         self.fwd_fin = 1 if flags & FIN else 0
         self.bwd_psh = self.bwd_urg = self.bwd_fin = 0
 
-    def add(self, pkt: PacketRecord, activity_timeout_us: int) -> None:
-        """Attribute one more packet to this flow."""
-        ts, src_ip, _, src_port, _, _, length, header_len, flags, window = pkt
-        iat = ts - self.last_ts_us
-        if iat > activity_timeout_us:
-            period = (self.last_ts_us - self.activity_start_ts, iat)
-            if self.periods is None:
-                self.periods = [period]
-            else:
-                self.periods.append(period)
-            self.activity_start_ts = ts
-        self.last_ts_us = ts
-        self.iat_sq += iat * iat
-        if iat < self.iat_lo:
-            self.iat_lo = iat
-        if iat > self.iat_hi:
-            self.iat_hi = iat
-        if src_port == self.fwd_port and src_ip == self.fwd_ip:
-            iat = ts - self.fwd_last_ts
-            self.fwd_last_ts = ts
-            self.fwd_iat_sq += iat * iat
-            if iat < self.fwd_iat_lo:
-                self.fwd_iat_lo = iat
-            if iat > self.fwd_iat_hi:
-                self.fwd_iat_hi = iat
-            self.fwd_n += 1
-            self.fwd_sum += length
-            self.fwd_sq += length * length
-            if length < self.fwd_lo:
-                self.fwd_lo = length
-            if length > self.fwd_hi:
-                self.fwd_hi = length
-            self.fwd_header_bytes += header_len
-            if window is not None and self.init_fwd_win < 0:
-                self.init_fwd_win = window
-            if flags:
-                if flags & PSH:
-                    self.fwd_psh += 1
-                if flags & URG:
-                    self.fwd_urg += 1
-                if flags & FIN:
-                    self.fwd_fin += 1
-        else:
-            if self.bwd_n:
-                iat = ts - self.bwd_last_ts
-                self.bwd_iat_sq += iat * iat
-                if iat < self.bwd_iat_lo:
-                    self.bwd_iat_lo = iat
-                if iat > self.bwd_iat_hi:
-                    self.bwd_iat_hi = iat
-            else:
-                self.bwd_first_ts = ts
-            self.bwd_last_ts = ts
-            self.bwd_n += 1
-            self.bwd_sum += length
-            self.bwd_sq += length * length
-            if length < self.bwd_lo:
-                self.bwd_lo = length
-            if length > self.bwd_hi:
-                self.bwd_hi = length
-            self.bwd_header_bytes += header_len
-            if window is not None and self.init_bwd_win < 0:
-                self.init_bwd_win = window
-            if flags:
-                if flags & PSH:
-                    self.bwd_psh += 1
-                if flags & URG:
-                    self.bwd_urg += 1
-                if flags & FIN:
-                    self.bwd_fin += 1
-        if flags:
-            counts = self.flag_counts
-            for slot in _FLAG_SLOTS[flags]:
-                counts[slot] += 1
-
 
 class FlowTable:
     """Single-writer table of live flows keyed by canonical 5-tuple.  A
@@ -208,6 +133,8 @@ class FlowTable:
     def __init__(self, config: MeterConfig | None = None):
         self.config = config or MeterConfig()
         self._live: dict[tuple, FlowAccumulator | PacketRecord] = {}
+        self._flow_timeout_us = self.config.flow_timeout_us
+        self._activity_timeout_us = self.config.activity_timeout_us
 
     def offer_packet(self, pkt: PacketRecord) -> list[FlowAccumulator | PacketRecord]:
         """Feed one packet; return any flows it finalized, a one-packet flow
@@ -218,7 +145,7 @@ class FlowTable:
         forward direction is set by the packet.  A TCP flow ends on any RST,
         or on the first ACK after FINs were seen in both directions.
         """
-        ts, src_ip, dst_ip, src_port, dst_port, protocol, _, _, flags, _ = pkt
+        ts, src_ip, dst_ip, src_port, dst_port, protocol, length, header_len, flags, window = pkt
         if src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port):
             key = (src_ip, src_port, dst_ip, dst_port, protocol)
         else:
@@ -227,7 +154,7 @@ class FlowTable:
         flow = self._live.get(key)
         if flow is not None:
             held = flow.__class__ is not FlowAccumulator
-            if ts - (flow[0] if held else flow.last_ts_us) >= self.config.flow_timeout_us:
+            if ts - (flow[0] if held else flow.last_ts_us) >= self._flow_timeout_us:
                 finalized.append(self._live.pop(key))
                 flow = None
             elif held:
@@ -238,9 +165,79 @@ class FlowTable:
             else:
                 self._live[key] = pkt
             return finalized
-        ends_by_ack = flow.fwd_fin > 0 and flow.bwd_fin > 0 and flags & ACK
-        flow.add(pkt, self.config.activity_timeout_us)
-        if flags & RST or ends_by_ack:
+        ends = flags & RST or (flags & ACK and flow.fwd_fin and flow.bwd_fin)
+        iat = ts - flow.last_ts_us
+        if iat > self._activity_timeout_us:
+            period = (flow.last_ts_us - flow.activity_start_ts, iat)
+            if flow.periods is None:
+                flow.periods = [period]
+            else:
+                flow.periods.append(period)
+            flow.activity_start_ts = ts
+        flow.last_ts_us = ts
+        flow.iat_sq += iat * iat
+        if iat < flow.iat_lo:
+            flow.iat_lo = iat
+        if iat > flow.iat_hi:
+            flow.iat_hi = iat
+        if src_port == flow.fwd_port and src_ip == flow.fwd_ip:
+            iat = ts - flow.fwd_last_ts
+            flow.fwd_last_ts = ts
+            flow.fwd_iat_sq += iat * iat
+            if iat < flow.fwd_iat_lo:
+                flow.fwd_iat_lo = iat
+            if iat > flow.fwd_iat_hi:
+                flow.fwd_iat_hi = iat
+            flow.fwd_n += 1
+            flow.fwd_sum += length
+            flow.fwd_sq += length * length
+            if length < flow.fwd_lo:
+                flow.fwd_lo = length
+            if length > flow.fwd_hi:
+                flow.fwd_hi = length
+            flow.fwd_header_bytes += header_len
+            if window is not None and flow.init_fwd_win < 0:
+                flow.init_fwd_win = window
+            if flags:
+                if flags & PSH:
+                    flow.fwd_psh += 1
+                if flags & URG:
+                    flow.fwd_urg += 1
+                if flags & FIN:
+                    flow.fwd_fin += 1
+        else:
+            if flow.bwd_n:
+                iat = ts - flow.bwd_last_ts
+                flow.bwd_iat_sq += iat * iat
+                if iat < flow.bwd_iat_lo:
+                    flow.bwd_iat_lo = iat
+                if iat > flow.bwd_iat_hi:
+                    flow.bwd_iat_hi = iat
+            else:
+                flow.bwd_first_ts = ts
+            flow.bwd_last_ts = ts
+            flow.bwd_n += 1
+            flow.bwd_sum += length
+            flow.bwd_sq += length * length
+            if length < flow.bwd_lo:
+                flow.bwd_lo = length
+            if length > flow.bwd_hi:
+                flow.bwd_hi = length
+            flow.bwd_header_bytes += header_len
+            if window is not None and flow.init_bwd_win < 0:
+                flow.init_bwd_win = window
+            if flags:
+                if flags & PSH:
+                    flow.bwd_psh += 1
+                if flags & URG:
+                    flow.bwd_urg += 1
+                if flags & FIN:
+                    flow.bwd_fin += 1
+        if flags:
+            counts = flow.flag_counts
+            for slot in _FLAG_SLOTS[flags]:
+                counts[slot] += 1
+        if ends:
             finalized.append(self._live.pop(key))
         return finalized
 
@@ -267,10 +264,13 @@ def ingest_capture_detailed(path: str, config: MeterConfig | None = None,
     if emit is None:
         emit = out.append
     flows = 0
+    offer = table.offer_packet
     for pkt in read_capture(path, stats):
-        for flow in table.offer_packet(pkt):
-            emit(compute_features(flow, config))
-            flows += 1
+        finalized = offer(pkt)
+        if finalized:
+            for flow in finalized:
+                emit(compute_features(flow, config))
+            flows += len(finalized)
     for flow in table.flush():
         emit(compute_features(flow, config))
         flows += 1

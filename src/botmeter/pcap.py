@@ -144,7 +144,9 @@ def read_capture(path: str, stats: CaptureStats | None = None) -> Iterator[Packe
 
     Raises OSError for unreadable files and PcapFormatError for files that do
     not start with a known pcap magic.  Truncated or undecodable records bump
-    the corresponding ``stats`` counter and are skipped.
+    the corresponding ``stats`` counter and are skipped.  ``stats.records``
+    and ``stats.decoded`` are added in one step when the reader is exhausted
+    or closed, so the counts are final only then.
     """
     if stats is None:
         stats = CaptureStats()
@@ -184,66 +186,71 @@ def _read_stream(fh: BinaryIO, stats: CaptureStats) -> Iterator[PacketRecord]:
 
     pos, end = 24, len(buf)
     clock = 0  # the latest timestamp of a decoded packet
-    while True:
-        if end - pos < 16:
-            buf = _fill(fh, buf[pos:], 16)
-            pos, end = 0, len(buf)
-            if end < 16:
-                if end:
-                    stats.records += 1
+    records = decoded = 0
+    try:
+        while True:
+            if end - pos < 16:
+                buf = _fill(fh, buf[pos:], 16)
+                pos, end = 0, len(buf)
+                if end < 16:
+                    if end:
+                        records += 1
+                        stats.truncated += 1
+                    return
+            ts_sec, ts_frac, incl_len, _orig_len = unpack_record(buf, pos)
+            records += 1
+            pos += 16
+            if end - pos < incl_len:
+                # Records already in the buffer are shorter than a block, so
+                # only one still to be read can be over-long.
+                if incl_len > max_record:
                     stats.truncated += 1
-                return
-        ts_sec, ts_frac, incl_len, _orig_len = unpack_record(buf, pos)
-        stats.records += 1
-        pos += 16
-        if end - pos < incl_len:
-            # Records already in the buffer are shorter than a block, so
-            # only one still to be read can be over-long.
-            if incl_len > max_record:
-                stats.truncated += 1
-                return
-            buf = _fill(fh, buf[pos:], incl_len)
-            pos, end = 0, len(buf)
-            if end < incl_len:
-                stats.truncated += 1
-                return
-        stop = pos + incl_len
-        ts_us = ts_sec * 1_000_000 + ts_frac // ts_divisor
-        pkt = None
-        # Fused path for Ethernet/IPv4 (IHL 5, not a fragment)/TCP or UDP;
-        # any other frame, or one that fails a check, goes to the chain.
-        if fused and incl_len >= 42:
-            (ethertype, ver_ihl, total_len, frag, protocol, src, dst,
-             sport, dport, udp_len) = unpack_frame(buf, pos)
-            if ethertype == 0x0800 and ver_ihl == 0x45 and not frag & 0x3FFF:
-                if protocol == PROTO_TCP:
-                    if incl_len >= 54:
-                        data_offset, flags, window = unpack_tcp(buf, pos + 46)
-                        data_offset = (data_offset >> 4) * 4
-                        if 20 <= data_offset <= incl_len - 34:
-                            payload = total_len - 20 - data_offset
-                            pkt = _tuple_new(PacketRecord, (
-                                ts_us, src, dst, sport, dport, PROTO_TCP,
-                                payload if payload > 0 else 0, 20 + data_offset,
-                                flags, window))
-                elif protocol == PROTO_UDP:
-                    # min(udp_len, total_len - 20) - 8, without a call.
-                    payload = total_len - 20
-                    payload = (udp_len if udp_len < payload else payload) - 8
-                    pkt = _tuple_new(PacketRecord, (
-                        ts_us, src, dst, sport, dport, PROTO_UDP,
-                        payload if payload > 0 else 0, 28, 0, None))
-        if pkt is None:
-            pkt = decode(buf, pos, stop, ts_us, stats)
-        pos = stop
-        if pkt is not None:
-            stats.decoded += 1
-            if ts_us < clock:
-                stats.reordered += 1
-                pkt = pkt._replace(timestamp_us=clock)
-            else:
-                clock = ts_us
-            yield pkt
+                    return
+                buf = _fill(fh, buf[pos:], incl_len)
+                pos, end = 0, len(buf)
+                if end < incl_len:
+                    stats.truncated += 1
+                    return
+            stop = pos + incl_len
+            ts_us = ts_sec * 1_000_000 + ts_frac // ts_divisor
+            pkt = None
+            # Fused path for Ethernet/IPv4 (IHL 5, not a fragment)/TCP or UDP;
+            # any other frame, or one that fails a check, goes to the chain.
+            if fused and incl_len >= 42:
+                (ethertype, ver_ihl, total_len, frag, protocol, src, dst,
+                 sport, dport, udp_len) = unpack_frame(buf, pos)
+                if ethertype == 0x0800 and ver_ihl == 0x45 and not frag & 0x3FFF:
+                    if protocol == PROTO_TCP:
+                        if incl_len >= 54:
+                            data_offset, flags, window = unpack_tcp(buf, pos + 46)
+                            data_offset = (data_offset >> 4) * 4
+                            if 20 <= data_offset <= incl_len - 34:
+                                payload = total_len - 20 - data_offset
+                                pkt = _tuple_new(PacketRecord, (
+                                    ts_us, src, dst, sport, dport, PROTO_TCP,
+                                    payload if payload > 0 else 0, 20 + data_offset,
+                                    flags, window))
+                    elif protocol == PROTO_UDP:
+                        # min(udp_len, total_len - 20) - 8, without a call.
+                        payload = total_len - 20
+                        payload = (udp_len if udp_len < payload else payload) - 8
+                        pkt = _tuple_new(PacketRecord, (
+                            ts_us, src, dst, sport, dport, PROTO_UDP,
+                            payload if payload > 0 else 0, 28, 0, None))
+            if pkt is None:
+                pkt = decode(buf, pos, stop, ts_us, stats)
+            pos = stop
+            if pkt is not None:
+                decoded += 1
+                if ts_us < clock:
+                    stats.reordered += 1
+                    pkt = pkt._replace(timestamp_us=clock)
+                else:
+                    clock = ts_us
+                yield pkt
+    finally:
+        stats.records += records
+        stats.decoded += decoded
 
 
 # Each decoder reads the frame buf[off:stop]; bytes past ``stop`` belong to

@@ -395,6 +395,27 @@ class TestFeatureCsv:
         assert back.labels.tolist() == [0, 1]
 
 
+class TestFeatureTableLabels:
+    ROWS = [[1.0], [2.0], [3.0]]
+
+    @pytest.mark.parametrize("labels", [[0, 0.5, 1.9], [0, 2, -1]])
+    def test_labels_other_than_0_and_1_are_refused(self, labels):
+        # As given, before the int cast: 0.5 and 1.9 would truncate to 0 and 1.
+        with pytest.raises(ValidationError, match="labels must be 0 or 1"):
+            FeatureTable(["x"], self.ROWS, labels=labels)
+
+    @pytest.mark.parametrize("labels, expected", [
+        ([True, False, True], [1, 0, 1]),
+        ([1.0, 0.0, 0.0], [1, 0, 0]),
+        (np.array([0, 1, 1], dtype=np.uint8), [0, 1, 1]),
+        ([1, 1, 1], [1, 1, 1]),   # one class: fit refuses it, the table does not
+    ])
+    def test_binary_labels_become_ints(self, labels, expected):
+        table = FeatureTable(["x"], self.ROWS, labels=labels)
+        assert table.labels.dtype == np.int64
+        assert table.labels.tolist() == expected
+
+
 def test_binary_collapse():
     assert labels_to_binary(["Normal", "Botnet", "DDoS", "Normal"]) == [0, 1, 1, 0]
     assert labels_to_binary(["ok", "bad"], negative_label="ok") == [0, 1]

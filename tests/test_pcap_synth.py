@@ -288,6 +288,22 @@ class TestBlockReader:
         assert stats.decoded == 11 and stats.skipped_link == 1 and stats.truncated == 1
         assert parse_stream(ShortReads(data, limit)) == (pkts, stats)
 
+    @pytest.mark.parametrize("k", [1, 6, 11])
+    def test_a_reader_closed_early_counts_what_it_read(self, tmp_path, k):
+        # An ARP record first, so that records runs one ahead of decoded.
+        arp = b"\xff" * 12 + struct.pack("!H", 0x0806) + b"\x00" * 28
+        data = mixed_capture()
+        data = data[:24] + struct.pack("<IIII", 0, 0, len(arp), len(arp)) + arp + data[24:]
+        path = tmp_path / "mixed.pcap"
+        path.write_bytes(data)
+        stats = CaptureStats()
+        reader = read_capture(str(path), stats)
+        for _ in range(k):
+            next(reader)
+        reader.close()
+        assert stats.decoded == k
+        assert stats.records == k + 1 and stats.skipped_link == 1
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_cut_capture_yields_a_prefix(self, data):
