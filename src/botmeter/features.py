@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .meter import FlowAccumulator, MeterConfig
-from .pcap import PacketRecord, ip_to_str
+from .pcap import ip_to_str
 
 IDENTITY_COLUMNS = (
     "Flow ID",
@@ -161,10 +161,11 @@ def _moments_of(values: list[int]) -> tuple:
                     min(values, default=0), max(values, default=0))
 
 
-def compute_features(flow: FlowAccumulator | PacketRecord,
+def compute_features(flow: FlowAccumulator | tuple,
                      config: MeterConfig | None = None) -> FeatureVector:
     """Turn a finalized flow, its accumulator or the packet of a one-packet
-    flow, into its feature vector."""
+    flow (a 10-tuple in ``PacketRecord`` field order), into its feature
+    vector."""
     config = config or MeterConfig()
     if flow.__class__ is not FlowAccumulator:
         flow = FlowAccumulator(flow)

@@ -16,8 +16,7 @@ import ipaddress
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .pcap import (ACK, CWR, ECE, FIN, PSH, RST, SYN, URG, CaptureStats,
-                   PacketRecord, read_capture)
+from .pcap import ACK, CWR, ECE, FIN, PSH, RST, SYN, URG, CaptureStats, read_capture
 
 DEFAULT_FLOW_TIMEOUT_US = 120_000_000
 DEFAULT_ACTIVITY_TIMEOUT_US = 5_000_000
@@ -98,7 +97,7 @@ class FlowAccumulator:
         "init_fwd_win", "init_bwd_win", "activity_start_ts", "periods",
     )
 
-    def __init__(self, first: PacketRecord):
+    def __init__(self, first: tuple):
         ts, src_ip, dst_ip, src_port, dst_port, protocol, length, header_len, flags, window = first
         self.fwd_ip = src_ip
         self.fwd_port = src_port
@@ -126,17 +125,19 @@ class FlowAccumulator:
 
 
 class FlowTable:
-    """Single-writer table of live flows keyed by canonical 5-tuple.  A
-    one-packet flow is held as its ``PacketRecord``, which a second packet
-    of its key replaces in place with a ``FlowAccumulator``."""
+    """Single-writer table of live flows keyed by canonical 5-tuple.
+
+    A packet is any 10-tuple in ``PacketRecord`` field order.  A one-packet
+    flow is held as its packet, which a second packet of its key replaces
+    in place with a ``FlowAccumulator``."""
 
     def __init__(self, config: MeterConfig | None = None):
         self.config = config or MeterConfig()
-        self._live: dict[tuple, FlowAccumulator | PacketRecord] = {}
+        self._live: dict[tuple, FlowAccumulator | tuple] = {}
         self._flow_timeout_us = self.config.flow_timeout_us
         self._activity_timeout_us = self.config.activity_timeout_us
 
-    def offer_packet(self, pkt: PacketRecord) -> list[FlowAccumulator | PacketRecord]:
+    def offer_packet(self, pkt: tuple) -> list[FlowAccumulator | tuple]:
         """Feed one packet; return any flows it finalized, a one-packet flow
         as its packet.
 
@@ -150,7 +151,7 @@ class FlowTable:
             key = (src_ip, src_port, dst_ip, dst_port, protocol)
         else:
             key = (dst_ip, dst_port, src_ip, src_port, protocol)
-        finalized: list[FlowAccumulator | PacketRecord] = []
+        finalized: list[FlowAccumulator | tuple] = []
         flow = self._live.get(key)
         if flow is not None:
             held = flow.__class__ is not FlowAccumulator
@@ -196,7 +197,7 @@ class FlowTable:
             if length > flow.fwd_hi:
                 flow.fwd_hi = length
             flow.fwd_header_bytes += header_len
-            if window is not None and flow.init_fwd_win < 0:
+            if flow.init_fwd_win < 0 and window is not None:
                 flow.init_fwd_win = window
             if flags:
                 if flags & PSH:
@@ -224,7 +225,7 @@ class FlowTable:
             if length > flow.bwd_hi:
                 flow.bwd_hi = length
             flow.bwd_header_bytes += header_len
-            if window is not None and flow.init_bwd_win < 0:
+            if flow.init_bwd_win < 0 and window is not None:
                 flow.init_bwd_win = window
             if flags:
                 if flags & PSH:
@@ -241,7 +242,7 @@ class FlowTable:
             finalized.append(self._live.pop(key))
         return finalized
 
-    def flush(self) -> list[FlowAccumulator | PacketRecord]:
+    def flush(self) -> list[FlowAccumulator | tuple]:
         """Finalize all residual flows in flow-start order, as offer_packet."""
         flows = list(self._live.values())
         self._live.clear()

@@ -16,17 +16,17 @@ one record if a record is larger), carries a partial record over to the
 next block and unpacks headers in place with precompiled structs, so its
 memory does not grow with the size of the capture.  A record length above
 both the capture's snaplen and ``MAX_SNAPLEN`` is corrupt: it counts as one
-truncated record and ends the capture unread.  Decoded packets are
-``PacketRecord`` NamedTuples.
+truncated record and ends the capture unread.  Decoded packets are plain
+tuples in ``PacketRecord`` field order; ``PacketRecord._make`` names them.
 
 Almost every captured frame is Ethernet (untagged), IPv4 with a 20-byte
 header that is not a fragment, then TCP or UDP.  The reader decodes such a
-frame with one unpack of Ethernet + IPv4 + the first transport bytes (and
-one more for the TCP data offset, flags and window).  Every other frame,
-and every frame that fails one of those checks, goes to the decoder chain
-(``_LINK_DECODERS``) from its first byte; the chain is the one definition
-of a packet and of each ``CaptureStats`` counter, and the fused path gives
-the same records.
+frame with one unpack of its headers: Ethernet, IPv4 and the first 16
+transport bytes for a frame of 50 bytes or more, or the first 8 for a
+shorter one, which only UDP fits.  Every other frame, and every frame that
+fails one of those checks, goes to the decoder chain (``_LINK_DECODERS``)
+from its first byte; the chain is the one definition of a packet and of
+each ``CaptureStats`` counter, and the fused path gives the same records.
 """
 
 from __future__ import annotations
@@ -75,18 +75,16 @@ _IPV6 = struct.Struct("!B3xHBx16s16s")     # version, payload len, next header, 
 _TCP = struct.Struct("!HH8xBBH")           # ports, data offset, flags, window
 _UDP = struct.Struct("!HHH")               # ports, length
 # The common frame in one unpack: Ethernet type, IPv4 (ver/ihl, total len,
-# frag, proto, src, dst) and the first 8 transport bytes (ports, then the
-# UDP length; for TCP those two bytes are part of the sequence number).
-_ETH_IPV4 = struct.Struct("!12xHBxH2xHxB2x4s4sHHH2x")
-_TCP_TAIL = struct.Struct("!BBH")          # data offset, flags, window
-
-# Builds a PacketRecord from a field tuple without the Python-level __new__
-# that NamedTuple generates; the decoder makes one per packet.
-_tuple_new = tuple.__new__
+# frag, proto, src, dst), the ports, the UDP length (for TCP, part of the
+# sequence number) and the TCP data offset, flags and window (for UDP,
+# payload).  A frame of 42-49 bytes, too short for TCP, takes the first 42.
+_ETH_IPV4 = struct.Struct("!12xHBxH2xHxB2x4s4sHHH6xBBH")
+_ETH_IPV4_UDP = struct.Struct("!12xHBxH2xHxB2x4s4sHHH2x")
 
 
 class PacketRecord(NamedTuple):
-    """One decoded IP packet, the raw input unit of flow metering.
+    """The fields of one decoded IP packet, the raw input unit of flow
+    metering.  The decoder yields plain tuples in this field order.
 
     IP addresses are kept in packed network byte order; ``payload_len`` is
     transport payload bytes and ``header_len`` is IP header plus transport
@@ -139,8 +137,9 @@ def ip_from_str(text: str) -> bytes:
     return socket.inet_pton(socket.AF_INET, text)
 
 
-def read_capture(path: str, stats: CaptureStats | None = None) -> Iterator[PacketRecord]:
-    """Yield decoded packets from a classic pcap file.
+def read_capture(path: str, stats: CaptureStats | None = None) -> Iterator[tuple]:
+    """Yield decoded packets from a classic pcap file, as plain tuples in
+    ``PacketRecord`` field order.
 
     Raises OSError for unreadable files and PcapFormatError for files that do
     not start with a known pcap magic.  Truncated or undecodable records bump
@@ -167,7 +166,7 @@ def _fill(fh: BinaryIO, tail: bytes, need: int) -> bytes:
     return b"".join(parts)
 
 
-def _read_stream(fh: BinaryIO, stats: CaptureStats) -> Iterator[PacketRecord]:
+def _read_stream(fh: BinaryIO, stats: CaptureStats) -> Iterator[tuple]:
     buf = _fill(fh, b"", 24)
     if len(buf) < 24:
         raise PcapFormatError("file too short for a pcap global header")
@@ -182,7 +181,7 @@ def _read_stream(fh: BinaryIO, stats: CaptureStats) -> Iterator[PacketRecord]:
     fused = linktype == LINKTYPE_ETHERNET
     unpack_record = struct.Struct(endian + "IIII").unpack_from
     unpack_frame = _ETH_IPV4.unpack_from
-    unpack_tcp = _TCP_TAIL.unpack_from
+    unpack_udp_frame = _ETH_IPV4_UDP.unpack_from
 
     pos, end = 24, len(buf)
     clock = 0  # the latest timestamp of a decoded packet
@@ -217,26 +216,27 @@ def _read_stream(fh: BinaryIO, stats: CaptureStats) -> Iterator[PacketRecord]:
             # Fused path for Ethernet/IPv4 (IHL 5, not a fragment)/TCP or UDP;
             # any other frame, or one that fails a check, goes to the chain.
             if fused and incl_len >= 42:
-                (ethertype, ver_ihl, total_len, frag, protocol, src, dst,
-                 sport, dport, udp_len) = unpack_frame(buf, pos)
+                if incl_len >= 50:
+                    (ethertype, ver_ihl, total_len, frag, protocol, src, dst, sport,
+                     dport, udp_len, data_offset, flags, window) = unpack_frame(buf, pos)
+                else:
+                    (ethertype, ver_ihl, total_len, frag, protocol, src, dst,
+                     sport, dport, udp_len) = unpack_udp_frame(buf, pos)
+                    data_offset = 0  # no TCP header fits: the chain counts it
                 if ethertype == 0x0800 and ver_ihl == 0x45 and not frag & 0x3FFF:
                     if protocol == PROTO_TCP:
-                        if incl_len >= 54:
-                            data_offset, flags, window = unpack_tcp(buf, pos + 46)
-                            data_offset = (data_offset >> 4) * 4
-                            if 20 <= data_offset <= incl_len - 34:
-                                payload = total_len - 20 - data_offset
-                                pkt = _tuple_new(PacketRecord, (
-                                    ts_us, src, dst, sport, dport, PROTO_TCP,
-                                    payload if payload > 0 else 0, 20 + data_offset,
-                                    flags, window))
+                        data_offset = (data_offset >> 4) * 4
+                        if 20 <= data_offset <= incl_len - 34:
+                            payload = total_len - 20 - data_offset
+                            pkt = (ts_us, src, dst, sport, dport, PROTO_TCP,
+                                   payload if payload > 0 else 0, 20 + data_offset,
+                                   flags, window)
                     elif protocol == PROTO_UDP:
                         # min(udp_len, total_len - 20) - 8, without a call.
                         payload = total_len - 20
                         payload = (udp_len if udp_len < payload else payload) - 8
-                        pkt = _tuple_new(PacketRecord, (
-                            ts_us, src, dst, sport, dport, PROTO_UDP,
-                            payload if payload > 0 else 0, 28, 0, None))
+                        pkt = (ts_us, src, dst, sport, dport, PROTO_UDP,
+                               payload if payload > 0 else 0, 28, 0, None)
             if pkt is None:
                 pkt = decode(buf, pos, stop, ts_us, stats)
             pos = stop
@@ -244,7 +244,7 @@ def _read_stream(fh: BinaryIO, stats: CaptureStats) -> Iterator[PacketRecord]:
                 decoded += 1
                 if ts_us < clock:
                     stats.reordered += 1
-                    pkt = pkt._replace(timestamp_us=clock)
+                    pkt = (clock, *pkt[1:])
                 else:
                     clock = ts_us
                 yield pkt
@@ -257,7 +257,7 @@ def _read_stream(fh: BinaryIO, stats: CaptureStats) -> Iterator[PacketRecord]:
 # the next record, so every length check is against ``stop``.
 
 def _decode_ethernet(buf: bytes, off: int, stop: int, ts_us: int,
-                     stats: CaptureStats) -> PacketRecord | None:
+                     stats: CaptureStats) -> tuple | None:
     if stop - off < 14:
         stats.truncated += 1
         return None
@@ -279,7 +279,7 @@ def _decode_ethernet(buf: bytes, off: int, stop: int, ts_us: int,
 
 
 def _decode_null(buf: bytes, off: int, stop: int, ts_us: int,
-                 stats: CaptureStats) -> PacketRecord | None:
+                 stats: CaptureStats) -> tuple | None:
     if stop - off < 4:
         stats.truncated += 1
         return None
@@ -287,7 +287,7 @@ def _decode_null(buf: bytes, off: int, stop: int, ts_us: int,
 
 
 def _decode_ip_auto(buf: bytes, off: int, stop: int, ts_us: int,
-                    stats: CaptureStats) -> PacketRecord | None:
+                    stats: CaptureStats) -> tuple | None:
     if off >= stop:
         stats.truncated += 1
         return None
@@ -314,7 +314,7 @@ _LINK_DECODERS = {
 
 
 def _decode_ipv4(buf: bytes, off: int, stop: int, ts_us: int,
-                 stats: CaptureStats) -> PacketRecord | None:
+                 stats: CaptureStats) -> tuple | None:
     if stop - off < 20:
         stats.truncated += 1
         return None
@@ -331,7 +331,7 @@ def _decode_ipv4(buf: bytes, off: int, stop: int, ts_us: int,
 
 
 def _decode_ipv6(buf: bytes, off: int, stop: int, ts_us: int,
-                 stats: CaptureStats) -> PacketRecord | None:
+                 stats: CaptureStats) -> tuple | None:
     if stop - off < 40:
         stats.truncated += 1
         return None
@@ -349,7 +349,7 @@ def _decode_ipv6(buf: bytes, off: int, stop: int, ts_us: int,
 
 def _decode_transport(buf: bytes, off: int, stop: int, ts_us: int,
                       src: bytes, dst: bytes, protocol: int, ip_header_len: int,
-                      ip_payload_len: int, stats: CaptureStats) -> PacketRecord | None:
+                      ip_payload_len: int, stats: CaptureStats) -> tuple | None:
     if protocol == PROTO_TCP:
         if stop - off < 20:
             stats.truncated += 1
@@ -359,25 +359,22 @@ def _decode_transport(buf: bytes, off: int, stop: int, ts_us: int,
         if data_offset < 20 or stop - off < data_offset:
             stats.truncated += 1
             return None
-        return _tuple_new(PacketRecord, (
-            ts_us, src, dst, sport, dport, protocol,
-            max(ip_payload_len - data_offset, 0), ip_header_len + data_offset,
-            flags, window))
+        return (ts_us, src, dst, sport, dport, protocol,
+                max(ip_payload_len - data_offset, 0), ip_header_len + data_offset,
+                flags, window)
     if protocol == PROTO_UDP:
         if stop - off < 8:
             stats.truncated += 1
             return None
         sport, dport, udp_len = _UDP.unpack_from(buf, off)
         # The UDP length cannot stretch the payload past the IP packet.
-        return _tuple_new(PacketRecord, (
-            ts_us, src, dst, sport, dport, protocol,
-            max(min(udp_len, ip_payload_len) - 8, 0), ip_header_len + 8, 0, None))
+        return (ts_us, src, dst, sport, dport, protocol,
+                max(min(udp_len, ip_payload_len) - 8, 0), ip_header_len + 8, 0, None)
     if protocol == PROTO_ICMP or protocol == PROTO_ICMPV6:
         if stop - off < 8:
             stats.truncated += 1
             return None
-        return _tuple_new(PacketRecord, (
-            ts_us, src, dst, 0, 0, protocol,
-            max(ip_payload_len - 8, 0), ip_header_len + 8, 0, None))
+        return (ts_us, src, dst, 0, 0, protocol,
+                max(ip_payload_len - 8, 0), ip_header_len + 8, 0, None)
     stats.skipped_protocol += 1
     return None

@@ -251,9 +251,10 @@ def assert_flows_match(meter_flows, oracle_flows, rel_tol=1e-9):
 
 
 def expected_flows(packets, config):
-    """All (identity, features) pairs the meter should produce."""
+    """All (identity, features) pairs the meter should produce from
+    ``packets``, 10-tuples in ``PacketRecord`` field order."""
     out = []
-    for seg in segment_flows(packets, config.flow_timeout_us):
+    for seg in segment_flows(map(PacketRecord._make, packets), config.flow_timeout_us):
         first = seg[0]
         src, dst = ip_to_str(first.src_ip), ip_to_str(first.dst_ip)
         identity = {

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from botmeter import pcap
 from botmeter.errors import PcapFormatError, ValidationError
 from botmeter.features import compute_features
-from botmeter.meter import FlowTable
-from botmeter.pcap import CaptureStats, ip_to_str, read_capture
+from botmeter.meter import FlowTable, MeterConfig
+from botmeter.pcap import CaptureStats, PacketRecord, ip_from_str, ip_to_str, read_capture
 from botmeter.synth import FlowBlueprint, PacketBlueprint, generate_synthetic_capture
 
 import capgen
@@ -31,7 +31,7 @@ def parse_bytes(tmp_path, data, name="t.pcap"):
     path = tmp_path / name
     path.write_bytes(data)
     stats = CaptureStats()
-    return list(read_capture(str(path), stats)), stats
+    return list(map(PacketRecord._make, read_capture(str(path), stats))), stats
 
 
 class TestSynth:
@@ -206,7 +206,7 @@ class CountingReads:
 
 def parse_stream(fh):
     stats = CaptureStats()
-    return list(pcap._read_stream(fh, stats)), stats
+    return list(map(PacketRecord._make, pcap._read_stream(fh, stats))), stats
 
 
 def mixed_capture():
@@ -383,6 +383,7 @@ def chain_reference(data):
         pkt = decode(data, pos, pos + incl, sec * 1_000_000 + frac // divisor, stats)
         pos += incl
         if pkt is not None:
+            pkt = PacketRecord._make(pkt)
             stats.decoded += 1
             if pkt.timestamp_us < clock:
                 stats.reordered += 1
@@ -683,3 +684,83 @@ class TestUdpPayloadBound:
         if pkts and frame[12:14] == b"\x08\x00":
             total_len = struct.unpack_from("!H", frame, 16)[0]
             assert pkts[0].payload_len <= max(total_len - 28, 0)
+
+
+def udp_of(payload_len):
+    """The frame of a one-packet UDP flow, 42 + ``payload_len`` bytes long."""
+    return synth_frame(FlowBlueprint("10.0.0.1", "8.8.8.8", 1000, 53, 17,
+                                     (PacketBlueprint("fwd", payload_len, 1),)))
+
+
+_A, _B = ip_from_str("10.0.0.1"), ip_from_str("8.8.8.8")
+_TCP_RECORD = PacketRecord(0, _A, _B, 1000, 80, 6, 100, 40, 0x10, 8192)
+_TCP_FRAME = synth_frame(blueprint(1))
+
+
+class TestDecodedPacketsArePlainTuples:
+    """The reader yields exact 10-tuples in ``PacketRecord`` field order, from
+    the fused path and from every path of the decoder chain."""
+
+    @pytest.mark.parametrize("frame, linktype, fused, expected", [
+        (_TCP_FRAME, pcap.LINKTYPE_ETHERNET, True, _TCP_RECORD),
+        (udp_of(0), pcap.LINKTYPE_ETHERNET, True,
+         PacketRecord(0, _A, _B, 1000, 53, 17, 0, 28, 0, None)),
+        (udp_of(7), pcap.LINKTYPE_ETHERNET, True,
+         PacketRecord(0, _A, _B, 1000, 53, 17, 7, 28, 0, None)),
+        (udp_of(8), pcap.LINKTYPE_ETHERNET, True,
+         PacketRecord(0, _A, _B, 1000, 53, 17, 8, 28, 0, None)),
+        (vlan_tagged(_TCP_FRAME), pcap.LINKTYPE_ETHERNET, False, _TCP_RECORD),
+        (with_ipv4_options(_TCP_FRAME), pcap.LINKTYPE_ETHERNET, False,
+         _TCP_RECORD._replace(header_len=44)),
+        (synth_frame(blueprint(1, src_ip="2001:db8::1", dst_ip="2001:db8::2")),
+         pcap.LINKTYPE_ETHERNET, False,
+         _TCP_RECORD._replace(src_ip=ip_from_str("2001:db8::1"),
+                              dst_ip=ip_from_str("2001:db8::2"), header_len=60)),
+        (synth_frame(blueprint(1, protocol=1, src_port=0, dst_port=0)),
+         pcap.LINKTYPE_ETHERNET, False,
+         PacketRecord(0, _A, _B, 0, 0, 1, 100, 28, 0, None)),
+        (_TCP_FRAME[14:], pcap.LINKTYPE_RAW, False, _TCP_RECORD),
+        (struct.pack("<I", 2) + _TCP_FRAME[14:], pcap.LINKTYPE_NULL, False, _TCP_RECORD),
+    ], ids=["tcp", "udp-42", "udp-49", "udp-50", "vlan", "ipv4-options", "ipv6",
+            "icmp", "raw-ip", "null-link"])
+    def test_every_path_yields_a_plain_tuple(self, chain_calls, frame, linktype,
+                                             fused, expected):
+        (got,) = pcap._read_stream(io.BytesIO(pcap_bytes([frame], linktype)),
+                                   CaptureStats())
+        assert type(got) is tuple and len(got) == 10
+        assert PacketRecord._make(got)._asdict() == expected._asdict()
+        if linktype == pcap.LINKTYPE_ETHERNET:
+            assert chain_calls == ([] if fused else [frame])
+        chained = pcap._LINK_DECODERS[linktype](frame, 0, len(frame), 0, CaptureStats())
+        assert type(chained) is tuple and chained == got
+
+    def test_the_udp_frames_sit_on_both_sides_of_the_wide_unpack(self):
+        assert [len(udp_of(n)) for n in (0, 7, 8)] == [42, 49, 50]
+
+    def test_a_reordered_packet_is_a_plain_tuple(self):
+        # Fused TCP, then ICMP through the chain and fused UDP stamped earlier.
+        frames = [_TCP_FRAME, synth_frame(blueprint(1, protocol=1, src_port=0, dst_port=0)),
+                  udp_of(100)]
+        in_order = list(pcap._read_stream(io.BytesIO(pcap_bytes(frames)), CaptureStats()))
+        stats = CaptureStats()
+        pkts = list(pcap._read_stream(io.BytesIO(
+            pcap_bytes(frames, stamps=[(5, 0), (3, 0), (4, 999_999)])), stats))
+        assert stats.reordered == 2
+        assert all(type(p) is tuple and len(p) == 10 for p in pkts)
+        assert [p[0] for p in pkts] == [5_000_000] * 3
+        assert [p[1:] for p in pkts] == [p[1:] for p in in_order]
+
+    def test_a_held_one_packet_flow_is_a_plain_tuple(self, tmp_path):
+        path = tmp_path / "held.pcap"
+        path.write_bytes(generate_synthetic_capture(
+            [blueprint(1, protocol=17), varied_flow(3)], 5))
+        packets = list(read_capture(str(path)))
+        table = FlowTable()
+        for pkt in packets:
+            assert table.offer_packet(pkt) == []
+        flows = table.flush()
+        (held,) = [f for f in flows if type(f) is tuple]
+        assert len(flows) == 2 and held in packets and held[5] == 17
+        config = MeterConfig()
+        oracle.assert_flows_match([compute_features(f, config) for f in flows],
+                                  oracle.expected_flows(packets, config))
