@@ -215,24 +215,11 @@ def _csv_cell(value) -> str:
     return out.getvalue()[1:-2]
 
 
-# The text of each feature's cells: ``str`` for an int column, so that a
-# value of another type shows in the text, and ``format_number`` for a
-# float column.
-_FEATURE_TEXT = tuple(str if kind is int else format_number
-                      for _, kind in FEATURE_COLUMNS)
-# The float features of a flow's ``values``.
-_FLOAT_VALUES = itemgetter(*(i for i, (_, kind) in enumerate(FEATURE_COLUMNS)
-                             if kind is float))
-
-
-def _row_format(integral, end: str) -> str:
-    """The %-format of a flow row whose float cells are integral as in
-    ``integral``: ``%d`` for those that are, ``%.6f`` for the rest and
-    ``%s`` for the identity and int cells."""
-    integral = iter(integral)
-    return ",".join(["%s"] * len(IDENTITY_COLUMNS) + [
-        "%s" if kind is int else "%d" if next(integral) else "%.6f"
-        for _, kind in FEATURE_COLUMNS]) + end
+# Every feature cell, each followed by a comma: ``%s`` (``str``) for an int
+# column, so that a value of another type shows in the text, and ``%.6f``
+# for a float column.
+_FEATURE_FORMAT = "".join("%s," if kind is int else "%.6f,"
+                          for _, kind in FEATURE_COLUMNS)
 
 
 def write_flow_csv(path, flows, labels=None, *, append=False) -> None:
@@ -241,12 +228,13 @@ def write_flow_csv(path, flows, labels=None, *, append=False) -> None:
     given.  With ``append`` the rows go to the end of the file and no
     header is written, so a file can be written in batches.
 
-    Identity cells and labels are written as ``csv.writer`` writes them, and
-    each feature as ``_FEATURE_TEXT`` says.  A row is one %-format, picked by
-    which of its floats are integral.  Two rare rows go through
-    ``csv.writer`` instead: one whose identity text needs quoting, and one
-    with a fraction that rounds to an integer, which ``%.6f`` writes with
-    six zero decimals where ``format_number`` writes an integer.
+    Identity cells and labels are written as ``csv.writer`` writes them:
+    bare, or through ``_csv_cell`` when the identity text needs quoting.
+    Every row's features are one %-format, ``_FEATURE_FORMAT``, whose text
+    then loses ``.000000`` from each integral float cell and the sign of
+    ``-0``: ``format_number``'s rule, applied to the feature text only,
+    where ``.000000,`` can only end a float cell and ``-0.000000,`` can
+    only be one.
     """
     header = [*IDENTITY_COLUMNS, *FEATURE_NAMES]
     if labels is None:
@@ -256,32 +244,27 @@ def write_flow_csv(path, flows, labels=None, *, append=False) -> None:
             raise ValidationError(f"{len(labels)} labels for {len(flows)} flows")
         header.append(LABEL_COLUMN)
         end, row_labels = ",%s\r\n", labels
-    formats: dict[tuple, str] = {}
+    fmt = "%s,%s,%s,%s,%s,%s,%s,%s" + end
     label_cells: dict = {}
     with open(path, "a" if append else "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
         if not append:
-            writer.writerow(header)
+            csv.writer(fh).writerow(header)
         for flow, label in zip(flows, row_labels):
-            integral = tuple(map(float.is_integer, _FLOAT_VALUES(flow.values)))
-            fmt = formats.get(integral)
-            if fmt is None:
-                fmt = formats[integral] = _row_format(integral, end)
-            row = flow[:7] + flow.values
+            ids = flow[0] + flow[1] + flow[3]
+            if "," in ids or '"' in ids or "\n" in ids or "\r" in ids:
+                row = (_csv_cell(flow[0]), _csv_cell(flow[1]), flow[2],
+                       _csv_cell(flow[3]), *flow[4:7])
+            else:
+                row = flow[:7]
+            features = (_FEATURE_FORMAT % flow.values).replace(
+                "-0.000000,", "0,").replace(".000000,", ",")
+            row += (features[:-1],)
             if labels is not None:
                 cell = label_cells.get(label)
                 if cell is None:
                     cell = label_cells[label] = _csv_cell(label)
                 row += (cell,)
-            line = fmt % row
-            ids = flow[0] + flow[1] + flow[3]
-            if ("," in ids or '"' in ids or "\n" in ids or "\r" in ids
-                    or ".000000" in line):
-                cells = [*flow[:7], *(text(v) for text, v
-                                      in zip(_FEATURE_TEXT, flow.values))]
-                writer.writerow(cells if labels is None else [*cells, label])
-            else:
-                fh.write(line)
+            fh.write(fmt % row)
 
 
 def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
@@ -462,16 +445,19 @@ def labels_to_binary(labels, negative_label: str = "Normal") -> list[int]:
 
 def train_test_split(table: FeatureTable, ratio: float,
                      seed: int) -> tuple[FeatureTable, FeatureTable]:
-    """Seeded uniform random partition; train gets round(ratio * n) rows."""
+    """Seeded uniform random partition; train gets round(ratio * n) rows.
+    A split that leaves either half empty is refused."""
     if not 0 < ratio < 1:
         raise ValidationError(f"split ratio must be in (0, 1), got {ratio}")
     if table.labels is None:
         raise ValidationError("train_test_split needs a labeled table")
     n = table.n_rows
-    if n < 2:
-        raise ValidationError("need at least 2 rows to split")
-    perm = np.random.default_rng(seed).permutation(n)
     cut = _round_half_up(ratio * n)
+    if not 0 < cut < n:
+        raise ValidationError(
+            f"split ratio {ratio} of {n} rows leaves the "
+            f"{'test' if cut else 'train'} half empty")
+    perm = np.random.default_rng(seed).permutation(n)
     return table.take(perm[:cut]), table.take(perm[cut:])
 
 

@@ -119,7 +119,8 @@ class TestStageCommands:
         universal = tmp_path / "universal.csv"
         universal.write_text("name,count\nFlow IAT Mean,2\n", encoding="utf-8")
         (tmp_path / "labeled.csv").write_text(
-            "Flow IAT Mean,Label\n1,Normal\n2,Botnet\n", encoding="utf-8")
+            "Flow IAT Mean,Label\n1,Normal\n2,Botnet\n3,Normal\n4,Botnet\n",
+            encoding="utf-8")
         with caplog.at_level("DEBUG", logger="botmeter.cli"):
             code = run_cli("train", tmp_path / "labeled.csv", "--universal",
                            universal, "--out", tmp_path / "models")
@@ -214,6 +215,18 @@ class TestStageCommands:
                        "--out", tmp_path / "models") == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: X has no feature columns"]
+
+    def test_train_refuses_a_split_with_an_empty_half(self, tmp_path, capsys):
+        from test_labeling import flow
+
+        labeled = tmp_path / "labeled.csv"
+        write_flow_csv(labeled, [flow(values=ZEROS)] * 10, ["Botnet", "Normal"] * 5)
+        universal = tmp_path / "universal.csv"
+        universal.write_text("name,count\nFlow Duration,1\n", encoding="utf-8")
+        assert run_cli("train", labeled, "--universal", universal, "--ratio", 0.04,
+                       "--out", tmp_path / "models") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: split ratio 0.04 of 10 rows leaves the train half empty"]
 
     def test_rank_has_no_seed_flag(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -555,6 +568,19 @@ class TestPipeline:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"pipeline failed at stage {stage!r}: "
                        f"{exc_type.__name__}: boom"]
+
+    def test_a_split_with_an_empty_half_fails_in_train_stage(self, corpus,
+                                                            tmp_path):
+        config = cli.load_pipeline_config(corpus)
+        out = tmp_path / "out"
+        assert cli.run_pipeline(cli.PipelineConfig(
+            manifests=config.manifests[:1], meter=config.meter, out_dir=out,
+            ratio=0.999, threshold=1)) == 1
+        rows = len(read_feature_csv(
+            out / f"labeled_{config.manifests[0].name}.csv").rows)
+        assert (out / "FAILED").read_text() == (
+            f"stage: train\nValidationError: split ratio 0.999 of {rows} rows "
+            "leaves the test half empty\n")
 
     def test_scores_the_models_it_fit_without_reading_them_back(
             self, corpus, tmp_path, monkeypatch):

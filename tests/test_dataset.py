@@ -590,6 +590,30 @@ class TestFlowCsvWriter:
             assert [row[i] for i in cells] == ["1000000000000000", "2"]
         assert second.read_bytes() == first.read_bytes()
 
+    # The text that the writer strips from its float cells, in identity
+    # cells and labels, where it must stay: a quoted flow ID, bare addresses
+    # beside it and in a row that needs no quoting, and a quoted label.
+    EDGE_FLOATS = (-0.0, -1e-7, 2.0000001, -2.0000001, 1e15, 1e300,
+                   math.nan, math.inf, -math.inf, 0.5)
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_identity_and_label_text_like_float_cells_is_kept(self, tmp_path,
+                                                             labeled):
+        floats = iter(self.EDGE_FLOATS * 5)
+        values = [tuple(next(floats) if kind is float else -i
+                        for i, (_, kind) in enumerate(FEATURE_COLUMNS))
+                  for _ in range(2)]
+        flows = [
+            FeatureVector("a.000000,-0.000000,b", "1.000000", 0, "-0.000000",
+                          0, 6, 0, values[0]),
+            FeatureVector("c.000000-0.000000", "2.000000", 1, "-0.000000",
+                          2, 17, 3, values[1]),
+        ]
+        labels = ["x.000000,-0.000000,", "-0.000000"] if labeled else None
+        path = tmp_path / "flows.csv"
+        write_flow_csv(path, flows, labels)
+        assert path.read_bytes() == reference_flow_csv(flows, labels)
+
 
 class TestSplit:
     def table(self, n, seed=0):
@@ -617,11 +641,25 @@ class TestSplit:
             with pytest.raises(ValidationError):
                 train_test_split(self.table(10), ratio, seed=1)
 
+    @pytest.mark.parametrize("n, ratio, half", [
+        (10, 0.95, "test"), (2, 0.8, "test"), (10, 0.04, "train"),
+        (1, 0.8, "test"), (1, 0.2, "train"), (0, 0.5, "train")])
+    def test_a_split_with_an_empty_half_is_refused(self, n, ratio, half):
+        with pytest.raises(ValidationError) as info:
+            train_test_split(self.table(n), ratio, seed=1)
+        assert str(info.value) == (
+            f"split ratio {ratio} of {n} rows leaves the {half} half empty")
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
            ratio=st.floats(0.05, 0.95))
     def test_partition_property(self, n, seed, ratio):
         table = self.table(n, seed=n)
+        cut = math.floor(ratio * n + 0.5)
+        if cut in (0, n):  # e.g. n = 2 at ratio 0.8
+            with pytest.raises(ValidationError, match="half empty"):
+                train_test_split(table, ratio, seed)
+            return
         train, test = train_test_split(table, ratio, seed)
         assert train.n_rows + test.n_rows == n
         merged = np.vstack([train.rows, test.rows])

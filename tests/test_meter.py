@@ -353,8 +353,11 @@ class TestHeldFlows:
         st.integers(0, 1460), st.sampled_from([TCP, UDP]),
         st.sampled_from([0, 1, 1024, 65535]))
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(STEP, max_size=40))
+    # Lists of up to 19 steps.  A failing list still shrinks, but is not
+    # explained: Hypothesis's explain phase took 190 s of a 207 s failing run.
+    @settings(max_examples=150, deadline=None,
+              phases=[phase for phase in Phase if phase is not Phase.explain])
+    @given(st.lists(STEP, max_size=19))
     def test_flows_match_the_oracle(self, steps):
         self.check_steps(steps)
 
