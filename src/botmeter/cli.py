@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from contextlib import closing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -143,8 +143,13 @@ def _timeout_us(key: str, seconds) -> int:
     return int(us)
 
 
-# Hyperparameters a config's ``models.<KIND>`` may set.
-_MODEL_PARAMS = frozenset(f.name for f in fields(classifiers.ModelSpec)) - {"kind", "seed"}
+# Hyperparameters a config's ``models.<KIND>`` may set, by kind.
+_MODEL_PARAMS = {
+    "NB": {"var_smoothing"},
+    "KNN": {"k"},
+    "RF": {"n_trees", "max_features", "min_samples_split", "bootstrap"},
+    "LR": {"l2_lambda", "max_iters"},
+}
 
 
 def build_model_specs(seed: int, overrides: dict | None) -> list[classifiers.ModelSpec]:
@@ -155,7 +160,7 @@ def build_model_specs(seed: int, overrides: dict | None) -> list[classifiers.Mod
     for kind, params in overrides.items():
         if kind not in classifiers.KINDS:
             raise ValidationError(f"models: unknown classifier kind {kind!r}")
-        unknown = sorted(set(params) - _MODEL_PARAMS)
+        unknown = sorted(set(params) - _MODEL_PARAMS[kind])
         if unknown:
             raise ValidationError(
                 f"models.{kind}: unknown key(s) {', '.join(map(repr, unknown))}")

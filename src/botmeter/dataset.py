@@ -16,6 +16,7 @@ import logging
 import math
 import re
 from array import array
+from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
 from operator import itemgetter
@@ -275,10 +276,10 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
     non-numeric cells and non-finite cells (``inf``, ``Infinity``, ``NaN``)
     are format errors naming the line and column.
 
-    Cells are read as ``number_cells`` reads them, but a row at a time, and
-    finiteness is checked once on the whole matrix.  Only when a row or the
-    matrix fails is the file read again through ``number_cells``, which
-    names the first bad cell in line order.
+    The file is read once, in line order.  A row whose feature cells pass
+    ``_unwritten_number_text`` and ``float`` and have a finite sum is taken
+    as read; any other goes to ``number_cells``, which names its first bad
+    cell or, when only the sum of finite cells overflowed, returns them.
     """
     with closing(csv_rows(path)) as records:
         header = _canonical_header(path, next(records), "kept as-is")
@@ -286,26 +287,28 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
                        if name not in IDENTITY_COLUMNS and name != LABEL_COLUMN]
         label_idx = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
         columns = [header[i] for i in feature_idx]
+        kinds = [(name, float) for name in columns]
         cells = (itemgetter(*feature_idx) if len(feature_idx) > 1
                  else lambda row: [row[i] for i in feature_idx])
         values = array("d")
         labels: list[str] = []
         n_rows = 0
-        try:
-            for _, row in records:
-                texts = cells(row)
+        for line_no, row in records:
+            texts = cells(row)
+            try:
                 if _unwritten_number_text("".join(texts)):
                     raise ValueError
-                values.fromlist(list(map(float, texts)))
-                if label_idx is not None:
-                    labels.append(row[label_idx])
-                n_rows += 1
-            rows = np.frombuffer(values).reshape(n_rows, len(columns))
-            if not np.isfinite(rows).all():
-                raise ValueError
-        except (ValueError, CsvFormatError):
-            _read_every_cell(path, feature_idx, [(name, float) for name in columns])
-            raise
+                floats = list(map(float, texts))
+                total = sum(floats)
+                if total - total:  # nan when a cell, or the sum, is not finite
+                    raise ValueError
+            except ValueError:
+                floats = number_cells(path, row, feature_idx, kinds, line_no)
+            values.fromlist(floats)
+            if label_idx is not None:
+                labels.append(row[label_idx])
+            n_rows += 1
+    rows = np.frombuffer(values).reshape(n_rows, len(columns))
     table_labels = None
     if label_idx is not None:
         if all(lb in ("0", "1") for lb in labels):
@@ -316,24 +319,27 @@ def read_feature_csv(path, negative_label: str = "Normal") -> FeatureTable:
 
 
 def _canonical_header(path, names, fate: str) -> list[str]:
-    """Each header name in its canonical spelling.  The names no alias maps
-    are logged in one warning per file, with their ``fate``: an alias
-    missing from NAME_ALIASES splits one feature in two across datasets."""
+    """Each header name in its canonical spelling; two names of one spelling
+    are refused.  The names no alias maps are logged in one warning per
+    file, with their ``fate``: an alias missing from NAME_ALIASES splits
+    one feature in two across datasets."""
     named = [normalize_feature_name(name) for name in names]
+    header = [name for name, _ in named]
+    refuse_repeated_names(path, header)
     unknown = [name for name, known in named if not known]
     if unknown:
         logger.warning("%s: unknown column name(s) %s: %s", path, fate,
                        ", ".join(map(repr, unknown)))
-    return [name for name, _ in named]
+    return header
 
 
-def _read_every_cell(path, indices, columns) -> None:
-    """Read the cells of ``path`` at ``indices`` through ``number_cells``,
-    row by row, which raises for the first bad one."""
-    with closing(csv_rows(path)) as records:
-        next(records)
-        for line_no, row in records:
-            number_cells(path, row, indices, columns, line_no)
+def refuse_repeated_names(path, header) -> None:
+    """A header that names one column twice is a format error naming each
+    repeated name: which of the two columns to read would be a guess."""
+    repeated = [name for name, n in Counter(header).items() if n > 1]
+    if repeated:
+        raise CsvFormatError(f"{path}: column(s) named more than once: "
+                             f"{', '.join(map(repr, repeated))}")
 
 
 def _unwritten_number_text(text: str) -> bool:

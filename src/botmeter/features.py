@@ -8,7 +8,6 @@ finite and numeric.
 
 from __future__ import annotations
 
-import ipaddress
 import math
 from functools import lru_cache
 from typing import NamedTuple
@@ -122,18 +121,6 @@ _tuple_new = tuple.__new__
 _address_text = lru_cache(maxsize=1024)(ip_to_str)
 
 
-@lru_cache(maxsize=8)
-def _home_networks(prefixes: tuple[str, ...]) -> dict[int, tuple]:
-    """Packed address length (4 or 16) -> the (network, netmask) integers
-    of the prefixes of that family, in order."""
-    nets: dict[int, list] = {4: [], 16: []}
-    for p in prefixes:
-        net = ipaddress.ip_network(p)
-        nets[4 if net.version == 4 else 16].append(
-            (int(net.network_address), int(net.netmask)))
-    return {size: tuple(v) for size, v in nets.items()}
-
-
 def _variance(n: int, s: int, q: int) -> float:
     """Sample variance of n integers with sum s and sum of squares q: the
     exact (n·q − s²) / (n(n−1)), correctly rounded by one int division; 0
@@ -201,7 +188,7 @@ def compute_features(flow: FlowAccumulator | tuple,
     # ``addr in network`` in ipaddress is this same masked comparison.
     dst = int.from_bytes(flow.dst_ip, "big")
     inbound = 0
-    for net, mask in _home_networks(config.home_prefixes)[len(flow.dst_ip)]:
+    for net, mask in config.home_networks[len(flow.dst_ip)]:
         if dst & mask == net:
             inbound = 1
             break

@@ -20,7 +20,7 @@ from contextlib import closing
 from dataclasses import astuple, dataclass, field
 from operator import itemgetter
 
-from .dataset import address_cell, csv_rows, number_cells
+from .dataset import address_cell, csv_rows, number_cells, refuse_repeated_names
 from .errors import CsvFormatError, ValidationError
 from .features import FeatureVector
 
@@ -172,11 +172,13 @@ def parse_rules(path: str) -> list[LabelRule]:
     wildcard.  The file is read by ``dataset.csv_rows`` and its cells,
     stripped of surrounding whitespace, by ``dataset.address_cell`` and
     ``dataset.number_cells``, so a ragged row, text that is not UTF-8 and an
-    unreadable address or number are format errors; every error names the
-    file, and the line of a bad row."""
+    unreadable address or number are format errors, as is a header that
+    names one column twice; every error names the file, and the line of a
+    bad row."""
     rules = []
     with closing(csv_rows(path)) as records:
         header = next(records)
+        refuse_repeated_names(path, header)
         missing = [c for c in _MANDATORY if c not in header]
         if missing:
             raise CsvFormatError(f"{path}: rule file missing mandatory column(s): "

@@ -13,7 +13,7 @@ The table keys its live flows by the canonical tuple
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .pcap import ACK, CWR, ECE, FIN, PSH, RST, SYN, URG, CaptureStats, read_capture
@@ -35,12 +35,16 @@ class MeterConfig:
     """Flow metering parameters.
 
     Packet length basis is fixed to transport payload bytes; header bytes
-    only feed the Fwd/Bwd Header Length features.
+    only feed the Fwd/Bwd Header Length features.  ``home_networks`` holds
+    the parsed ``home_prefixes``: packed address length (4 or 16) -> the
+    (network, netmask) integers of that family's prefixes, in order.  It is
+    derived, so it takes no part in equality, hashing or ``repr``.
     """
 
     flow_timeout_us: int = DEFAULT_FLOW_TIMEOUT_US
     activity_timeout_us: int = DEFAULT_ACTIVITY_TIMEOUT_US
     home_prefixes: tuple[str, ...] = DEFAULT_HOME_PREFIXES
+    home_networks: dict[int, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.flow_timeout_us > self.activity_timeout_us > 0:
@@ -50,13 +54,17 @@ class MeterConfig:
         if isinstance(self.home_prefixes, str):
             raise ValidationError("home_prefixes must be a sequence of prefixes, "
                                   f"not the string {self.home_prefixes!r}")
-        # A tuple, so that features can cache the parsed networks by it.
         object.__setattr__(self, "home_prefixes", tuple(self.home_prefixes))
+        nets: dict[int, list] = {4: [], 16: []}
         for prefix in self.home_prefixes:
             try:
-                ipaddress.ip_network(prefix)
+                net = ipaddress.ip_network(prefix)
             except ValueError as exc:
                 raise ValidationError(f"bad home prefix {prefix!r}: {exc}") from None
+            nets[4 if net.version == 4 else 16].append(
+                (int(net.network_address), int(net.netmask)))
+        object.__setattr__(self, "home_networks",
+                           {size: tuple(v) for size, v in nets.items()})
 
 
 # Flag-count slots, in FIN SYN RST PSH ACK URG CWR ECE order; for each TCP

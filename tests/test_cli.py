@@ -6,7 +6,7 @@ import struct
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from botmeter.synth import FlowBlueprint, PacketBlueprint, generate_synthetic_ca
 import capgen
 import oracle
 from test_dataset import ZEROS
+from test_labeling import flow
 
 
 def run_cli(*argv):
@@ -147,8 +148,6 @@ class TestStageCommands:
 
     @pytest.mark.parametrize("cell", ["Infinity", "inf", "-inf", "NaN", "nan"])
     def test_label_rejects_non_finite_feature_cell(self, tmp_path, capsys, cell):
-        from test_labeling import flow
-
         rows = [flow(sport=sport, values=ZEROS)
                 for sport in (1000, 1001)]
         features = tmp_path / "features.csv"
@@ -170,8 +169,6 @@ class TestStageCommands:
         assert not labeled.exists()
 
     def test_label_rejects_non_utf8_flow_csv(self, tmp_path, capsys):
-        from test_labeling import flow
-
         features = tmp_path / "features.csv"
         write_flow_csv(features, [flow(values=ZEROS)])
         features.write_bytes(features.read_bytes().replace(b"8.8.8.8-", b"\xff-"))
@@ -185,8 +182,6 @@ class TestStageCommands:
         assert not labeled.exists()
 
     def test_label_refuses_number_text_no_writer_emits(self, tmp_path, capsys):
-        from test_labeling import flow
-
         features = tmp_path / "features.csv"
         write_flow_csv(features, [flow(values=ZEROS)])
         lines = features.read_text(encoding="utf-8").splitlines()
@@ -205,8 +200,6 @@ class TestStageCommands:
         assert not labeled.exists()
 
     def test_train_refuses_an_empty_universal_set(self, tmp_path, capsys):
-        from test_labeling import flow
-
         labeled = tmp_path / "labeled.csv"
         write_flow_csv(labeled, [flow(values=ZEROS)] * 4, ["Botnet", "Normal"] * 2)
         universal = tmp_path / "universal.csv"
@@ -217,8 +210,6 @@ class TestStageCommands:
             "error: X has no feature columns"]
 
     def test_train_refuses_a_split_with_an_empty_half(self, tmp_path, capsys):
-        from test_labeling import flow
-
         labeled = tmp_path / "labeled.csv"
         write_flow_csv(labeled, [flow(values=ZEROS)] * 10, ["Botnet", "Normal"] * 5)
         universal = tmp_path / "universal.csv"
@@ -428,11 +419,32 @@ def test_build_model_specs_default_order():
     ({"LR": {"max_iters": 50.0}}, "max_iters must be an integer, got 50.0"),
     ({"LR": {"l2_lambda": "1"}}, "l2_lambda must be a real number, got '1'"),
     ({"NB": {"var_smoothing": None}}, "var_smoothing must be a real number, got None"),
+    ({"NB": {"n_trees": 5, "k": 99}}, "models.NB: unknown key(s) 'k', 'n_trees'"),
+    ({"LR": {"bootstrap": False}}, "models.LR: unknown key(s) 'bootstrap'"),
+    ({"KNN": {"k": 3, "var_smoothing": 1e-9}},
+     "models.KNN: unknown key(s) 'var_smoothing'"),
+    ({"RF": {"n_trees": 5, "l2_lambda": 2.0, "max_iters": 9}},
+     "models.RF: unknown key(s) 'l2_lambda', 'max_iters'"),
 ])
 def test_build_model_specs_rejects_bad_overrides(overrides, message):
     with pytest.raises(ValidationError) as info:
         cli.build_model_specs(0, overrides)
     assert str(info.value) == message
+
+
+def test_each_kind_takes_its_own_hyperparameters():
+    specs = cli.build_model_specs(0, {
+        "NB": {"var_smoothing": 1e-8}, "KNN": {"k": 3},
+        "RF": {"n_trees": 5, "max_features": 2, "min_samples_split": 4,
+               "bootstrap": False},
+        "LR": {"l2_lambda": 0.5, "max_iters": 50}})
+    assert [(s.kind, s.var_smoothing, s.k, s.n_trees, s.l2_lambda) for s in specs] == [
+        ("NB", 1e-8, 5, 100, 1.0), ("KNN", 1e-9, 3, 100, 1.0),
+        ("RF", 1e-9, 5, 5, 1.0), ("LR", 1e-9, 5, 100, 0.5)]
+    # Every ModelSpec hyperparameter belongs to exactly one kind.
+    keys = [key for params in cli._MODEL_PARAMS.values() for key in params]
+    assert sorted(keys) == sorted(
+        f.name for f in fields(classifiers.ModelSpec) if f.name not in ("kind", "seed"))
 
 
 def test_bad_model_override_fails_at_config_load(tmp_path, capsys):

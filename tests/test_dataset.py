@@ -19,6 +19,7 @@ from botmeter.features import (FEATURE_COLUMNS, FEATURE_NAMES, IDENTITY_COLUMNS,
 from botmeter.pcap import ip_to_str
 
 import capgen
+from test_labeling import flow
 
 # A flow's features, all zero and each of its column's type.
 ZEROS = tuple(kind(0) for _, kind in FEATURE_COLUMNS)
@@ -152,8 +153,6 @@ class TestFeatureCsv:
 
     def test_flow_csv_unknown_headers_are_one_warning_per_file(self, tmp_path,
                                                                caplog):
-        from test_labeling import flow
-
         plain = tmp_path / "plain.csv"
         write_flow_csv(plain, [flow(values=ZEROS), flow(values=ZEROS)], ["Botnet"] * 2)
         lines = plain.read_text(encoding="utf-8").splitlines()
@@ -177,8 +176,6 @@ class TestFeatureCsv:
 
     @pytest.mark.parametrize("reader", [read_feature_csv, read_flow_rows])
     def test_readers_reject_missing_header_and_ragged_row(self, reader, tmp_path):
-        from test_labeling import flow
-
         empty = tmp_path / "empty.csv"
         empty.write_text("")
         with pytest.raises(CsvFormatError, match="empty.csv: missing header row"):
@@ -195,8 +192,6 @@ class TestFeatureCsv:
     @pytest.mark.parametrize("reader", [read_feature_csv, read_flow_rows])
     def test_readers_reject_non_utf8_text_naming_file_and_line(self, reader,
                                                                tmp_path):
-        from test_labeling import flow
-
         path = tmp_path / "flows.csv"
         write_flow_csv(path, [flow(values=ZEROS), flow(values=ZEROS)])
         data = path.read_bytes().split(b"\r\n")
@@ -218,8 +213,6 @@ class TestFeatureCsv:
             read_feature_csv(path)
 
     def test_non_numeric_cell_names_column(self, tmp_path):
-        from test_labeling import flow
-
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,oops\n")
         with pytest.raises(CsvFormatError) as info:
@@ -248,9 +241,43 @@ class TestFeatureCsv:
         assert str(info.value) == (
             f"{path}: non-finite value {cell!r} in column 'b' at line 4")
 
-    def test_flow_csv_headers_and_labels(self, tmp_path):
-        from test_labeling import flow
+    def test_finite_cells_whose_sum_overflows_are_read(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("a,b,Label\n1e308,1e308,Botnet\n-1e308,-1e308,Normal\n")
+        table = read_feature_csv(path)
+        assert table.rows.tolist() == [[1e308, 1e308], [-1e308, -1e308]]
+        assert table.labels.tolist() == [1, 0]
 
+    def test_first_bad_row_in_line_order_is_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b,Label\n1,2,Normal\n3,inf,Botnet\n"
+                        "1e308,1e308,Normal\n1,2\n")
+        with pytest.raises(CsvFormatError) as info:
+            read_feature_csv(path)
+        assert str(info.value) == (
+            f"{path}: non-finite value 'inf' in column 'b' at line 3")
+
+    def test_repeated_canonical_names_are_refused(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("Tot Fwd Pkts,Fwd Header Length,Total Fwd Packets,"
+                        "Fwd Header Length,Flow Duration,Label\n"
+                        "1,2,3,4,5,Botnet\n")
+        with pytest.raises(CsvFormatError) as info:
+            read_feature_csv(path)
+        assert str(info.value) == (f"{path}: column(s) named more than once: "
+                                   "'Total Fwd Packets', 'Fwd Header Length'")
+
+    def test_flow_csv_repeated_canonical_name_is_refused(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        write_flow_csv(path, [flow(values=ZEROS)], ["Botnet"])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(f"{lines[0]},Tot Fwd Pkts\n{lines[1]},7\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError) as info:
+            read_flow_rows(path)
+        assert str(info.value) == (
+            f"{path}: column(s) named more than once: 'Total Fwd Packets'")
+
+    def test_flow_csv_headers_and_labels(self, tmp_path):
         values = list(ZEROS)
         values[FEATURE_NAMES.index("Packet Length Mean")] = 123.456789
         fv = flow(values=tuple(values))
@@ -272,8 +299,6 @@ class TestFeatureCsv:
                                         "Protocol", "Timestamp"])
     def test_flow_csv_non_integer_identity_cell_names_file_line_column(
             self, column, tmp_path):
-        from test_labeling import flow
-
         rows = [flow(sport=sport, values=ZEROS) for sport in (1000, 1001)]
         path = tmp_path / "flows.csv"
         write_flow_csv(path, rows, ["Botnet"] * len(rows))
@@ -290,8 +315,6 @@ class TestFeatureCsv:
     @pytest.mark.parametrize("text", ["2.0", "7.5", "1e3", "nan", ""])
     def test_flow_csv_float_text_in_int_feature_column_is_refused(self, text,
                                                                    tmp_path):
-        from test_labeling import flow
-
         path = tmp_path / "flows.csv"
         write_flow_csv(path, [flow(values=ZEROS)])
         lines = path.read_text().splitlines()
@@ -313,8 +336,6 @@ class TestFeatureCsv:
                                                     tmp_path):
         # int() and float() read these; a label with a space passes.  The
         # edited row's label has none, so only the edit trips the row test.
-        from test_labeling import flow
-
         path = tmp_path / "flows.csv"
         write_flow_csv(path, [flow(values=ZEROS)] * 2, ["DoS Hulk", "Botnet"])
         reader(path)
@@ -332,8 +353,6 @@ class TestFeatureCsv:
 
     def test_off_type_value_in_int_column_shows_in_the_text(self, tmp_path):
         # Written as its str, not truncated to an int, so reading refuses it.
-        from test_labeling import flow
-
         values = list(ZEROS)
         values[FEATURE_NAMES.index("Total Fwd Packets")] = 2.5
         path = tmp_path / "flows.csv"
@@ -343,8 +362,6 @@ class TestFeatureCsv:
             read_flow_rows(path)
 
     def test_flow_csv_reads_each_column_as_its_type(self, tmp_path):
-        from test_labeling import flow
-
         path = tmp_path / "flows.csv"
         write_flow_csv(path, [flow(values=ZEROS)])
         ((back, _),) = read_flow_csv(path)
@@ -353,8 +370,6 @@ class TestFeatureCsv:
 
     def test_flow_csv_addresses_read_in_flow_text_form(self, tmp_path):
         from botmeter.labeling import label_flows, parse_rules
-        from test_labeling import flow
-
         fv = flow(src="2001:db8:0:0:0:0:0:1", dst="2001:DB8::0:2", values=ZEROS)
         path = tmp_path / "flows.csv"
         write_flow_csv(path, [fv])
@@ -372,8 +387,6 @@ class TestFeatureCsv:
     @pytest.mark.parametrize("text", ["10.0.0.256", "2001:db8::1::2", "host", ""])
     def test_flow_csv_unparsable_address_names_file_line_column(
             self, column, text, tmp_path):
-        from test_labeling import flow
-
         rows = [flow(sport=sport, values=ZEROS) for sport in (1000, 1001)]
         path = tmp_path / "flows.csv"
         write_flow_csv(path, rows)
@@ -459,8 +472,6 @@ class TestFormatNumber:
         # The flow CSV writer formats cells without calling format_number;
         # its float cells must still read exactly as format_number's, and
         # its int cells as str's.
-        from test_labeling import flow
-
         fv = flow(values=values)
         path = tmp_path_factory.mktemp("cells") / "flows.csv"
         write_flow_csv(path, [fv])
@@ -575,8 +586,6 @@ class TestFlowCsvWriter:
     def test_near_integer_float_and_large_int_survive_read_back(self, tmp_path):
         # Six decimals cannot tell 2.0000001 from 2, so it is written "2";
         # the int 10**15 is read back as an int.
-        from test_labeling import flow
-
         values = list(ZEROS)
         values[FEATURE_NAMES.index("Flow Duration")] = 10**15
         values[FEATURE_NAMES.index("Flow IAT Mean")] = 2.0000001

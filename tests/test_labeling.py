@@ -73,8 +73,11 @@ class TestParseRules:
         (HEADER + "*,*,*,*,*," + "x" * 200_000 + "\n",
          CsvFormatError, "field larger than field limit (131072) at line 2"),
         ("", CsvFormatError, "missing header row"),
+        (HEADER.replace("label", "label,label,dst_port")
+         + "10.0.0.5,1,8.8.8.8,80,6,A,B,81\n",
+         CsvFormatError, "column(s) named more than once: 'dst_port', 'label'"),
     ], ids=["no-label-column", "bad-ip", "bad-port", "empty-label", "ragged-row",
-            "window", "field-limit", "empty-file"])
+            "window", "field-limit", "empty-file", "repeated-column"])
     def test_error_names_the_file(self, tmp_path, text, error, message):
         path = rules_csv(tmp_path, text)
         with pytest.raises(error, match=f"^{re.escape(path)}: {re.escape(message)}$"):

@@ -1,6 +1,7 @@
 import gc
 import ipaddress
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -594,3 +595,34 @@ class TestMeterConfig:
         path = write_capture(tmp_path, [simple_flow([("fwd", 10, 0)])])
         (fv,), _ = ingest_capture_detailed(path, config)
         assert oracle.named(fv)["Inbound"] == 1
+
+    def test_each_config_drives_inbound_by_its_own_prefixes(self, tmp_path):
+        path = write_capture(tmp_path, [
+            simple_flow([("fwd", 10, 0)], dst="8.8.8.8"),
+            simple_flow([("fwd", 10, 0)], src="2001:db8::1", dst="2001:db8:5::9"),
+            simple_flow([("fwd", 10, 0)], src="8.8.4.4", dst="192.168.1.5")])
+        cases = [(MeterConfig(home_prefixes=("8.8.0.0/16",)), (1, 0, 0)),
+                 (MeterConfig(home_prefixes=["2001:db8:4::/47", "8.8.8.8/32"]),
+                  (1, 1, 0)),
+                 (MeterConfig(home_prefixes=()), (0, 0, 0)),
+                 (MeterConfig(), (0, 0, 1))]
+        # Each config twice, interleaved: none sees another's networks.
+        for config, inbound in cases + cases:
+            flows, _ = ingest_capture_detailed(path, config)
+            assert {fv.dst_ip: oracle.named(fv)["Inbound"] for fv in flows} == dict(
+                zip(("8.8.8.8", "2001:db8:5::9", "192.168.1.5"), inbound))
+
+    def test_parsed_networks_leave_equality_hash_and_repr_alone(self):
+        a, b = MeterConfig(), MeterConfig()
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == (
+            "MeterConfig(flow_timeout_us=120000000, activity_timeout_us=5000000, "
+            "home_prefixes=('10.0.0.0/8', '172.16.0.0/12', '192.168.0.0/16', "
+            "'fc00::/7'))")
+        assert a.home_networks == {
+            4: ((0x0A000000, 0xFF000000), (0xAC100000, 0xFFF00000),
+                (0xC0A80000, 0xFFFF0000)),
+            16: ((0xFC << 120, 0xFE << 120),)}
+        other = replace(a, home_prefixes=["8.8.0.0/16"])
+        assert other != a
+        assert other.home_networks == {4: ((0x08080000, 0xFFFF0000),), 16: ()}
