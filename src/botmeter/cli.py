@@ -26,8 +26,8 @@ from pathlib import Path
 
 from . import classifiers, demo
 from .dataset import (FeatureTable, csv_rows, number_cells, parse_manifest,
-                      read_feature_csv, read_flow_csv, train_test_split,
-                      write_flow_csv)
+                      read_feature_csv, read_flow_csv, refuse_repeated_names,
+                      train_test_split, write_flow_csv)
 from .errors import BotmeterError, CsvFormatError, ValidationError
 from .evaluation import evaluate_predictions, render_report
 from .labeling import (LabelReport, LabelRule, RuleIndex, label_flows,
@@ -68,10 +68,14 @@ class PipelineConfig:
                 f"of datasets), got {self.threshold}")
 
 
+_CONFIG_KEYS = {"datasets", "out_dir", "seed", "ratio", "top_k", "threshold",
+                "flow_timeout_s", "activity_timeout_s", "models"}
+
+
 def load_pipeline_config(path, args=None) -> PipelineConfig:
     """JSON config (see README for the schema); CLI flags override.  A file
-    that is not a JSON object, or a value of the wrong type, is a
-    ValidationError naming the file or the key."""
+    that is not a JSON object, a key outside the schema, or a value of the
+    wrong type, is a ValidationError naming the file or the key."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -79,6 +83,10 @@ def load_pipeline_config(path, args=None) -> PipelineConfig:
         raise ValidationError(f"{path}: not a JSON config: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    if unknown:
+        raise ValidationError(
+            f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
     base = path.parent
 
     def pick(flag, key, default, integer=False):
@@ -172,7 +180,9 @@ def build_model_specs(seed: int, overrides: dict | None) -> list[classifiers.Mod
 
 # Flow CSVs are written in batches of at most this many flows, so memory
 # holds one batch (and, when extracting, the live flows), not every flow.
-FLOW_BATCH = 1024
+# A finished flow's vector is about 1.3 KB, so a batch holds about 0.3 MB;
+# label_flows and write_flow_csv run once per batch.
+FLOW_BATCH = 256
 
 
 def _write_flows(out_path, feed, rules=None, default_label: str = "Normal"):
@@ -273,11 +283,16 @@ def write_universal_csv(universal, path: Path) -> None:
 
 def read_universal_features(path) -> list[str]:
     """The feature names of a universal-set CSV; format errors as in
-    ``read_ranked_csv``."""
+    ``read_ranked_csv``.  A file that names no feature, or one feature
+    twice, is a CsvFormatError naming the file too."""
     with closing(csv_rows(path)) as records:
         if next(records)[:1] != ["name"]:
             raise CsvFormatError(f"{path}: not a universal-set CSV")
-        return [row[0] for _, row in records]
+        names = [row[0] for _, row in records]
+    if not names:
+        raise CsvFormatError(f"{path}: names no feature")
+    refuse_repeated_names(path, names)
+    return names
 
 
 def model_path(models_dir: Path, dataset: str, kind: str) -> Path:

@@ -280,8 +280,13 @@ def ingest_capture_detailed(path: str, config: MeterConfig | None = None,
             for flow in finalized:
                 emit(compute_features(flow, config))
             flows += len(finalized)
-    for flow in table.flush():
-        emit(compute_features(flow, config))
-        flows += 1
+    # Each residual flow's slot is dropped once its vector exists, so its
+    # accumulator is freed before the later flows are emitted.
+    residual = table.flush()
+    for i in range(len(residual)):
+        vector = compute_features(residual[i], config)
+        residual[i] = None
+        emit(vector)
+    flows += len(residual)
     stats.flows = flows
     return out, stats

@@ -199,15 +199,25 @@ class TestStageCommands:
             "'Flow Duration' at line 2"]
         assert not labeled.exists()
 
-    def test_train_refuses_an_empty_universal_set(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("text, message", [
+        ("name,count\n", "names no feature"),
+        ("name,count\nFlow IAT Mean,2\nFlow Duration,2\nFlow IAT Mean,2\n",
+         "column(s) named more than once: 'Flow IAT Mean'"),
+    ], ids=["empty", "repeated"])
+    def test_a_bad_universal_set_is_refused_naming_the_file(
+            self, tmp_path, capsys, command, text, message):
+        # A repeated name would give every model that column twice.
         labeled = tmp_path / "labeled.csv"
         write_flow_csv(labeled, [flow(values=ZEROS)] * 4, ["Botnet", "Normal"] * 2)
         universal = tmp_path / "universal.csv"
-        universal.write_text("name,count\n", encoding="utf-8")
-        assert run_cli("train", labeled, "--universal", universal,
-                       "--out", tmp_path / "models") == 1
+        universal.write_text(text, encoding="utf-8")
+        models = tmp_path / "models"
+        assert run_cli(command, labeled, "--universal", universal,
+                       "--models" if command == "evaluate" else "--out", models) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: X has no feature columns"]
+            f"error: {universal}: {message}"]
+        assert not models.exists()
 
     def test_train_refuses_a_split_with_an_empty_half(self, tmp_path, capsys):
         labeled = tmp_path / "labeled.csv"
@@ -496,6 +506,16 @@ def test_pipeline_does_not_import_numpy_ma(corpus, tmp_path):
         env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
+
+
+def test_python_m_botmeter_runs_the_command():
+    proc = subprocess.run(
+        [sys.executable, "-m", "botmeter", "--help"],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(Path(cli.__file__).parents[1]),
+             "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: botmeter ")
 
 
 class TestPipeline:
@@ -797,6 +817,9 @@ class TestPipelineConfig:
         ('{"datasets": ["ds.manifest"], "out_dir": 5}', "out_dir must be a path, got 5"),
         ('{"datasets": []}', "pipeline config needs at least one dataset"),
         ('{"datasets": ["ds.manifest"], "ratio": 1.5}', "ratio must be in (0, 1), got 1.5"),
+        # A misspelled key would otherwise leave its default in force.
+        ('{"datasets": ["ds.manifest"], "top-k": 3, "thresold": 1}',
+         "config.json: unknown key(s) 'thresold', 'top-k'"),
     ])
     def test_malformed_config_is_a_validation_error(self, config_path, text, message):
         config_path.write_text(text, encoding="utf-8")

@@ -1,8 +1,8 @@
 """Extraction and labeling stream flows in batches of at most
 ``cli.FLOW_BATCH``.
 
-Every test shrinks the batch, so that a few dozen flows cross several batch
-boundaries.  The streamed file must hold the bytes of one ``write_flow_csv``
+Every test but one shrinks the batch, so that a few dozen flows cross
+several batch boundaries; the one keeps the real batch size.  The streamed file must hold the bytes of one ``write_flow_csv``
 over the flows of the list-mode meter, appear only on success, and log each
 label warning once for the whole extract.
 """
@@ -23,6 +23,7 @@ from botmeter.meter import FlowTable, MeterConfig, ingest_capture_detailed
 from botmeter.pcap import read_capture
 from botmeter.synth import FlowBlueprint, PacketBlueprint, generate_synthetic_capture
 
+REAL_BATCH = cli.FLOW_BATCH
 B = 4
 CONFIG = MeterConfig(flow_timeout_us=2_000_000, activity_timeout_us=1_000_000)
 HEADER = "src_ip,src_port,dst_ip,dst_port,protocol,label\n"
@@ -86,6 +87,19 @@ def dataset(tmp_path, n_flows, rules_text):
     return parse_manifest(tmp_path / "ds.manifest")
 
 
+def write_sizes(monkeypatch):
+    """The number of flows each ``cli.write_flow_csv`` call receives, as a
+    list that fills while the spy is installed."""
+    sizes = []
+
+    def spy(path, batch, *args, **kwargs):
+        sizes.append(len(batch))
+        return write_flow_csv(path, batch, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_flow_csv", spy)
+    return sizes
+
+
 def listed_flows(manifest):
     flows = []
     for path in manifest.captures:
@@ -104,13 +118,7 @@ def test_batched_extract_writes_the_bytes_of_one_write(tmp_path, monkeypatch,
     rules = parse_rules(str(manifest.rules))
     write_flow_csv(tmp_path / "expected.csv", flows, label_flows(flows, rules)[0])
 
-    sizes = []
-
-    def spy(path, batch, *args, **kwargs):
-        sizes.append(len(batch))
-        return write_flow_csv(path, batch, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "write_flow_csv", spy)
+    sizes = write_sizes(monkeypatch)
     with caplog.at_level(logging.WARNING):
         report = cli.extract_and_label(manifest, CONFIG, tmp_path / "labeled.csv")
     assert ((tmp_path / "labeled.csv").read_bytes()
@@ -148,6 +156,16 @@ def test_batched_extract_writes_the_bytes_of_one_write(tmp_path, monkeypatch,
             == (tmp_path / "expected.csv").read_bytes())
     assert max(sizes) <= B
     assert not list(tmp_path.glob(".*.partial"))
+
+
+def test_no_write_exceeds_the_real_batch(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "FLOW_BATCH", REAL_BATCH)
+    n_flows = 2 * REAL_BATCH + 3
+    manifest = dataset(tmp_path, n_flows, "*,*,8.8.8.8,80,6,Bot\n")
+    sizes = write_sizes(monkeypatch)
+    report = cli.extract_and_label(manifest, CONFIG, tmp_path / "labeled.csv")
+    assert report.total == n_flows
+    assert sizes == [0, REAL_BATCH, REAL_BATCH, 3]  # the header, then each batch
 
 
 def test_a_rule_matching_only_in_the_last_batch_is_not_idle(tmp_path, caplog):

@@ -408,9 +408,16 @@ class TestHeldFlows:
         assert len(flushed) == 12
         assert live_accumulators() - before == multi == 8
         del flushed, table
-        peak = []
-        ingest_capture_detailed(path, emit=lambda fv: peak.append(live_accumulators()))
-        assert max(peak) - before == multi
+        # All 12 flows come out of the flush, in blueprint order, and each
+        # multi-packet flow's accumulator is freed as it is emitted: the
+        # count never rises and falls by one per multi-packet flow.
+        live = []
+        ingest_capture_detailed(path, emit=lambda fv: live.append(live_accumulators()))
+        assert len(live) == 12
+        assert max(live) - before == multi
+        assert [a - b for a, b in zip(live, live[1:])] == [
+            len(b.packets) > 1 for b in blueprints[1:]]
+        assert live[-1] == before
 
 
 class TestComputeFeatures:
