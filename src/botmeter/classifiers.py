@@ -132,6 +132,31 @@ def _standardize_fit(X):
     return mu, sigma
 
 
+# --- Random numbers -----------------------------------------------------------
+
+# The purpose of a draw: the second key of each counter_hash call.
+SPLIT, BOOTSTRAP, PERMUTATION = range(3)
+
+
+def counter_hash(*keys) -> np.ndarray:
+    """Uniform 64-bit words from integer keys, broadcast together: from 0,
+    each key in turn is XORed in and mixed by one SplitMix64 round (Steele,
+    Lea & Flood, OOPSLA 2014).  A round is a bijection, so distinct last
+    keys give distinct words.  Python ints are taken modulo 2**64; a key
+    that is not an integer is a ValidationError."""
+    h = np.uint64(0)
+    with np.errstate(over="ignore"):  # 0-d uint64 arithmetic warns on wraparound
+        for key in keys:
+            key = np.asarray(key % 2**64 if isinstance(key, int) else key)
+            if key.dtype.kind not in "iu":  # a seed of another type
+                raise ValidationError(f"random keys must be integers, got {key.dtype}")
+            z = (h ^ key.astype(np.uint64)) + np.uint64(0x9E3779B97F4A7C15)
+            z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+            h = z ^ (z >> 31)
+    return h
+
+
 # --- Gaussian Naive Bayes ---------------------------------------------------
 
 @dataclass
@@ -353,7 +378,6 @@ def log_lr_fit(model: LRModel, what: str) -> None:
 
 _RF_PAIRS_PER_STEP = 1 << 20  # (tree, row) pairs routed together in predict
 _RF_SEARCH_ELEMENTS = 1 << 13  # (sample, column) pairs per batched split search
-_RF_PERMUTATION_ENTRIES = 256  # column indices per tree per permutation draw
 
 
 @dataclass
@@ -485,11 +509,12 @@ def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
     """Grow every tree at once, in lockstep.
 
     Step ``k`` splits the ``k``-th splittable node, in preorder, of every
-    tree that has one, examining the columns of the tree's ``k``-th
-    ``rng.permutation(d)`` as a tree grown alone would.  The permutations
-    are drawn in blocks by ``rng.permuted``, which gives the same ones.  The
-    split searches run in batches of at most ``_RF_SEARCH_ELEMENTS``
-    (sample, column) pairs, a lone node above that in a batch of its own.
+    tree ``t`` that has one, examining the columns by ascending
+    ``counter_hash(seed, PERMUTATION, t, k, column)``, as a tree grown alone
+    would; ``t``'s bootstrap row ``i`` is ``counter_hash(seed, BOOTSTRAP, t,
+    i) % n``.  The split searches run in batches of at most
+    ``_RF_SEARCH_ELEMENTS`` (sample, column) pairs, a lone node above that
+    in a batch of its own.
 
     Each tree keeps its pending splittable nodes on a stack, and their
     training rows in the same order: a split puts its splittable children,
@@ -511,12 +536,12 @@ def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
     def splittable(size, ones):
         return (ones > 0) & (ones < size) & (size >= spec.min_samples_split)
 
-    rngs = [np.random.default_rng([spec.seed, t]) for t in range(n_trees)]
     # Tree t's pending nodes own the first row_top[t] entries of rows[t],
     # the node on top of its stack the last ones.
-    rows = np.empty((n_trees, n), dtype=np.int64)
-    for t, rng in enumerate(rngs):
-        rows[t] = rng.integers(0, n, n) if spec.bootstrap else np.arange(n)
+    rows = np.tile(np.arange(n), (n_trees, 1))
+    if spec.bootstrap:
+        rows = (counter_hash(spec.seed, BOOTSTRAP, np.arange(n_trees)[:, None], rows)
+                % np.uint64(n)).astype(np.int64)
     flat_rows = rows.reshape(-1)
     # Nodes by number, the roots first: samples, class-1 samples.
     nodes = [(np.full(n_trees, n), y[rows].sum(axis=1))]
@@ -525,9 +550,8 @@ def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
     stack[:, 0] = np.column_stack((np.arange(n_trees), *nodes[0]))
     depth = splittable(*nodes[0]).astype(np.int64)
     row_top = depth * n
-    block = max(1, _RF_PERMUTATION_ENTRIES // d)
-    perms = np.empty((n_trees, block, d), dtype=np.int64)
-    draw = np.tile(np.arange(d), (block, 1))
+    # Row t: the column order of tree t's node at this step, for live trees.
+    perms = np.empty((n_trees, d), dtype=np.int64)
     # Per step, the nodes that split: number, feature, threshold, left child.
     splits = []
     made = n_trees
@@ -535,9 +559,9 @@ def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
         live = np.flatnonzero(depth)
         if not len(live):
             break
-        if step % block == 0:
-            for t in live.tolist():
-                perms[t] = rngs[t].permuted(draw, axis=1)
+        perms[live] = np.argsort(
+            counter_hash(spec.seed, PERMUTATION, live[:, None], step, np.arange(d)),
+            axis=1, kind="stable")
         depth[live] -= 1
         ids, sizes, ones = stack[live, depth[live]].T
         row_top[live] -= sizes
@@ -545,7 +569,7 @@ def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
         node_rows = flat_rows[_ranges(starts, sizes)]
         ends = np.cumsum(sizes)
         found = [_split_batch(live[lo:hi], node_rows[ends[lo] - sizes[lo]:ends[hi - 1]],
-                              sizes[lo:hi], ones[lo:hi], perms[:, step % block],
+                              sizes[lo:hi], ones[lo:hi], perms,
                               keys, levels, max_features)
                  for lo, hi in _batches(sizes * max_features)]
         feature, threshold, cut, ones_left = map(np.concatenate, zip(*found))

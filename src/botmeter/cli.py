@@ -273,6 +273,14 @@ def read_ranked_csv(path) -> RankedFeatureList:
     return RankedFeatureList(Path(path).stem, tuple(ranked))
 
 
+def universal_set(ranked_lists, threshold: int):
+    """``derive_universal_set``, refusing a set that names no feature."""
+    universal = derive_universal_set(ranked_lists, threshold=threshold)
+    if not universal.features:
+        raise BotmeterError(f"no feature reached selection count {threshold}")
+    return universal
+
+
 def write_universal_csv(universal, path: Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -354,10 +362,7 @@ def run_pipeline(config: PipelineConfig) -> int:
             ranked_lists.append(ranked)
 
         stage = "universal"
-        universal = derive_universal_set(ranked_lists, threshold=config.threshold)
-        if not universal.features:
-            raise BotmeterError(
-                f"no feature reached selection count {config.threshold}")
+        universal = universal_set(ranked_lists, config.threshold)
         write_universal_csv(universal, out / "universal.csv")
 
         stage = "train"
@@ -577,7 +582,7 @@ def _dispatch(args) -> int:
 
     if args.command == "universal":
         lists = [read_ranked_csv(p) for p in args.ranked]
-        universal = derive_universal_set(lists, threshold=args.threshold)
+        universal = universal_set(lists, args.threshold)
         write_universal_csv(universal, Path(args.out))
         for feat, count in universal.counts:
             print(f"{count}  {feat}")

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .classifiers import SPLIT, counter_hash
 from .errors import CsvFormatError, ValidationError
 from .features import (FEATURE_COLUMNS, FEATURE_NAMES, IDENTITY_COLUMNS,
                        FeatureVector)
@@ -451,8 +452,8 @@ def labels_to_binary(labels, negative_label: str = "Normal") -> list[int]:
 
 def train_test_split(table: FeatureTable, ratio: float,
                      seed: int) -> tuple[FeatureTable, FeatureTable]:
-    """Seeded uniform random partition; train gets round(ratio * n) rows.
-    A split that leaves either half empty is refused."""
+    """Rows by ascending ``counter_hash(seed, SPLIT, row)``; train gets the first
+    round(ratio * n).  A split that leaves either half empty is refused."""
     if not 0 < ratio < 1:
         raise ValidationError(f"split ratio must be in (0, 1), got {ratio}")
     if table.labels is None:
@@ -463,7 +464,7 @@ def train_test_split(table: FeatureTable, ratio: float,
         raise ValidationError(
             f"split ratio {ratio} of {n} rows leaves the "
             f"{'test' if cut else 'train'} half empty")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.argsort(counter_hash(seed, SPLIT, np.arange(n)), kind="stable")
     return table.take(perm[:cut]), table.take(perm[cut:])
 
 

@@ -12,7 +12,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .meter import FlowAccumulator, MeterConfig
+from .meter import DEFAULT_CONFIG, FlowAccumulator, MeterConfig
 from .pcap import ip_to_str
 
 IDENTITY_COLUMNS = (
@@ -153,7 +153,7 @@ def compute_features(flow: FlowAccumulator | tuple,
     """Turn a finalized flow, its accumulator or the packet of a one-packet
     flow (a 10-tuple in ``PacketRecord`` field order), into its feature
     vector."""
-    config = config or MeterConfig()
+    config = config or DEFAULT_CONFIG
     if flow.__class__ is not FlowAccumulator:
         flow = FlowAccumulator(flow)
     duration = flow.last_ts_us - flow.first_ts_us

@@ -67,6 +67,9 @@ class MeterConfig:
                            {size: tuple(v) for size, v in nets.items()})
 
 
+DEFAULT_CONFIG = MeterConfig()  # for callers that pass none; it is frozen
+
+
 # Flag-count slots, in FIN SYN RST PSH ACK URG CWR ECE order; for each TCP
 # flag byte, the slots it counts toward and its 0/1 count per slot.
 _FLAG_BITS = (FIN, SYN, RST, PSH, ACK, URG, CWR, ECE)
@@ -140,7 +143,7 @@ class FlowTable:
     in place with a ``FlowAccumulator``."""
 
     def __init__(self, config: MeterConfig | None = None):
-        self.config = config or MeterConfig()
+        self.config = config or DEFAULT_CONFIG
         self._live: dict[tuple, FlowAccumulator | tuple] = {}
         self._flow_timeout_us = self.config.flow_timeout_us
         self._activity_timeout_us = self.config.activity_timeout_us
@@ -266,7 +269,7 @@ def ingest_capture_detailed(path: str, config: MeterConfig | None = None,
     counters."""
     from .features import compute_features
 
-    config = config or MeterConfig()
+    config = config or DEFAULT_CONFIG
     table = FlowTable(config)
     stats = CaptureStats()
     out = []

@@ -3,15 +3,19 @@
 The grower the array-backed forest replaced: each tree is a nested dict
 built by recursion, every node re-sorts each candidate feature, and
 prediction walks one row at a time.  It shares nothing with
-``botmeter.classifiers`` beyond the per-tree seed streams, so the forest
-there must match it node for node.
+``botmeter.classifiers`` beyond ``counter_hash``, from which it draws each
+tree's bootstrap rows and, at each node it splits, the tree's next column
+permutation in preorder, so the forest there must match it node for node.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
+
+from botmeter.classifiers import BOOTSTRAP, PERMUTATION, counter_hash
 
 
 def tree_predict(tree, X) -> np.ndarray:
@@ -51,7 +55,7 @@ def gini_best_split(values, ones_total, labels):
     return float(weighted[best]), threshold
 
 
-def grow_tree(X, y, indices, max_features, min_samples_split, rng):
+def grow_tree(X, y, indices, max_features, min_samples_split, draw):
     sub_y = y[indices]
     ones = int(sub_y.sum())
     counts = [len(indices) - ones, ones]
@@ -59,7 +63,7 @@ def grow_tree(X, y, indices, max_features, min_samples_split, rng):
         return {"counts": counts}
     # Examine a random feature subset; keep scanning past it only while no
     # examined feature admitted a split.
-    permuted = rng.permutation(X.shape[1])
+    permuted = draw()
     best = None
     examined = 0
     for f in permuted:
@@ -75,8 +79,8 @@ def grow_tree(X, y, indices, max_features, min_samples_split, rng):
         return {"counts": counts}
     _, feature, threshold = best
     mask = X[indices, feature] <= threshold
-    left = grow_tree(X, y, indices[mask], max_features, min_samples_split, rng)
-    right = grow_tree(X, y, indices[~mask], max_features, min_samples_split, rng)
+    left = grow_tree(X, y, indices[mask], max_features, min_samples_split, draw)
+    right = grow_tree(X, y, indices[~mask], max_features, min_samples_split, draw)
     return {"feature": feature, "threshold": threshold,
             "left": left, "right": right}
 
@@ -88,15 +92,25 @@ def fit_forest(spec, X, y) -> list:
     d = X.shape[1]
     max_features = spec.max_features or math.ceil(math.sqrt(d))
     max_features = min(max_features, d)
+    n = len(X)
     trees = []
     for t in range(spec.n_trees):
-        rng = np.random.default_rng([spec.seed, t])
         if spec.bootstrap:
-            indices = rng.integers(0, len(X), len(X))
+            indices = np.array([int(counter_hash(spec.seed, BOOTSTRAP, t, i)) % n
+                                for i in range(n)])
         else:
-            indices = np.arange(len(X))
+            indices = np.arange(n)
+        draws = itertools.count()
+
+        def draw(t=t, draws=draws):
+            """Tree t's next permutation: the columns by their words."""
+            k = next(draws)
+            words = [int(counter_hash(spec.seed, PERMUTATION, t, k, c))
+                     for c in range(d)]
+            return np.array(sorted(range(d), key=words.__getitem__))
+
         trees.append(grow_tree(X, y, indices, max_features,
-                               spec.min_samples_split, rng))
+                               spec.min_samples_split, draw))
     return trees
 
 

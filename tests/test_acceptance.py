@@ -2,9 +2,13 @@
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 
 import contextlib
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +195,48 @@ def test_criterion_6_pipeline_determinism(tmp_path):
         assert first and first.keys() == second.keys()
         for name in first:
             assert first[name] == second[name], f"{name} differs between runs"
+
+
+# Runs ``botmeter pipeline`` as ``python -m botmeter`` does, then reports on
+# stderr whether the run loaded numpy.random.
+PIPELINE_PROBE = """
+import sys
+from botmeter.cli import main
+code = main(sys.argv[1:])
+print("numpy.random loaded:", "numpy.random" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_criterion_6_across_processes(tmp_path):
+    # Reruns in one process share its hash seed, its allocator state and its
+    # imported modules; two fresh processes with different hash seeds share
+    # none of them.  Every file in out_dir must still match, models and
+    # report included, and no run may load numpy.random.
+    with criterion(6, "byte-identical artifacts across processes"):
+        config_path = make_demo_corpus(tmp_path / "corpus", seed=6,
+                                       flows_per_class=40)
+        src = Path(cli.__file__).resolve().parents[1]
+        snapshots = []
+        for hash_seed in ("1", "2"):
+            out_dir = tmp_path / f"hash-seed-{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+            proc = subprocess.run(
+                [sys.executable, "-c", PIPELINE_PROBE, "pipeline",
+                 "--config", str(config_path), "--out", str(out_dir)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert "numpy.random loaded: False" in proc.stderr
+            snapshots.append({str(path.relative_to(out_dir)): path.read_bytes()
+                              for path in sorted(out_dir.rglob("*"))
+                              if path.is_file()})
+        first, second = snapshots
+        assert "report.txt" in first and "model_synth-scan_RF.json" in first
+        assert first.keys() == second.keys()
+        for name in first:
+            assert first[name] == second[name], f"{name} differs between processes"
 
 
 def test_criterion_7_end_to_end_smoke(tmp_path):

@@ -15,7 +15,7 @@ from botmeter import classifiers, cli
 from botmeter.classifiers import (KINDS, KNNModel, LR_GRAD_TOL, LRModel,
                                   ModelSpec, fit, load_model, lr_loss_and_grad,
                                   predict, save_model)
-from botmeter.dataset import read_feature_csv
+from botmeter.dataset import FeatureTable, read_feature_csv, train_test_split
 from botmeter.demo import make_demo_corpus
 from botmeter.errors import ValidationError
 
@@ -483,24 +483,73 @@ def rf_problems(draw, max_trees=4):
     return spec, X, y, queries
 
 
-@pytest.mark.parametrize("bootstrap", [False, True])
-def test_permuted_blocks_are_successive_permutations(bootstrap):
-    # The RF grower draws a tree's column permutations K at a time with
-    # Generator.permuted; forests stay the same only while that gives the
-    # permutations that K calls of Generator.permutation(d) give.
-    for d in range(1, 71):
-        for block in (3, max(1, classifiers._RF_PERMUTATION_ENTRIES // d)):
-            calls = np.random.default_rng([17, d, block])
-            blocks = np.random.default_rng([17, d, block])
-            if bootstrap:
-                calls.integers(0, 40, 40)
-                blocks.integers(0, 40, 40)
-            draw = np.tile(np.arange(d), (block, 1))
-            for _ in range(3):
-                expected = np.array([calls.permutation(d) for _ in range(block)])
-                np.testing.assert_array_equal(blocks.permuted(draw, axis=1),
-                                              expected)
-            assert blocks.integers(0, 2**62) == calls.integers(0, 2**62)
+def chi_square_bound(dof):
+    """The 99.9% point of the chi-square law with ``dof`` degrees of freedom,
+    by the Wilson-Hilferty cube approximation (z = 3.09)."""
+    a = 2.0 / (9.0 * dof)
+    return dof * (1.0 - a + 3.09 * a ** 0.5) ** 3
+
+
+def chi_square(counts):
+    expected = counts.sum() / counts.size
+    return float(((counts - expected) ** 2).sum() / expected)
+
+
+class TestCounterHash:
+    def test_permutation_draws_are_permutations(self):
+        # Distinct last keys give distinct words, so the stable argsort of a
+        # draw's words never meets a tie.
+        for d in range(1, 71):
+            for seed, t, k in ((0, 0, 0), (17, 3, 5), (2**63 + 1, 99, 1000)):
+                words = classifiers.counter_hash(
+                    seed, classifiers.PERMUTATION, t, k, np.arange(d))
+                assert len(np.unique(words)) == d
+                order = np.argsort(words, kind="stable")
+                np.testing.assert_array_equal(np.sort(order), np.arange(d))
+
+    def test_broadcast_equals_one_key_tuple_at_a_time(self):
+        grid = classifiers.counter_hash(5, classifiers.BOOTSTRAP,
+                                        np.arange(3)[:, None], np.arange(4))
+        for t in range(3):
+            for i in range(4):
+                assert grid[t, i] == classifiers.counter_hash(
+                    5, classifiers.BOOTSTRAP, t, i)
+
+    def test_python_ints_are_taken_modulo_2_to_the_64(self):
+        assert classifiers.counter_hash(-1, 2) == classifiers.counter_hash(2**64 - 1, 2)
+        assert classifiers.counter_hash(2**64 + 3) == classifiers.counter_hash(3)
+
+    @pytest.mark.parametrize("seed", [1.5, "5", None])
+    def test_a_seed_that_is_not_an_integer_is_refused(self, seed):
+        X, y = separable_1d(5)
+        with pytest.raises(ValidationError, match="random keys must be integers"):
+            fit(ModelSpec(kind="RF", n_trees=2, seed=seed), X, y)
+        table = FeatureTable(["x"], X, y)
+        with pytest.raises(ValidationError, match="random keys must be integers"):
+            train_test_split(table, 0.8, seed)
+
+    @pytest.mark.parametrize("n", [2, 7, 50, 400])
+    def test_bootstrap_rows_are_near_uniform(self, n):
+        # About 40,000 draws, n per tree: the row counts must pass a
+        # chi-square test at the 99.9% point.
+        trees = np.arange(100 * max(1, 400 // n))[:, None]
+        rows = classifiers.counter_hash(11, classifiers.BOOTSTRAP, trees,
+                                        np.arange(n)) % np.uint64(n)
+        counts = np.bincount(rows.ravel().astype(np.int64), minlength=n)
+        assert chi_square(counts) < chi_square_bound(n - 1)
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 12])
+    def test_permutation_positions_are_near_uniform(self, d):
+        # Column c at position j, counted over 300 trees x 20 steps.  For
+        # uniform permutations, Pearson's statistic of that d x d table is
+        # d / (d - 1) times a chi-square with (d - 1)^2 degrees of freedom.
+        words = classifiers.counter_hash(
+            3, classifiers.PERMUTATION, np.arange(300)[:, None, None],
+            np.arange(20)[None, :, None], np.arange(d))
+        order = np.argsort(words, axis=-1, kind="stable").reshape(-1, d)
+        counts = np.zeros((d, d), dtype=np.int64)
+        np.add.at(counts, (np.broadcast_to(np.arange(d), order.shape), order), 1)
+        assert chi_square(counts) * (d - 1) / d < chi_square_bound((d - 1) ** 2)
 
 
 class TestRF:

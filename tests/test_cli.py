@@ -295,6 +295,20 @@ class TestStageCommands:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {ranked}: non-numeric value 'x' in column 'score' at line 2"]
 
+    def test_universal_stage_refuses_a_set_that_names_no_feature(self, tmp_path,
+                                                                  capsys):
+        # The pipeline's universal stage refuses this case with the same
+        # message (both call cli.universal_set).
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        first.write_text("name,score\nFlow Duration,0.5\n", encoding="utf-8")
+        second.write_text("name,score\nFlow IAT Mean,0.5\n", encoding="utf-8")
+        out = tmp_path / "universal.csv"
+        assert run_cli("universal", first, second, "--threshold", 2,
+                       "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no feature reached selection count 2"]
+        assert not out.exists()
+
     def test_synth_blueprint_roundtrip(self, tmp_path):
         blueprint = {
             "seed": 9,

@@ -37,8 +37,8 @@ GOLDEN = {
 
 # SHA-256 of ``save_model``'s file for each forest of ``rf_case``.
 RF_GOLDEN = {
-    "bootstrap": "9240d2372290d13b6f828288144dd75b8e6a864595f1fdbc5cca583891d84eaa",
-    "constant": "66c5a3bbed39b825cf0327683bb048769398cfea5c1f592168acc3846ee1a3c8",
+    "bootstrap": "ea8a0c06d3904793c7a2fce016114a0799c99f4570b1ad60c23b6346d3d0f325",
+    "constant": "b7f5fb86d67ea854e0ed228590e351f317bbf8a8a35bf9b8db602541861083ba",
 }
 
 # Activity timeout below the long flows' 0.6–1.5 s gaps, flow timeout below

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from botmeter.errors import ValidationError
 from botmeter.features import FEATURE_COLUMNS, FEATURE_NAMES, compute_features
-from botmeter.meter import FlowAccumulator, FlowTable, MeterConfig, ingest_capture_detailed
+from botmeter.meter import (DEFAULT_CONFIG, FlowAccumulator, FlowTable, MeterConfig,
+                            ingest_capture_detailed)
 from botmeter.pcap import ACK, FIN, PSH, RST, SYN, CaptureStats, PacketRecord, read_capture
 from botmeter.synth import FlowBlueprint, PacketBlueprint, generate_synthetic_capture
 
@@ -231,6 +232,17 @@ class TestOfferPacket:
         fv = compute_features(flows[0])
         assert oracle.named(fv)["Total Fwd Packets"] == 1
         assert oracle.named(fv)["Total Backward Packets"] == 1
+
+    def test_no_config_means_one_shared_default(self, tmp_path):
+        # 10.0.0.1 is in a default home prefix, so the Inbound feature
+        # depends on the config.
+        bp = simple_flow([("fwd", 10, 0), ("bwd", 20, 100), ("fwd", 5, 50)])
+        packets, _ = parse(write_capture(tmp_path, [bp]))
+        table = FlowTable()
+        self.offer_all(table, packets)
+        (flow,) = table.flush()
+        assert compute_features(flow) == compute_features(flow, MeterConfig())
+        assert table.config is DEFAULT_CONFIG and DEFAULT_CONFIG == MeterConfig()
 
 
 # Packets for held-flow tests: a few endpoints, so that keys recur in both
