@@ -9,7 +9,6 @@ conventions all resolve to class 0.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
@@ -181,7 +180,7 @@ class NBModel:
 def _fit_nb(spec: ModelSpec, X, y) -> NBModel:
     priors = np.array([(y == 0).mean(), (y == 1).mean()])
     pooled_var = X.var(axis=0)
-    max_var = float(pooled_var.max()) if X.size else 0.0
+    max_var = float(pooled_var.max())
     eps = spec.var_smoothing * max_var if max_var > 0 else spec.var_smoothing
     means = np.vstack([X[y == cls].mean(axis=0) for cls in (0, 1)])
     variances = np.vstack([X[y == cls].var(axis=0) + eps for cls in (0, 1)])
@@ -506,21 +505,21 @@ def _best_splits(keys, levels, rows, sizes, columns, ones):
 
 
 def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
-    """Grow every tree at once, in lockstep.
+    """Grow every tree at once, one level at a time.
 
-    Step ``k`` splits the ``k``-th splittable node, in preorder, of every
-    tree ``t`` that has one, examining the columns by ascending
-    ``counter_hash(seed, PERMUTATION, t, k, column)``, as a tree grown alone
-    would; ``t``'s bootstrap row ``i`` is ``counter_hash(seed, BOOTSTRAP, t,
-    i) % n``.  The split searches run in batches of at most
-    ``_RF_SEARCH_ELEMENTS`` (sample, column) pairs, a lone node above that
-    in a batch of its own.
+    Each step splits every pending node of every tree.  Node ``i`` of tree
+    ``t`` examines the columns by ascending ``counter_hash(seed,
+    PERMUTATION, t, i, column)``, where ``i`` is its heap index: a root is
+    1, and the children of ``i`` are ``2i`` and ``2i + 1``, modulo 2**64,
+    so past depth 63 two nodes of one tree can share a draw.  ``t``'s
+    bootstrap row ``j`` is ``counter_hash(seed, BOOTSTRAP, t, j) % n``.  A
+    node's split depends only on its rows and its heap index, so a tree
+    grown alone, in any order, is the same.  The split searches run in
+    batches of at most ``_RF_SEARCH_ELEMENTS`` (sample, column) pairs, a
+    lone node above that in a batch of its own.
 
-    Each tree keeps its pending splittable nodes on a stack, and their
-    training rows in the same order: a split puts its splittable children,
-    the right one below the left one, in its own place on both.  Nodes are
-    numbered as they are made: the roots in tree order, then each step's
-    children, split by split, left then right.
+    Nodes are numbered as they are made: the roots in tree order, then each
+    step's children, split by split, left then right.
     """
     n, d = X.shape
     n_trees = spec.n_trees
@@ -536,69 +535,53 @@ def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
     def splittable(size, ones):
         return (ones > 0) & (ones < size) & (size >= spec.min_samples_split)
 
-    # Tree t's pending nodes own the first row_top[t] entries of rows[t],
-    # the node on top of its stack the last ones.
     rows = np.tile(np.arange(n), (n_trees, 1))
     if spec.bootstrap:
         rows = (counter_hash(spec.seed, BOOTSTRAP, np.arange(n_trees)[:, None], rows)
                 % np.uint64(n)).astype(np.int64)
-    flat_rows = rows.reshape(-1)
     # Nodes by number, the roots first: samples, class-1 samples.
     nodes = [(np.full(n_trees, n), y[rows].sum(axis=1))]
-    # Stack entries: node number, samples, class-1 samples.
-    stack = np.empty((n_trees, 8, 3), dtype=np.int64)
-    stack[:, 0] = np.column_stack((np.arange(n_trees), *nodes[0]))
-    depth = splittable(*nodes[0]).astype(np.int64)
-    row_top = depth * n
-    # Row t: the column order of tree t's node at this step, for live trees.
-    perms = np.empty((n_trees, d), dtype=np.int64)
+    # The pending nodes: number, tree, heap index, samples, class-1 samples.
+    # Their training rows sit in ``rows``, node after node.
+    pending = splittable(*nodes[0])
+    ids = trees = np.flatnonzero(pending)
+    heap = np.ones(len(ids), dtype=np.uint64)
+    sizes, ones = (column[pending] for column in nodes[0])
+    rows = rows[pending].ravel()
     # Per step, the nodes that split: number, feature, threshold, left child.
     splits = []
     made = n_trees
-    for step in itertools.count():
-        live = np.flatnonzero(depth)
-        if not len(live):
-            break
-        perms[live] = np.argsort(
-            counter_hash(spec.seed, PERMUTATION, live[:, None], step, np.arange(d)),
-            axis=1, kind="stable")
-        depth[live] -= 1
-        ids, sizes, ones = stack[live, depth[live]].T
-        row_top[live] -= sizes
-        starts = live * n + row_top[live]
-        node_rows = flat_rows[_ranges(starts, sizes)]
+    while len(ids):
         ends = np.cumsum(sizes)
-        found = [_split_batch(live[lo:hi], node_rows[ends[lo] - sizes[lo]:ends[hi - 1]],
-                              sizes[lo:hi], ones[lo:hi], perms,
-                              keys, levels, max_features)
+        found = [_split_batch(trees[lo:hi], heap[lo:hi],
+                              rows[ends[lo] - sizes[lo]:ends[hi - 1]],
+                              sizes[lo:hi], ones[lo:hi], spec.seed, keys, levels,
+                              max_features)
                  for lo, hi in _batches(sizes * max_features)]
         feature, threshold, cut, ones_left = map(np.concatenate, zip(*found))
-        # An unsplit node's threshold is -inf: all of its rows go right.
-        go_left = (X[node_rows, np.repeat(feature, sizes)]
-                   <= np.repeat(threshold, sizes))
         split = feature >= 0
-        push_left = split & splittable(cut, ones_left)
-        push_right = split & splittable(sizes - cut, ones - ones_left)
-        flat_rows[_ranges(starts, sizes - cut)] = node_rows[~go_left]
-        flat_rows[_ranges(starts + (sizes - cut) * push_right, cut)] = (
-            node_rows[go_left])
-        row_top[live] += (sizes - cut) * push_right + cut * push_left
-
-        trees, q = live[split], np.count_nonzero(split)
-        splits.append((ids[split], feature[split], threshold[split],
-                       made + 2 * np.arange(q)))
-        child_size = np.column_stack((cut, sizes - cut))[split].ravel()
-        child_ones = np.column_stack((ones_left, ones - ones_left))[split].ravel()
-        nodes.append((child_size, child_ones))
-        entries = np.column_stack((made + np.arange(2 * q), child_size, child_ones))
+        q = np.count_nonzero(split)
+        left_ids = made + 2 * np.arange(q)
+        splits.append((ids[split], feature[split], threshold[split], left_ids))
+        # Row 0 for the left children, row 1 for the right ones.
+        child_size = np.stack((cut, sizes - cut))[:, split]
+        child_ones = np.stack((ones_left, ones - ones_left))[:, split]
+        nodes.append((child_size.T.ravel(), child_ones.T.ravel()))
+        grow = splittable(child_size, child_ones)
+        # The pending children's rows, the left children's first.  An
+        # unsplit node has no children: its rows are dropped.
+        pending = np.zeros((2, len(ids)), dtype=bool)
+        pending[:, split] = grow
+        go_left = (X[rows, np.repeat(feature, sizes)]
+                   <= np.repeat(threshold, sizes))
+        rows = np.concatenate((rows[go_left & np.repeat(pending[0], sizes)],
+                               rows[~go_left & np.repeat(pending[1], sizes)]))
+        side = np.arange(2)[:, None]
+        ids = (left_ids + side)[grow]
+        trees = np.broadcast_to(trees[split], grow.shape)[grow]
+        heap = ((heap[split] << np.uint64(1)) | side.astype(np.uint64))[grow]
+        sizes, ones = child_size[grow], child_ones[grow]
         made += 2 * q
-        if depth.max() + 2 > stack.shape[1]:
-            stack = np.concatenate((stack, np.empty_like(stack)), axis=1)
-        for push, side in ((push_right[split], entries[1::2]),
-                           (push_left[split], entries[::2])):
-            pushed = trees[push]
-            stack[pushed, depth[pushed]] = side[push]
-            depth[pushed] += 1
     feature, threshold, left = np.full(made, -1), np.zeros(made), np.full(made, -1)
     for ids, *split_values in splits:
         for column, values in zip((feature, threshold, left), split_values):
@@ -629,13 +612,17 @@ def _batches(elements):
         lo = hi
 
 
-def _split_batch(trees, rows, sizes, ones, perms, keys, levels, max_features):
-    """The splits, as ``_best_splits`` returns them, of a batch of nodes
-    from distinct trees: node ``i`` owns the next ``sizes[i]`` entries of
-    ``rows``, holds ``ones[i]`` class-1 samples and examines the first
-    ``max_features`` columns of ``perms[trees[i]]``, then the rest one at a
-    time while none admits a split."""
-    columns = perms[trees]
+def _split_batch(trees, heap, rows, sizes, ones, seed, keys, levels, max_features):
+    """The splits, as ``_best_splits`` returns them, of a batch of nodes:
+    node ``i``, of heap index ``heap[i]`` in tree ``trees[i]``, owns the
+    next ``sizes[i]`` entries of ``rows``, holds ``ones[i]`` class-1
+    samples and examines the first ``max_features`` columns of its
+    permutation (see ``_fit_rf``), then the rest one at a time while none
+    admits a split."""
+    columns = np.argsort(
+        counter_hash(seed, PERMUTATION, trees[:, None], heap[:, None],
+                     np.arange(keys.shape[1])),
+        axis=1, kind="stable")
     split = _best_splits(keys, levels, rows, sizes, columns[:, :max_features], ones)
     starts = np.cumsum(sizes) - sizes
     unsplit = np.flatnonzero(split[0] < 0)

@@ -25,9 +25,9 @@ from functools import partial
 from pathlib import Path
 
 from . import classifiers, demo
-from .dataset import (FeatureTable, csv_rows, number_cells, parse_manifest,
-                      read_feature_csv, read_flow_csv, refuse_repeated_names,
-                      train_test_split, write_flow_csv)
+from .dataset import (FeatureTable, csv_rows, dataset_name, number_cells,
+                      parse_manifest, read_feature_csv, read_flow_csv,
+                      refuse_repeated_names, train_test_split, write_flow_csv)
 from .errors import BotmeterError, CsvFormatError, ValidationError
 from .evaluation import evaluate_predictions, render_report
 from .labeling import (LabelReport, LabelRule, RuleIndex, label_flows,
@@ -68,6 +68,10 @@ class PipelineConfig:
                 f"of datasets), got {self.threshold}")
 
 
+# MeterConfig's timeouts in seconds, the unit of the config and the flags.
+_FLOW_TIMEOUT_S = MeterConfig.flow_timeout_us / 1e6
+_ACTIVITY_TIMEOUT_S = MeterConfig.activity_timeout_us / 1e6
+
 _CONFIG_KEYS = {"datasets", "out_dir", "seed", "ratio", "top_k", "threshold",
                 "flow_timeout_s", "activity_timeout_s", "models"}
 
@@ -89,11 +93,13 @@ def load_pipeline_config(path, args=None) -> PipelineConfig:
             f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
     base = path.parent
 
-    def pick(flag, key, default, integer=False):
-        value = getattr(args, flag, None) if args is not None else None
+    def pick(key, default, flag=None):
+        """The flag ``flag`` (by default ``key``), else the config's ``key``,
+        else ``default``; an integer default asks for an integer."""
+        value = getattr(args, flag or key, None)
         if value is None:
             value = doc.get(key, default)
-        return _config_number(key, value, integer)
+        return _config_number(key, value, isinstance(default, int))
 
     datasets = doc.get("datasets", [])
     if not (isinstance(datasets, list) and all(isinstance(m, str) for m in datasets)):
@@ -102,10 +108,9 @@ def load_pipeline_config(path, args=None) -> PipelineConfig:
     manifests = tuple(parse_manifest(base / m) for m in datasets)
     meter = MeterConfig(
         flow_timeout_us=_timeout_us(
-            "flow_timeout_s", pick("timeout_s", "flow_timeout_s", 120.0)),
+            "flow_timeout_s", pick("flow_timeout_s", _FLOW_TIMEOUT_S, "timeout_s")),
         activity_timeout_us=_timeout_us(
-            "activity_timeout_s",
-            pick("activity_timeout_s", "activity_timeout_s", 5.0)))
+            "activity_timeout_s", pick("activity_timeout_s", _ACTIVITY_TIMEOUT_S)))
     # A relative --out is taken from the working directory, a relative
     # out_dir in the config from the config's directory.
     if getattr(args, "out", None) is not None:
@@ -119,10 +124,10 @@ def load_pipeline_config(path, args=None) -> PipelineConfig:
         manifests=manifests,
         meter=meter,
         out_dir=out_dir,
-        seed=pick("seed", "seed", 0, integer=True),
-        ratio=pick("ratio", "ratio", 0.8),
-        top_k=pick("top_k", "top_k", 10, integer=True),
-        threshold=pick("threshold", "threshold", 2, integer=True),
+        seed=pick("seed", PipelineConfig.seed),
+        ratio=pick("ratio", PipelineConfig.ratio),
+        top_k=pick("top_k", PipelineConfig.top_k),
+        threshold=pick("threshold", PipelineConfig.threshold),
         model_overrides=doc.get("models"),
     )
 
@@ -466,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="meter pcaps into a feature CSV")
     p.add_argument("captures", nargs="+", help="classic pcap files")
     p.add_argument("--out", required=True, help="output feature CSV")
-    p.add_argument("--timeout-s", type=float, default=120.0)
-    p.add_argument("--activity-timeout-s", type=float, default=5.0)
+    p.add_argument("--timeout-s", type=float, default=_FLOW_TIMEOUT_S)
+    p.add_argument("--activity-timeout-s", type=float, default=_ACTIVITY_TIMEOUT_S)
 
     p = sub.add_parser("label", help="attach ground-truth labels to flows")
     p.add_argument("features", help="feature CSV from extract")
@@ -477,20 +482,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank features by LR weight")
     p.add_argument("labeled", help="labeled CSV")
-    p.add_argument("--top-k", type=int, default=10)
+    p.add_argument("--top-k", type=int, default=PipelineConfig.top_k)
     p.add_argument("--name", default=None, help="dataset name for the list")
     p.add_argument("--out", required=True, help="ranked CSV")
 
     p = sub.add_parser("universal", help="derive the cross-dataset feature set")
     p.add_argument("ranked", nargs="+", help="ranked CSVs (>= 2)")
-    p.add_argument("--threshold", type=int, default=2)
+    p.add_argument("--threshold", type=int, default=PipelineConfig.threshold)
     p.add_argument("--out", required=True, help="universal-set CSV")
 
     p = sub.add_parser("train", help="train the four classifiers")
     p.add_argument("labeled", help="labeled CSV")
     p.add_argument("--universal", required=True, help="universal-set CSV")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ratio", type=float, default=0.8)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p.add_argument("--ratio", type=float, default=PipelineConfig.ratio)
     p.add_argument("--name", default=None, help="dataset name for model files")
     p.add_argument("--out", required=True, help="directory for model files")
 
@@ -498,8 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("labeled", help="labeled CSV")
     p.add_argument("--universal", required=True)
     p.add_argument("--models", required=True, help="directory with model files")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ratio", type=float, default=0.8)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p.add_argument("--ratio", type=float, default=PipelineConfig.ratio)
     p.add_argument("--name", default=None)
     p.add_argument("--out", default=None, help="optional metrics CSV path")
 
@@ -542,6 +547,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def _stage_name(args) -> str:
+    """A stage command's dataset name: ``--name``, which ``dataset_name``
+    checks, else the labeled CSV's stem."""
+    if args.name is None:
+        return Path(args.labeled).stem
+    return dataset_name("--name", args.name)
+
+
 def _split_labeled(args) -> tuple[FeatureTable, FeatureTable]:
     """The train and test halves of a stage command's labeled CSV, on the
     universal-set columns."""
@@ -573,7 +586,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "rank":
-        name = args.name or Path(args.labeled).stem
+        name = _stage_name(args)
         ranked = rank_dataset(read_feature_csv(args.labeled), args.top_k, name)
         write_ranked_csv(ranked, Path(args.out))
         for feat, score in ranked.ranked:
@@ -589,7 +602,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "train":
-        name = args.name or Path(args.labeled).stem
+        name = _stage_name(args)
         train, _ = _split_labeled(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -598,7 +611,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "evaluate":
-        name = args.name or Path(args.labeled).stem
+        name = _stage_name(args)
         _, test = _split_labeled(args)
         models_dir = Path(args.models)
         models = {kind: classifiers.load_model(model_path(models_dir, name, kind))

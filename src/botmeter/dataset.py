@@ -488,12 +488,23 @@ class DatasetManifest:
                 f"manifest {self.name!r}: missing path(s): {', '.join(missing)}")
 
 
+def dataset_name(source, name: str) -> str:
+    """``name``, a dataset name read from ``source``.  The stages put it in
+    file names, so an empty name, or one holding ``/``, ``\\`` or NUL, is
+    a CsvFormatError naming ``source``."""
+    if not name or any(c in name for c in "/\\\0"):
+        raise CsvFormatError(
+            f"{source}: dataset name {name!r} cannot be part of a file name")
+    return name
+
+
 def parse_manifest(path) -> DatasetManifest:
     """Plain-text ``key = value`` manifest.
 
     Keys: name, captures (comma-separated), rules, default_label; other
     keys are ignored.  Relative paths resolve against the manifest's
-    directory.  Text that is not UTF-8 is a format error.
+    directory.  Text that is not UTF-8, and a name that ``dataset_name``
+    refuses, are format errors.
     """
     path = Path(path)
     base = path.parent
@@ -517,7 +528,7 @@ def parse_manifest(path) -> DatasetManifest:
     if not captures:
         raise CsvFormatError(f"{path}: manifest lists no captures")
     return DatasetManifest(
-        name=values["name"],
+        name=dataset_name(path, values["name"]),
         captures=captures,
         rules=base / values["rules"],
         default_label=values.get("default_label", "Normal"),

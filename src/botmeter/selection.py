@@ -35,26 +35,22 @@ class UniversalFeatureSet:
 
 
 def rank_features_lr(table: FeatureTable, k: int = 10,
-                     spec: ModelSpec | None = None,
                      dataset: str = "") -> RankedFeatureList:
     """Top-k features of a labeled table by |LR weight|.
 
     The LR trainer standardizes the raw features itself, so the weights
     are per standard deviation.  Constant columns (every value equal)
     never rank; |w| ties break by name.  Uses the same LR trainer as the
-    classifiers; its fit is the objective's unique optimum, so rankings
-    depend only on the table and ``spec.l2_lambda``.
+    classifiers, always at the default ``ModelSpec(kind="LR")``; its fit is
+    the objective's unique optimum, so rankings depend only on the table.
     """
     if table.labels is None:
         raise ValidationError("ranking needs a labeled table")
-    spec = spec or ModelSpec(kind="LR")
-    if spec.kind != "LR":
-        raise ValidationError("feature ranking uses the LR trainer")
     variable = np.flatnonzero(~constant_columns(table.rows)) if table.n_rows else []
     if k < 1 or k > len(variable):
         raise ValidationError(
             f"k={k} must be within the {len(variable)} non-constant features")
-    model = fit(spec, table.rows, table.labels)
+    model = fit(ModelSpec(kind="LR"), table.rows, table.labels)
     log_lr_fit(model, f"ranking {dataset or 'table'}")
     scored = sorted(
         ((table.columns[i], float(abs(model.weights[i]))) for i in variable),

@@ -4,13 +4,14 @@ The grower the array-backed forest replaced: each tree is a nested dict
 built by recursion, every node re-sorts each candidate feature, and
 prediction walks one row at a time.  It shares nothing with
 ``botmeter.classifiers`` beyond ``counter_hash``, from which it draws each
-tree's bootstrap rows and, at each node it splits, the tree's next column
-permutation in preorder, so the forest there must match it node for node.
+tree's bootstrap rows and, at each node it splits, the column permutation
+keyed by the tree and the node's heap index (the root 1, the children of
+``i`` ``2i`` and ``2i + 1`` modulo 2**64), so the forest there must match
+it node for node.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -55,7 +56,7 @@ def gini_best_split(values, ones_total, labels):
     return float(weighted[best]), threshold
 
 
-def grow_tree(X, y, indices, max_features, min_samples_split, draw):
+def grow_tree(X, y, indices, max_features, min_samples_split, draw, heap=1):
     sub_y = y[indices]
     ones = int(sub_y.sum())
     counts = [len(indices) - ones, ones]
@@ -63,7 +64,7 @@ def grow_tree(X, y, indices, max_features, min_samples_split, draw):
         return {"counts": counts}
     # Examine a random feature subset; keep scanning past it only while no
     # examined feature admitted a split.
-    permuted = draw()
+    permuted = draw(heap)
     best = None
     examined = 0
     for f in permuted:
@@ -79,8 +80,10 @@ def grow_tree(X, y, indices, max_features, min_samples_split, draw):
         return {"counts": counts}
     _, feature, threshold = best
     mask = X[indices, feature] <= threshold
-    left = grow_tree(X, y, indices[mask], max_features, min_samples_split, draw)
-    right = grow_tree(X, y, indices[~mask], max_features, min_samples_split, draw)
+    left = grow_tree(X, y, indices[mask], max_features, min_samples_split, draw,
+                     2 * heap % 2**64)
+    right = grow_tree(X, y, indices[~mask], max_features, min_samples_split, draw,
+                      (2 * heap + 1) % 2**64)
     return {"feature": feature, "threshold": threshold,
             "left": left, "right": right}
 
@@ -100,12 +103,11 @@ def fit_forest(spec, X, y) -> list:
                                 for i in range(n)])
         else:
             indices = np.arange(n)
-        draws = itertools.count()
 
-        def draw(t=t, draws=draws):
-            """Tree t's next permutation: the columns by their words."""
-            k = next(draws)
-            words = [int(counter_hash(spec.seed, PERMUTATION, t, k, c))
+        def draw(heap, t=t):
+            """The permutation of tree t's node ``heap``: the columns by
+            their words."""
+            words = [int(counter_hash(spec.seed, PERMUTATION, t, heap, c))
                      for c in range(d)]
             return np.array(sorted(range(d), key=words.__getitem__))
 

@@ -636,9 +636,9 @@ class TestRF:
         batches = []
         split_batch = classifiers._split_batch
 
-        def spy(trees, rows, sizes, *args):
+        def spy(trees, heap, rows, sizes, *args):
             batches.append(list(zip(trees.tolist(), (sizes * 2).tolist())))
-            return split_batch(trees, rows, sizes, *args)
+            return split_batch(trees, heap, rows, sizes, *args)
 
         with mock.patch.object(classifiers, "_RF_SEARCH_ELEMENTS", 64), \
                 mock.patch.object(classifiers, "_split_batch", spy):
@@ -650,8 +650,6 @@ class TestRF:
         assert all(len(batch) == 1 or sum(e for _, e in batch) <= 64
                    for batch in batches)
         assert any(len(batch) > 1 for batch in batches)
-        for batch in batches:
-            assert len({t for t, _ in batch}) == len(batch)
 
     def test_predict_in_steps_matches_one_step(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -678,6 +676,30 @@ class TestRF:
         loaded = load_model(path)
         assert_same_state(loaded, model)
         np.testing.assert_array_equal(predict(loaded, X), y)
+
+    def test_heap_index_wraps_past_depth_63_as_in_the_oracle(self):
+        # Alternating labels along x, and the columns x and -x: every split
+        # peels one row off an end, so each tree is a chain about 149
+        # levels deep, and each node's draw picks the column it cuts.
+        # From depth 64 on, the heap indices wrap modulo 2**64.
+        x = np.arange(150.0)
+        X, y = np.column_stack((x, -x)), np.arange(150) % 2
+        spec = ModelSpec(kind="RF", n_trees=3, seed=9, max_features=1,
+                         bootstrap=False)
+        model = fit(spec, X, y)
+        trees = rf_oracle.fit_forest(spec, X, y)
+        assert forest_trees(model) == oracle_trees(trees)
+
+        def deep_features(node, depth=0):
+            if "feature" not in node:
+                return []
+            return ([node["feature"]] if depth >= 64 else []) + [
+                f for child in (node["left"], node["right"])
+                for f in deep_features(child, depth + 1)]
+
+        for tree in trees:
+            assert set(deep_features(tree)) == {0, 1}
+        np.testing.assert_array_equal(predict(model, X), y)
 
     def test_midpoint_rounding_onto_upper_value_still_splits(self):
         # The midpoint of two adjacent floats can round onto the upper one;

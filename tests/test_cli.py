@@ -229,6 +229,18 @@ class TestStageCommands:
         assert capsys.readouterr().err.splitlines() == [
             "error: split ratio 0.04 of 10 rows leaves the train half empty"]
 
+    @pytest.mark.parametrize("argv", [
+        ["rank", "l.csv", "--out", "r.csv"],
+        ["train", "l.csv", "--universal", "u.csv", "--out", "models"],
+        ["evaluate", "l.csv", "--universal", "u.csv", "--models", "models"],
+    ])
+    @pytest.mark.parametrize("name", ["", "a/b", "a\\b"])
+    def test_a_name_that_cannot_be_a_file_name_part_is_refused(
+            self, tmp_path, capsys, argv, name):
+        assert run_cli(*argv, "--name", name) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --name: dataset name {name!r} cannot be part of a file name"]
+
     def test_rank_has_no_seed_flag(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             run_cli("rank", tmp_path / "labeled.csv", "--seed", 1,
@@ -877,6 +889,51 @@ class TestPipelineConfig:
             ["pipeline", "--config", str(config_path), "--timeout-s", "inf"])
         with pytest.raises(ValidationError, match="flow_timeout_s must be a finite"):
             cli.load_pipeline_config(config_path, args)
+
+    def test_a_manifest_name_with_a_slash_fails_at_config_load(
+            self, config_path, capsys):
+        manifest = config_path.parent / "ds.manifest"
+        manifest.write_text("name = ddos/x\ncaptures = a.pcap\nrules = r.csv\n")
+        assert run_cli("pipeline", "--config", config_path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {manifest}: dataset name 'ddos/x' cannot be part of a "
+            f"file name"]
+        assert not (config_path.parent / "from_config").exists()
+
+    def test_flags_and_a_bare_config_take_the_config_classes_defaults(
+            self, config_path):
+        pipeline = {"seed": 0, "ratio": 0.8, "top_k": 10, "threshold": 2}
+        assert {key: getattr(cli.PipelineConfig, key) for key in pipeline} \
+            == pipeline
+        meter = MeterConfig()
+        assert (meter.flow_timeout_us, meter.activity_timeout_us) \
+            == (120_000_000, 5_000_000)
+        stages = [
+            (["extract", "a.pcap", "--out", "f.csv"],
+             {"timeout_s": 120.0, "activity_timeout_s": 5.0}),
+            (["rank", "l.csv", "--out", "r.csv"], {"top_k": 10}),
+            (["universal", "a.csv", "b.csv", "--out", "u.csv"], {"threshold": 2}),
+            (["train", "l.csv", "--universal", "u.csv", "--out", "m"],
+             {"seed": 0, "ratio": 0.8}),
+            (["evaluate", "l.csv", "--universal", "u.csv", "--models", "m"],
+             {"seed": 0, "ratio": 0.8}),
+        ]
+        for argv, want in stages:
+            args = vars(cli.build_parser().parse_args(argv))
+            got = {key: args[key] for key in want}
+            assert got == want and list(map(type, got.values())) \
+                == list(map(type, want.values())), argv
+        (config_path.parent / "other.manifest").write_text(
+            "name = other\ncaptures = a.pcap\nrules = rules.csv\n")
+        config_path.write_text(json.dumps(
+            {"datasets": ["ds.manifest", "other.manifest"]}))
+        for args in (None, cli.build_parser().parse_args(
+                ["pipeline", "--config", str(config_path)])):
+            config = cli.load_pipeline_config(config_path, args)
+            got = {key: getattr(config, key) for key in pipeline}
+            assert got == pipeline and list(map(type, got.values())) \
+                == list(map(type, pipeline.values()))
+            assert config.meter == meter
 
     VALID = json.dumps({"datasets": ["ds.manifest"], "out_dir": "out", "seed": 3,
                         "ratio": 0.75, "top_k": 4, "threshold": 1,

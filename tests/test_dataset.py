@@ -707,6 +707,18 @@ class TestManifest:
         with pytest.raises(CsvFormatError, match="ds.manifest: 'utf-8' codec"):
             parse_manifest(manifest)
 
+    @pytest.mark.parametrize("name", ["", "ddos/x", "ddos\\x", "ddos\0x"])
+    def test_a_name_that_cannot_be_a_file_name_part_is_refused(self, tmp_path,
+                                                               name):
+        # Stage extract would fail on ``labeled_ddos/x.csv``; an empty name
+        # would write ``labeled_.csv``.
+        manifest = tmp_path / "ds.manifest"
+        manifest.write_text(f"name = {name}\ncaptures = a.pcap\nrules = r.csv\n")
+        with pytest.raises(CsvFormatError) as info:
+            parse_manifest(manifest)
+        assert str(info.value) == (f"{manifest}: dataset name {name!r} cannot "
+                                   f"be part of a file name")
+
     VALID = ("# demo dataset\nname = demo\ncaptures = caps/a.pcap, caps/b.pcap\n"
              "rules = rules.csv\ndefault_label = Normal\nnotes = two captures\n")
 
@@ -720,6 +732,7 @@ class TestManifest:
         except (CsvFormatError, ValidationError):
             return
         assert m.captures and all(isinstance(p, Path) for p in m.captures)
+        assert m.name and not set(m.name) & set("/\\\0")
 
     def test_validate_reports_missing_paths(self, tmp_path):
         manifest = tmp_path / "ds.manifest"

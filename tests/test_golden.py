@@ -37,8 +37,8 @@ GOLDEN = {
 
 # SHA-256 of ``save_model``'s file for each forest of ``rf_case``.
 RF_GOLDEN = {
-    "bootstrap": "ea8a0c06d3904793c7a2fce016114a0799c99f4570b1ad60c23b6346d3d0f325",
-    "constant": "b7f5fb86d67ea854e0ed228590e351f317bbf8a8a35bf9b8db602541861083ba",
+    "bootstrap": "1106dcc615848ac470da9d6989305405b5eed0f9c7db4d09485f67f386412d86",
+    "constant": "281f7590d64dda388d7f627b7dcaaea48e73c6687f470fca2fcb5a93baf1bd1a",
 }
 
 # Activity timeout below the long flows' 0.6–1.5 s gaps, flow timeout below
