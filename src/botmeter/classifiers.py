@@ -149,11 +149,22 @@ def counter_hash(*keys) -> np.ndarray:
             key = np.asarray(key % 2**64 if isinstance(key, int) else key)
             if key.dtype.kind not in "iu":  # a seed of another type
                 raise ValidationError(f"random keys must be integers, got {key.dtype}")
-            z = (h ^ key.astype(np.uint64)) + np.uint64(0x9E3779B97F4A7C15)
-            z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
-            h = z ^ (z >> 31)
+            h = _hash_round(h, key.astype(np.uint64))
     return h
+
+
+def _hash_round(h, key):
+    """One SplitMix64 round of ``counter_hash``: the uint64 ``key`` XORed
+    into the uint64 words ``h``, broadcast, and mixed.  The XOR makes a new
+    array, which the rest of the round mixes in place."""
+    z = h ^ key
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> 30
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> 27
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    return z
 
 
 # --- Gaussian Naive Bayes ---------------------------------------------------
@@ -514,9 +525,11 @@ def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
     so past depth 63 two nodes of one tree can share a draw.  ``t``'s
     bootstrap row ``j`` is ``counter_hash(seed, BOOTSTRAP, t, j) % n``.  A
     node's split depends only on its rows and its heap index, so a tree
-    grown alone, in any order, is the same.  The split searches run in
-    batches of at most ``_RF_SEARCH_ELEMENTS`` (sample, column) pairs, a
-    lone node above that in a batch of its own.
+    grown alone, in any order, is the same.  Each step draws the column
+    orders of all its pending nodes at once, from ``(seed, PERMUTATION)``
+    hashed once per fit, and runs their split searches in batches of at
+    most ``_RF_SEARCH_ELEMENTS`` (sample, column) pairs, a lone node above
+    that in a batch of its own.
 
     Nodes are numbered as they are made: the roots in tree order, then each
     step's children, split by split, left then right.
@@ -535,28 +548,36 @@ def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
     def splittable(size, ones):
         return (ones > 0) & (ones < size) & (size >= spec.min_samples_split)
 
-    rows = np.tile(np.arange(n), (n_trees, 1))
+    prefix = counter_hash(spec.seed, PERMUTATION)  # the first two keys of every draw
     if spec.bootstrap:
-        rows = (counter_hash(spec.seed, BOOTSTRAP, np.arange(n_trees)[:, None], rows)
-                % np.uint64(n)).astype(np.int64)
+        rows = counter_hash(spec.seed, BOOTSTRAP, np.arange(n_trees)[:, None],
+                            np.arange(n))
+        rows %= np.uint64(n)
+        rows = rows.view(np.int64)
+    else:
+        rows = np.broadcast_to(np.arange(n), (n_trees, n))
     # Nodes by number, the roots first: samples, class-1 samples.
     nodes = [(np.full(n_trees, n), y[rows].sum(axis=1))]
     # The pending nodes: number, tree, heap index, samples, class-1 samples.
     # Their training rows sit in ``rows``, node after node.
     pending = splittable(*nodes[0])
-    ids = trees = np.flatnonzero(pending)
+    ids = np.flatnonzero(pending)
+    trees = ids.astype(np.uint64)
     heap = np.ones(len(ids), dtype=np.uint64)
     sizes, ones = (column[pending] for column in nodes[0])
     rows = rows[pending].ravel()
+    columns = np.arange(d, dtype=np.uint64)
     # Per step, the nodes that split: number, feature, threshold, left child.
     splits = []
     made = n_trees
     while len(ids):
+        # Every pending node's columns, in the order it examines them.
+        node_keys = _hash_round(_hash_round(prefix, trees), heap)
+        order = np.argsort(_hash_round(node_keys[:, None], columns), axis=1,
+                           kind="stable")
         ends = np.cumsum(sizes)
-        found = [_split_batch(trees[lo:hi], heap[lo:hi],
-                              rows[ends[lo] - sizes[lo]:ends[hi - 1]],
-                              sizes[lo:hi], ones[lo:hi], spec.seed, keys, levels,
-                              max_features)
+        found = [_split_batch(order[lo:hi], rows[ends[lo] - sizes[lo]:ends[hi - 1]],
+                              sizes[lo:hi], ones[lo:hi], keys, levels, max_features)
                  for lo, hi in _batches(sizes * max_features)]
         feature, threshold, cut, ones_left = map(np.concatenate, zip(*found))
         split = feature >= 0
@@ -612,17 +633,12 @@ def _batches(elements):
         lo = hi
 
 
-def _split_batch(trees, heap, rows, sizes, ones, seed, keys, levels, max_features):
+def _split_batch(columns, rows, sizes, ones, keys, levels, max_features):
     """The splits, as ``_best_splits`` returns them, of a batch of nodes:
-    node ``i``, of heap index ``heap[i]`` in tree ``trees[i]``, owns the
-    next ``sizes[i]`` entries of ``rows``, holds ``ones[i]`` class-1
-    samples and examines the first ``max_features`` columns of its
-    permutation (see ``_fit_rf``), then the rest one at a time while none
-    admits a split."""
-    columns = np.argsort(
-        counter_hash(seed, PERMUTATION, trees[:, None], heap[:, None],
-                     np.arange(keys.shape[1])),
-        axis=1, kind="stable")
+    node ``i`` owns the next ``sizes[i]`` entries of ``rows``, holds
+    ``ones[i]`` class-1 samples and examines the first ``max_features``
+    columns of its permutation ``columns[i]`` (see ``_fit_rf``), then the
+    rest one at a time while none admits a split."""
     split = _best_splits(keys, levels, rows, sizes, columns[:, :max_features], ones)
     starts = np.cumsum(sizes) - sizes
     unsplit = np.flatnonzero(split[0] < 0)
@@ -663,10 +679,15 @@ def predict(model: Model, X) -> np.ndarray:
 def save_model(model: Model, path) -> None:
     """Versioned JSON dump; floats round-trip exactly via repr.  The state
     holds every model field after ``spec``, in field order, with arrays as
-    (nested) lists."""
+    (nested) lists.  A state array with a non-finite value is refused before
+    the file is opened: ``load_model`` would refuse it."""
     if not isinstance(model, Model):
         raise ValidationError(f"cannot serialize {type(model).__name__}")
     state = {f.name: getattr(model, f.name) for f in fields(model)[1:]}
+    for key, value in state.items():
+        if isinstance(value, np.ndarray) and not np.isfinite(value).all():
+            raise ValidationError(f"cannot save {model.spec.kind} model: state "
+                                  f"{key!r} holds a non-finite value")
     spec = asdict(model.spec)
     # A fitting cap, not a property of the model: a converged fit is the
     # same under any cap it stays below.
@@ -679,25 +700,31 @@ def save_model(model: Model, path) -> None:
         _write_json(fh, doc)
 
 
-# Leading rows of an array that _write_json lists and encodes at a time.
+# Leading rows of an array that _write_json formats at a time.
 _JSON_SLICE = 1024
 
 
 def _write_json(fh, obj) -> None:
     """Write the bytes of ``json.dumps(obj)``, with each array as its
     ``tolist()``.  A dict is written one value at a time, and every array,
-    whatever its length or shape, in slices of ``_JSON_SLICE`` leading rows,
-    each listed and encoded only when written.  The C encoder is several
-    times faster than ``json.dump``, but it can hold every token of a call
-    as its own string (Python 3.11 does): a whole 7,000-node forest column
-    as lists and tokens peaks at about 1.6 MB, one slice at a time at about
-    0.26 MB.
+    whatever its length or shape, in slices of ``_JSON_SLICE`` leading rows.
+    A slice is one ``%`` format over its flat ``tolist()``, with one ``%r``
+    per cell inside the brackets of its shape: for ints and finite floats,
+    ``repr`` is the text ``json`` writes, and no nested list is built.
+    Writing any whole column of a 7,000-node forest this way peaks at
+    0.08 MB or less (``tracemalloc``; ``threshold`` the largest), where
+    ``json.dumps`` of each slice's nested lists peaked at 0.26 MB
+    (``counts``).
     """
     if isinstance(obj, np.ndarray):
+        row = "%r"
+        for width in reversed(obj.shape[1:]):
+            row = "[" + ", ".join([row] * width) + "]"
         fh.write("[")
         for a in range(0, len(obj), _JSON_SLICE):
-            rows = json.dumps(obj[a:a + _JSON_SLICE].tolist())[1:-1]
-            fh.write((", " if a else "") + rows)
+            part = obj[a:a + _JSON_SLICE]
+            cells = tuple(part.ravel().tolist())
+            fh.write((", " if a else "") + ", ".join([row] * len(part)) % cells)
         fh.write("]")
     elif isinstance(obj, dict):
         fh.write("{")

@@ -515,6 +515,41 @@ class TestCounterHash:
                 assert grid[t, i] == classifiers.counter_hash(
                     5, classifiers.BOOTSTRAP, t, i)
 
+    def test_a_level_draw_continues_the_prefix_one_round_per_key(self):
+        # How _fit_rf draws a level: (seed, PERMUTATION) hashed once, then
+        # one round per key over the pending nodes' (tree, heap index)
+        # pairs, broadcast against the columns.  Heap indices at and above
+        # 2**63 are the ones a signed cast would break.
+        trees = np.array([0, 0, 3, 99, 7, 1], dtype=np.uint64)
+        heap = np.array([1, 2**63, 2**63 + 5, 2**64 - 1, 2**63 - 1, 6],
+                        dtype=np.uint64)
+        columns = np.arange(6, dtype=np.uint64)
+        for seed in (0, 11, 2**64 - 1):
+            prefix = classifiers.counter_hash(seed, classifiers.PERMUTATION)
+            round_ = classifiers._hash_round
+            words = round_(round_(round_(prefix, trees), heap)[:, None], columns)
+            assert words.shape == (6, 6) and words.dtype == np.uint64
+            for i, (t, h) in enumerate(zip(trees.tolist(), heap.tolist())):
+                for c in range(6):
+                    assert words[i, c] == classifiers.counter_hash(
+                        seed, classifiers.PERMUTATION, t, h, c)
+
+    def test_hashing_leaves_the_keys_unchanged(self):
+        trees = np.arange(5, dtype=np.uint64) * np.uint64(7)
+        heap = np.array([1, 3, 2**63, 2**64 - 1, 12], dtype=np.uint64)
+        signed = np.arange(5)
+        words = classifiers.counter_hash(1, classifiers.PERMUTATION, signed)
+        keys = (trees, heap, signed, words)
+        before = [key.copy() for key in keys]
+        classifiers.counter_hash(3, classifiers.PERMUTATION, trees, heap, signed)
+        classifiers.counter_hash(words, trees[:, None], heap)
+        # Same shapes, where a round run in place on an argument could
+        # write through to it.
+        classifiers._hash_round(words, trees)
+        classifiers._hash_round(trees, heap)
+        for key, copy in zip(keys, before):
+            np.testing.assert_array_equal(key, copy)
+
     def test_python_ints_are_taken_modulo_2_to_the_64(self):
         assert classifiers.counter_hash(-1, 2) == classifiers.counter_hash(2**64 - 1, 2)
         assert classifiers.counter_hash(2**64 + 3) == classifiers.counter_hash(3)
@@ -636,20 +671,28 @@ class TestRF:
         batches = []
         split_batch = classifiers._split_batch
 
-        def spy(trees, heap, rows, sizes, *args):
-            batches.append(list(zip(trees.tolist(), (sizes * 2).tolist())))
-            return split_batch(trees, heap, rows, sizes, *args)
+        def spy(columns, rows, sizes, *args):
+            batches.append((columns.tolist(), rows.tolist(), (sizes * 2).tolist()))
+            return split_batch(columns, rows, sizes, *args)
 
         with mock.patch.object(classifiers, "_RF_SEARCH_ELEMENTS", 64), \
                 mock.patch.object(classifiers, "_split_batch", spy):
             capped = fit(spec, X, y)
         assert forest_trees(capped) == forest_trees(whole)
         # Each root (60 samples x 2 columns) is over the cap: the first step
-        # runs as one batch per tree, in tree order.
-        assert batches[:12] == [[(t, 120)] for t in range(12)]
-        assert all(len(batch) == 1 or sum(e for _, e in batch) <= 64
-                   for batch in batches)
-        assert any(len(batch) > 1 for batch in batches)
+        # runs as one batch per tree, in tree order, each with its tree's
+        # bootstrap rows and the column order of heap index 1.
+        roots = [([np.argsort(classifiers.counter_hash(
+                      4, classifiers.PERMUTATION, t, 1, np.arange(4)),
+                      kind="stable").tolist()],
+                  (classifiers.counter_hash(4, classifiers.BOOTSTRAP, t,
+                                            np.arange(60)) % np.uint64(60)).tolist(),
+                  [120])
+                 for t in range(12)]
+        assert batches[:12] == roots
+        assert all(len(elements) == 1 or sum(elements) <= 64
+                   for _, _, elements in batches)
+        assert any(len(elements) > 1 for _, _, elements in batches)
 
     def test_predict_in_steps_matches_one_step(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -741,13 +784,37 @@ class TestSerialization:
     @pytest.mark.parametrize("n", [0, 1, _SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1])
     def test_arrays_in_slices_write_the_bytes_of_one_dumps(self, n):
         rng = np.random.default_rng(n)
-        doc = {"n": n, "state": {"floats": rng.normal(size=n),
-                                 "ints": rng.integers(-9, 9, n),
-                                 "pairs": rng.integers(0, 99, (n, 2))}}
+        # Floats whose shortest text is easy to get wrong: a signed zero,
+        # the least subnormal, the greatest float, the first power of ten
+        # written with an exponent, and two that do not end.
+        edge_floats = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1, 1 / 3]
+        doc = {"n": n, "state": {
+            "floats": rng.normal(size=n),
+            "ints": rng.integers(-9, 9, n),
+            "pairs": rng.integers(0, 99, (n, 2)),
+            "edge_floats": np.resize(edge_floats, n + len(edge_floats)),
+            "edge_ints": np.resize([2**63 - 1, -(2**63 - 1)], n + 2),
+            "triples": rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-30, 30, (n, 3)),
+            "empty": np.zeros(0),
+            "empty_pairs": np.zeros((0, 2), dtype=np.int64)}}
         fh = io.StringIO()
         classifiers._write_json(fh, doc)
         assert fh.getvalue() == json.dumps(
             {"n": n, "state": {k: v.tolist() for k, v in doc["state"].items()}})
+
+    def test_a_non_finite_state_array_is_refused_before_the_file_opens(self,
+                                                                       tmp_path):
+        # The variance of +-1e300 overflows to inf.
+        X = np.array([[1e300], [-1e300]] * 4)
+        y = np.array([0, 0, 1, 1] * 2)
+        with np.errstate(over="ignore"):
+            model = fit(ModelSpec(kind="NB"), X, y)
+        assert np.isinf(model.variances).all()
+        path = tmp_path / "nb.json"
+        with pytest.raises(ValidationError, match=re.escape(
+                "cannot save NB model: state 'variances' holds a non-finite value")):
+            save_model(model, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_roundtrip_reproduces_predictions(self, kind, tmp_path):

@@ -18,6 +18,7 @@ from botmeter.dataset import (FeatureTable, format_number, read_feature_csv,
                               read_flow_csv, write_flow_csv)
 from botmeter.demo import make_demo_corpus
 from botmeter.errors import CsvFormatError, ValidationError
+from botmeter.features import FEATURE_COLUMNS
 from botmeter.meter import MeterConfig
 from botmeter.selection import derive_universal_set, rank_features_lr
 from botmeter.synth import FlowBlueprint, PacketBlueprint, generate_synthetic_capture
@@ -228,6 +229,24 @@ class TestStageCommands:
                        "--out", tmp_path / "models") == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: split ratio 0.04 of 10 rows leaves the train half empty"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_train_refuses_a_model_it_cannot_save(self, tmp_path, capsys):
+        # The NB variances of a column of +-1e300 overflow to inf, which a
+        # model file cannot hold.
+        at = [name for name, _ in FEATURE_COLUMNS].index("Flow IAT Mean")
+        flows = [flow(values=ZEROS[:at] + (value,) + ZEROS[at + 1:])
+                 for value in (1e300, -1e300) * 10]
+        labeled = tmp_path / "labeled.csv"
+        write_flow_csv(labeled, flows, ["Botnet", "Botnet", "Normal", "Normal"] * 5)
+        universal = tmp_path / "universal.csv"
+        universal.write_text("name,count\nFlow IAT Mean,1\n", encoding="utf-8")
+        models = tmp_path / "models"
+        assert run_cli("train", labeled, "--universal", universal,
+                       "--out", models) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot save NB model: state 'variances' holds a non-finite value"]
+        assert not list(models.glob("*_NB.json"))
 
     @pytest.mark.parametrize("argv", [
         ["rank", "l.csv", "--out", "r.csv"],
