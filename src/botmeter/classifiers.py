@@ -23,7 +23,7 @@ logger = logging.getLogger(__name__)
 
 KINDS = ("NB", "KNN", "RF", "LR")
 
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,8 @@ class ModelSpec:
             raise ValidationError("n_trees must be >= 1")
         if self.max_features is not None and self.max_features < 1:
             raise ValidationError("max_features must be >= 1")
+        if self.min_samples_split < 2:
+            raise ValidationError("min_samples_split must be >= 2")
         # lambda > 0 makes the LR objective strictly convex, so every fit
         # has one finite optimum, even on separable data.
         if not self.l2_lambda > 0:
@@ -392,50 +394,46 @@ _RF_SEARCH_ELEMENTS = 1 << 13  # (sample, column) pairs per batched split search
 
 @dataclass
 class RFModel:
-    """A forest stored as one node table.
+    """A forest stored as one node table, in level order.
 
-    Node ``i`` is a leaf when ``feature[i] == -1``; otherwise a row goes to
-    ``left[i]`` when ``row[feature[i]] <= threshold[i]`` and to
-    ``left[i] + 1`` when not.  ``counts[i]`` holds the class-0 and class-1
-    training samples that reached node ``i``.  Tree ``t`` starts at
-    ``roots[t]``; every other node follows its parent, and the two children
-    of a split sit side by side, left first.  Leaves carry threshold 0.0
-    and ``left`` -1.
+    Node ``i`` is a leaf when ``feature[i] == -1``, and ``threshold[i]``
+    then holds its class, 0.0 or 1.0.  Otherwise a row goes left when
+    ``row[feature[i]] <= threshold[i]``.  Tree ``t`` starts at node ``t``.
+    The children of every split follow in one run, two by two, in the
+    order of their parents, so the left child of split ``i`` is
+    ``n_trees + 2 * (splits before i)`` and its right child the next node.
     """
 
     spec: ModelSpec
     n_features: int
     feature: np.ndarray    # (n_nodes,) int64
     threshold: np.ndarray  # (n_nodes,) float64
-    left: np.ndarray       # (n_nodes,) int64
-    counts: np.ndarray     # (n_nodes, 2) int64
-    roots: np.ndarray      # (n_trees,) int64
 
     def predict(self, X) -> np.ndarray:
         X = _validate_predict_input(X, self.n_features)
-        n_trees = len(self.roots)
-        leaf_class = self.counts[:, 1] > self.counts[:, 0]  # tie -> 0
+        n_trees = self.spec.n_trees
         votes = np.empty(len(X), dtype=np.int64)
         step = max(1, _RF_PAIRS_PER_STEP // n_trees)  # bounds the index arrays
         for start in range(0, len(X), step):
             leaves = self._leaves(X[start:start + step])
-            votes[start:start + step] = leaf_class[leaves].sum(axis=0)
+            votes[start:start + step] = self.threshold[leaves].sum(axis=0)
         return (votes * 2 > n_trees).astype(np.int64)  # tie -> 0
 
     def _leaves(self, X) -> np.ndarray:
         """(n_trees, len(X)) index of the leaf each row reaches in each tree."""
-        n = len(X)
+        n, n_trees = len(X), self.spec.n_trees
+        left = n_trees - 2 + 2 * np.cumsum(self.feature >= 0)
         # Every (tree, row) pair moves down one level per step.
-        node = np.repeat(self.roots, n)
-        row = np.tile(np.arange(n), len(self.roots))
+        node = np.repeat(np.arange(n_trees), n)
+        row = np.tile(np.arange(n), n_trees)
         live = np.flatnonzero(self.feature[node] >= 0)
         while len(live):
             cur = node[live]
             go_left = X[row[live], self.feature[cur]] <= self.threshold[cur]
-            cur = self.left[cur] + ~go_left
+            cur = left[cur] + ~go_left
             node[live] = cur
             live = live[self.feature[cur] >= 0]
-        return node.reshape(len(self.roots), n)
+        return node.reshape(n_trees, n)
 
 
 def _best_splits(keys, levels, rows, sizes, columns, ones):
@@ -531,8 +529,9 @@ def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
     most ``_RF_SEARCH_ELEMENTS`` (sample, column) pairs, a lone node above
     that in a batch of its own.
 
-    Nodes are numbered as they are made: the roots in tree order, then each
-    step's children, split by split, left then right.
+    Nodes are numbered in level order: the roots in tree order, then each
+    step's children in the order of their parents' numbers, left then
+    right, which is the numbering ``RFModel`` derives the children from.
     """
     n, d = X.shape
     n_trees = spec.n_trees
@@ -556,19 +555,21 @@ def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
         rows = rows.view(np.int64)
     else:
         rows = np.broadcast_to(np.arange(n), (n_trees, n))
-    # Nodes by number, the roots first: samples, class-1 samples.
-    nodes = [(np.full(n_trees, n), y[rows].sum(axis=1))]
+    sizes, ones = np.full(n_trees, n), y[rows].sum(axis=1)
+    # Writes to the node table, in order: (numbers, feature, threshold).
+    # Each node is made a leaf of its majority class (a tie to 0), and a
+    # node that splits is then overwritten with its split.
+    table = [(np.arange(n_trees), -1, ones * 2 > sizes)]
     # The pending nodes: number, tree, heap index, samples, class-1 samples.
     # Their training rows sit in ``rows``, node after node.
-    pending = splittable(*nodes[0])
+    pending = splittable(sizes, ones)
     ids = np.flatnonzero(pending)
     trees = ids.astype(np.uint64)
     heap = np.ones(len(ids), dtype=np.uint64)
-    sizes, ones = (column[pending] for column in nodes[0])
+    sizes, ones = sizes[pending], ones[pending]
     rows = rows[pending].ravel()
     columns = np.arange(d, dtype=np.uint64)
-    # Per step, the nodes that split: number, feature, threshold, left child.
-    splits = []
+    side = np.arange(2)[:, None]  # row 0 for left children, row 1 for right
     made = n_trees
     while len(ids):
         # Every pending node's columns, in the order it examines them.
@@ -581,13 +582,13 @@ def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
                  for lo, hi in _batches(sizes * max_features)]
         feature, threshold, cut, ones_left = map(np.concatenate, zip(*found))
         split = feature >= 0
-        q = np.count_nonzero(split)
-        left_ids = made + 2 * np.arange(q)
-        splits.append((ids[split], feature[split], threshold[split], left_ids))
-        # Row 0 for the left children, row 1 for the right ones.
+        parents = ids[split]
+        table.append((parents, feature[split], threshold[split]))
+        # Children go in the order of their parents' numbers.
+        child_ids = made + 2 * np.searchsorted(np.sort(parents), parents) + side
         child_size = np.stack((cut, sizes - cut))[:, split]
         child_ones = np.stack((ones_left, ones - ones_left))[:, split]
-        nodes.append((child_size.T.ravel(), child_ones.T.ravel()))
+        table.append((child_ids, -1, child_ones * 2 > child_size))
         grow = splittable(child_size, child_ones)
         # The pending children's rows, the left children's first.  An
         # unsplit node has no children: its rows are dropped.
@@ -597,19 +598,15 @@ def _fit_rf(spec: ModelSpec, X, y) -> RFModel:
                    <= np.repeat(threshold, sizes))
         rows = np.concatenate((rows[go_left & np.repeat(pending[0], sizes)],
                                rows[~go_left & np.repeat(pending[1], sizes)]))
-        side = np.arange(2)[:, None]
-        ids = (left_ids + side)[grow]
+        ids = child_ids[grow]
         trees = np.broadcast_to(trees[split], grow.shape)[grow]
         heap = ((heap[split] << np.uint64(1)) | side.astype(np.uint64))[grow]
         sizes, ones = child_size[grow], child_ones[grow]
-        made += 2 * q
-    feature, threshold, left = np.full(made, -1), np.zeros(made), np.full(made, -1)
-    for ids, *split_values in splits:
-        for column, values in zip((feature, threshold, left), split_values):
-            column[ids] = values
-    size, ones = map(np.concatenate, zip(*nodes))
-    counts = np.column_stack((size - ones, ones))
-    return RFModel(spec, d, feature, threshold, left, counts, np.arange(n_trees))
+        made += 2 * len(parents)
+    feature, threshold = np.full(made, -1), np.empty(made)
+    for ids, *values in table:
+        feature[ids], threshold[ids] = values
+    return RFModel(spec, d, feature, threshold)
 
 
 def _ranges(starts, lengths):
@@ -712,9 +709,7 @@ def _write_json(fh, obj) -> None:
     per cell inside the brackets of its shape: for ints and finite floats,
     ``repr`` is the text ``json`` writes, and no nested list is built.
     Writing any whole column of a 7,000-node forest this way peaks at
-    0.08 MB or less (``tracemalloc``; ``threshold`` the largest), where
-    ``json.dumps`` of each slice's nested lists peaked at 0.26 MB
-    (``counts``).
+    0.08 MB or less (``tracemalloc``; ``threshold`` the largest).
     """
     if isinstance(obj, np.ndarray):
         row = "%r"
@@ -772,20 +767,19 @@ def load_model(path) -> Model:
     if missing or unknown:
         raise ValidationError(f"{path}: {spec.kind} model state: missing key(s) "
                               f"{missing}, unknown key(s) {unknown}")
-    return cls(spec, **_checked_state(path, spec.kind, state))
+    return cls(spec, **_checked_state(path, spec, state))
 
 
 # Each kind's state arrays: "i" for integers or "f" for finite reals, and
 # the shape, whose named sizes must agree across the file: d features, n
-# training rows or forest nodes, t trees.
+# training rows or forest nodes.
 _STATE_ARRAYS = {
     "NB": {"log_priors": ("f", (2,)), "means": ("f", (2, "d")),
            "variances": ("f", (2, "d"))},
     "KNN": {"mu": ("f", ("d",)), "sigma": ("f", ("d",)),
             "train_x": ("f", ("n", "d")), "train_y": ("i", ("n",))},
     "LR": {"mu": ("f", ("d",)), "sigma": ("f", ("d",)), "weights": ("f", ("d",))},
-    "RF": {"feature": ("i", ("n",)), "threshold": ("f", ("n",)),
-           "left": ("i", ("n",)), "counts": ("i", ("n", 2)), "roots": ("i", ("t",))},
+    "RF": {"feature": ("i", ("n",)), "threshold": ("f", ("n",))},
 }
 
 
@@ -794,11 +788,15 @@ def _is_number(value, integer=False) -> bool:
         and not isinstance(value, bool)
 
 
-def _checked_state(path, kind, state) -> dict:
+def _checked_state(path, spec, state) -> dict:
     """A model file's state with its arrays as numpy arrays, once every
-    value has the type, shape and range that ``predict`` relies on: for a
-    forest, every internal node's two children follow it within the table,
-    so that each descent ends at a leaf."""
+    value has the type, shape and range that ``predict`` relies on.  A
+    forest must hold ``n_trees`` nodes plus two per split: then the k-th
+    split's children, from ``n_trees + 2(k - 1)``, are nodes after every
+    root and after the children of the splits before it, so every descent
+    moves to ever greater numbers and ends at a leaf."""
+    kind = spec.kind
+
     def fail(key, what):
         raise ValidationError(f"{path}: {kind} model state {key!r}: {what}")
 
@@ -836,20 +834,18 @@ def _checked_state(path, kind, state) -> dict:
             fail("bias", f"expected a finite number, got {bias!r}")
         if not (_is_number(n_iters, integer=True) and n_iters >= 0):
             fail("n_iters", f"expected an integer >= 0, got {n_iters!r}")
-        if not _is_number(grad_norm):
-            fail("grad_norm", f"expected a number, got {grad_norm!r}")
+        if not (_is_number(grad_norm) and math.isfinite(grad_norm) and grad_norm >= 0):
+            fail("grad_norm", f"expected a finite number >= 0, got {grad_norm!r}")
     if kind == "RF":
         d, feature, n = out["n_features"], out["feature"], len(out["feature"])
         if not (_is_number(d, integer=True) and d >= 1):
             fail("n_features", f"expected an integer >= 1, got {d!r}")
         if ((feature < -1) | (feature >= d)).any():
             fail("feature", f"expected -1 (a leaf) or a column in 0..{d - 1}")
-        inner = np.flatnonzero(feature >= 0)
-        child = out["left"][inner]
-        if ((child <= inner) | (child >= n - 1)).any():
-            fail("left", f"an internal node's children must follow it, below {n}")
-        if ((out["roots"] < 0) | (out["roots"] >= n)).any():
-            fail("roots", f"expected node numbers in 0..{n - 1}")
-        if (out["counts"] < 0).any():
-            fail("counts", "expected counts >= 0")
+        split = feature >= 0
+        if n != spec.n_trees + 2 * np.count_nonzero(split):
+            fail("feature", f"{n} nodes, expected {spec.n_trees} trees plus "
+                            f"two nodes per split")
+        if not np.isin(out["threshold"][~split], (0.0, 1.0)).all():
+            fail("threshold", "expected class 0.0 or 1.0 at every leaf")
     return out

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import json
 import re
 from unittest import mock
@@ -51,6 +52,11 @@ class TestSpecValidation:
                 ModelSpec(kind="LR", l2_lambda=bad)
         with pytest.raises(ValidationError, match="max_iters must be >= 1"):
             ModelSpec(kind="LR", max_iters=0)
+        # A node of at most one sample is pure, so 0, 1 and 2 would grow the
+        # same forest under different spec bytes.
+        for bad in (-5, 0, 1):
+            with pytest.raises(ValidationError, match="min_samples_split must be >= 2"):
+                ModelSpec(kind="RF", min_samples_split=bad)
         for name in ("k", "n_trees", "min_samples_split", "max_iters", "max_features"):
             for bad in ("5", 5.0, True, np.int64(5), None):
                 if name == "max_features" and bad is None:
@@ -415,34 +421,41 @@ class TestKNN:
         np.testing.assert_array_equal(base, shuffled)
 
 
+def left_children(model):
+    """Each node's left child, as ``RFModel`` derives it: ``n_trees`` plus
+    twice the splits before the node (meaningful at splits only)."""
+    return model.spec.n_trees - 2 + 2 * np.cumsum(model.feature >= 0)
+
+
 def forest_trees(model):
-    """The trees of an RF model, walked from ``roots``: a node as (feature,
-    threshold, counts), and an internal node also with its left and right
-    subtrees.  Every node of the table is on exactly one tree."""
+    """The trees of an RF model, walked from nodes ``0..n_trees - 1``: a
+    leaf as (-1, class), and a split as (feature, threshold, left subtree,
+    right subtree).  Every node of the table is on exactly one tree."""
+    left = left_children(model)
     walked = []
 
     def walk(i):
         walked.append(i)
-        node = (int(model.feature[i]), float(model.threshold[i]),
-                model.counts[i].tolist())
+        node = (int(model.feature[i]), float(model.threshold[i]))
         if node[0] == -1:
-            assert model.left[i] == -1
+            assert node[1] in (0.0, 1.0)
             return node
-        return node + (walk(model.left[i]), walk(model.left[i] + 1))
+        return node + (walk(left[i]), walk(left[i] + 1))
 
-    trees = [walk(root) for root in model.roots]
+    trees = [walk(root) for root in range(model.spec.n_trees)]
     assert sorted(walked) == list(range(len(model.feature)))
     return trees
 
 
 def oracle_trees(trees):
-    """The oracle's nested trees in ``forest_trees``' form."""
+    """The oracle's nested trees in ``forest_trees``' form: a leaf's class
+    is the majority of its counts, a tie to 0."""
     def convert(node):
         if "counts" in node:
-            return (-1, 0.0, list(node["counts"]))
-        left, right = convert(node["left"]), convert(node["right"])
-        counts = [a + b for a, b in zip(left[2], right[2])]
-        return (node["feature"], node["threshold"], counts, left, right)
+            zeros, ones = node["counts"]
+            return (-1, float(ones > zeros))
+        return (node["feature"], node["threshold"],
+                convert(node["left"]), convert(node["right"]))
 
     return [convert(tree) for tree in trees]
 
@@ -481,6 +494,30 @@ def rf_problems(draw, max_trees=4):
         st.lists(st.sampled_from(GRID + (-2.0, 0.25, 1.0, 2.5, 4.0)),
                  min_size=d, max_size=d), min_size=1, max_size=20)))
     return spec, X, y, queries
+
+
+NODE_VALUES = (-1.0, 0.0, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def node_tables(draw):
+    """A forest's ``n_trees``, ``n_features``, ``feature`` and ``threshold``
+    lists of any length.  Half of them are made to meet the node count
+    that loading requires: leaves are appended, or ``n_trees`` set, so that
+    there are ``n_trees`` nodes plus two per split."""
+    d = draw(st.integers(1, 3))
+    n_trees = draw(st.integers(1, 4))
+    feature = draw(st.lists(st.integers(-1, d - 1), max_size=24))
+    if draw(st.booleans()):
+        fill = n_trees + 2 * sum(f >= 0 for f in feature) - len(feature)
+        if fill >= 0:
+            feature += [-1] * fill
+        else:
+            n_trees -= fill
+    # Half the tables hold only 0.0 and 1.0, which suit leaves and splits alike.
+    value = st.sampled_from((0.0, 1.0) if draw(st.booleans()) else NODE_VALUES)
+    threshold = draw(st.lists(value, min_size=len(feature), max_size=len(feature)))
+    return n_trees, d, feature, threshold
 
 
 def chi_square_bound(dof):
@@ -592,35 +629,18 @@ class TestRF:
         X = np.array([[-2.0, 7.0], [-1.0, 7.0], [1.0, 7.0], [2.0, 7.0]])
         y = np.array([0, 0, 1, 1])
         model = fit(ModelSpec(kind="RF", n_trees=1, bootstrap=False), X, y)
-        root = model.roots[0]
-        assert model.feature[root] == 0
-        assert -1.0 <= model.threshold[root] <= 1.0
-        assert model.feature[model.left[root]] == -1
-        assert model.feature[model.left[root] + 1] == -1
+        # The root, then its left and right leaves.
+        assert model.feature.tolist() == [0, -1, -1]
+        assert -1.0 <= model.threshold[0] <= 1.0
+        assert model.threshold[1:].tolist() == [0.0, 1.0]
         assert (predict(model, X) == y).all()
-
-    def test_leaf_counts_sum_to_samples(self):
-        rng = np.random.default_rng(7)
-        X, y = blobs(rng, n=80, gap=1.0)
-        model = fit(ModelSpec(kind="RF", n_trees=5), X, y)
-
-        def leaf_total(node):
-            if model.feature[node] == -1:
-                return int(model.counts[node].sum())
-            return leaf_total(model.left[node]) + leaf_total(model.left[node] + 1)
-
-        for root in model.roots:
-            assert leaf_total(root) == len(X)
 
     def test_majority_vote(self):
         from botmeter.classifiers import RFModel
         # Three single-leaf trees voting 1, 1, 0.
         model = RFModel(ModelSpec(kind="RF", n_trees=3), 1,
                         feature=np.array([-1, -1, -1]),
-                        threshold=np.zeros(3),
-                        left=np.array([-1, -1, -1]),
-                        counts=np.array([[0, 1], [0, 1], [1, 0]]),
-                        roots=np.array([0, 1, 2]))
+                        threshold=np.array([1.0, 1.0, 0.0]))
         assert predict(model, [[0.0]])[0] == 1
 
     def test_same_seed_identical_forest(self):
@@ -754,8 +774,8 @@ class TestRF:
         X = np.array([[below], [above]])
         model = fit(ModelSpec(kind="RF", n_trees=1, bootstrap=False),
                     X, [0, 1])
-        assert model.threshold[0] == below
-        assert model.counts.tolist() == [[1, 1], [1, 0], [0, 1]]
+        assert model.feature.tolist() == [0, -1, -1]
+        assert model.threshold.tolist() == [below, 0.0, 1.0]
         np.testing.assert_array_equal(predict(model, X), [0, 1])
 
     def test_rf_beats_nb_on_correlated_features(self):
@@ -778,6 +798,7 @@ class TestRF:
 
 
 _SLICE = classifiers._JSON_SLICE
+VERSION = classifiers.MODEL_FORMAT_VERSION
 
 
 class TestSerialization:
@@ -856,6 +877,40 @@ class TestSerialization:
         np.testing.assert_array_equal(predict(loaded, queries),
                                       predict(model, queries))
 
+    @settings(max_examples=300, deadline=None)
+    @given(node_tables())
+    def test_any_node_table_is_refused_or_predicts_in_bounded_steps(
+            self, tmp_path_factory, table):
+        n_trees, d, feature, threshold = table
+        splits = sum(f >= 0 for f in feature)
+        leaves_ok = all(t in (0.0, 1.0) for f, t in zip(feature, threshold) if f < 0)
+        valid = len(feature) == n_trees + 2 * splits and leaves_ok
+        path = tmp_path_factory.mktemp("rf") / "rf.json"
+        path.write_text(json.dumps({
+            "format_version": VERSION, "kind": "RF",
+            "spec": {"kind": "RF", "n_trees": n_trees},
+            "state": {"n_features": d, "feature": feature, "threshold": threshold}}))
+        if not valid:
+            with pytest.raises(ValidationError) as caught:
+                load_model(path)
+            assert str(caught.value).startswith(f"{path}: RF model state ")
+            return
+        model = load_model(path)
+        queries = np.array(list(itertools.product(NODE_VALUES, repeat=d)))
+        # Each tree's descent, node by node, before predict runs it.
+        left = left_children(model)
+        votes = np.zeros(len(queries))
+        for q, row in enumerate(queries):
+            for i in range(n_trees):
+                for _ in range(len(feature)):
+                    if feature[i] < 0:
+                        break
+                    i = left[i] + (row[feature[i]] > threshold[i])
+                    assert 0 <= i < len(feature)
+                assert feature[i] < 0, "no leaf within n_nodes steps"
+                votes[q] += threshold[i]
+        np.testing.assert_array_equal(predict(model, queries), votes * 2 > n_trees)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_missing_or_unknown_state_key_is_refused(self, kind, tmp_path):
         rng = np.random.default_rng(20)
@@ -891,17 +946,22 @@ class TestSerialization:
         ("LR", {"weights": []}, "weights", "expected a non-empty array"),
         ("LR", {"bias": "0.5"}, "bias", "expected a finite number"),
         ("LR", {"n_iters": True}, "n_iters", "expected an integer >= 0"),
-        ("RF", lambda s: s.update(left=list(range(len(s["left"])))),
-         "left", "an internal node's children must follow it"),
-        # The right child would be one past the last node.
-        ("RF", lambda s: s["left"].__setitem__(0, len(s["left"]) - 1), "left",
-         "an internal node's children must follow it"),
+        ("LR", {"grad_norm": -1.0}, "grad_norm", "expected a finite number >= 0"),
+        ("LR", {"grad_norm": float("nan")}, "grad_norm",
+         "expected a finite number >= 0"),
+        ("LR", {"grad_norm": float("inf")}, "grad_norm",
+         "expected a finite number >= 0"),
+        # The last node is always a leaf; as a split, its children would be
+        # past the end of the table.
+        ("RF", lambda s: s["feature"].__setitem__(-1, 0), "feature",
+         "expected 2 trees plus two nodes per split"),
+        ("RF", lambda s: s.update(feature=[-1] * len(s["feature"])), "feature",
+         "expected 2 trees plus two nodes per split"),
         ("RF", lambda s: s["feature"].__setitem__(0, 3), "feature",
          r"expected -1 \(a leaf\) or a column in 0..2"),
-        ("RF", lambda s: s["roots"].__setitem__(1, len(s["feature"])), "roots",
-         "expected node numbers in 0.."),
+        ("RF", lambda s: s["threshold"].__setitem__(-1, 0.5), "threshold",
+         "expected class 0.0 or 1.0 at every leaf"),
         ("RF", {"threshold": [True]}, "threshold", "expected shape"),
-        ("RF", {"counts": [[0, 1]] * 3}, "counts", "expected shape"),
         ("RF", {"n_features": 0}, "n_features", "expected an integer >= 1"),
     ])
     def test_bad_state_value_is_refused_at_load(self, tmp_path, kind, edit, key,
@@ -923,7 +983,8 @@ class TestSerialization:
 
     def test_bad_spec_value_names_the_file(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"format_version": 4, "spec": {"kind": "XX"}, "state": {}}')
+        path.write_text(json.dumps({"format_version": VERSION, "spec": {"kind": "XX"},
+                                    "state": {}}))
         with pytest.raises(ValidationError) as caught:
             load_model(path)
         assert str(caught.value) == f"{path}: model spec: unknown classifier kind 'XX'"
@@ -935,7 +996,7 @@ class TestSerialization:
         path = tmp_path / "lr.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
-        assert doc["format_version"] == 4
+        assert doc["format_version"] == VERSION
         assert "max_iters" not in doc["spec"]
         loaded = load_model(path)
         assert (loaded.n_iters, loaded.grad_norm) == (model.n_iters, model.grad_norm)
@@ -947,32 +1008,44 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="version 2"):
             load_model(path)
 
-    def test_format_3_forest_is_refused(self, tmp_path):
-        # Version 3 numbered each tree in preorder and stored a right child
-        # column; its node numbers mean other nodes now.
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_older_forest_formats_are_refused(self, tmp_path, version):
+        # Version 4 numbered the nodes as they were made and stored the
+        # ``left``, ``counts`` and ``roots`` columns; version 3 numbered
+        # each tree in preorder and also stored ``right``.  Their node
+        # numbers mean other nodes now.
         rng = np.random.default_rng(22)
         X, y = blobs(rng, n=80, d=3, gap=2.0)
         path = tmp_path / "rf.json"
-        save_model(fit(ModelSpec(kind="RF", n_trees=2), X, y), path)
+        model = fit(ModelSpec(kind="RF", n_trees=2), X, y)
+        save_model(model, path)
         doc = json.loads(path.read_text())
-        doc["format_version"] = 3
-        doc["state"]["right"] = doc["state"]["left"]
+        leaf = model.feature < 0
+        left = np.where(leaf, -1, left_children(model))
+        doc["format_version"] = version
+        doc["state"].update(left=left.tolist(), counts=[[0, 0]] * len(left),
+                            roots=[0, 1])
+        if version == 3:
+            doc["state"]["right"] = np.where(leaf, -1, left + 1).tolist()
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError,
-                           match=r": unsupported model format version 3$"):
+                           match=rf": unsupported model format version {version}$"):
             load_model(path)
 
     @pytest.mark.parametrize("text, message", [
-        ('{"format_version": 4, "spec": {"kind": "NB", "bogus": 1}, "state": {}}',
+        (f'{{"format_version": {VERSION}, "spec": {{"kind": "NB", "bogus": 1}}, '
+         '"state": {}}',
          r"model spec: missing key\(s\) \[\], unknown key\(s\) \['bogus'\]"),
-        ('{"format_version": 4, "spec": {"seed": 0}, "state": {}}',
+        (f'{{"format_version": {VERSION}, "spec": {{"seed": 0}}, "state": {{}}}}',
          r"missing key\(s\) \['kind'\]"),
-        ('{"format_version": 4, "state": {}}', "model spec must be an object"),
-        ('{"format_version": 4, "spec": {"kind": "NB"}}',
+        (f'{{"format_version": {VERSION}, "state": {{}}}}',
+         "model spec must be an object"),
+        (f'{{"format_version": {VERSION}, "spec": {{"kind": "NB"}}}}',
          "model state must be an object"),
-        ('[{"format_version": 4}]', "must hold a JSON object"),
+        (f'[{{"format_version": {VERSION}}}]', "must hold a JSON object"),
         ("not json", "not a JSON model: Expecting value"),
-        (b'{"format_version": 4, "spec": "\xff"}', "not a JSON model: 'utf-8' codec"),
+        (b'{"format_version": %d, "spec": "\xff"}' % VERSION,
+         "not a JSON model: 'utf-8' codec"),
     ])
     def test_malformed_model_file_is_a_validation_error(self, tmp_path, text,
                                                         message):

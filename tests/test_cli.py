@@ -99,17 +99,17 @@ class TestStageCommands:
                        "--models", models, "--name", "ds") == 1
         assert capsys.readouterr().err.startswith(
             f"error: {models / 'model_ds_NB.json'}: not a JSON model: ")
-        # So is a forest whose node is its own child, which would route a
-        # row forever.
+        # So is a forest with a split too many for its node count, whose
+        # last split's children would lie past the end of the table.
         (models / "model_ds_NB.json").write_text(nb)
         rf = models / "model_ds_RF.json"
         doc = json.loads(rf.read_text())
-        doc["state"]["left"][0] = 0
+        doc["state"]["feature"][-1] = 0
         rf.write_text(json.dumps(doc))
         assert run_cli("evaluate", labeled, "--universal", universal,
                        "--models", models, "--name", "ds") == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {rf}: RF model state 'left': ")
+        assert err.startswith(f"error: {rf}: RF model state 'feature': ")
         assert err.count("\n") == 1
 
     def test_unexpected_exception_is_one_error_line(self, tmp_path, capsys,
@@ -470,6 +470,7 @@ def test_build_model_specs_default_order():
     ({"RF": {"n_trees": True}}, "n_trees must be an integer, got True"),
     ({"RF": {"max_features": 2.5}}, "max_features must be an integer, got 2.5"),
     ({"RF": {"min_samples_split": "2"}}, "min_samples_split must be an integer, got '2'"),
+    ({"RF": {"min_samples_split": -5}}, "min_samples_split must be >= 2"),
     ({"RF": {"bootstrap": 1}}, "bootstrap must be true or false, got 1"),
     ({"LR": {"max_iters": 50.0}}, "max_iters must be an integer, got 50.0"),
     ({"LR": {"l2_lambda": "1"}}, "l2_lambda must be a real number, got '1'"),

@@ -37,8 +37,8 @@ GOLDEN = {
 
 # SHA-256 of ``save_model``'s file for each forest of ``rf_case``.
 RF_GOLDEN = {
-    "bootstrap": "1106dcc615848ac470da9d6989305405b5eed0f9c7db4d09485f67f386412d86",
-    "constant": "281f7590d64dda388d7f627b7dcaaea48e73c6687f470fca2fcb5a93baf1bd1a",
+    "bootstrap": "1badc7711045f5b33bba117bb5e02ee4c13bfe37a48fafd09e3f3fef2504f608",
+    "constant": "61430a0fa50c1f11076ed1df5d82d48d6d6cecea21859672503e1986ce0dec2b",
 }
 
 # Activity timeout below the long flows' 0.6–1.5 s gaps, flow timeout below
