@@ -3,8 +3,10 @@ L2-regularized logistic regression.
 
 All four share fit(spec, X, y) / predict(model, X) with deterministic
 behaviour for a fixed seed.  KNN and LR standardize features internally
-(sample std, stored in the model); NB and RF consume raw features.  Tie
-conventions all resolve to class 0.
+(sample std, stored in the model); NB and RF consume raw features.  Ties
+of NB scores and of KNN and RF votes resolve to class 0, and KNN distance
+ties to the lower training index; an LR probability of exactly 0.5
+predicts class 1.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ import json
 import logging
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, fields
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
@@ -316,7 +318,7 @@ LR_GRAD_TOL = 1e-12
 _ARMIJO_C = 1e-4
 _MAX_HALVINGS = 50
 # Loss changes this small relative to the loss are rounding, not progress.
-_LOSS_ROUNDING = 64 * np.finfo(np.float64).eps
+_LOSS_ROUNDING = 64 * sys.float_info.epsilon
 
 
 def _fit_lr(spec: ModelSpec, X, y) -> LRModel:

@@ -14,6 +14,7 @@ import io
 import itertools
 import logging
 import math
+import os
 import re
 from array import array
 from collections import Counter
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .classifiers import SPLIT, counter_hash
 from .errors import CsvFormatError, ValidationError
 from .features import (FEATURE_COLUMNS, FEATURE_NAMES, IDENTITY_COLUMNS,
@@ -156,10 +156,11 @@ class FeatureTable:
 
 def csv_rows(path):
     """Yield a CSV file's header, then ``(line number, cells)`` for each
-    non-empty row.  A missing header, a ragged row, text that is not UTF-8
-    and a cell beyond the csv module's field limit are format errors."""
+    non-empty row.  A byte-order mark is dropped.  A missing header, a
+    ragged row, text that is not UTF-8 and a cell beyond the csv module's
+    field limit are format errors."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -498,18 +499,22 @@ def dataset_name(source, name: str) -> str:
     return name
 
 
+_MANIFEST_KEYS = {"name", "captures", "rules", "default_label"}
+
+
 def parse_manifest(path) -> DatasetManifest:
     """Plain-text ``key = value`` manifest.
 
     Keys: name, captures (comma-separated), rules, default_label; other
-    keys are ignored.  Relative paths resolve against the manifest's
-    directory.  Text that is not UTF-8, and a name that ``dataset_name``
-    refuses, are format errors.
+    keys are ignored, and named in one warning.  Relative paths resolve
+    against the manifest's directory.  Text that is not UTF-8, a name that
+    ``dataset_name`` refuses, and a capture listed twice (two paths that
+    resolve to one file) are format errors.
     """
     path = Path(path)
     base = path.parent
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path}: {exc}") from None
     values: dict[str, str] = {}
@@ -524,9 +529,24 @@ def parse_manifest(path) -> DatasetManifest:
     for key in ("name", "captures", "rules"):
         if key not in values:
             raise CsvFormatError(f"{path}: manifest is missing key {key!r}")
-    captures = tuple(base / c.strip() for c in values["captures"].split(",") if c.strip())
-    if not captures:
+    unknown = sorted(values.keys() - _MANIFEST_KEYS)
+    if unknown:
+        logger.warning("%s: unknown manifest key(s) ignored: %s", path,
+                       ", ".join(map(repr, unknown)))
+    listed = [c.strip() for c in values["captures"].split(",") if c.strip()]
+    if not listed:
         raise CsvFormatError(f"{path}: manifest lists no captures")
+    captures = tuple(base / c for c in listed)
+    first = {}  # resolved path -> the capture as first listed
+    for name, capture in zip(listed, captures):
+        try:
+            real = os.path.realpath(capture)
+        except ValueError:  # a NUL byte
+            raise CsvFormatError(f"{path}: capture {name!r} is not a path") from None
+        if real in first:
+            raise CsvFormatError(f"{path}: capture {name!r} is listed twice "
+                                 f"(first as {first[real]!r})")
+        first[real] = name
     return DatasetManifest(
         name=dataset_name(path, values["name"]),
         captures=captures,

@@ -11,8 +11,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ValidationError
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .classifiers import ModelSpec, constant_columns, fit, log_lr_fit
 from .dataset import FeatureTable, normalize_feature_name
 from .errors import ValidationError

@@ -554,6 +554,51 @@ def test_pipeline_does_not_import_numpy_ma(corpus, tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
 
 
+COMMAND_IMPORTS = """
+import json, sys
+from botmeter import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("numpy."))]))
+"""
+
+
+def test_only_the_modeling_commands_load_numpy(tmp_path):
+    # numpy is about 13 MB of a process's peak, and metering, labeling and
+    # the universal set use no arrays.  botmeter._numpy puts an unloaded
+    # numpy in sys.modules, so its submodules, numpy._core first, appear
+    # only once some code reads an attribute of np.
+    env = {"PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def numpy_modules(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", COMMAND_IMPORTS, *map(str, argv)],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        return loaded
+
+    demo, out = tmp_path / "demo", tmp_path / "out"
+    scan = demo / "synth-scan"
+    assert numpy_modules("synth", "--demo", "--out", demo) == []
+    assert numpy_modules("extract", scan / "capture_a.pcap", scan / "capture_b.pcap",
+                         "--out", tmp_path / "flows.csv") == []
+    assert numpy_modules("label", tmp_path / "flows.csv", "--rules",
+                         scan / "rules.csv", "--out", tmp_path / "labeled.csv") == []
+    assert "numpy._core" in numpy_modules("pipeline", "--config",
+                                          demo / "config.json", "--out", out)
+    ranked = sorted(out.glob("ranked_*.csv"))
+    assert len(ranked) == 3
+    assert numpy_modules("universal", *ranked, "--out", tmp_path / "u.csv") == []
+    # numpy imported first is the module botmeter uses, not a second copy.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import numpy, botmeter._numpy; "
+                               "print(botmeter._numpy.np is numpy)"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.stdout == "True\n", proc.stderr
+
+
 def test_python_m_botmeter_runs_the_command():
     proc = subprocess.run(
         [sys.executable, "-m", "botmeter", "--help"],

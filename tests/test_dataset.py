@@ -135,6 +135,16 @@ class TestFeatureCsv:
         assert table.columns == ["Packet Length Mean", "Flow Bytes/s"]
         assert table.labels.tolist() == [1]
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        # Excel saves CSVs with one; kept, it would hide the identity
+        # column below and make the port a feature.
+        path = tmp_path / "bom.csv"
+        path.write_text("Destination Port,Flow Duration,Label\n80,5.0,Botnet\n",
+                        encoding="utf-8-sig")
+        table = read_feature_csv(path)
+        assert table.columns == ["Flow Duration"]
+        assert table.rows.tolist() == [[5.0]]
+
     def test_unknown_headers_are_one_warning_per_file(self, tmp_path, caplog):
         path = tmp_path / "odd.csv"
         path.write_text("Pkt Len Mean, Fwd  Pkt Rate ,Src IP,Bwd Pkt Rate,Label\n"
@@ -733,6 +743,47 @@ class TestManifest:
             return
         assert m.captures and all(isinstance(p, Path) for p in m.captures)
         assert m.name and not set(m.name) & set("/\\\0")
+
+    @pytest.mark.parametrize("listed, again, first", [
+        ("a.pcap, a.pcap", "a.pcap", "a.pcap"),
+        ("a.pcap, ./a.pcap", "./a.pcap", "a.pcap"),
+        ("caps/../a.pcap, b.pcap, a.pcap", "a.pcap", "caps/../a.pcap"),
+    ], ids=["same-text", "dot-slash", "parent-dir"])
+    def test_a_capture_listed_twice_is_refused(self, tmp_path, listed, again,
+                                               first):
+        # Its flows would be read twice, and the copies would fall on both
+        # sides of the train/test split.
+        manifest = tmp_path / "ds.manifest"
+        manifest.write_text(f"name = x\ncaptures = {listed}\nrules = r.csv\n")
+        with pytest.raises(CsvFormatError) as info:
+            parse_manifest(manifest)
+        assert str(info.value) == (f"{manifest}: capture {again!r} is listed "
+                                   f"twice (first as {first!r})")
+
+    def test_a_capture_holding_nul_is_refused(self, tmp_path):
+        # Resolving it, or any later stat, raises ValueError.
+        manifest = tmp_path / "ds.manifest"
+        manifest.write_text("name = x\ncaptures = a\0.pcap\nrules = r.csv\n")
+        with pytest.raises(CsvFormatError) as info:
+            parse_manifest(manifest)
+        assert str(info.value) == f"{manifest}: capture 'a\\x00.pcap' is not a path"
+
+    def test_unknown_keys_are_named_in_one_warning(self, tmp_path, caplog):
+        manifest = tmp_path / "ds.manifest"
+        manifest.write_text("name = x\ncaptures = a.pcap\nrules = r.csv\n"
+                            "default_lable = BENIGN\nnotes = n\n")
+        with caplog.at_level("DEBUG", logger="botmeter.dataset"):
+            m = parse_manifest(manifest)
+        assert m.default_label == "Normal"
+        assert [(r.levelname, r.message) for r in caplog.records] == [
+            ("WARNING", f"{manifest}: unknown manifest key(s) ignored: "
+                        "'default_lable', 'notes'")]
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        manifest = tmp_path / "ds.manifest"
+        manifest.write_text("name = x\ncaptures = a.pcap\nrules = r.csv\n",
+                            encoding="utf-8-sig")
+        assert parse_manifest(manifest).name == "x"
 
     def test_validate_reports_missing_paths(self, tmp_path):
         manifest = tmp_path / "ds.manifest"

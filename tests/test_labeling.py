@@ -108,6 +108,13 @@ class TestParseRules:
             tmp_path, HEADER + " 10.0.0.5 , 80 ,,\t*\t, 6 , Bot \n"))
         assert rules == [LabelRule("10.0.0.5", 80, "*", None, 6, "Bot")]
 
+    def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path):
+        path = tmp_path / "rules.csv"
+        path.write_text(HEADER + "10.0.0.5,4444,8.8.8.8,80,6,Botnet\n",
+                        encoding="utf-8-sig")
+        assert parse_rules(str(path)) == [
+            LabelRule("10.0.0.5", 4444, "8.8.8.8", 80, 6, "Botnet")]
+
     def test_written_rules_read_back(self, tmp_path):
         path = tmp_path / "rules.csv"
         rules = [LabelRule("10.0.0.5", 4444, "2001:db8::1", 80, 6, 'Bot,"net"',
