@@ -14,36 +14,39 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 import sys
 from dataclasses import asdict, dataclass, fields
 
 from ._numpy import np
-from .errors import ValidationError
+from .errors import ValidationError, check_keys, json_number, read_json_object
 
 logger = logging.getLogger(__name__)
 
-KINDS = ("NB", "KNN", "RF", "LR")
+# The hyperparameters each kind takes; a ModelSpec holds every kind's.
+PARAMS = {
+    "NB": ("var_smoothing",),
+    "KNN": ("k",),
+    "RF": ("n_trees", "max_features", "min_samples_split", "bootstrap"),
+    "LR": ("l2_lambda", "max_iters"),
+}
+
+KINDS = tuple(PARAMS)
 
 MODEL_FORMAT_VERSION = 5
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Classifier kind plus hyperparameters (unused groups are ignored)."""
+    """Classifier kind, seed and the hyperparameters of PARAMS."""
 
     kind: str
     seed: int = 0
-    # NB
     var_smoothing: float = 1e-9
-    # KNN
     k: int = 5
-    # RF
     n_trees: int = 100
     max_features: int | None = None  # None -> ceil(sqrt(d))
     min_samples_split: int = 2
     bootstrap: bool = True
-    # LR
     l2_lambda: float = 1.0
     max_iters: int = 1000  # safety cap on Newton steps
 
@@ -52,16 +55,12 @@ class ModelSpec:
             raise ValidationError(f"unknown classifier kind {self.kind!r}")
         # Types first, so that a config value such as "5" is named here
         # instead of failing in a comparison below or deep inside a fit.
-        for name in ("k", "n_trees", "min_samples_split", "max_iters", "max_features"):
-            value = getattr(self, name)
-            if name == "max_features" and value is None:
-                continue
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        for name in ("var_smoothing", "l2_lambda"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be a real number, got {value!r}")
+        for name in ("k", "n_trees", "min_samples_split", "max_iters"):
+            json_number(name, getattr(self, name), integer=True)
+        if self.max_features is not None:
+            json_number("max_features", self.max_features, integer=True)
+        json_number("var_smoothing", self.var_smoothing)
+        json_number("l2_lambda", self.l2_lambda)
         if not isinstance(self.bootstrap, bool):
             raise ValidationError(
                 f"bootstrap must be true or false, got {self.bootstrap!r}")
@@ -75,7 +74,7 @@ class ModelSpec:
             raise ValidationError("min_samples_split must be >= 2")
         # lambda > 0 makes the LR objective strictly convex, so every fit
         # has one finite optimum, even on separable data.
-        if not self.l2_lambda > 0:
+        if self.l2_lambda <= 0:
             raise ValidationError("l2_lambda must be > 0")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
@@ -733,42 +732,28 @@ def _write_json(fh, obj) -> None:
         fh.write(json.dumps(obj))
 
 
-_SPEC_KEYS = frozenset(f.name for f in fields(ModelSpec))
-
-
 def load_model(path) -> Model:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValidationError(f"{path}: not a JSON model: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: model file must hold a JSON object")
+    doc = read_json_object(path, "model")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValidationError(f"{path}: unsupported model format version {version!r}")
-    spec_doc = doc.get("spec")
-    if not isinstance(spec_doc, dict):
-        raise ValidationError(f"{path}: model spec must be an object")
-    missing = [] if "kind" in spec_doc else ["kind"]
-    unknown = [key for key in spec_doc if key not in _SPEC_KEYS]
-    if missing or unknown:
-        raise ValidationError(f"{path}: model spec: missing key(s) {missing}, "
-                              f"unknown key(s) {unknown}")
+    check_keys(path, doc, ("format_version", "kind", "spec", "state"))
+    spec_doc, state = doc.get("spec"), doc.get("state")
+    for part, value in (("spec", spec_doc), ("state", state)):
+        if not isinstance(value, dict):
+            raise ValidationError(f"{path}: model {part} must be an object")
+    check_keys(f"{path}: model spec", spec_doc, [f.name for f in fields(ModelSpec)],
+               ("kind",))
     try:
         spec = ModelSpec(**spec_doc)
     except ValidationError as exc:
         raise ValidationError(f"{path}: model spec: {exc}") from None
     cls = _MODEL_CLASSES[spec.kind]
     names = [f.name for f in fields(cls)[1:]]
-    state = doc.get("state")
-    if not isinstance(state, dict):
-        raise ValidationError(f"{path}: model state must be an object")
-    missing = [key for key in names if key not in state]
-    unknown = [key for key in state if key not in names]
-    if missing or unknown:
-        raise ValidationError(f"{path}: {spec.kind} model state: missing key(s) "
-                              f"{missing}, unknown key(s) {unknown}")
+    if doc.get("kind") != spec.kind:
+        raise ValidationError(f"{path}: kind {doc.get('kind')!r} does not match "
+                              f"the model spec's kind {spec.kind!r}")
+    check_keys(f"{path}: {spec.kind} model state", state, names, names)
     return cls(spec, **_checked_state(path, spec, state))
 
 
@@ -784,10 +769,11 @@ _STATE_ARRAYS = {
     "RF": {"feature": ("i", ("n",)), "threshold": ("f", ("n",))},
 }
 
-
-def _is_number(value, integer=False) -> bool:
-    return isinstance(value, int if integer else (int, float)) \
-        and not isinstance(value, bool)
+# Each kind's state numbers: integer or not, and the least value allowed.
+_STATE_NUMBERS = {
+    "LR": {"bias": (False, -math.inf), "n_iters": (True, 0), "grad_norm": (False, 0)},
+    "RF": {"n_features": (True, 1)},
+}
 
 
 def _checked_state(path, spec, state) -> dict:
@@ -830,18 +816,13 @@ def _checked_state(path, spec, state) -> dict:
         fail("sigma", "expected values > 0")
     if kind == "KNN" and not np.isin(out["train_y"], (0, 1)).all():
         fail("train_y", "expected classes 0 and 1 only")
-    if kind == "LR":
-        bias, n_iters, grad_norm = out["bias"], out["n_iters"], out["grad_norm"]
-        if not (_is_number(bias) and math.isfinite(bias)):
-            fail("bias", f"expected a finite number, got {bias!r}")
-        if not (_is_number(n_iters, integer=True) and n_iters >= 0):
-            fail("n_iters", f"expected an integer >= 0, got {n_iters!r}")
-        if not (_is_number(grad_norm) and math.isfinite(grad_norm) and grad_norm >= 0):
-            fail("grad_norm", f"expected a finite number >= 0, got {grad_norm!r}")
+    for key, (integer, least) in _STATE_NUMBERS.get(kind, {}).items():
+        value = json_number(f"{path}: {kind} model state {key!r}: value", state[key],
+                            integer)
+        if value < least:
+            fail(key, f"value must be >= {least}, got {value!r}")
     if kind == "RF":
         d, feature, n = out["n_features"], out["feature"], len(out["feature"])
-        if not (_is_number(d, integer=True) and d >= 1):
-            fail("n_features", f"expected an integer >= 1, got {d!r}")
         if ((feature < -1) | (feature >= d)).any():
             fail("feature", f"expected -1 (a leaf) or a column in 0..{d - 1}")
         split = feature >= 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import math
 import os
@@ -28,7 +27,8 @@ from . import classifiers, demo
 from .dataset import (FeatureTable, csv_rows, dataset_name, number_cells,
                       parse_manifest, read_feature_csv, read_flow_csv,
                       refuse_repeated_names, train_test_split, write_flow_csv)
-from .errors import BotmeterError, CsvFormatError, ValidationError
+from .errors import (BotmeterError, CsvFormatError, ValidationError, check_keys,
+                     json_number, read_json_object)
 from .evaluation import evaluate_predictions, render_report
 from .labeling import (LabelReport, LabelRule, RuleIndex, label_flows,
                        log_label_warnings, parse_rules, write_rules)
@@ -78,33 +78,25 @@ _CONFIG_KEYS = {"datasets", "out_dir", "seed", "ratio", "top_k", "threshold",
 
 def load_pipeline_config(path, args=None) -> PipelineConfig:
     """JSON config (see README for the schema); CLI flags override.  A file
-    that is not a JSON object, a key outside the schema, or a value of the
-    wrong type, is a ValidationError naming the file or the key."""
+    that is not a JSON object, a key outside the schema, or a config value
+    of the wrong type, is a ValidationError naming the file and the key."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValidationError(f"{path}: not a JSON config: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
-    if unknown:
-        raise ValidationError(
-            f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
+    doc = read_json_object(path, "config")
+    check_keys(path, doc, _CONFIG_KEYS)
     base = path.parent
 
     def pick(key, default, flag=None):
         """The flag ``flag`` (by default ``key``), else the config's ``key``,
         else ``default``; an integer default asks for an integer."""
-        value = getattr(args, flag or key, None)
+        value, name = getattr(args, flag or key, None), key
         if value is None:
-            value = doc.get(key, default)
-        return _config_number(key, value, isinstance(default, int))
+            value, name = doc.get(key, default), f"{path}: {key}"
+        return json_number(name, value, isinstance(default, int))
 
     datasets = doc.get("datasets", [])
     if not (isinstance(datasets, list) and all(isinstance(m, str) for m in datasets)):
         raise ValidationError(
-            f"datasets must be a list of manifest paths, got {datasets!r}")
+            f"{path}: datasets must be a list of manifest paths, got {datasets!r}")
     manifests = tuple(parse_manifest(base / m) for m in datasets)
     meter = MeterConfig(
         flow_timeout_us=_timeout_us(
@@ -118,8 +110,12 @@ def load_pipeline_config(path, args=None) -> PipelineConfig:
     else:
         out_dir = doc.get("out_dir", "pipeline_out")
         if not isinstance(out_dir, str):
-            raise ValidationError(f"out_dir must be a path, got {out_dir!r}")
+            raise ValidationError(f"{path}: out_dir must be a path, got {out_dir!r}")
         out_dir = base / out_dir
+    try:
+        build_model_specs(0, doc.get("models"))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     return PipelineConfig(
         manifests=manifests,
         meter=meter,
@@ -132,37 +128,14 @@ def load_pipeline_config(path, args=None) -> PipelineConfig:
     )
 
 
-def _config_number(key: str, value, integer: bool):
-    """A config value as an int (``integer``) or a finite float; anything
-    else, booleans included, is a ValidationError naming the key."""
-    if not isinstance(value, bool):
-        if integer and isinstance(value, int):
-            return value
-        # The bound also rejects nan, inf and ints beyond the float range.
-        if (not integer and isinstance(value, (int, float))
-                and abs(value) <= sys.float_info.max):
-            return float(value)
-    what = "an integer" if integer else "a finite number"
-    raise ValidationError(f"{key} must be {what}, got {value!r}")
-
-
 def _timeout_us(key: str, seconds) -> int:
     """A timeout in seconds, from a config or the command line, in whole
     microseconds.  A value that is not a finite number, or is too large to
     count in microseconds, is a ValidationError naming the config key."""
-    us = _config_number(key, seconds, False) * 1e6
+    us = json_number(key, seconds) * 1e6
     if not math.isfinite(us):
         raise ValidationError(f"{key} is too large to count in microseconds")
     return int(us)
-
-
-# Hyperparameters a config's ``models.<KIND>`` may set, by kind.
-_MODEL_PARAMS = {
-    "NB": {"var_smoothing"},
-    "KNN": {"k"},
-    "RF": {"n_trees", "max_features", "min_samples_split", "bootstrap"},
-    "LR": {"l2_lambda", "max_iters"},
-}
 
 
 def build_model_specs(seed: int, overrides: dict | None) -> list[classifiers.ModelSpec]:
@@ -170,13 +143,9 @@ def build_model_specs(seed: int, overrides: dict | None) -> list[classifiers.Mod
     if not (isinstance(overrides, dict)
             and all(isinstance(params, dict) for params in overrides.values())):
         raise ValidationError("models: expected an object of settings per kind")
+    check_keys("models", overrides, classifiers.PARAMS)
     for kind, params in overrides.items():
-        if kind not in classifiers.KINDS:
-            raise ValidationError(f"models: unknown classifier kind {kind!r}")
-        unknown = sorted(set(params) - _MODEL_PARAMS[kind])
-        if unknown:
-            raise ValidationError(
-                f"models.{kind}: unknown key(s) {', '.join(map(repr, unknown))}")
+        check_keys(f"models.{kind}", params, classifiers.PARAMS[kind])
     return [classifiers.ModelSpec(kind=kind, seed=seed, **overrides.get(kind, {}))
             for kind in classifiers.KINDS]
 
@@ -419,41 +388,43 @@ def _run_report(ranked_lists, universal, reports) -> str:
 
 # --- synth helpers -------------------------------------------------------------
 
+# A flow's keys are FlowBlueprint's fields; a packet's are named for the file.
+_FLOW_REQUIRED = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol")
+_FLOW_KEYS = _FLOW_REQUIRED + ("packets", "start_us", "label")
+_PACKET_KEYS = ("dir", "payload", "gap_us", "flags", "window")
+
+
 def blueprints_from_json(path) -> tuple[list[FlowBlueprint], int]:
     """The flows and seed of a blueprint JSON file (see README).  A file
-    that is not a UTF-8 JSON object, a missing key, and a value of the
-    wrong type or range are ValidationErrors naming the file and, within a
-    flow, its index and the key."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValidationError(f"{path}: not a JSON blueprint: {exc}") from None
-    flows, where = [], path
-    try:
-        if not isinstance(doc, dict):
-            raise ValidationError("blueprint must be a JSON object")
-        seed = _config_number("seed", doc.get("seed", 0), True)
-        for i, item in enumerate(_json_objects(doc, "flows")):
-            where = f"{path}: flows[{i}]"
+    that is not a UTF-8 JSON object, a missing or unknown key, and a value
+    of the wrong type or range are ValidationErrors naming the file and,
+    within a flow, its index and the key."""
+    doc = read_json_object(path, "blueprint")
+    check_keys(path, doc, ("seed", "flows"))
+    seed = json_number(f"{path}: seed", doc.get("seed", 0), integer=True)
+    flows = []
+    for i, item in enumerate(_json_objects(path, doc, "flows")):
+        where = f"{path}: flows[{i}]"
+        check_keys(where, item, _FLOW_KEYS, _FLOW_REQUIRED)
+        items = _json_objects(where, item, "packets")
+        for j, p in enumerate(items):
+            check_keys(f"{where}: packets[{j}]", p, _PACKET_KEYS)
+        try:
             packets = tuple(PacketBlueprint(
                 direction=p.get("dir", "fwd"), payload_len=p.get("payload", 0),
                 gap_us=p.get("gap_us", 0), flags=p.get("flags", ""),
-                window=p.get("window", 8192)) for p in _json_objects(item, "packets"))
-            flows.append(FlowBlueprint(
-                item["src_ip"], item["dst_ip"], item["src_port"], item["dst_port"],
-                item["protocol"], packets, item.get("start_us", 0), item.get("label")))
-    except KeyError as exc:
-        raise ValidationError(f"{where}: missing key {exc}") from None
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+                window=p.get("window", 8192)) for p in items)
+            flows.append(FlowBlueprint(**{**item, "packets": packets}))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
     return flows, seed
 
 
-def _json_objects(obj: dict, key: str) -> list[dict]:
+def _json_objects(where, obj: dict, key: str) -> list[dict]:
     """``obj[key]``, a list of JSON objects; [] when the key is absent."""
     items = obj.get(key, [])
     if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
-        raise ValidationError(f"key {key!r} must be a list of objects")
+        raise ValidationError(f"{where}: key {key!r} must be a list of objects")
     return items
 
 

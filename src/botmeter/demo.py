@@ -13,16 +13,17 @@ import random
 from pathlib import Path
 
 from .labeling import LabelRule, write_rules
+from .pcap import PROTO_TCP, PROTO_UDP
 from .synth import FlowBlueprint, PacketBlueprint, write_synthetic_capture
 
 _DATASETS = (
     # name, attacker ips, victim, normal client subnet, normal servers, attack protocol mix
-    ("synth-ddos", ("203.0.113.66", "203.0.113.67"), "192.168.10.50",
-     "192.168.10.{}", ("8.8.8.8", "1.1.1.1", "198.51.100.7"), (6, 6, 17)),
+    ("synth-ddos", ("203.0.113.66", "203.0.113.67"), "192.168.10.50", "192.168.10.{}",
+     ("8.8.8.8", "1.1.1.1", "198.51.100.7"), (PROTO_TCP, PROTO_TCP, PROTO_UDP)),
     ("synth-udpflood", ("198.51.100.99", "198.51.100.98"), "192.168.20.10",
-     "192.168.20.{}", ("9.9.9.9", "198.51.100.7"), (17, 17, 6)),
+     "192.168.20.{}", ("9.9.9.9", "198.51.100.7"), (PROTO_UDP, PROTO_UDP, PROTO_TCP)),
     ("synth-scan", ("203.0.113.200",), "192.168.30.77",
-     "192.168.30.{}", ("8.8.4.4", "1.0.0.1"), (6,)),
+     "192.168.30.{}", ("8.8.4.4", "1.0.0.1"), (PROTO_TCP,)),
 )
 
 
@@ -32,7 +33,7 @@ def _attack_flow(rng, attacker, victim, protocols):
     packets = []
     for j in range(n):
         flags = ""
-        if protocol == 6:
+        if protocol == PROTO_TCP:
             flags = "S" if j == 0 else rng.choice(["PA", "A", "PA"])
         packets.append(PacketBlueprint(
             direction="fwd" if rng.random() < 0.9 else "bwd",
@@ -51,12 +52,12 @@ def _attack_flow(rng, attacker, victim, protocols):
 
 
 def _normal_flow(rng, client_subnet, servers):
-    protocol = rng.choice([6, 6, 17])
+    protocol = rng.choice([PROTO_TCP, PROTO_TCP, PROTO_UDP])
     n = rng.randint(4, 12)
     packets = []
     for j in range(n):
         flags = ""
-        if protocol == 6:
+        if protocol == PROTO_TCP:
             if j == 0:
                 flags = "S"
             elif j == 1:

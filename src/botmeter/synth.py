@@ -13,11 +13,11 @@ import random
 import struct
 from dataclasses import dataclass
 
-from .errors import ValidationError
-from .pcap import PROTO_ICMP, PROTO_ICMPV6, PROTO_TCP, PROTO_UDP, ip_from_str
+from .errors import ValidationError, json_number
+from .pcap import (ACK, CWR, ECE, FIN, PROTO_ICMP, PROTO_ICMPV6, PROTO_TCP,
+                   PROTO_UDP, PSH, RST, SYN, URG, ip_from_str)
 
-_FLAG_BITS = {"F": 0x01, "S": 0x02, "R": 0x04, "P": 0x08,
-              "A": 0x10, "U": 0x20, "E": 0x40, "C": 0x80}
+_FLAG_BITS = dict(zip("FSRPAUEC", (FIN, SYN, RST, PSH, ACK, URG, ECE, CWR)))
 
 _SRC_MAC = bytes.fromhex("020000000001")
 _DST_MAC = bytes.fromhex("020000000002")
@@ -29,7 +29,7 @@ _MAX_PAYLOAD = 65495
 
 
 def _check_range(name: str, value, lo: int, hi: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+    if not lo <= json_number(name, value, integer=True) <= hi:
         raise ValidationError(
             f"{name} must be an integer within {lo}..{hi}, got {value!r}")
 
@@ -98,6 +98,7 @@ class FlowBlueprint:
         src, dst = ip_from_str(self.src_ip), ip_from_str(self.dst_ip)
         if len(src) != len(dst):
             raise ValidationError("blueprint endpoints mix IPv4 and IPv6")
+        json_number("protocol", self.protocol, integer=True)
         if self.protocol in (PROTO_ICMP, PROTO_ICMPV6):
             if (self.protocol == PROTO_ICMP) != (len(src) == 4):
                 raise ValidationError("ICMP protocol number does not match IP version")

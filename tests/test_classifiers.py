@@ -47,8 +47,9 @@ class TestSpecValidation:
             ModelSpec(kind="RF", max_features=0)
         with pytest.raises(ValidationError):
             ModelSpec(kind="LR", l2_lambda=-1)
-        for bad in (0.0, np.nan):
-            with pytest.raises(ValidationError, match="l2_lambda must be > 0"):
+        for bad, message in ((0.0, "l2_lambda must be > 0"),
+                             (np.nan, "l2_lambda must be a finite number, got nan")):
+            with pytest.raises(ValidationError, match=message):
                 ModelSpec(kind="LR", l2_lambda=bad)
         with pytest.raises(ValidationError, match="max_iters must be >= 1"):
             ModelSpec(kind="LR", max_iters=0)
@@ -65,7 +66,8 @@ class TestSpecValidation:
                     ModelSpec(kind="RF", **{name: bad})
         for name in ("var_smoothing", "l2_lambda"):
             for bad in ("1", None, True, [1.0]):
-                with pytest.raises(ValidationError, match=f"{name} must be a real number"):
+                with pytest.raises(ValidationError,
+                                   match=f"{name} must be a finite number"):
                     ModelSpec(kind="NB", **{name: bad})
         for bad in (1, "true", None, np.bool_(True)):
             with pytest.raises(ValidationError, match="bootstrap must be true or false"):
@@ -921,12 +923,12 @@ class TestSerialization:
         last = list(doc["state"])[-1]
         value = doc["state"].pop(last)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=rf"missing key\(s\) \['{last}'\]"):
+        with pytest.raises(ValidationError, match=rf"missing key\(s\) '{last}'$"):
             load_model(path)
         doc["state"][last] = value
         doc["state"]["extra"] = [1.0]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=r"unknown key\(s\) \['extra'\]"):
+        with pytest.raises(ValidationError, match=r"unknown key\(s\) 'extra'$"):
             load_model(path)
 
     @pytest.mark.parametrize("kind, edit, key, message", [
@@ -944,13 +946,13 @@ class TestSerialization:
         ("KNN", {"train_y": [0, 1]}, "train_y", r"expected shape \(80,\), got \(2,\)"),
         ("LR", {"sigma": [1.0, 0.0, 1.0]}, "sigma", "expected values > 0"),
         ("LR", {"weights": []}, "weights", "expected a non-empty array"),
-        ("LR", {"bias": "0.5"}, "bias", "expected a finite number"),
-        ("LR", {"n_iters": True}, "n_iters", "expected an integer >= 0"),
-        ("LR", {"grad_norm": -1.0}, "grad_norm", "expected a finite number >= 0"),
+        ("LR", {"bias": "0.5"}, "bias", "value must be a finite number, got '0.5'"),
+        ("LR", {"n_iters": True}, "n_iters", "value must be an integer, got True"),
+        ("LR", {"grad_norm": -1.0}, "grad_norm", "value must be >= 0, got -1.0"),
         ("LR", {"grad_norm": float("nan")}, "grad_norm",
-         "expected a finite number >= 0"),
+         "value must be a finite number, got nan"),
         ("LR", {"grad_norm": float("inf")}, "grad_norm",
-         "expected a finite number >= 0"),
+         "value must be a finite number, got inf"),
         # The last node is always a leaf; as a split, its children would be
         # past the end of the table.
         ("RF", lambda s: s["feature"].__setitem__(-1, 0), "feature",
@@ -962,7 +964,7 @@ class TestSerialization:
         ("RF", lambda s: s["threshold"].__setitem__(-1, 0.5), "threshold",
          "expected class 0.0 or 1.0 at every leaf"),
         ("RF", {"threshold": [True]}, "threshold", "expected shape"),
-        ("RF", {"n_features": 0}, "n_features", "expected an integer >= 1"),
+        ("RF", {"n_features": 0}, "n_features", "value must be >= 1, got 0"),
     ])
     def test_bad_state_value_is_refused_at_load(self, tmp_path, kind, edit, key,
                                                 message):
@@ -1035,14 +1037,16 @@ class TestSerialization:
     @pytest.mark.parametrize("text, message", [
         (f'{{"format_version": {VERSION}, "spec": {{"kind": "NB", "bogus": 1}}, '
          '"state": {}}',
-         r"model spec: missing key\(s\) \[\], unknown key\(s\) \['bogus'\]"),
+         r"model spec: unknown key\(s\) 'bogus'$"),
         (f'{{"format_version": {VERSION}, "spec": {{"seed": 0}}, "state": {{}}}}',
-         r"missing key\(s\) \['kind'\]"),
+         r"model spec: missing key\(s\) 'kind'$"),
         (f'{{"format_version": {VERSION}, "state": {{}}}}',
          "model spec must be an object"),
         (f'{{"format_version": {VERSION}, "spec": {{"kind": "NB"}}}}',
          "model state must be an object"),
-        (f'[{{"format_version": {VERSION}}}]', "must hold a JSON object"),
+        (f'[{{"format_version": {VERSION}}}]', "model must be a JSON object"),
+        (f'{{"format_version": {VERSION}, "kind": "NB", "spec": {{"kind": "NB"}}, '
+         '"state": {}, "fit": {}}', r"unknown key\(s\) 'fit'$"),
         ("not json", "not a JSON model: Expecting value"),
         (b'{"format_version": %d, "spec": "\xff"}' % VERSION,
          "not a JSON model: 'utf-8' codec"),
@@ -1054,6 +1058,22 @@ class TestSerialization:
         with pytest.raises(ValidationError, match=message) as caught:
             load_model(path)
         assert str(caught.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("kind", ["RF", None])
+    def test_a_kind_that_is_not_the_spec_kind_is_refused(self, tmp_path, kind):
+        # An NB file edited to say RF must not load as the NB it holds.
+        path = tmp_path / "nb.json"
+        save_model(fit(ModelSpec(kind="NB"), *blobs(np.random.default_rng(23))), path)
+        doc = json.loads(path.read_text())
+        if kind is None:
+            del doc["kind"]
+        else:
+            doc["kind"] = kind
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as caught:
+            load_model(path)
+        assert str(caught.value) == (
+            f"{path}: kind {kind!r} does not match the model spec's kind 'NB'")
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"

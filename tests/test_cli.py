@@ -381,10 +381,10 @@ class TestStageCommands:
 
     @pytest.mark.parametrize("doc, message", [
         ({"flows": [{"dst_ip": "8.8.8.8", "src_port": 5, "dst_port": 80,
-                     "protocol": 6}]}, "flows[0]: missing key 'src_ip'"),
+                     "protocol": 6}]}, "flows[0]: missing key(s) 'src_ip'"),
         ([BLUEPRINT_FLOW], "blueprint must be a JSON object"),
         ({"flows": [{**BLUEPRINT_FLOW, "src_port": "x"}]},
-         "flows[0]: src_port must be an integer within 0..65535, got 'x'"),
+         "flows[0]: src_port must be an integer, got 'x'"),
         (b'{"flows": [], "seed": "\xff"}',
          "not a JSON blueprint: 'utf-8' codec can't decode byte 0xff in "
          "position 23: invalid start byte"),
@@ -403,6 +403,17 @@ class TestStageCommands:
         ({"flows": [{**BLUEPRINT_FLOW, "label": 5}]},
          "flows[0]: label must be a non-empty string without surrounding "
          "whitespace, got 5"),
+        # A misspelled key would otherwise leave its default in force.
+        ({"sede": 3, "flows": [BLUEPRINT_FLOW]}, "unknown key(s) 'sede'"),
+        ({"flows": [BLUEPRINT_FLOW, {**BLUEPRINT_FLOW, "start": 5000000}]},
+         "flows[1]: unknown key(s) 'start'"),
+        ({"flows": [{**BLUEPRINT_FLOW, "packets": [{"payload_len": 64, "gap": 10}]}]},
+         "flows[0]: packets[0]: unknown key(s) 'gap', 'payload_len'"),
+        ({"flows": [{"src_ip": "10.0.0.1", "dst_port": 80, "protocol": 6,
+                     "sport": 5}]},
+         "flows[0]: missing key(s) 'dst_ip', 'src_port'; unknown key(s) 'sport'"),
+        ({"flows": [{**BLUEPRINT_FLOW, "protocol": 6.0}]},
+         "flows[0]: protocol must be an integer, got 6.0"),
     ])
     def test_synth_blueprint_input_errors_name_file_flow_and_key(
             self, tmp_path, capsys, doc, message):
@@ -461,7 +472,7 @@ def test_build_model_specs_default_order():
     ({"LR": {"learning_rate": 0.5}}, "models.LR: unknown key(s) 'learning_rate'"),
     ({"LR": {"tol": 1e-3, "max_iters": 50}}, "models.LR: unknown key(s) 'tol'"),
     ({"RF": {"n_tree": 5, "seed": 1}}, "models.RF: unknown key(s) 'n_tree', 'seed'"),
-    ({"SVM": {}}, "models: unknown classifier kind 'SVM'"),
+    ({"SVM": {}}, "models: unknown key(s) 'SVM'"),
     ({"KNN": 5}, "models: expected an object of settings per kind"),
     ([{"k": 5}], "models: expected an object of settings per kind"),
     ({"LR": {"max_iters": 0}}, "max_iters must be >= 1"),
@@ -473,8 +484,8 @@ def test_build_model_specs_default_order():
     ({"RF": {"min_samples_split": -5}}, "min_samples_split must be >= 2"),
     ({"RF": {"bootstrap": 1}}, "bootstrap must be true or false, got 1"),
     ({"LR": {"max_iters": 50.0}}, "max_iters must be an integer, got 50.0"),
-    ({"LR": {"l2_lambda": "1"}}, "l2_lambda must be a real number, got '1'"),
-    ({"NB": {"var_smoothing": None}}, "var_smoothing must be a real number, got None"),
+    ({"LR": {"l2_lambda": "1"}}, "l2_lambda must be a finite number, got '1'"),
+    ({"NB": {"var_smoothing": None}}, "var_smoothing must be a finite number, got None"),
     ({"NB": {"n_trees": 5, "k": 99}}, "models.NB: unknown key(s) 'k', 'n_trees'"),
     ({"LR": {"bootstrap": False}}, "models.LR: unknown key(s) 'bootstrap'"),
     ({"KNN": {"k": 3, "var_smoothing": 1e-9}},
@@ -498,7 +509,7 @@ def test_each_kind_takes_its_own_hyperparameters():
         ("NB", 1e-8, 5, 100, 1.0), ("KNN", 1e-9, 3, 100, 1.0),
         ("RF", 1e-9, 5, 5, 1.0), ("LR", 1e-9, 5, 100, 0.5)]
     # Every ModelSpec hyperparameter belongs to exactly one kind.
-    keys = [key for params in cli._MODEL_PARAMS.values() for key in params]
+    keys = [key for params in classifiers.PARAMS.values() for key in params]
     assert sorted(keys) == sorted(
         f.name for f in fields(classifiers.ModelSpec) if f.name not in ("kind", "seed"))
 
@@ -510,8 +521,65 @@ def test_bad_model_override_fails_at_config_load(tmp_path, capsys):
         "name = ds\ncaptures = gone.pcap\nrules = rules.csv\n")
     assert run_cli("pipeline", "--config", tmp_path / "config.json") == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: models.LR: unknown key(s) 'tol'"]
+        f"error: {tmp_path / 'config.json'}: models.LR: unknown key(s) 'tol'"]
     assert not (tmp_path / "pipeline_out").exists()
+
+
+def json_input(tmp_path, kind):
+    """A valid JSON input of ``kind``: its path, its document and the
+    function that loads it."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "config":
+        (tmp_path / "ds.manifest").write_text(
+            "name = ds\ncaptures = gone.pcap\nrules = rules.csv\n")
+        doc = {"datasets": ["ds.manifest"], "threshold": 1,
+               "models": {"LR": {"l2_lambda": 1.0}, "RF": {"n_trees": 5}}}
+        return path, doc, cli.load_pipeline_config
+    if kind == "blueprint":
+        flow = json.loads(json.dumps(TestStageCommands.BLUEPRINT_FLOW))  # a deep copy
+        return path, {"seed": 1, "flows": [flow]}, cli.blueprints_from_json
+    classifiers.save_model(classifiers.fit(
+        classifiers.ModelSpec(kind="LR"), [[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1]), path)
+    return path, json.loads(path.read_text()), classifiers.load_model
+
+
+@pytest.mark.parametrize("kind, field, integer", [
+    ("config", ("flow_timeout_s",), False),
+    ("config", ("models", "LR", "l2_lambda"), False),
+    ("config", ("seed",), True),
+    ("config", ("models", "RF", "n_trees"), True),
+    ("blueprint", ("flows", 0, "protocol"), True),
+    ("blueprint", ("flows", 0, "packets", 0, "gap_us"), True),
+    ("blueprint", ("seed",), True),
+    ("model", ("spec", "l2_lambda"), False),
+    ("model", ("state", "bias"), False),
+    ("model", ("spec", "n_trees"), True),
+    ("model", ("state", "n_iters"), True),
+])
+@pytest.mark.parametrize("text, value", [
+    ("NaN", "nan"), ("Infinity", "inf"), ("1e999", "inf"), ("6.0", "6.0"),
+    ("true", "True")])
+def test_every_json_input_takes_a_bom_and_refuses_a_number_its_field_cannot_hold(
+        tmp_path, kind, field, integer, text, value):
+    path, doc, load = json_input(tmp_path, kind)
+    # A byte-order mark, as Windows editors write one, is dropped.
+    path.write_text("\ufeff" + json.dumps(doc), encoding="utf-8")
+    load(path)
+    *parents, key = field
+    holder = doc
+    for step in parents:
+        holder = holder[step]
+    holder[key] = "@"
+    path.write_text("\ufeff" + json.dumps(doc).replace('"@"', text), encoding="utf-8")
+    if text == "6.0" and not integer:
+        load(path)  # a real field takes 6.0
+        return
+    with pytest.raises(ValidationError) as caught:
+        load(path)
+    message = str(caught.value)
+    assert message.startswith(f"{path}: ")
+    rule = "an integer" if integer else "a finite number"
+    assert re.search(rf"\b{key}\b.* must be {rule}, got {value}$", message), message
 
 
 def test_capture_summary_logs_each_skip_reason(tmp_path, caplog):
