@@ -3,10 +3,13 @@ L2-regularized logistic regression.
 
 All four share fit(spec, X, y) / predict(model, X) with deterministic
 behaviour for a fixed seed.  KNN and LR standardize features internally
-(sample std, stored in the model); NB and RF consume raw features.  Ties
-of NB scores and of KNN and RF votes resolve to class 0, and KNN distance
-ties to the lower training index; an LR probability of exactly 0.5
-predicts class 1.
+(sample std, stored in the model); NB and RF consume raw features.  A
+model's ``score`` is, per row, the log-odds (NB), the class-1 share of the
+nearest rows (KNN) or of the trees' votes (RF), or the class-1 probability
+(LR).  ``predict`` gives class 1 where it exceeds the kind's cut: 0 (NB),
+0.5 (KNN, RF) or the double below 0.5 (LR), so a tie goes to class 0 but
+an LR probability of 0.5 to class 1.  KNN distance ties go to the lower
+training index.
 """
 
 from __future__ import annotations
@@ -179,16 +182,13 @@ class NBModel:
     means: np.ndarray        # (2, d)
     variances: np.ndarray    # (2, d), smoothing floor already added
 
-    def predict(self, X) -> np.ndarray:
-        """The class of greater joint log-likelihood; a tie goes to 0."""
+    def score(self, X) -> np.ndarray:
+        """The log-odds: class 1's joint log-likelihood minus class 0's."""
         X = _validate_predict_input(X, self.means.shape[1])
-        scores = np.empty((len(X), 2))
-        for cls in (0, 1):
-            var = self.variances[cls]
-            scores[:, cls] = self.log_priors[cls] - 0.5 * np.sum(
-                np.log(2 * np.pi * var) + (X - self.means[cls]) ** 2 / var,
-                axis=1)
-        return (scores[:, 1] > scores[:, 0]).astype(np.int64)
+        joint = [prior - 0.5 * np.sum(np.log(2 * np.pi * var) + (X - mean) ** 2 / var,
+                                      axis=1)
+                 for prior, mean, var in zip(self.log_priors, self.means, self.variances)]
+        return joint[1] - joint[0]
 
 
 def _fit_nb(spec: ModelSpec, X, y) -> NBModel:
@@ -213,10 +213,10 @@ class KNNModel:
     train_x: np.ndarray  # standardized
     train_y: np.ndarray
 
-    def predict(self, X) -> np.ndarray:
-        """Majority vote of the k training rows nearest by squared distance
-        ``((q - x) ** 2).sum()``; equal distances go to the lower training
-        index and a tied vote to class 0.
+    def score(self, X) -> np.ndarray:
+        """The class-1 share of the ``min(k, n)`` training rows nearest by
+        squared distance ``((q - x) ** 2).sum()``; equal distances go to the
+        lower training index.
 
         Candidates come from the Gram form ``|q|^2 - 2 q.x + |x|^2``, one
         block of queries at a time.  Its rounding error against the exact
@@ -233,7 +233,7 @@ class KNNModel:
         sq_train = (train ** 2).sum(axis=1)
         slack = 16 * (d + 2) * np.finfo(np.float64).eps
         sq_max = sq_train.max()
-        out = np.empty(len(Xs), dtype=np.int64)
+        votes = np.empty(len(Xs))
         step = max(1, _KNN_BLOCK_BYTES // (8 * n))
         for start in range(0, len(Xs), step):
             chunk = Xs[start:start + step]
@@ -254,10 +254,9 @@ class KNNModel:
             order = np.lexsort((exact, rows))
             rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
             nearest = order[rank < k]
-            votes = np.bincount(rows[nearest], weights=self.train_y[cols[nearest]],
-                                minlength=len(chunk))
-            out[start:start + step] = votes * 2 > k  # tie -> 0
-        return out
+            votes[start:start + step] = np.bincount(
+                rows[nearest], self.train_y[cols[nearest]], len(chunk))
+        return votes / k
 
 
 def _fit_knn(spec: ModelSpec, X, y) -> KNNModel:
@@ -287,12 +286,9 @@ def lr_loss_and_grad(w, b, X, y, l2_lambda):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)), from exp(-|z|) so that nothing overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -305,11 +301,10 @@ class LRModel:
     n_iters: int = 0            # Newton steps taken
     grad_norm: float = math.nan  # norm of the final gradient (w and b)
 
-    def predict(self, X) -> np.ndarray:
-        # sigma(z) >= 0.5, not z >= 0: sigma rounds to 0.5 for tiny negative z.
+    def score(self, X) -> np.ndarray:
+        """The class-1 probability."""
         X = _validate_predict_input(X, len(self.weights))
-        z = ((X - self.mu) / self.sigma) @ self.weights + self.bias
-        return (_sigmoid(z) >= 0.5).astype(np.int64)
+        return _sigmoid(((X - self.mu) / self.sigma) @ self.weights + self.bias)
 
 
 # Newton stops once the norm of the full gradient (w and b) is at most this.
@@ -410,15 +405,16 @@ class RFModel:
     feature: np.ndarray    # (n_nodes,) int64
     threshold: np.ndarray  # (n_nodes,) float64
 
-    def predict(self, X) -> np.ndarray:
+    def score(self, X) -> np.ndarray:
+        """The class-1 share of the trees' votes."""
         X = _validate_predict_input(X, self.n_features)
         n_trees = self.spec.n_trees
-        votes = np.empty(len(X), dtype=np.int64)
+        votes = np.empty(len(X))
         step = max(1, _RF_PAIRS_PER_STEP // n_trees)  # bounds the index arrays
         for start in range(0, len(X), step):
-            leaves = self._leaves(X[start:start + step])
-            votes[start:start + step] = self.threshold[leaves].sum(axis=0)
-        return (votes * 2 > n_trees).astype(np.int64)  # tie -> 0
+            votes[start:start + step] = self.threshold[
+                self._leaves(X[start:start + step])].sum(axis=0)
+        return votes / n_trees
 
     def _leaves(self, X) -> np.ndarray:
         """(n_trees, len(X)) index of the leaf each row reaches in each tree."""
@@ -657,9 +653,11 @@ def _split_batch(columns, rows, sizes, ones, keys, levels, max_features):
 
 Model = NBModel | KNNModel | LRModel | RFModel
 
+# Each kind's model class, its fitter, and the cut that predict compares
+# its score with (see the module docstring).
 _MODEL_CLASSES = {"NB": NBModel, "KNN": KNNModel, "LR": LRModel, "RF": RFModel}
-
 _FITTERS = {"NB": _fit_nb, "KNN": _fit_knn, "LR": _fit_lr, "RF": _fit_rf}
+_CUTS = {"NB": 0.0, "KNN": 0.5, "LR": math.nextafter(0.5, 0), "RF": 0.5}
 
 
 def fit(spec: ModelSpec, X, y) -> Model:
@@ -669,7 +667,8 @@ def fit(spec: ModelSpec, X, y) -> Model:
 
 
 def predict(model: Model, X) -> np.ndarray:
-    return model.predict(X)
+    """Class 1 where ``model.score(X)`` exceeds the kind's cut, else 0."""
+    return (model.score(X) > _CUTS[model.spec.kind]).astype(np.int64)
 
 
 # --- Serialization ----------------------------------------------------------
@@ -734,7 +733,8 @@ def _write_json(fh, obj) -> None:
 
 def load_model(path) -> Model:
     doc = read_json_object(path, "model")
-    version = doc.get("format_version")
+    version = json_number(f"{path}: format_version", doc.get("format_version"),
+                          integer=True)
     if version != MODEL_FORMAT_VERSION:
         raise ValidationError(f"{path}: unsupported model format version {version!r}")
     check_keys(path, doc, ("format_version", "kind", "spec", "state"))

@@ -79,30 +79,29 @@ _CONFIG_KEYS = {"datasets", "out_dir", "seed", "ratio", "top_k", "threshold",
 def load_pipeline_config(path, args=None) -> PipelineConfig:
     """JSON config (see README for the schema); CLI flags override.  A file
     that is not a JSON object, a key outside the schema, or a config value
-    of the wrong type, is a ValidationError naming the file and the key."""
+    of the wrong type or range, is a ValidationError naming the file and
+    the key; a flag's value is named by the key alone."""
     path = Path(path)
     doc = read_json_object(path, "config")
     check_keys(path, doc, _CONFIG_KEYS)
     base = path.parent
+    flagged = set()  # the keys whose value a flag gave
 
     def pick(key, default, flag=None):
         """The flag ``flag`` (by default ``key``), else the config's ``key``,
         else ``default``; an integer default asks for an integer."""
-        value, name = getattr(args, flag or key, None), key
+        value = getattr(args, flag or key, None)
         if value is None:
-            value, name = doc.get(key, default), f"{path}: {key}"
-        return json_number(name, value, isinstance(default, int))
+            value = doc.get(key, default)
+        else:
+            flagged.add(key)
+        return json_number(key, value, isinstance(default, int))
 
     datasets = doc.get("datasets", [])
     if not (isinstance(datasets, list) and all(isinstance(m, str) for m in datasets)):
         raise ValidationError(
             f"{path}: datasets must be a list of manifest paths, got {datasets!r}")
     manifests = tuple(parse_manifest(base / m) for m in datasets)
-    meter = MeterConfig(
-        flow_timeout_us=_timeout_us(
-            "flow_timeout_s", pick("flow_timeout_s", _FLOW_TIMEOUT_S, "timeout_s")),
-        activity_timeout_us=_timeout_us(
-            "activity_timeout_s", pick("activity_timeout_s", _ACTIVITY_TIMEOUT_S)))
     # A relative --out is taken from the working directory, a relative
     # out_dir in the config from the config's directory.
     if getattr(args, "out", None) is not None:
@@ -113,19 +112,35 @@ def load_pipeline_config(path, args=None) -> PipelineConfig:
             raise ValidationError(f"{path}: out_dir must be a path, got {out_dir!r}")
         out_dir = base / out_dir
     try:
-        build_model_specs(0, doc.get("models"))
+        return PipelineConfig(
+            manifests=manifests,
+            meter=_meter_config(pick("flow_timeout_s", _FLOW_TIMEOUT_S, "timeout_s"),
+                                pick("activity_timeout_s", _ACTIVITY_TIMEOUT_S)),
+            out_dir=out_dir,
+            seed=pick("seed", PipelineConfig.seed),
+            ratio=pick("ratio", PipelineConfig.ratio),
+            top_k=pick("top_k", PipelineConfig.top_k),
+            threshold=pick("threshold", PipelineConfig.threshold),
+            model_overrides=doc.get("models"),
+        )
     except ValidationError as exc:
+        # A message about a value starts with its key.
+        if str(exc).partition(" ")[0] in flagged:
+            raise
         raise ValidationError(f"{path}: {exc}") from None
-    return PipelineConfig(
-        manifests=manifests,
-        meter=meter,
-        out_dir=out_dir,
-        seed=pick("seed", PipelineConfig.seed),
-        ratio=pick("ratio", PipelineConfig.ratio),
-        top_k=pick("top_k", PipelineConfig.top_k),
-        threshold=pick("threshold", PipelineConfig.threshold),
-        model_overrides=doc.get("models"),
-    )
+
+
+def _meter_config(flow_s, activity_s) -> MeterConfig:
+    """The meter of a flow and an activity timeout in seconds, from a config
+    or the command line.  A flow timeout that does not exceed a positive
+    activity timeout is a ValidationError stated in the config keys and in
+    seconds, though the meter's whole microseconds are compared."""
+    flow_us = _timeout_us("flow_timeout_s", flow_s)
+    activity_us = _timeout_us("activity_timeout_s", activity_s)
+    if not flow_us > activity_us > 0:
+        raise ValidationError("flow_timeout_s must exceed activity_timeout_s, both > 0 "
+                              f"(got {flow_s!r} s, {activity_s!r} s)")
+    return MeterConfig(flow_timeout_us=flow_us, activity_timeout_us=activity_us)
 
 
 def _timeout_us(key: str, seconds) -> int:
@@ -144,10 +159,15 @@ def build_model_specs(seed: int, overrides: dict | None) -> list[classifiers.Mod
             and all(isinstance(params, dict) for params in overrides.values())):
         raise ValidationError("models: expected an object of settings per kind")
     check_keys("models", overrides, classifiers.PARAMS)
-    for kind, params in overrides.items():
+    specs = []
+    for kind in classifiers.KINDS:
+        params = overrides.get(kind, {})
         check_keys(f"models.{kind}", params, classifiers.PARAMS[kind])
-    return [classifiers.ModelSpec(kind=kind, seed=seed, **overrides.get(kind, {}))
-            for kind in classifiers.KINDS]
+        try:
+            specs.append(classifiers.ModelSpec(kind=kind, seed=seed, **params))
+        except ValidationError as exc:
+            raise ValidationError(f"models.{kind}: {exc}") from None
+    return specs
 
 
 # --- pipeline stages ----------------------------------------------------------
@@ -388,17 +408,20 @@ def _run_report(ranked_lists, universal, reports) -> str:
 
 # --- synth helpers -------------------------------------------------------------
 
-# A flow's keys are FlowBlueprint's fields; a packet's are named for the file.
+# A flow's keys are FlowBlueprint's fields.  A packet's are named for the
+# file: each sets the PacketBlueprint field it maps to.
 _FLOW_REQUIRED = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol")
 _FLOW_KEYS = _FLOW_REQUIRED + ("packets", "start_us", "label")
-_PACKET_KEYS = ("dir", "payload", "gap_us", "flags", "window")
+_PACKET_FIELDS = {"dir": "direction", "payload": "payload_len", "gap_us": "gap_us",
+                  "flags": "flags", "window": "window"}
+_PACKET_KEYS = {name: key for key, name in _PACKET_FIELDS.items()}
 
 
 def blueprints_from_json(path) -> tuple[list[FlowBlueprint], int]:
     """The flows and seed of a blueprint JSON file (see README).  A file
     that is not a UTF-8 JSON object, a missing or unknown key, and a value
     of the wrong type or range are ValidationErrors naming the file and,
-    within a flow, its index and the key."""
+    within a flow, its index, the packet's index and the key."""
     doc = read_json_object(path, "blueprint")
     check_keys(path, doc, ("seed", "flows"))
     seed = json_number(f"{path}: seed", doc.get("seed", 0), integer=True)
@@ -406,15 +429,19 @@ def blueprints_from_json(path) -> tuple[list[FlowBlueprint], int]:
     for i, item in enumerate(_json_objects(path, doc, "flows")):
         where = f"{path}: flows[{i}]"
         check_keys(where, item, _FLOW_KEYS, _FLOW_REQUIRED)
-        items = _json_objects(where, item, "packets")
-        for j, p in enumerate(items):
-            check_keys(f"{where}: packets[{j}]", p, _PACKET_KEYS)
+        packets = []
+        for j, p in enumerate(_json_objects(where, item, "packets")):
+            check_keys(f"{where}: packets[{j}]", p, _PACKET_FIELDS)
+            try:
+                packets.append(PacketBlueprint(
+                    **{_PACKET_FIELDS[key]: value for key, value in p.items()}))
+            except ValidationError as exc:
+                # Its messages start with the field; the file's key replaces it.
+                name, _, rest = str(exc).partition(" ")
+                raise ValidationError(f"{where}: packets[{j}]: "
+                                      f"{_PACKET_KEYS.get(name, name)} {rest}") from None
         try:
-            packets = tuple(PacketBlueprint(
-                direction=p.get("dir", "fwd"), payload_len=p.get("payload", 0),
-                gap_us=p.get("gap_us", 0), flags=p.get("flags", ""),
-                window=p.get("window", 8192)) for p in items)
-            flows.append(FlowBlueprint(**{**item, "packets": packets}))
+            flows.append(FlowBlueprint(**{**item, "packets": tuple(packets)}))
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
     return flows, seed
@@ -536,10 +563,7 @@ def _split_labeled(args) -> tuple[FeatureTable, FeatureTable]:
 
 def _dispatch(args) -> int:
     if args.command == "extract":
-        meter = MeterConfig(
-            flow_timeout_us=_timeout_us("flow_timeout_s", args.timeout_s),
-            activity_timeout_us=_timeout_us("activity_timeout_s",
-                                            args.activity_timeout_s))
+        meter = _meter_config(args.timeout_s, args.activity_timeout_s)
         total, _ = _write_flows(args.out, partial(_meter, args.captures, meter))
         print(f"wrote {total} flows to {args.out}")
         return 0

@@ -52,7 +52,7 @@ class PacketBlueprint:
     def __post_init__(self):
         if self.direction not in ("fwd", "bwd"):
             raise ValidationError(
-                f"packet direction must be fwd or bwd, got {self.direction!r}")
+                f"direction must be fwd or bwd, got {self.direction!r}")
         _check_range("payload_len", self.payload_len, 0, _MAX_PAYLOAD)
         _check_range("gap_us", self.gap_us, 0, _TS_LIMIT_US - 1)
         _check_range("window", self.window, 0, 0xFFFF)
@@ -66,7 +66,8 @@ class PacketBlueprint:
             try:
                 bits |= _FLAG_BITS[ch]
             except KeyError:
-                raise ValidationError(f"unknown TCP flag letter {ch!r}") from None
+                raise ValidationError(
+                    f"flags holds an unknown TCP flag letter {ch!r}") from None
         return bits
 
 

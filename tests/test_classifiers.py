@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import re
 from unittest import mock
 
@@ -14,8 +15,8 @@ import knn_oracle
 import rf_oracle
 from botmeter import classifiers, cli
 from botmeter.classifiers import (KINDS, KNNModel, LR_GRAD_TOL, LRModel,
-                                  ModelSpec, fit, load_model, lr_loss_and_grad,
-                                  predict, save_model)
+                                  ModelSpec, NBModel, RFModel, fit, load_model,
+                                  lr_loss_and_grad, predict, save_model)
 from botmeter.dataset import FeatureTable, read_feature_csv, train_test_split
 from botmeter.demo import make_demo_corpus
 from botmeter.errors import ValidationError
@@ -118,6 +119,73 @@ class TestSpecValidation:
         queries[2, 1] = bad
         with pytest.raises(ValidationError, match="row 2, column 1"):
             predict(model, queries)
+
+
+def knn_oracle_counts(model, X):
+    """The class-1 count among each query's ``min(k, n)`` nearest rows, read
+    from the brute-force oracle's ``votes * 2 > k`` test: with the labels
+    scaled by ``k / (2t - 1)``, the test holds where the count is >= t."""
+    k = min(model.spec.k, len(model.train_x))
+    return sum(knn_oracle.predict(dataclasses.replace(
+        model, train_y=model.train_y * (k / (2 * t - 1))), X) for t in range(1, k + 1))
+
+
+def naive_nb_log_odds(model, X):
+    """Class 1's joint log-likelihood minus class 0's, one value at a time."""
+    def joint(row, cls):
+        return model.log_priors[cls] + sum(
+            -0.5 * math.log(2 * math.pi * var) - (x - mean) ** 2 / (2 * var)
+            for x, mean, var in zip(row, model.means[cls], model.variances[cls]))
+    return [joint(row, 1) - joint(row, 0) for row in X]
+
+
+def naive_lr_probability(model, X):
+    return [1 / (1 + math.exp(-(model.bias + sum(
+        (x - mu) / sigma * w
+        for x, mu, sigma, w in zip(row, model.mu, model.sigma, model.weights)))))
+        for row in X]
+
+
+# A model of each kind, queries, their scores and their classes.  Query 0
+# scores the kind's cut, but for LR: there z = 0 gives 0.5, just above the
+# cut, and z = -2**-52 gives the cut itself.
+AT_THE_CUT = {
+    "NB": (NBModel(ModelSpec(kind="NB"), np.log([0.5, 0.5]), np.array([[-1.0], [1.0]]),
+                   np.ones((2, 1))), [[0.0]], [0.0], [0]),
+    "KNN": (KNNModel(ModelSpec(kind="KNN", k=2), np.zeros(1), np.ones(1),
+                     np.array([[-1.0], [1.0]]), np.array([0, 1])), [[0.0]], [0.5], [0]),
+    "RF": (RFModel(ModelSpec(kind="RF", n_trees=2), 1, np.array([-1, -1]),
+                   np.array([0.0, 1.0])), [[0.0]], [0.5], [0]),
+    "LR": (LRModel(ModelSpec(kind="LR"), np.zeros(1), np.ones(1), np.array([1.0]), 0.0),
+           [[0.0], [-2.0 ** -52]], [0.5, math.nextafter(0.5, 0)], [1, 0]),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_score_is_the_kinds_statistic_and_predict_cuts_it(kind):
+    rng = np.random.default_rng(37)
+    X, y = blobs(rng, n=160, d=3, gap=1.0)
+    train_x, train_y, queries = X[:120], y[:120], X[120:]
+    # k and n_trees are powers of two, so share * count is exact.
+    model = fit(ModelSpec(kind=kind, k=4, n_trees=8), train_x, train_y)
+    score = model.score(queries)
+    if kind == "NB":
+        np.testing.assert_allclose(score, naive_nb_log_odds(model, queries),
+                                   rtol=1e-12, atol=1e-12)
+    elif kind == "KNN":
+        np.testing.assert_array_equal(score * 4, knn_oracle_counts(model, queries))
+    elif kind == "RF":
+        trees = rf_oracle.fit_forest(model.spec, train_x, train_y)
+        np.testing.assert_array_equal(
+            score * 8, sum(rf_oracle.tree_predict(tree, queries) for tree in trees))
+    else:
+        np.testing.assert_allclose(score, naive_lr_probability(model, queries),
+                                   rtol=1e-12)
+    assert len(set(score.tolist())) > 2  # the checks above saw more than a tie
+
+    tied, queries, scores, classes = AT_THE_CUT[kind]
+    assert tied.score(queries).tolist() == scores
+    assert predict(tied, queries).tolist() == classes
 
 
 @pytest.fixture(scope="module")
@@ -1048,6 +1116,10 @@ class TestSerialization:
         (f'{{"format_version": {VERSION}, "kind": "NB", "spec": {{"kind": "NB"}}, '
          '"state": {}, "fit": {}}', r"unknown key\(s\) 'fit'$"),
         ("not json", "not a JSON model: Expecting value"),
+        # 5.0 == 5, but an integer field takes only a JSON integer.
+        (f'{{"format_version": {VERSION}.0}}',
+         rf"format_version must be an integer, got {VERSION}\.0$"),
+        ('{"format_version": true}', "format_version must be an integer, got True$"),
         (b'{"format_version": %d, "spec": "\xff"}' % VERSION,
          "not a JSON model: 'utf-8' codec"),
     ])
